@@ -8,7 +8,9 @@ field-state commands add "E" and "B" (3 numbers each), factor takes
 
 Exit codes: 0 all residuals within thresholds; 1 residual failure;
 2 malformed input; 3 theta not antisymmetric; 4 vanishing K (stabilizer);
-5 isotropic/commutative input to reduce; 6 spinor constraint violation.
+5 isotropic/commutative input to reduce; 6 spinor constraint violation;
+7 any other library error (an ``NcframeError`` the codes above do not name,
+for example an internal inconsistency at extreme rapidity).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits so doubles round-trip losslessly.
 """
@@ -28,10 +30,10 @@ from .electrodynamics import (
     constitutive_real_forward,
     dual_invariance_residual,
 )
-from .errors import NotAntisymmetric
+from .errors import NcframeError, NotAntisymmetric
 from .factorization import FactorOrder, factor_boost_rotation, factor_isotropic, factor_rotation_boost
 from .group import SpinorElement, project_to_group
-from .linalg import bilinear_dot, hnorm, inf_norm
+from .linalg import EYE3, bilinear_dot, hnorm, inf_norm
 from .sampling import default_rng, random_gamma
 from .stabilizer import (
     EPS_ISO,
@@ -52,6 +54,7 @@ EXIT_NOT_ANTISYMMETRIC = 3
 EXIT_ZERO_K = 4
 EXIT_NOT_REDUCIBLE = 5
 EXIT_BAD_SPINOR = 6
+EXIT_LIBRARY_ERROR = 7
 
 _THETA_ANTISYM_TOL = 1e-9
 _SPINOR_DET_TOL = 1e-8
@@ -289,7 +292,7 @@ def cmd_reduce(args) -> int:
     ksq = bilinear_dot(K, K)
     csq = bilinear_dot(kcanon, kcanon)
     residuals = {
-        "orthogonality": inf_norm(S.matrix.T @ S.matrix - np.eye(3)),
+        "orthogonality": inf_norm(S.matrix.T @ S.matrix - EYE3),
         "reduction": hnorm(S.apply(K) - kcanon) / hnorm(K),
         "invariants": abs(csq - ksq) / abs(ksq),
     }
@@ -483,6 +486,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ncframe: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except NcframeError as exc:
+        print(f"ncframe: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_LIBRARY_ERROR
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ class ConstraintViolation(NcframeError, ValueError):
     """A group-element constructor received data violating its defining constraint."""
 
 
+class NonFiniteInput(NcframeError, ValueError):
+    """Input data contains a NaN or infinite entry."""
+
+
 class SingularMatrix(NcframeError):
     """Matrix inverse requested for a (numerically) singular matrix."""
 

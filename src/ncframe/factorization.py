@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateNorm, InternalInconsistency, NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, spinor_compose
-from .linalg import DEFAULT_TOL, bilinear_dot, hnorm, vec3
+from .linalg import DEFAULT_TOL, bilinear_dot, cross3, hnorm, vec3
 from .stabilizer import EPS_ISO
 
 
@@ -65,7 +65,7 @@ def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     if r2 <= 1e-20:
         raise DegenerateNorm("rotation part has zero norm; cannot normalize")
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
-    B = (n0 * m - m0 * n + cross_sign * np.cross(m, n)) / r2
+    B = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r2
     boost = _boost_from_velocity(B)
     r = np.sqrt(r2)
     a0, a = n0 / r, n / r
@@ -119,7 +119,7 @@ def factor_isotropic(
     b0 = np.sqrt(1.0 + n2)
     a0 = 1.0 / b0
     cross_sign = -1.0 if order is FactorOrder.ROTATION_FIRST else 1.0
-    bvec = b0 * (m + cross_sign * np.cross(n, m)) / (1.0 + n2)
+    bvec = b0 * (m + cross_sign * cross3(n, m)) / (1.0 + n2)
     rotation = SpinorElement(a0, -1j * a0 * n)
     boost = SpinorElement(b0, bvec + 0j)
     return RotationBoostPair(rotation=rotation, boost=boost, order=order, sign=sgn)
@@ -148,7 +148,7 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
         "n_norm2": abs(float(np_ @ np_) - lam2 * float(n @ n)),
         "m_norm2": abs(float(mp @ mp) - lam2 * float(m @ m)),
         "orthogonality": abs(float(np_ @ mp)),
-        "cross": float(np.abs(np.cross(np_, mp) - lam2 * np.cross(n, m)).max()),
+        "cross": float(np.abs(cross3(np_, mp) - lam2 * cross3(n, m)).max()),
     }
     pair = factor_isotropic(SpinorElement(1.0, kp), eps_iso=eps_iso)
     expected_b0 = np.sqrt(1.0 + lam2 * float(n @ n))

@@ -28,11 +28,14 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    EYE3,
     ComplexMat3,
     ComplexVec3,
     RealMat4,
     axial_matrix,
     bilinear_dot,
+    cross3,
+    det3,
     hnorm,
     inf_norm,
     is_real,
@@ -42,10 +45,6 @@ from .linalg import (
 
 #: Minkowski metric, signature (+, -, -, -).
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     n0'' = n0' n0 - n'.n of the unitary subgroup where k = -i*n).
     """
     k0 = b1.k0 * b2.k0 + bilinear_dot(b1.k, b2.k)
-    k = b1.k0 * b2.k + b2.k0 * b1.k + 1j * np.cross(b1.k, b2.k)
+    k = b1.k0 * b2.k + b2.k0 * b1.k + 1j * cross3(b1.k, b2.k)
     return SpinorElement(k0, k)
 
 
@@ -160,7 +159,7 @@ def gibbs_compose(c1, c2) -> np.ndarray:
     denom = 1.0 - c1 @ c2
     if abs(denom) <= 1e-12 * (1.0 + hnorm(c1) * hnorm(c2)):
         raise HalfTurnResult("composition is a half-turn (scalar part vanishes)")
-    return (c1 + c2 + np.cross(c1, c2)) / denom
+    return (c1 + c2 + cross3(c1, c2)) / denom
 
 
 @dataclass(frozen=True)
@@ -175,16 +174,16 @@ class ComplexRotation:
             raise ConstraintViolation(f"expected 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = max(1.0, inf_norm(m) ** 2)
-        resid = inf_norm(m.T @ m - np.eye(3))
+        resid = inf_norm(m.T @ m - EYE3)
         if resid > DEFAULT_TOL * scale:
             raise ConstraintViolation(f"O^T O - I residual {resid:.3e} exceeds tolerance")
-        det = np.linalg.det(m)
+        det = det3(m)
         if abs(det - 1.0) > DEFAULT_TOL * scale ** 1.5:
             raise ConstraintViolation(f"det O = {det:.15g}, expected +1")
 
     @classmethod
     def identity(cls) -> "ComplexRotation":
-        return cls(np.eye(3, dtype=complex))
+        return cls(EYE3)
 
     def apply(self, v) -> ComplexVec3:
         return self.matrix @ vec3(v)
@@ -238,7 +237,7 @@ def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     pure boosts give complex symmetric ones.
     """
     kx = axial_matrix(b.k)
-    return ComplexRotation(np.eye(3, dtype=complex) + 2.0 * (1j * b.k0 * kx - kx @ kx))
+    return ComplexRotation(EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
 
 
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
@@ -247,25 +246,30 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     Row/column 0 is time.  For a pure boost this reproduces the standard
     closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.
     """
-    k0, k = b.k0, b.k
-    kk = np.abs(k) ** 2
+    k0, k0c, k = b.k0, b.k0.conjugate(), b.k.tolist()
+    # |k_i|^2 stays numpy's vectorized abs, which rounds differently from
+    # Python's abs; every other entry is evaluated on Python scalars.
+    kk = np.abs(b.k) ** 2
     total = float(kk.sum())
-    L = np.zeros((4, 4))
-    L[0, 0] = abs(k0) ** 2 + total
+    kk = kk.tolist()
+    a2 = abs(k0) ** 2
+    L = [[0.0] * 4 for _ in range(4)]
+    L[0][0] = a2 + total
     for i in range(3):
-        t = -2.0 * (np.conj(k0) * k[i]).real
+        t = -2.0 * (k0c * k[i]).real
         j, l = (i + 1) % 3, (i + 2) % 3
-        c = -2.0 * (k[j] * np.conj(k[l])).imag
-        L[0, i + 1] = t + c
-        L[i + 1, 0] = t - c
+        c = -2.0 * (k[j] * k[l].conjugate()).imag
+        L[0][i + 1] = t + c
+        L[i + 1][0] = t - c
     for i in range(3):
         for j in range(3):
             if i == j:
-                L[i + 1, j + 1] = abs(k0) ** 2 + 2.0 * kk[i] - total
+                L[i + 1][j + 1] = a2 + 2.0 * kk[i] - total
             else:
                 l = 3 - i - j
-                L[i + 1, j + 1] = 2.0 * _EPS[i, j, l] * (np.conj(k0) * k[l]).imag + 2.0 * (
-                    k[i] * np.conj(k[j])
+                eps = 1.0 if (j - i) % 3 == 1 else -1.0  # Levi-Civita eps_ijl
+                L[i + 1][j + 1] = 2.0 * eps * (k0c * k[l]).imag + 2.0 * (
+                    k[i] * k[j].conjugate()
                 ).real
     return Lorentz4(L)
 
@@ -332,13 +336,13 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix
-    residuals = {"orthogonality": inf_norm(O.T @ O - np.eye(3))}
+    residuals = {"orthogonality": inf_norm(O.T @ O - EYE3)}
     if is_rotation:
         kind = "rotation"
         residuals["realness"] = inf_norm(O.imag)
         residuals["conjugate_fixed"] = inf_norm(np.conj(O) - O)
     else:
         kind = "boost"
-        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - np.eye(3))
+        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - EYE3)
         residuals["conjugate_is_transpose"] = inf_norm(np.conj(O) - O.T)
     return {"kind": kind, "residuals": residuals, "max_residual": max(residuals.values())}

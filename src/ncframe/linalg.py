@@ -8,6 +8,8 @@ for the ordinary Hermitian magnitude.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularMatrix
@@ -25,6 +27,15 @@ DEFAULT_TOL = 1e-10
 
 #: Relative determinant cutoff below which a 3x3 inverse is refused.
 SINGULARITY_CUTOFF = 1e-13
+
+#: Read-only real 3x3 identity.  Adding it to a complex matrix promotes it
+#: to 1 + 0j entrywise, so the sum equals that with a complex identity.
+EYE3 = np.eye(3)
+EYE3.flags.writeable = False
+
+# Index pairs of the vector product: row 0 picks (1, 2, 0), row 1 (2, 0, 1).
+_CROSS_L = np.array([[1, 2, 0], [2, 0, 1]])
+_CROSS_R = _CROSS_L[::-1].copy()
 
 
 def vec3(v) -> ComplexVec3:
@@ -70,9 +81,20 @@ def bilinear_dot(u, v) -> complex:
     return complex(u @ v)
 
 
+def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vector product of two length-3 arrays, without coercion.
+
+    The result has numpy's promoted dtype of u and v (real stays real) and
+    equals ``np.cross(u, v)`` bit for bit: both take the same elementwise
+    products u_j v_l and differences, only without np.cross's axis handling.
+    """
+    p = u[_CROSS_L] * v[_CROSS_R]
+    return p[0] - p[1]
+
+
 def cross(u, v) -> ComplexVec3:
     """Vector product, complex-bilinear in both arguments."""
-    return np.cross(vec3(u), vec3(v))
+    return cross3(vec3(u), vec3(v))
 
 
 def axial_matrix(v) -> ComplexMat3:
@@ -86,6 +108,12 @@ def axial_matrix(v) -> ComplexMat3:
         ],
         dtype=complex,
     )
+
+
+def det3(m: np.ndarray) -> complex:
+    """Determinant of a 3x3 array by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def mat3_inverse(m) -> ComplexMat3:
@@ -109,8 +137,19 @@ def inf_norm(a) -> float:
 
 
 def hnorm(v) -> float:
-    """Hermitian (Euclidean) magnitude sqrt(sum |v_i|^2)."""
-    return float(np.linalg.norm(np.asarray(v)))
+    """Hermitian (Euclidean) magnitude sqrt(sum |v_i|^2) of all entries.
+
+    The same sums as ``np.linalg.norm(v)`` (so the same bits), without its
+    argument handling: sqrt(re.re + im.im) for complex input.
+    """
+    x = np.asarray(v)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def is_real(a, tol: float = DEFAULT_TOL) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import SpinorElement, project_to_group
-from .linalg import bilinear_dot, hnorm
+from .linalg import bilinear_dot, cross3, hnorm
 
 
 def default_rng(seed: int = 0) -> np.random.Generator:
@@ -40,7 +40,7 @@ def random_spinor(rng: np.random.Generator, max_norm: float = 2.0) -> SpinorElem
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / hnorm(v)
 
 
 def random_nonisotropic_K(
@@ -59,8 +59,8 @@ def random_nonisotropic_K(
 def random_isotropic_k(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random k = m - i*n with m.m = n.n, m.n = 0, so k.k = 0 to rounding."""
     n = random_unit_vector(rng)
-    m = np.cross(n, rng.normal(size=3))
-    m /= np.linalg.norm(m)
+    m = cross3(n, rng.normal(size=3))
+    m /= hnorm(m)
     r = scale * rng.uniform(0.3, 1.7)
     return r * (m - 1j * n)
 

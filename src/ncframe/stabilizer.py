@@ -19,6 +19,7 @@ Vanishing K.K ("isotropic"): the stabilizer is the additive family O(z*k).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateDelta,
     IsotropicInput,
+    NonFiniteInput,
     NotAntisymmetric,
     NotIsotropic,
     NotUnitDelta,
@@ -42,10 +44,12 @@ from .group import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    EYE3,
     ComplexVec3,
     RealMat4,
     axial_matrix,
     bilinear_dot,
+    cross3,
     hnorm,
     inf_norm,
     rmat4,
@@ -95,15 +99,29 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
     vectors: theta_to_K(L theta L^T) = O @ theta_to_K(theta).
 
     No rescaling is applied: theta is taken in whatever units the caller
-    uses (length^2 for a noncommutativity matrix) and K carries them.
+    uses (length^2 for a noncommutativity matrix) and K carries them.  NaN or
+    inf entries raise :class:`NonFiniteInput`.
     """
     theta = rmat4(theta)
+    scale = inf_norm(theta)
+    _require_finite(theta, scale, "theta")
     resid = inf_norm(theta + theta.T)
-    if resid > tol * max(1.0, inf_norm(theta)):
+    if resid > tol * max(1.0, scale):
         raise NotAntisymmetric(f"theta + theta^T residual {resid:.3e}")
     m = np.array([theta[0, 1], theta[0, 2], theta[0, 3]])
     n = np.array([theta[2, 3], theta[3, 1], theta[1, 2]])
     return n + 1j * m
+
+
+def _require_finite(a, nrm: float, name: str = "K") -> None:
+    """Raise :class:`NonFiniteInput` if an entry of a is NaN or infinite.
+
+    nrm is a norm of a that the caller computes anyway; a NaN or inf entry
+    makes it NaN or inf, so the entries are scanned only then (a finite K
+    whose norm overflows is not rejected).
+    """
+    if not math.isfinite(nrm) and not np.isfinite(a).all():
+        raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
 
 def K_to_theta(K) -> RealMat4:
@@ -136,11 +154,14 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     Commutative means ||K|| = 0 within eps_iso; isotropic means
     |K.K| <= eps_iso * ||K||^2.  The boundary subcases Ia/Ib (I2 = 0) and
     IIa/IIb (I1 = 0) are detected relative to I = |K.K|, so the labels are
-    invariant under real rescaling of K.
+    invariant under real rescaling of K.  NaN or inf entries raise
+    :class:`NonFiniteInput`.
     """
     K = vec3(K)
+    nrm = hnorm(K)
+    _require_finite(K, nrm)
     i1, i2, mag, mu = invariants(K)
-    norm2 = hnorm(K) ** 2
+    norm2 = nrm ** 2
     if np.sqrt(norm2) <= eps_iso:
         return NCParameter(K_to_theta(K), K, i1, i2, mag, None, NCClass.COMMUTATIVE, Subcase.NONE)
     if mag <= eps_iso * norm2:
@@ -169,11 +190,14 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
 
     Kscalar = sqrt(I) * exp(i*mu) on the principal branch mu in [0, pi), so
     the split is single-valued; Delta = K / Kscalar then satisfies
-    Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.
+    Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
+    entries raise :class:`NonFiniteInput`.
     """
     K = vec3(K)
+    nrm = hnorm(K)
+    _require_finite(K, nrm)
     i1, i2, mag, mu = invariants(K)
-    if mag <= eps_iso * hnorm(K) ** 2 or hnorm(K) == 0.0:
+    if mag <= eps_iso * nrm ** 2 or nrm == 0.0:
         raise IsotropicInput("K.K = 0 within tolerance: no unit-square direction exists")
     kscalar = np.sqrt(mag) * np.exp(1j * mu)
     return complex(kscalar), K / kscalar
@@ -257,13 +281,13 @@ def rotation_between(src, dst) -> np.ndarray:
     if abs(denom) <= 1e-12:
         seed = np.zeros(3)
         seed[int(np.argmin(np.abs(src)))] = 1.0
-        u = np.cross(src, seed)
-        u /= np.linalg.norm(u)
+        u = cross3(src, seed)
+        u /= hnorm(u)
         ux = axial_matrix(u).real
-        return np.eye(3) + 2.0 * (ux @ ux)
-    c = np.cross(src, dst) / denom
+        return EYE3 + 2.0 * (ux @ ux)
+    c = cross3(src, dst) / denom
     cx = axial_matrix(c).real
-    return np.eye(3) + 2.0 * (cx + cx @ cx) / (1.0 + c @ c)
+    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + c @ c)
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
@@ -289,22 +313,23 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm(delta) ** 2):
         raise NotUnitDelta(f"delta.delta = {sq:.15g}, expected 1")
     N, M = delta.real, delta.imag
-    ch = float(np.linalg.norm(N))
+    ch = hnorm(N)
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
     N0 = N / ch
-    if np.linalg.norm(M) <= 1e-12 * max(1.0, ch):
+    mnorm = hnorm(M)
+    if mnorm <= 1e-12 * max(1.0, ch):
         target = N0 if e_target is None else _unit_target(e_target)
         return ComplexRotation(rotation_between(N0, target).astype(complex))
-    M0 = M / np.linalg.norm(M)
-    u = np.cross(M0, N0)
-    unorm = np.linalg.norm(u)
+    M0 = M / mnorm
+    u = cross3(M0, N0)
+    unorm = hnorm(u)
     if unorm < 1e-8:
         raise DegenerateDelta("Re delta and Im delta are parallel")
     u = u / unorm
     sh = np.sqrt(max(ch * ch - 1.0, 0.0))
     uu = np.outer(u, u)
-    T = uu.astype(complex) + 1j * sh * (np.eye(3) - uu) - ch * axial_matrix(u)
+    T = uu.astype(complex) + 1j * sh * (EYE3 - uu) - ch * axial_matrix(u)
     target = N0 if e_target is None else _unit_target(e_target)
     O2 = rotation_between(M0, target)
     return ComplexRotation(O2.astype(complex) @ T)
@@ -312,7 +337,7 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
 
 def _unit_target(e) -> np.ndarray:
     e = rvec3(e)
-    nrm = np.linalg.norm(e)
+    nrm = hnorm(e)
     if abs(nrm - 1.0) > DEFAULT_TOL:
         raise ValueError(f"target must be a real unit vector (norm {nrm:.15g})")
     return e
@@ -328,5 +353,5 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     kscalar, delta = unit_delta(K, eps_iso=eps_iso)
     S = reduce_to_real(delta)
     e = S.apply(delta).real
-    e /= np.linalg.norm(e)
+    e /= hnorm(e)
     return S, kscalar * e

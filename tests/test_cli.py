@@ -170,6 +170,27 @@ class TestExitCodes:
         code, _ = run_cli(["dual-scan", "--steps", "3"], doc, tmp_path, capsys)
         assert code == 2
 
+    def test_library_error_exit_code(self, tmp_path, capsys):
+        # A pure boost of rapidity 26 defeats the velocity form of the
+        # factorization (a known cancellation defect): InternalInconsistency,
+        # which is not a ValueError.  If that defect is fixed, pick another
+        # input that raises a non-ValueError NcframeError.
+        infile = tmp_path / "boost.json"
+        infile.write_text(json.dumps({"spinor": [math.cosh(13.0), 0, 0, 0, 0, 0, 0, math.sinh(13.0)]}))
+        assert main(["factor", "--in", str(infile)]) == 7
+        captured = capsys.readouterr()
+        assert captured.out == "" and "InternalInconsistency" in captured.err
+
+    def test_every_library_error_maps_to_exit_7(self, tmp_path, capsys, monkeypatch):
+        from ncframe import cli, errors
+
+        def fail(args):
+            raise errors.DegenerateDelta("forced")
+
+        monkeypatch.setitem(cli._HANDLERS, "reduce", fail)
+        code, _ = run_cli(["reduce"], {"nm": [1, 0, 0, 0, 0, 0]}, tmp_path, capsys)
+        assert code == 7
+
     def test_stabilizer_parameter_family_mismatch(self, tmp_path, capsys):
         code, _ = run_cli(["stabilizer", "--z", "1,0"], {"nm": [0, 0, 1, 0, 0, 0]}, tmp_path, capsys)
         assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import (
     boost_closed_form,
     compose2,
@@ -17,7 +19,9 @@ from ncframe.errors import (
 )
 from ncframe.group import (
     ETA,
+    ComplexRotation,
     GammaDelta,
+    Lorentz4,
     SpinorElement,
     gamma_delta_from_spinor,
     gibbs_compose,
@@ -42,6 +46,38 @@ def spinor_close(a, b, tol=1e-10):
 
 def spinor_close_up_to_sign(a, b, tol=1e-9):
     return spinor_close(a, b, tol) or spinor_close(a, -b, tol)
+
+
+def _axis(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+class TestConstructorRejections:
+    def test_complex_rotation_rejects_minus_identity(self):
+        with pytest.raises(ConstraintViolation, match="det O"):
+            ComplexRotation(-np.eye(3))
+
+    def test_complex_rotation_rejects_improper_complex_matrix(self, rng):
+        O = so3c_from_spinor(random_spinor(rng)).matrix
+        with pytest.raises(ConstraintViolation, match="det O"):
+            ComplexRotation(-O)
+
+    def test_complex_rotation_rejects_non_orthogonal(self):
+        # det = 1, but O^T O != I
+        with pytest.raises(ConstraintViolation, match="O\\^T O"):
+            ComplexRotation(np.diag([2.0, 0.5, 1.0]))
+
+    def test_lorentz4_rejects_parity(self):
+        with pytest.raises(ConstraintViolation, match="improper"):
+            Lorentz4(np.diag([1.0, -1.0, -1.0, -1.0]))
+
+    def test_lorentz4_rejects_time_reversal(self):
+        with pytest.raises(ConstraintViolation, match="orthochronous"):
+            Lorentz4(np.diag([-1.0, 1.0, 1.0, 1.0]))
+
+    def test_lorentz4_rejects_metric_violation(self):
+        with pytest.raises(ConstraintViolation, match="eta"):
+            Lorentz4(np.diag([1.0, 2.0, 1.0, 1.0]))
 
 
 class TestSpinorElement:
@@ -210,6 +246,18 @@ class TestLorentz4:
             np.testing.assert_allclose(
                 lorentz4_from_spinor(b).matrix, lorentz4_real_split(b), atol=1e-12
             )
+
+    @given(
+        alpha=st.floats(0.0, 2 * np.pi),
+        beta=st.floats(-10.0, 10.0),
+        angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 4),
+    )
+    def test_matches_real_split_formula_up_to_rapidity_10(self, alpha, beta, angles):
+        b = spinor_compose(
+            spinor_from_rotation(alpha, _axis(*angles[:2])), spinor_from_boost(beta, _axis(*angles[2:]))
+        )
+        L = lorentz4_from_spinor(b).matrix
+        assert inf_norm(L - lorentz4_real_split(b)) <= 1e-12 * max(1.0, inf_norm(L))
 
     def test_homomorphism(self, rng):
         for _ in range(100):

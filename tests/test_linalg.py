@@ -4,7 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncframe.errors import SingularMatrix
-from ncframe.linalg import axial_matrix, bilinear_dot, cross, inf_norm, mat3_inverse
+from ncframe.linalg import (
+    axial_matrix,
+    bilinear_dot,
+    cross,
+    cross3,
+    det3,
+    hnorm,
+    inf_norm,
+    mat3_inverse,
+)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 cvec = st.tuples(*[st.tuples(finite, finite) for _ in range(3)]).map(
@@ -78,3 +87,56 @@ def test_axial_matrix_identities(v):
 @given(v=cvec, w=cvec)
 def test_axial_matrix_is_cross(v, w):
     np.testing.assert_allclose(axial_matrix(v) @ w, cross(v, w), atol=1e-8)
+
+
+# Kernel sweeps over scale: entries m * 10**(e + d) with a common exponent e
+# and a small per-entry spread d, real or complex.
+mantissa = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+def scaled_array(shape, max_exp):
+    size = int(np.prod(shape))
+
+    def build(args):
+        exp, is_complex, parts = args
+        re, im, spread = (np.array(p, dtype=float) for p in zip(*parts))
+        a = re * 10.0 ** (exp + spread)
+        if is_complex:
+            a = a + 1j * im * 10.0 ** (exp + spread)
+        return a.reshape(shape)
+
+    part = st.tuples(mantissa, mantissa, st.integers(-3, 3))
+    return st.tuples(
+        st.integers(-max_exp, max_exp), st.booleans(), st.lists(part, min_size=size, max_size=size)
+    ).map(build)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), f"{got!r} != {want!r}"
+
+
+@given(u=scaled_array((3,), 147), v=scaled_array((3,), 147))
+def test_cross3_is_np_cross_bit_for_bit(u, v):
+    assert_same_bits(cross3(u, v), np.cross(u, v))
+    assert_same_bits(cross(u, v), np.cross(u.astype(complex), v.astype(complex)))
+
+
+@given(v=scaled_array((3,), 150))
+def test_hnorm_is_np_linalg_norm_bit_for_bit(v):
+    assert_same_bits(np.float64(hnorm(v)), np.linalg.norm(v))
+    assert_same_bits(np.float64(hnorm(v[::2])), np.linalg.norm(v[::2]))  # strided view
+
+
+@given(m=scaled_array((3, 3), 97))
+def test_det3_matches_lapack(m):
+    # scales up to 1e100, so that ||m||^3 stays a finite double
+    assert abs(det3(m) - np.linalg.det(m)) <= 1e-12 * inf_norm(m) ** 3
+
+
+def test_det3_examples():
+    assert det3(np.eye(3)) == 1.0
+    assert det3(-np.eye(3)) == -1.0
+    assert det3(np.diag([2.0, 3.0, 0.5j])) == 3j
+    assert det3(np.ones((3, 3))) == 0.0

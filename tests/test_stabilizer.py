@@ -4,6 +4,7 @@ from oracles import random_unit_delta
 
 from ncframe.errors import (
     IsotropicInput,
+    NonFiniteInput,
     NotAntisymmetric,
     NotIsotropic,
     NotUnitDelta,
@@ -129,6 +130,38 @@ class TestClassify:
         q = classify(theta_to_K(theta))
         assert p.klass is q.klass and p.subcase is q.subcase
         assert p.I1 == q.I1 and p.I2 == q.I2
+
+
+NON_FINITE_K = (
+    [np.nan, 0, 0],
+    [np.inf, 0, 0],
+    [0, -np.inf, 1.0],
+    [1.0, 0, complex(0, np.inf)],
+    [1.0, complex(np.nan, 0), 0],
+)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("K", NON_FINITE_K)
+    def test_classify_and_unit_delta_reject(self, K):
+        with pytest.raises(NonFiniteInput):
+            classify(K)
+        with pytest.raises(NonFiniteInput):
+            unit_delta(K)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_theta_to_K_rejects(self, value):
+        theta = K_to_theta([1.0, 0.5 + 0.2j, 0])
+        theta[0, 2] = value
+        with pytest.raises(NonFiniteInput):
+            theta_to_K(theta)
+
+    def test_is_a_value_error(self):
+        assert issubclass(NonFiniteInput, ValueError)
+
+    def test_finite_input_with_overflowing_norm_is_not_rejected_as_non_finite(self):
+        with np.errstate(over="ignore"):
+            classify([1e200, 0, 0])
 
 
 class TestUnitDelta:
