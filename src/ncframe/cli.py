@@ -29,6 +29,8 @@ from .electrodynamics import (
     constitutive_forward,
     constitutive_real_forward,
     dual_invariance_residual,
+    quarter_turn,
+    residual_scale,
 )
 from .errors import NcframeError, NotAntisymmetric
 from .factorization import FactorOrder, factor_boost_rotation, factor_isotropic, factor_rotation_boost
@@ -361,8 +363,7 @@ def cmd_constitutive(args) -> int:
     f = E + 1j * units.c * B
     h_real_route = (D + 1j * H / units.c) / units.epsilon0
     h = constitutive_forward(f, K)
-    scale = hnorm(f) * (1.0 + hnorm(K) * hnorm(f))
-    cross = hnorm(h_real_route - h) / (scale if scale > 0 else 1.0)
+    cross = hnorm(h_real_route - h) / residual_scale(f, K)
     tol = args.tol if args.tol is not None else 1e-12
     report = _base_report(args, "constitutive", doc, tol)
     report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
@@ -374,12 +375,11 @@ def cmd_constitutive(args) -> int:
     dual_entries = []
     for text in args.dual_check or []:
         chi = float(text)
-        expected = abs(chi % (np.pi / 2)) < 1e-9 or abs(chi % (np.pi / 2) - np.pi / 2) < 1e-9
         dual_entries.append(
             {
                 "chi": chi,
                 "residual": dual_invariance_residual(f, K, chi),
-                "expected_invariant": expected,
+                "expected_invariant": quarter_turn(chi)[1],
             }
         )
     if dual_entries:
@@ -405,13 +405,11 @@ def cmd_dual_scan(args) -> int:
     rows = []
     for j in range(args.steps):
         chi = 2.0 * np.pi * j / args.steps
-        quarter = chi / (np.pi / 2)
-        expected = abs(quarter - round(quarter)) < 1e-9
         rows.append(
             {
                 "chi": chi,
                 "residual": dual_invariance_residual(f, K, chi),
-                "expected_invariant": expected,
+                "expected_invariant": quarter_turn(chi)[1],
             }
         )
     report = _base_report(args, "dual-scan", doc, tol)

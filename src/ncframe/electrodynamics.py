@@ -24,12 +24,14 @@ two relations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .group import SpinorElement, so3c_from_spinor
-from .linalg import ComplexVec3, bilinear_dot, hnorm, rvec3, vec3
+from .linalg import ComplexVec3, bdot3, hnorm3, rvec3, vec3
 
 
 @dataclass(frozen=True)
@@ -84,23 +86,74 @@ class FieldState:
         return cls(E=E, B=B, D=D, H=H, units=units)
 
 
-def _scale(f, K) -> float:
-    s = hnorm(f) * (1.0 + hnorm(K) * hnorm(f))
+def residual_scale(f, K) -> float:
+    """||f|| (1 + ||K|| ||f||), the scale of every relative residual here; 1 if it is 0."""
+    return _scale(vec3(f), vec3(K))
+
+
+#: Distance, in quarter turns, within which a dual angle counts as a quarter turn.
+QUARTER_TOL = 1e-9
+
+
+def quarter_turn(chi: float) -> tuple[int, bool]:
+    """Nearest quarter-turn index q = round(chi / (pi/2)), and whether chi lies on it.
+
+    chi lies on q when |chi / (pi/2) - q| < QUARTER_TOL.  q is not reduced
+    modulo 4, so an odd q means the quarter turn exchanges f and h.
+    Raises :class:`NonFiniteInput` for a NaN or infinite chi.
+    """
+    if not math.isfinite(chi):
+        raise NonFiniteInput(f"dual angle must be finite, got {chi}")
+    quarter = chi / (math.pi / 2)
+    q = round(quarter)
+    return q, abs(quarter - q) < QUARTER_TOL
+
+
+# The private kernels below take complex 3-vectors that their public callers
+# have already coerced with vec3.
+
+
+def _sdot(u: ComplexVec3, v: ComplexVec3) -> complex:
+    """u*.v* without forming the conjugates: conj(u.v), bit for bit.
+
+    Negating the imaginary parts of both inputs negates every imaginary
+    product, so the real sum is unchanged and the imaginary sum changes sign.
+    numpy's dot sums from +0.0, so an exactly zero imaginary sum is +0.0
+    either way; ``0.0 - im`` keeps it +0.0 where ``-im`` would give -0.0.
+    """
+    z = bdot3(u, v)
+    return complex(z.real, 0.0 - z.imag)
+
+
+def _scale(f: ComplexVec3, K: ComplexVec3) -> float:
+    nf = hnorm3(f)
+    s = nf * (1.0 + hnorm3(K) * nf)
     return s if s > 0.0 else 1.0
+
+
+def _forward(f: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
+    return (1.0 + _sdot(f, K)) * f + 0.5 * _sdot(f, f) * K
+
+
+def _inverse(h: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
+    return (1.0 - _sdot(h, K)) * h - 0.5 * _sdot(h, h) * K
+
+
+def _dual(f: ComplexVec3, h: ComplexVec3, K: ComplexVec3, chi: float):
+    c, s = math.cos(chi), math.sin(chi)
+    # complex(c, s) is exp(1j * chi) bit for bit; `+ 0.0` turns sin(-0.0) into
+    # the +0.0 imaginary part that exp(1j * -0.0) has.
+    return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s + 0.0) * K
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    f, K = vec3(f), vec3(K)
-    fc = np.conj(f)
-    return (1.0 + bilinear_dot(fc, np.conj(K))) * f + 0.5 * bilinear_dot(fc, fc) * K
+    return _forward(vec3(f), vec3(K))
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    h, K = vec3(h), vec3(K)
-    hc = np.conj(h)
-    return (1.0 - bilinear_dot(hc, np.conj(K))) * h - 0.5 * bilinear_dot(hc, hc) * K
+    return _inverse(vec3(h), vec3(K))
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -113,10 +166,10 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     E, cB = rvec3(E), units.c * rvec3(B)
     K = vec3(K)
     n, m = K.real, K.imag
-    s1 = n @ E - m @ cB
-    s2 = m @ E + n @ cB
-    ecb = E @ cB
-    quad = 0.5 * (E @ E - cB @ cB)
+    s1 = n.dot(E) - m.dot(cB)
+    s2 = m.dot(E) + n.dot(cB)
+    ecb = E.dot(cB)
+    quad = 0.5 * (E.dot(E) - cB.dot(cB))
     d = E + s1 * E + s2 * cB + ecb * m + quad * n
     g = cB + s1 * cB - s2 * E - ecb * n + quad * m
     return units.epsilon0 * d, units.c * units.epsilon0 * g
@@ -128,10 +181,10 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     g = rvec3(H) / (units.c * units.epsilon0)
     K = vec3(K)
     n, m = K.real, K.imag
-    s1 = m @ g - n @ d
-    s2 = m @ d + n @ g
-    dg = d @ g
-    quad = 0.5 * (g @ g - d @ d)
+    s1 = m.dot(g) - n.dot(d)
+    s2 = m.dot(d) + n.dot(g)
+    dg = d.dot(g)
+    quad = 0.5 * (g.dot(g) - d.dot(d))
     E = d + s1 * d - s2 * g - dg * m + quad * n
     cB = g + s1 * g + s2 * d + dg * n + quad * m
     return E, cB / units.c
@@ -145,8 +198,8 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     """
     f, K = vec3(f), vec3(K)
     O = so3c_from_spinor(b).matrix
-    r = constitutive_forward(O @ f, O @ K) - O @ constitutive_forward(f, K)
-    return hnorm(r) / _scale(f, K)
+    r = _forward(O.dot(f), O.dot(K)) - O.dot(_forward(f, K))
+    return hnorm3(r) / _scale(f, K)
 
 
 def dual_transform(f, h, K, chi: float):
@@ -155,9 +208,7 @@ def dual_transform(f, h, K, chi: float):
     h' = cos(chi) h + i sin(chi) f, f' = i sin(chi) h + cos(chi) f, and
     K' = exp(i*chi) K; equivalently G and R both pick up the phase exp(i*chi).
     """
-    f, h, K = vec3(f), vec3(h), vec3(K)
-    c, s = np.cos(chi), np.sin(chi)
-    return 1j * s * h + c * f, c * h + 1j * s * f, np.exp(1j * chi) * K
+    return _dual(vec3(f), vec3(h), vec3(K), chi)
 
 
 def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> float:
@@ -168,20 +219,19 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     pi that is the forward relation on (f', h'); at chi = pi/2 or 3*pi/2 the
     rotation exchanges the roles of f and h, so the inverse relation is the
     one that holds (``swapped=True``).  Pass ``swapped`` to force a role;
-    ``None`` selects it from chi.  The residual is relative to
-    ||f|| (1 + ||K|| ||f||) and vanishes (to rounding) exactly at the four
-    quarter-turn angles; generic angles fail at second order in K.
+    ``None`` selects it from chi (:func:`quarter_turn`).  The residual is
+    relative to ||f|| (1 + ||K|| ||f||) and vanishes (to rounding) exactly at
+    the four quarter-turn angles; generic angles fail at second order in K.
     """
     f, K = vec3(f), vec3(K)
     if swapped is None:
-        swapped = int(round(chi / (np.pi / 2))) % 4 in (1, 3)
-    h = constitutive_forward(f, K)
-    fp, hp, Kp = dual_transform(f, h, K, chi)
+        swapped = quarter_turn(chi)[0] % 2 == 1
+    fp, hp, Kp = _dual(f, _forward(f, K), K, chi)
     if swapped:
-        r = fp - constitutive_inverse(hp, Kp)
+        r = fp - _inverse(hp, Kp)
     else:
-        r = hp - constitutive_forward(fp, Kp)
-    return hnorm(r) / _scale(f, K)
+        r = hp - _forward(fp, Kp)
+    return hnorm3(r) / _scale(f, K)
 
 
 @dataclass(frozen=True)
@@ -217,13 +267,13 @@ def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
     """
     K = vec3(K)
     G, R = frame.G, frame.R
-    Gc, Rc, Kc = np.conj(G), np.conj(R), np.conj(K)
-    a = bilinear_dot(Gc, Kc)
-    b = bilinear_dot(R, Kc)
-    s = bilinear_dot(Gc, R)
+    Rc = np.conj(R)
+    a = _sdot(G, K)
+    b = _sdot(Rc, K)  # R.K* = (R*.K)*
+    s = _sdot(G, Rc)  # G*.R = (G.R*)*
     r1 = 2.0 * s * K + a * Rc + b * G
-    r2 = a * G + b * Rc + 0.5 * (bilinear_dot(Gc, Gc) + bilinear_dot(R, R)) * K - 2.0 * Rc
-    return hnorm(r1), hnorm(r2)
+    r2 = a * G + b * Rc + 0.5 * (_sdot(G, G) + bdot3(R, R)) * K - 2.0 * Rc
+    return hnorm3(r1), hnorm3(r2)
 
 
 # ---------------------------------------------------------------------------

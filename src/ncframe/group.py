@@ -188,12 +188,6 @@ class ComplexRotation:
     def apply(self, v) -> ComplexVec3:
         return self.matrix @ vec3(v)
 
-    def __matmul__(self, other: "ComplexRotation") -> "ComplexRotation":
-        return ComplexRotation(self.matrix @ other.matrix)
-
-    def inverse(self) -> "ComplexRotation":
-        return ComplexRotation(self.matrix.T.copy())
-
 
 @dataclass(frozen=True)
 class Lorentz4:
@@ -224,9 +218,6 @@ class Lorentz4:
         if x.shape != (4,):
             raise ValueError(f"expected a 4-vector, got shape {x.shape}")
         return self.matrix @ x
-
-    def __matmul__(self, other: "Lorentz4") -> "Lorentz4":
-        return Lorentz4(self.matrix @ other.matrix)
 
 
 def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:

@@ -75,10 +75,18 @@ def rmat4(m) -> RealMat4:
     return a
 
 
+def bdot3(u: np.ndarray, v: np.ndarray) -> complex:
+    """Unconjugated dot product of two length-3 arrays, without coercion.
+
+    ``u.dot(v)`` runs the same BLAS dot as ``u @ v`` (so the same bits)
+    without matmul's ufunc set-up.
+    """
+    return complex(u.dot(v))
+
+
 def bilinear_dot(u, v) -> complex:
     """Unconjugated dot product sum_i u_i v_i."""
-    u, v = vec3(u), vec3(v)
-    return complex(u @ v)
+    return bdot3(vec3(u), vec3(v))
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -147,9 +155,18 @@ def hnorm(v) -> float:
         x = x.astype(float)
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return hnorm3(x)
     return math.sqrt(x.dot(x))
+
+
+def hnorm3(v: np.ndarray) -> float:
+    """Hermitian magnitude of a complex 1-d array, without coercion.
+
+    The complex branch of :func:`hnorm`: sqrt(re.re + im.im), the same sums
+    as ``np.linalg.norm`` for any stride.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def is_real(a, tol: float = DEFAULT_TOL) -> bool:

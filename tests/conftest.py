@@ -2,6 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so the
+# bit-identity sweeps cannot flake there.  Locally the default profile stays.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

@@ -170,6 +170,12 @@ class TestExitCodes:
         code, _ = run_cli(["dual-scan", "--steps", "3"], doc, tmp_path, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("chi", ["nan", "inf"])
+    def test_non_finite_dual_angle(self, chi, tmp_path, capsys):
+        doc = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
+        code, _ = run_cli(["constitutive", "--dual-check", chi], doc, tmp_path, capsys)
+        assert code == 2
+
     def test_library_error_exit_code(self, tmp_path, capsys):
         # A pure boost of rapidity 26 defeats the velocity form of the
         # factorization (a known cancellation defect): InternalInconsistency,
@@ -206,6 +212,15 @@ class TestBehavior:
         small = [row for row in out["scan"] if row["residual"] < 1e-10]
         assert len(small) == 4
         assert all(row["expected_invariant"] for row in small)
+
+    def test_dual_check_quarter_turns_outside_one_turn(self, tmp_path, capsys):
+        doc = {"E": [1, 0.2, 0], "B": [0, 0.3, 0.1], "nm": [0.08, 0, 0.02, 0, 0.05, 0.01]}
+        angles = [-np.pi / 2, 5 * np.pi / 2, -3 * np.pi, 0.7]
+        argv = ["constitutive"] + [a for chi in angles for a in ("--dual-check", repr(chi))]
+        code, out = run_cli(argv, doc, tmp_path, capsys)
+        assert code == 0
+        assert [e["expected_invariant"] for e in out["dual_checks"]] == [True, True, True, False]
+        assert all(e["residual"] < 1e-10 for e in out["dual_checks"][:3])
 
     def test_stabilizer_sampling_deterministic(self, tmp_path, capsys):
         doc = {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ncframe.electrodynamics import (
+    DualFrame,
     FieldState,
     UnitSystem,
     constitutive_forward,
@@ -14,7 +17,11 @@ from ncframe.electrodynamics import (
     gr_constraint_residual,
     gr_from_fields,
     maxwell_variable_check,
+    quarter_turn,
+    residual_scale,
 )
+from ncframe.errors import NonFiniteInput
+from ncframe.group import so3c_from_spinor
 from ncframe.linalg import hnorm
 from ncframe.sampling import random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import stabilizer_element, unit_delta
@@ -249,11 +256,39 @@ class TestDualFrame:
         assert r1 < 1e-7 and r2 < 1e-7
 
     def test_constraints_inconsistent_frame(self, rng):
-        from ncframe.electrodynamics import DualFrame
-
         frame = DualFrame(G=random_field(rng), R=random_field(rng))
         r1, r2 = gr_constraint_residual(frame, random_field(rng))
         assert max(r1, r2) > 0.1
+
+
+class TestQuarterTurn:
+    def test_negative_and_beyond_one_turn(self):
+        assert quarter_turn(-np.pi / 2) == (-1, True)
+        assert quarter_turn(5 * np.pi / 2) == (5, True)
+
+    @pytest.mark.parametrize("steps", [4, 6, 8])
+    def test_scan_angles(self, steps):
+        for j in range(steps):
+            q, on = quarter_turn(2.0 * np.pi * j / steps)
+            assert q == round(4 * j / steps)
+            assert on == (4 * j % steps == 0)
+
+    def test_off_quarter(self):
+        assert quarter_turn(np.pi / 4) == (0, False)
+        assert quarter_turn(0.7) == (0, False)
+        assert quarter_turn(np.pi / 2 + 1e-6) == (1, False)
+
+    @pytest.mark.parametrize("chi", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, chi):
+        with pytest.raises(NonFiniteInput):
+            quarter_turn(chi)
+
+    def test_selects_the_relation(self, rng):
+        # odd quarter turns exchange f and h, even ones keep the forward relation
+        f, K = random_field(rng), random_field(rng, 0.3)
+        for chi, swapped in ((-np.pi / 2, True), (5 * np.pi / 2, True), (-np.pi, False)):
+            assert dual_invariance_residual(f, K, chi) < 1e-10
+            assert dual_invariance_residual(f, K, chi, swapped=not swapped) > 1e-3
 
 
 def plane_wave_sample(n=16, t=0.3, c=1.0, eps0=1.0):
@@ -305,3 +340,176 @@ class TestMaxwellVariableCheck:
         for key in ("real_vs_complex", "complex_vs_gr"):
             for value in report[key].values():
                 assert value < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the plain formulas: np.conj of every starred vector,
+# matmul dots, np.cos / np.sin / np.exp for the dual phase and
+# np.linalg.norm for the norms.  The library evaluates the same
+# floating-point operations through cheaper calls, so every output has the
+# same bits, signed zeros included.
+# ---------------------------------------------------------------------------
+
+def _dot(u, v):
+    return complex(u @ v)
+
+
+def plain_forward(f, K):
+    fc = np.conj(f)
+    return (1.0 + _dot(fc, np.conj(K))) * f + 0.5 * _dot(fc, fc) * K
+
+
+def plain_inverse(h, K):
+    hc = np.conj(h)
+    return (1.0 - _dot(hc, np.conj(K))) * h - 0.5 * _dot(hc, hc) * K
+
+
+def plain_scale(f, K):
+    s = np.linalg.norm(f) * (1.0 + np.linalg.norm(K) * np.linalg.norm(f))
+    return s if s > 0.0 else 1.0
+
+
+def plain_real_forward(E, B, K, units):
+    cB = units.c * B
+    n, m = K.real, K.imag
+    s1 = n @ E - m @ cB
+    s2 = m @ E + n @ cB
+    ecb = E @ cB
+    quad = 0.5 * (E @ E - cB @ cB)
+    d = E + s1 * E + s2 * cB + ecb * m + quad * n
+    g = cB + s1 * cB - s2 * E - ecb * n + quad * m
+    return units.epsilon0 * d, units.c * units.epsilon0 * g
+
+
+def plain_real_inverse(D, H, K, units):
+    d = D / units.epsilon0
+    g = H / (units.c * units.epsilon0)
+    n, m = K.real, K.imag
+    s1 = m @ g - n @ d
+    s2 = m @ d + n @ g
+    dg = d @ g
+    quad = 0.5 * (g @ g - d @ d)
+    E = d + s1 * d - s2 * g - dg * m + quad * n
+    cB = g + s1 * g + s2 * d + dg * n + quad * m
+    return E, cB / units.c
+
+
+def plain_dual(f, h, K, chi):
+    c, s = np.cos(chi), np.sin(chi)
+    return 1j * s * h + c * f, c * h + 1j * s * f, np.exp(1j * chi) * K
+
+
+def plain_dual_residual(f, K, chi):
+    fp, hp, Kp = plain_dual(f, plain_forward(f, K), K, chi)
+    if int(round(chi / (np.pi / 2))) % 4 in (1, 3):
+        r = fp - plain_inverse(hp, Kp)
+    else:
+        r = hp - plain_forward(fp, Kp)
+    return np.linalg.norm(r) / plain_scale(f, K)
+
+
+def plain_gr_constraints(G, R, K):
+    Gc, Rc, Kc = np.conj(G), np.conj(R), np.conj(K)
+    a, b, s = _dot(Gc, Kc), _dot(R, Kc), _dot(Gc, R)
+    r1 = 2.0 * s * K + a * Rc + b * G
+    r2 = a * G + b * Rc + 0.5 * (_dot(Gc, Gc) + _dot(R, R)) * K - 2.0 * Rc
+    return np.linalg.norm(r1), np.linalg.norm(r2)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), f"{got!r} != {want!r}"
+
+
+def cvec(exp):
+    """Complex 3-vectors with parts m * 10**(exp + d), m in [-1, 1], d in [-3, 3].
+
+    The mantissas are either hypothesis floats, which favour exact values
+    such as 0, 0.5 and 1, or seeded uniform draws, whose full 53-bit
+    mantissas make every rounding step show in the result.
+    """
+    uniform = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(-1.0, 1.0, 6))
+    simple = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6).map(np.array)
+    spread = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(np.array)
+    return st.tuples(st.one_of(uniform, simple), spread).map(
+        lambda t: 10.0**exp * (t[0] * 10.0 ** t[1]).view(complex)
+    )
+
+
+# Fields at 10**e and K at 10**-e, with e sweeping magnitudes 1e-100..1e100:
+# ||K|| ||f|| stays within a few decades of 1, so every term of the relations
+# reaches the last bit of the result and nothing overflows.
+exponents = st.integers(-97, 97)
+field_and_K = exponents.flatmap(lambda e: st.tuples(cvec(e), cvec(-e)))
+pair_and_K = exponents.flatmap(lambda e: st.tuples(cvec(e), cvec(e), cvec(-e)))
+# the multiples of pi/4 (quarter turns and the midpoints between them) and
+# uniform angles, over two turns either way
+angles = st.one_of(
+    st.integers(-16, 16).map(lambda j: j * np.pi / 4),
+    st.floats(min_value=-4 * np.pi, max_value=4 * np.pi),
+)
+unit_systems = st.sampled_from([UnitSystem.natural(), UnitSystem.si(), UnitSystem(c=2.0, epsilon0=3.0)])
+spinors = st.integers(0, 2**32 - 1).map(lambda seed: random_spinor(np.random.default_rng(seed)))
+
+
+def parts(re, im):
+    """Complex array with the exact parts given, signed zeros included."""
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# an exactly zero imaginary part of f.f that the conjugated form gives as +0.0
+SIGNED_ZERO_F = parts([0.0, 0.0, -0.0], [0.0, 0.5, -0.0])
+SIGNED_ZERO_K = parts([0.5, 0.0, 2.0], [0.5, 0.0, 0.0])
+
+
+class TestBitIdentity:
+    @given(fK=field_and_K)
+    @example(fK=(SIGNED_ZERO_F, SIGNED_ZERO_K))
+    def test_constitutive(self, fK):
+        f, K = fK
+        assert_same_bits(constitutive_forward(f, K), plain_forward(f, K))
+        assert_same_bits(constitutive_inverse(f, K), plain_inverse(f, K))
+
+    @given(fhK=pair_and_K, units=unit_systems)
+    def test_constitutive_real(self, fhK, units):
+        E, B, K = fhK[0].real, fhK[1].real, fhK[2]
+        pairs = (
+            (constitutive_real_forward(E, B, K, units), plain_real_forward(E, B, K, units)),
+            (constitutive_real_inverse(E, B, K, units), plain_real_inverse(E, B, K, units)),
+        )
+        for got, want in pairs:
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+    @given(b=spinors, fK=field_and_K)
+    def test_covariance_residual(self, b, fK):
+        f, K = fK
+        O = so3c_from_spinor(b).matrix
+        r = plain_forward(O @ f, O @ K) - O @ plain_forward(f, K)
+        assert_same_bits(covariance_residual(b, f, K), np.linalg.norm(r) / plain_scale(f, K))
+        assert_same_bits(residual_scale(f, K), plain_scale(f, K))
+
+    @given(fhK=pair_and_K, chi=angles)
+    @example(fhK=(SIGNED_ZERO_F, SIGNED_ZERO_F, parts([-0.0] * 3, [0.0] * 3)), chi=-0.0)
+    def test_dual_transform(self, fhK, chi):
+        f, h, K = fhK
+        for got, want in zip(dual_transform(f, h, K, chi), plain_dual(f, h, K, chi)):
+            assert_same_bits(got, want)
+
+    @given(fK=field_and_K, chi=angles)
+    def test_dual_invariance_residual(self, fK, chi):
+        f, K = fK
+        assert_same_bits(dual_invariance_residual(f, K, chi), plain_dual_residual(f, K, chi))
+
+    @given(fhK=pair_and_K)
+    def test_gr_constraint_residual(self, fhK):
+        f, h, K = fhK
+        frame = gr_from_fields(f, h)
+        assert_same_bits(frame.G, (h + f) / 2.0)
+        assert_same_bits(frame.R, np.conj(h - f) / 2.0)
+        assert isinstance(frame, DualFrame)
+        for got, want in zip(gr_constraint_residual(frame, K), plain_gr_constraints(frame.G, frame.R, K)):
+            assert_same_bits(got, want)

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from ncframe.errors import SingularMatrix
 from ncframe.linalg import (
     axial_matrix,
+    bdot3,
     bilinear_dot,
     cross,
     cross3,
     det3,
     hnorm,
+    hnorm3,
     inf_norm,
     mat3_inverse,
 )
@@ -127,6 +129,20 @@ def test_cross3_is_np_cross_bit_for_bit(u, v):
 def test_hnorm_is_np_linalg_norm_bit_for_bit(v):
     assert_same_bits(np.float64(hnorm(v)), np.linalg.norm(v))
     assert_same_bits(np.float64(hnorm(v[::2])), np.linalg.norm(v[::2]))  # strided view
+
+
+@given(u=scaled_array((3,), 97), v=scaled_array((3,), 97))
+def test_bdot3_is_matmul_bit_for_bit(u, v):
+    assert_same_bits(np.complex128(bdot3(u, v)), np.complex128(complex(u @ v)))
+    uc, vc = u.astype(complex), v.astype(complex)
+    assert_same_bits(np.complex128(bilinear_dot(u, v)), np.complex128(complex(uc @ vc)))
+
+
+@given(v=scaled_array((6,), 150))
+def test_hnorm3_is_np_linalg_norm_bit_for_bit(v):
+    v = v.astype(complex)
+    assert_same_bits(np.float64(hnorm3(v[:3])), np.linalg.norm(v[:3]))
+    assert_same_bits(np.float64(hnorm3(v[::2])), np.linalg.norm(v[::2]))  # strided view
 
 
 @given(m=scaled_array((3, 3), 97))

@@ -10,7 +10,7 @@ from ncframe.errors import (
     NotUnitDelta,
     ZeroVector,
 )
-from ncframe.group import lorentz4_from_spinor, so3c_from_spinor
+from ncframe.group import ComplexRotation, lorentz4_from_spinor, so3c_from_spinor
 from ncframe.linalg import bilinear_dot, hnorm, inf_norm
 from ncframe.sampling import random_isotropic_k, random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import (
@@ -217,7 +217,9 @@ class TestStabilizerElements:
         delta, _, _, _ = random_unit_delta(rng, rho_max=1.5)
         g1 = complex(rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1))
         g2 = complex(rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1))
-        prod = stabilizer_element(g1, delta).rotation @ stabilizer_element(g2, delta).rotation
+        prod = ComplexRotation(
+            stabilizer_element(g1, delta).rotation.matrix @ stabilizer_element(g2, delta).rotation.matrix
+        )
         direct = stabilizer_element(g1 + g2, delta).rotation
         assert inf_norm(prod.matrix - direct.matrix) < 1e-9
 
@@ -257,9 +259,9 @@ class TestIsotropicStabilizer:
             k = random_isotropic_k(rng)
             z1 = complex(rng.normal(), rng.normal())
             z2 = complex(rng.normal(), rng.normal())
-            prod = (
-                isotropic_stabilizer_element(z1, k).rotation
-                @ isotropic_stabilizer_element(z2, k).rotation
+            prod = ComplexRotation(
+                isotropic_stabilizer_element(z1, k).rotation.matrix
+                @ isotropic_stabilizer_element(z2, k).rotation.matrix
             )
             direct = isotropic_stabilizer_element(z1 + z2, k).rotation
             assert inf_norm(prod.matrix - direct.matrix) < 1e-9
