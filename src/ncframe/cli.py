@@ -33,7 +33,13 @@ from .electrodynamics import (
     residual_scale,
 )
 from .errors import NcframeError, NotAntisymmetric
-from .factorization import FactorOrder, factor_boost_rotation, factor_isotropic, factor_rotation_boost
+from .factorization import (
+    FactorOrder,
+    factor_boost_rotation,
+    factor_isotropic,
+    factor_rotation_boost,
+    isotropic_sign,
+)
 from .group import SpinorElement, project_to_group
 from .linalg import EYE3, bilinear_dot, hnorm, inf_norm
 from .sampling import default_rng, random_gamma
@@ -333,10 +339,7 @@ def cmd_factor(args) -> int:
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
     b = project_to_group(k0, k)
     tol = args.tol if args.tol is not None else 1e-10
-    isotropic = (
-        min(abs(b.k0 - 1.0), abs(b.k0 + 1.0)) <= 1e-8
-        and abs(bilinear_dot(b.k, b.k)) <= args.eps_iso * max(hnorm(b.k) ** 2, 1e-300)
-    )
+    isotropic = isotropic_sign(b, args.eps_iso) != 0
     if isotropic:
         pairs = [
             factor_isotropic(b, FactorOrder.ROTATION_FIRST, eps_iso=args.eps_iso),

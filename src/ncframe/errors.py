@@ -13,10 +13,6 @@ class NonFiniteInput(NcframeError, ValueError):
     """Input data contains a NaN or infinite entry."""
 
 
-class SingularMatrix(NcframeError):
-    """Matrix inverse requested for a (numerically) singular matrix."""
-
-
 class NonUnitAxis(NcframeError):
     """Rotation/boost axis is not a real unit vector."""
 

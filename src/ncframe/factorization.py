@@ -10,13 +10,14 @@ rather than folded into the factors.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateNorm, InternalInconsistency, NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, spinor_compose
-from .linalg import DEFAULT_TOL, bilinear_dot, cross3, hnorm, vec3
+from .linalg import DEFAULT_TOL, bdot3, cross3, hnorm3, vec3
 from .stabilizer import EPS_ISO
 
 
@@ -49,25 +50,25 @@ class RotationBoostPair:
 
 def _boost_from_velocity(B: np.ndarray) -> SpinorElement:
     """Boost spinor from the velocity-like vector B = b / b0 (needs ||B|| < 1)."""
-    b2 = float(B @ B)
+    b2 = float(B.dot(B))
     if b2 >= 1.0 - 1e-10:
         raise InternalInconsistency(
             f"boost velocity parameter ||B||^2 = {b2:.15g} reached 1; "
             "input is not a valid group element (or is boosted beyond double range)"
         )
-    b0 = 1.0 / np.sqrt(1.0 - b2)
+    b0 = 1.0 / math.sqrt(1.0 - b2)
     return SpinorElement(b0, b0 * B + 0j)
 
 
 def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     n0, m0, n, m = b.n0, b.m0, b.n, b.m
-    r2 = n0 * n0 + float(n @ n)
+    r2 = n0 * n0 + float(n.dot(n))
     if r2 <= 1e-20:
         raise DegenerateNorm("rotation part has zero norm; cannot normalize")
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
     B = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r2
     boost = _boost_from_velocity(B)
-    r = np.sqrt(r2)
+    r = math.sqrt(r2)
     a0, a = n0 / r, n / r
     sign = 1
     if a0 < 0.0:
@@ -92,6 +93,19 @@ def factor_boost_rotation(b: SpinorElement) -> RotationBoostPair:
     return _factor(b, FactorOrder.BOOST_FIRST)
 
 
+def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
+    """k0 = +-1 when b is in the isotropic family, else 0.
+
+    The family is k0 = +-1 within DEFAULT_TOL and k.k = 0 within eps_iso
+    relative to ||k||^2: the elements :func:`factor_isotropic` accepts.
+    """
+    sgn = 1 if abs(b.k0 - 1.0) <= abs(b.k0 + 1.0) else -1
+    nrm2 = hnorm3(b.k) ** 2
+    if abs(b.k0 - sgn) > DEFAULT_TOL or abs(bdot3(b.k, b.k)) > eps_iso * max(1e-300, nrm2):
+        return 0
+    return sgn
+
+
 def factor_isotropic(
     b: SpinorElement,
     order: FactorOrder = FactorOrder.ROTATION_FIRST,
@@ -108,15 +122,13 @@ def factor_isotropic(
     with the minus sign for rotation-first order and plus for boost-first.
     The returned ``sign`` is k0.
     """
-    k0 = complex(b.k0)
-    sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
-    nrm2 = hnorm(b.k) ** 2
-    if abs(k0 - sgn) > DEFAULT_TOL or abs(bilinear_dot(b.k, b.k)) > eps_iso * max(1e-300, nrm2):
+    sgn = isotropic_sign(b, eps_iso)
+    if not sgn:
         raise NotIsotropicElement("element must have k0 = +-1 and k.k = 0")
     kappa = b.k / sgn
     n, m = -kappa.imag, kappa.real
-    n2 = float(n @ n)
-    b0 = np.sqrt(1.0 + n2)
+    n2 = float(n.dot(n))
+    b0 = math.sqrt(1.0 + n2)
     a0 = 1.0 / b0
     cross_sign = -1.0 if order is FactorOrder.ROTATION_FIRST else 1.0
     bvec = b0 * (m + cross_sign * cross3(n, m)) / (1.0 + n2)
@@ -136,8 +148,8 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    nrm2 = hnorm(k) ** 2
-    if nrm2 == 0.0 or abs(bilinear_dot(k, k)) > eps_iso * nrm2:
+    nrm2 = hnorm3(k) ** 2
+    if nrm2 == 0.0 or abs(bdot3(k, k)) > eps_iso * nrm2:
         raise NotIsotropic("k.k must vanish within tolerance")
     n, m = -k.imag, k.real
     z = lam * np.exp(1j * sigma)

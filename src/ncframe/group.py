@@ -33,12 +33,14 @@ from .linalg import (
     ComplexVec3,
     RealMat4,
     axial_matrix,
-    bilinear_dot,
+    bdot3,
     cross3,
     det3,
     hnorm,
+    hnorm3,
     inf_norm,
     is_real,
+    rnorm3,
     rvec3,
     vec3,
 )
@@ -59,10 +61,11 @@ class SpinorElement:
     k: ComplexVec3
 
     def __post_init__(self):
-        object.__setattr__(self, "k0", complex(self.k0))
-        object.__setattr__(self, "k", vec3(self.k))
-        det = self.k0 * self.k0 - bilinear_dot(self.k, self.k)
-        scale = max(1.0, abs(self.k0) ** 2 + hnorm(self.k) ** 2)
+        k0, k = complex(self.k0), vec3(self.k)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k", k)
+        det = k0 * k0 - bdot3(k, k)
+        scale = max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2)
         if abs(det - 1.0) > DEFAULT_TOL * scale:
             raise ConstraintViolation(
                 f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
@@ -104,8 +107,8 @@ def project_to_group(k0, k) -> SpinorElement:
     """Rescale (k0, k) by the principal square root of k0^2 - k.k onto the group."""
     k0 = complex(k0)
     k = vec3(k)
-    det = k0 * k0 - bilinear_dot(k, k)
-    if abs(det) < 1e-12 * max(1.0, abs(k0) ** 2 + hnorm(k) ** 2):
+    det = k0 * k0 - bdot3(k, k)
+    if abs(det) < 1e-12 * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2):
         raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
     s = np.sqrt(det)  # principal branch, Re >= 0
     return SpinorElement(k0 / s, k / s)
@@ -118,7 +121,7 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     the bilinear dot with a plus sign (it reduces to the familiar
     n0'' = n0' n0 - n'.n of the unitary subgroup where k = -i*n).
     """
-    k0 = b1.k0 * b2.k0 + bilinear_dot(b1.k, b2.k)
+    k0 = b1.k0 * b2.k0 + bdot3(b1.k, b2.k)
     k = b1.k0 * b2.k + b2.k0 * b1.k + 1j * cross3(b1.k, b2.k)
     return SpinorElement(k0, k)
 
@@ -281,9 +284,18 @@ class GammaDelta:
         object.__setattr__(self, "gamma", complex(self.gamma))
         d = vec3(self.delta)
         object.__setattr__(self, "delta", d)
-        sq = bilinear_dot(d, d)
-        if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm(d) ** 2):
-            raise ConstraintViolation(f"delta.delta = {sq:.15g}, expected 1")
+        _require_unit_square(d, ConstraintViolation)
+
+
+def _require_unit_square(d: ComplexVec3, error: type[Exception]) -> None:
+    """Raise ``error`` unless d.d = 1 within DEFAULT_TOL relative to max(1, ||d||^2).
+
+    The one test of a unit direction Delta, for a complex 3-vector that the
+    caller has already coerced; each caller names its own exception type.
+    """
+    sq = bdot3(d, d)
+    if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm3(d) ** 2):
+        raise error(f"delta.delta = {sq:.15g}, expected 1")
 
 
 def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
@@ -304,8 +316,8 @@ def gamma_delta_from_spinor(b: SpinorElement) -> GammaDelta:
     (+-I, k = 0) and the isotropic family (k.k = 0, k != 0) have no usable
     direction and raise :class:`GammaDegenerate`.
     """
-    ksq = bilinear_dot(b.k, b.k)
-    knorm2 = hnorm(b.k) ** 2
+    ksq = bdot3(b.k, b.k)
+    knorm2 = hnorm3(b.k) ** 2
     if abs(ksq) <= 1e-12 * max(1.0, knorm2):
         raise GammaDegenerate("k.k = 0: direction undefined (deck or isotropic element)")
     half = np.arccos(complex(b.k0))  # principal: Re in [0, pi]
@@ -321,9 +333,9 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     Returns a dict with the element kind, the individual residuals and their
     maximum.  Raises :class:`NotPureElement` for mixed elements.
     """
-    scale = max(1.0, abs(b.k0), hnorm(b.k))
-    is_rotation = abs(b.m0) <= tol * scale and hnorm(b.m) <= tol * scale
-    is_boost = abs(b.m0) <= tol * scale and hnorm(b.n) <= tol * scale
+    scale = max(1.0, abs(b.k0), hnorm3(b.k))
+    is_rotation = abs(b.m0) <= tol * scale and rnorm3(b.m) <= tol * scale
+    is_boost = abs(b.m0) <= tol * scale and rnorm3(b.n) <= tol * scale
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrix
-
 # Working representation: plain numpy arrays.
 #   ComplexVec3 -- shape (3,),  complex128
 #   ComplexMat3 -- shape (3, 3), complex128, row-major
@@ -24,9 +22,6 @@ RealMat4 = np.ndarray
 
 #: Default relative tolerance for all residual checks.
 DEFAULT_TOL = 1e-10
-
-#: Relative determinant cutoff below which a 3x3 inverse is refused.
-SINGULARITY_CUTOFF = 1e-13
 
 #: Read-only real 3x3 identity.  Adding it to a complex matrix promotes it
 #: to 1 + 0j entrywise, so the sum equals that with a complex identity.
@@ -124,20 +119,6 @@ def det3(m: np.ndarray) -> complex:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def mat3_inverse(m) -> ComplexMat3:
-    """Inverse of a 3x3 complex matrix.
-
-    Raises :class:`SingularMatrix` when |det m| <= SINGULARITY_CUTOFF * ||m||^3
-    (scale-invariant test; the inf-norm here is the max absolute entry).
-    """
-    m = mat3(m)
-    det = np.linalg.det(m)
-    scale = inf_norm(m)
-    if abs(det) <= SINGULARITY_CUTOFF * scale**3:
-        raise SingularMatrix(f"|det| = {abs(det):.3e} below cutoff for scale {scale:.3e}")
-    return np.linalg.inv(m)
-
-
 def inf_norm(a) -> float:
     """Max absolute entry of an array (the norm used in all residuals)."""
     a = np.asarray(a)
@@ -156,7 +137,7 @@ def hnorm(v) -> float:
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
         return hnorm3(x)
-    return math.sqrt(x.dot(x))
+    return rnorm3(x)
 
 
 def hnorm3(v: np.ndarray) -> float:
@@ -167,6 +148,15 @@ def hnorm3(v: np.ndarray) -> float:
     """
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def rnorm3(v: np.ndarray) -> float:
+    """Euclidean magnitude of a real 1-d array, without coercion.
+
+    The real branch of :func:`hnorm`: sqrt(v.v), the same sum as
+    ``np.linalg.norm`` for any stride.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def is_real(a, tol: float = DEFAULT_TOL) -> bool:

@@ -38,6 +38,7 @@ from .group import (
     GammaDelta,
     Lorentz4,
     SpinorElement,
+    _require_unit_square,
     lorentz4_from_spinor,
     so3c_from_spinor,
     spinor_from_gamma_delta,
@@ -48,11 +49,13 @@ from .linalg import (
     ComplexVec3,
     RealMat4,
     axial_matrix,
-    bilinear_dot,
+    bdot3,
     cross3,
     hnorm,
+    hnorm3,
     inf_norm,
     rmat4,
+    rnorm3,
     rvec3,
     vec3,
 )
@@ -138,8 +141,17 @@ def K_to_theta(K) -> RealMat4:
 
 def invariants(K) -> tuple[float, float, float, float]:
     """Return (I1, I2, I, mu) with mu = atan2(I2, I1)/2 folded into [0, pi)."""
-    K = vec3(K)
-    ksq = bilinear_dot(K, K)
+    return _invariants(vec3(K))
+
+
+# The private kernels below take complex 3-vectors (real ones for
+# _rotation_between) that their public callers have already coerced.
+
+
+def _invariants(K: ComplexVec3) -> tuple[float, float, float, float]:
+    # np.hypot and np.arctan2, not their math versions: those round
+    # differently in the last bit for some arguments.
+    ksq = bdot3(K, K)
     i1, i2 = ksq.real, ksq.imag
     mag = float(np.hypot(i1, i2))
     mu = 0.5 * np.arctan2(i2, i1)
@@ -158,11 +170,11 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     :class:`NonFiniteInput`.
     """
     K = vec3(K)
-    nrm = hnorm(K)
+    nrm = hnorm3(K)
     _require_finite(K, nrm)
-    i1, i2, mag, mu = invariants(K)
+    i1, i2, mag, mu = _invariants(K)
     norm2 = nrm ** 2
-    if np.sqrt(norm2) <= eps_iso:
+    if math.sqrt(norm2) <= eps_iso:
         return NCParameter(K_to_theta(K), K, i1, i2, mag, None, NCClass.COMMUTATIVE, Subcase.NONE)
     if mag <= eps_iso * norm2:
         return NCParameter(K_to_theta(K), K, i1, i2, mag, None, NCClass.ISOTROPIC, Subcase.NONE)
@@ -193,14 +205,19 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
     entries raise :class:`NonFiniteInput`.
     """
-    K = vec3(K)
-    nrm = hnorm(K)
+    return _unit_delta(vec3(K), eps_iso)
+
+
+def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, ComplexVec3]:
+    nrm = hnorm3(K)
     _require_finite(K, nrm)
-    i1, i2, mag, mu = invariants(K)
+    i1, i2, mag, mu = _invariants(K)
     if mag <= eps_iso * nrm ** 2 or nrm == 0.0:
         raise IsotropicInput("K.K = 0 within tolerance: no unit-square direction exists")
-    kscalar = np.sqrt(mag) * np.exp(1j * mu)
-    return complex(kscalar), K / kscalar
+    # exp(i*mu) from math.cos and math.sin, bit for bit; the + 0.0 turns the
+    # -0.0 of sin(-0.0) into the +0.0 that exp gives.
+    kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
+    return kscalar, K / kscalar
 
 
 @dataclass(frozen=True)
@@ -232,9 +249,7 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     compose by adding gamma.
     """
     delta = vec3(delta)
-    sq = bilinear_dot(delta, delta)
-    if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm(delta) ** 2):
-        raise NotUnitDelta(f"delta.delta = {sq:.15g}, expected 1")
+    _require_unit_square(delta, NotUnitDelta)
     gamma = complex(gamma)
     spinor = spinor_from_gamma_delta(GammaDelta(gamma, delta))
     return StabilizerElement(
@@ -253,11 +268,12 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     because (k.sigma)^2 = k.k = 0; composition adds the z parameters.
     """
     k = vec3(k)
-    nrm = hnorm(k)
+    nrm = hnorm3(k)
     if nrm == 0.0:
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if abs(bilinear_dot(k, k)) > eps_iso * nrm**2:
-        raise NotIsotropic(f"k.k = {bilinear_dot(k, k):.3e} is not zero within tolerance")
+    ksq = bdot3(k, k)
+    if abs(ksq) > eps_iso * nrm**2:
+        raise NotIsotropic(f"k.k = {ksq:.3e} is not zero within tolerance")
     z = complex(z)
     spinor = SpinorElement(1.0, z * k)
     return StabilizerElement(
@@ -276,18 +292,21 @@ def rotation_between(src, dst) -> np.ndarray:
     with c = src x dst / (1 + src.dst).  Antiparallel inputs fall back to the
     half-turn O = I + 2*(u^x)^2 about an axis u perpendicular to src.
     """
-    src, dst = rvec3(src), rvec3(dst)
-    denom = 1.0 + src @ dst
+    return _rotation_between(rvec3(src), rvec3(dst))
+
+
+def _rotation_between(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    denom = 1.0 + src.dot(dst)
     if abs(denom) <= 1e-12:
         seed = np.zeros(3)
         seed[int(np.argmin(np.abs(src)))] = 1.0
         u = cross3(src, seed)
-        u /= hnorm(u)
+        u /= rnorm3(u)
         ux = axial_matrix(u).real
         return EYE3 + 2.0 * (ux @ ux)
     c = cross3(src, dst) / denom
     cx = axial_matrix(c).real
-    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + c @ c)
+    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + c.dot(c))
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
@@ -308,30 +327,31 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     ``e_target=None`` picks e = N0.  For real Delta (rho = 0) the plane
     degenerates and S is just the real rotation taking N0 to the target.
     """
-    delta = vec3(delta)
-    sq = bilinear_dot(delta, delta)
-    if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm(delta) ** 2):
-        raise NotUnitDelta(f"delta.delta = {sq:.15g}, expected 1")
+    return _reduce_to_real(vec3(delta), e_target)
+
+
+def _reduce_to_real(delta: ComplexVec3, e_target) -> ComplexRotation:
+    _require_unit_square(delta, NotUnitDelta)
     N, M = delta.real, delta.imag
-    ch = hnorm(N)
+    ch = rnorm3(N)
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
     N0 = N / ch
-    mnorm = hnorm(M)
+    mnorm = rnorm3(M)
     if mnorm <= 1e-12 * max(1.0, ch):
         target = N0 if e_target is None else _unit_target(e_target)
-        return ComplexRotation(rotation_between(N0, target).astype(complex))
+        return ComplexRotation(_rotation_between(N0, target).astype(complex))
     M0 = M / mnorm
     u = cross3(M0, N0)
-    unorm = hnorm(u)
+    unorm = rnorm3(u)
     if unorm < 1e-8:
         raise DegenerateDelta("Re delta and Im delta are parallel")
     u = u / unorm
-    sh = np.sqrt(max(ch * ch - 1.0, 0.0))
+    sh = math.sqrt(max(ch * ch - 1.0, 0.0))
     uu = np.outer(u, u)
     T = uu.astype(complex) + 1j * sh * (EYE3 - uu) - ch * axial_matrix(u)
     target = N0 if e_target is None else _unit_target(e_target)
-    O2 = rotation_between(M0, target)
+    O2 = _rotation_between(M0, target)
     return ComplexRotation(O2.astype(complex) @ T)
 
 
@@ -350,8 +370,8 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     real unit vector.  In that frame n' and m' are both parallel to e, and
     the invariants of Kcanon equal those of K by construction.
     """
-    kscalar, delta = unit_delta(K, eps_iso=eps_iso)
-    S = reduce_to_real(delta)
-    e = S.apply(delta).real
-    e /= hnorm(e)
+    kscalar, delta = _unit_delta(vec3(K), eps_iso)
+    S = _reduce_to_real(delta, None)
+    e = S.matrix.dot(delta).real
+    e /= rnorm3(e)
     return S, kscalar * e

@@ -249,6 +249,17 @@ class TestBehavior:
         assert result.returncode == 0
         assert json.loads(result.stdout)["class"] == "NonIsotropic"
 
+    def test_factor_near_isotropic_element(self, tmp_path, capsys):
+        # |k0 - 1| = 7.5e-10 and k.k within eps_iso: the CLI and
+        # factor_isotropic share one isotropy predicate, so this element takes
+        # the generic split (it used to be sent to factor_isotropic, which
+        # refused it: exit 7)
+        k0 = 1.0000000007499998
+        code, out = run_cli(["factor"], {"spinor": [k0, 0, 0, -1, 0, k0, 0, 0]}, tmp_path, capsys)
+        assert code == 0
+        assert out["method"] == "generic" and out["pass"]
+        assert all(f["roundtrip_residual"] <= 1e-10 for f in out["factorizations"])
+
     def test_float_precision_roundtrip(self, tmp_path, capsys):
         # serialized doubles parse back bit-identically
         doc = {"nm": [0.1, 0.2, 0.30000000000000004, -1.0 / 3.0, 7e-13, 0]}

@@ -8,6 +8,7 @@ from ncframe.factorization import (
     factor_boost_rotation,
     factor_isotropic,
     factor_rotation_boost,
+    isotropic_sign,
     scale_freedom_report,
 )
 from ncframe.group import SpinorElement, spinor_from_boost, spinor_from_rotation
@@ -133,6 +134,35 @@ class TestIsotropicFactorization:
     def test_non_isotropic_rejected(self, rng):
         with pytest.raises(NotIsotropicElement):
             factor_isotropic(spinor_from_boost(1.0, [0, 0, 1.0]))
+
+    def test_isotropic_sign_is_the_guard(self, rng):
+        # k0 = +-(1 + eps) with k.k = k0^2 - 1: the predicate is nonzero
+        # exactly where factor_isotropic accepts the element
+        for eps in (0.0, 1e-12, -5e-11, 2e-10, -7.5e-10, 1e-8):
+            k = random_isotropic_k(rng)
+            n, m = -k.imag, k.real
+            w = np.cross(m, n) / (m @ m)
+            for sign in (1, -1):
+                k0 = sign * (1.0 + eps)
+                b = SpinorElement(k0, k + np.sqrt(complex(k0 * k0 - 1.0)) * w)
+                sgn = isotropic_sign(b)
+                assert sgn in (0, sign)
+                if sgn:
+                    assert factor_isotropic(b).sign == sign
+                else:
+                    with pytest.raises(NotIsotropicElement):
+                        factor_isotropic(b)
+        assert isotropic_sign(SpinorElement.identity()) == 1
+        assert isotropic_sign(spinor_from_boost(1.0, [0, 0, 1.0])) == 0
+
+    def test_near_isotropic_element_factors_generically(self):
+        # k0 - 1 = 7.5e-10 is outside DEFAULT_TOL although k.k is within
+        # eps_iso: not isotropic, and the generic split round-trips it
+        k0 = 1.0000000007499998
+        b = SpinorElement(k0, [k0, 1j, 0.0])
+        assert isotropic_sign(b) == 0
+        for pair in (factor_rotation_boost(b), factor_boost_rotation(b)):
+            assert roundtrip_residual(b, pair) < 1e-12
 
 
 class TestScaleFreedom:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncframe.errors import SingularMatrix
 from ncframe.linalg import (
     axial_matrix,
     bdot3,
@@ -14,7 +13,7 @@ from ncframe.linalg import (
     hnorm,
     hnorm3,
     inf_norm,
-    mat3_inverse,
+    rnorm3,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -44,23 +43,6 @@ def test_axial_matrix_examples():
     expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
     np.testing.assert_array_equal(axial_matrix([0, 0, 1]), expected)
     np.testing.assert_array_equal(axial_matrix(np.zeros(3)), np.zeros((3, 3)))
-
-
-def test_mat3_inverse_examples(rng):
-    np.testing.assert_array_equal(mat3_inverse(np.eye(3)), np.eye(3))
-    np.testing.assert_allclose(mat3_inverse(2.0 * np.eye(3)), 0.5 * np.eye(3))
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
-    assert inf_norm(m @ mat3_inverse(m) - np.eye(3)) < 1e-12
-
-
-def test_mat3_inverse_singular():
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = m[1, 1] = 1.0
-    with pytest.raises(SingularMatrix):
-        mat3_inverse(m)
-    # cutoff is scale-invariant: a huge but rank-deficient matrix still raises
-    with pytest.raises(SingularMatrix):
-        mat3_inverse(1e12 * m)
 
 
 @given(u=cvec, v=cvec, w=cvec, alpha=cscalar)
@@ -143,6 +125,16 @@ def test_hnorm3_is_np_linalg_norm_bit_for_bit(v):
     v = v.astype(complex)
     assert_same_bits(np.float64(hnorm3(v[:3])), np.linalg.norm(v[:3]))
     assert_same_bits(np.float64(hnorm3(v[::2])), np.linalg.norm(v[::2]))  # strided view
+
+
+@given(v=scaled_array((6,), 150))
+def test_rnorm3_is_np_linalg_norm_bit_for_bit(v):
+    # complex draws give strided real and imaginary parts, as in delta.real
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    for x in parts:
+        assert_same_bits(np.float64(rnorm3(x[:3])), np.linalg.norm(x[:3]))
+        assert_same_bits(np.float64(rnorm3(x[::2])), np.linalg.norm(x[::2]))  # strided view
+        assert_same_bits(np.float64(rnorm3(x[:3])), np.float64(hnorm(x[:3])))
 
 
 @given(m=scaled_array((3, 3), 97))
