@@ -139,6 +139,29 @@ def _inverse(h: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
     return (1.0 - _sdot(h, K)) * h - 0.5 * _sdot(h, h) * K
 
 
+# The per-field-state quantities of the last (f, K) that a residual read:
+# (key, h, scale) with key the raw bytes of f and K, h = forward(f, K) and
+# scale = residual_scale(f, K).  A dual scan evaluates many angles on one
+# field state, so they compute h and the scale once.  The key is the exact
+# bytes, so a mutated input or a zero of the other sign misses and every
+# result keeps its bits.  The tuple is replaced in one assignment and read
+# once per call, so concurrent callers at worst miss; h never leaves the
+# module, so no caller can mutate it.
+_memo: tuple[bytes, ComplexVec3 | None, float] = (b"", None, 1.0)
+
+
+def _base(f: ComplexVec3, K: ComplexVec3) -> tuple[ComplexVec3, float]:
+    """(forward(f, K), residual scale), computed once per field state."""
+    global _memo
+    key = f.tobytes() + K.tobytes()
+    memo = _memo
+    if memo[0] == key:
+        return memo[1], memo[2]
+    h, scale = _forward(f, K), _scale(f, K)
+    _memo = (key, h, scale)
+    return h, scale
+
+
 def _dual(f: ComplexVec3, h: ComplexVec3, K: ComplexVec3, chi: float):
     c, s = math.cos(chi), math.sin(chi)
     # complex(c, s) is exp(1j * chi) bit for bit; `+ 0.0` turns sin(-0.0) into
@@ -198,8 +221,9 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     """
     f, K = vec3(f), vec3(K)
     O = so3c_from_spinor(b).matrix
-    r = _forward(O.dot(f), O.dot(K)) - O.dot(_forward(f, K))
-    return hnorm3(r) / _scale(f, K)
+    h, scale = _base(f, K)
+    r = _forward(O.dot(f), O.dot(K)) - O.dot(h)
+    return hnorm3(r) / scale
 
 
 def dual_transform(f, h, K, chi: float):
@@ -226,12 +250,13 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     f, K = vec3(f), vec3(K)
     if swapped is None:
         swapped = quarter_turn(chi)[0] % 2 == 1
-    fp, hp, Kp = _dual(f, _forward(f, K), K, chi)
+    h, scale = _base(f, K)
+    fp, hp, Kp = _dual(f, h, K, chi)
     if swapped:
         r = fp - _inverse(hp, Kp)
     else:
         r = hp - _forward(fp, Kp)
-    return hnorm3(r) / _scale(f, K)
+    return hnorm3(r) / scale
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,9 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     relative to ||k||^2: the elements :func:`factor_isotropic` accepts.
     """
     sgn = 1 if abs(b.k0 - 1.0) <= abs(b.k0 + 1.0) else -1
-    nrm2 = hnorm3(b.k) ** 2
-    if abs(b.k0 - sgn) > DEFAULT_TOL or abs(bdot3(b.k, b.k)) > eps_iso * max(1e-300, nrm2):
+    if abs(b.k0 - sgn) > DEFAULT_TOL:
+        return 0
+    if abs(bdot3(b.k, b.k)) > eps_iso * max(1e-300, hnorm3(b.k) ** 2):
         return 0
     return sgn
 

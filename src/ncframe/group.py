@@ -48,6 +48,16 @@ from .linalg import (
 #: Minkowski metric, signature (+, -, -, -).
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
+# The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
+# power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
+# and they compute the scale only for a larger r.  `not r <= DEFAULT_TOL`,
+# not `r > DEFAULT_TOL`, sends a NaN residual to the full test, as before.
+
+
+def _matrix_scale(m: np.ndarray) -> float:
+    """max(1, ||m||_inf^2), the scale of the ComplexRotation and Lorentz4 checks."""
+    return max(1.0, inf_norm(m) ** 2)
+
 
 @dataclass(frozen=True)
 class SpinorElement:
@@ -65,8 +75,8 @@ class SpinorElement:
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "k", k)
         det = k0 * k0 - bdot3(k, k)
-        scale = max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2)
-        if abs(det - 1.0) > DEFAULT_TOL * scale:
+        err = abs(det - 1.0)
+        if not err <= DEFAULT_TOL and err > DEFAULT_TOL * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2):
             raise ConstraintViolation(
                 f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
             )
@@ -176,12 +186,15 @@ class ComplexRotation:
         if m.shape != (3, 3):
             raise ConstraintViolation(f"expected 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        scale = max(1.0, inf_norm(m) ** 2)
+        scale = None
         resid = inf_norm(m.T @ m - EYE3)
-        if resid > DEFAULT_TOL * scale:
-            raise ConstraintViolation(f"O^T O - I residual {resid:.3e} exceeds tolerance")
+        if not resid <= DEFAULT_TOL:
+            scale = _matrix_scale(m)
+            if resid > DEFAULT_TOL * scale:
+                raise ConstraintViolation(f"O^T O - I residual {resid:.3e} exceeds tolerance")
         det = det3(m)
-        if abs(det - 1.0) > DEFAULT_TOL * scale ** 1.5:
+        err = abs(det - 1.0)
+        if not err <= DEFAULT_TOL and err > DEFAULT_TOL * (scale or _matrix_scale(m)) ** 1.5:
             raise ConstraintViolation(f"det O = {det:.15g}, expected +1")
 
     @classmethod
@@ -203,12 +216,15 @@ class Lorentz4:
         if m.shape != (4, 4):
             raise ConstraintViolation(f"expected 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        scale = max(1.0, inf_norm(m) ** 2)
+        scale = None
         resid = inf_norm(m.T @ ETA @ m - ETA)
-        if resid > DEFAULT_TOL * scale:
-            raise ConstraintViolation(f"L^T eta L - eta residual {resid:.3e} exceeds tolerance")
-        if m[0, 0] < 1.0 - DEFAULT_TOL * scale:
-            raise ConstraintViolation(f"L00 = {m[0, 0]:.15g} < 1 (not orthochronous)")
+        if not resid <= DEFAULT_TOL:
+            scale = _matrix_scale(m)
+            if resid > DEFAULT_TOL * scale:
+                raise ConstraintViolation(f"L^T eta L - eta residual {resid:.3e} exceeds tolerance")
+        l00 = m[0, 0]
+        if not l00 >= 1.0 - DEFAULT_TOL and l00 < 1.0 - DEFAULT_TOL * (scale or _matrix_scale(m)):
+            raise ConstraintViolation(f"L00 = {l00:.15g} < 1 (not orthochronous)")
         if np.linalg.det(m) < 0.0:
             raise ConstraintViolation("det L < 0 (improper)")
 
@@ -294,7 +310,8 @@ def _require_unit_square(d: ComplexVec3, error: type[Exception]) -> None:
     caller has already coerced; each caller names its own exception type.
     """
     sq = bdot3(d, d)
-    if abs(sq - 1.0) > DEFAULT_TOL * max(1.0, hnorm3(d) ** 2):
+    err = abs(sq - 1.0)
+    if not err <= DEFAULT_TOL and err > DEFAULT_TOL * max(1.0, hnorm3(d) ** 2):
         raise error(f"delta.delta = {sq:.15g}, expected 1")
 
 

@@ -167,17 +167,33 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     |K.K| <= eps_iso * ||K||^2.  The boundary subcases Ia/Ib (I2 = 0) and
     IIa/IIb (I1 = 0) are detected relative to I = |K.K|, so the labels are
     invariant under real rescaling of K.  NaN or inf entries raise
-    :class:`NonFiniteInput`.
+    :class:`NonFiniteInput`.  For a finite K whose norm overflows, the labels
+    and mu come from K scaled by an exact power of two, while I1, I2 and I
+    stay those of K as given (so they can be infinite or NaN).
     """
     K = vec3(K)
     nrm = hnorm3(K)
     _require_finite(K, nrm)
     i1, i2, mag, mu = _invariants(K)
+    if math.isfinite(nrm):
+        klass, sub, mu = _label(nrm, i1, i2, mag, mu, eps_iso)
+    else:
+        # ||K|| overflows although every entry is finite: label K scaled by
+        # the exact power of two that brings its largest part into [0.5, 1).
+        big = max(np.abs(K.real).max(), np.abs(K.imag).max())
+        Ks = K * 2.0 ** -math.frexp(big)[1]
+        klass, sub, mu = _label(hnorm3(Ks), *_invariants(Ks), eps_iso)
+    return NCParameter(K_to_theta(K), K, i1, i2, mag, mu, klass, sub)
+
+
+def _label(nrm: float, i1: float, i2: float, mag: float, mu: float,
+           eps_iso: float) -> tuple[NCClass, Subcase, float | None]:
+    """(class, subcase, mu) of :func:`classify` from the norm and invariants of K."""
     norm2 = nrm ** 2
     if math.sqrt(norm2) <= eps_iso:
-        return NCParameter(K_to_theta(K), K, i1, i2, mag, None, NCClass.COMMUTATIVE, Subcase.NONE)
+        return NCClass.COMMUTATIVE, Subcase.NONE, None
     if mag <= eps_iso * norm2:
-        return NCParameter(K_to_theta(K), K, i1, i2, mag, None, NCClass.ISOTROPIC, Subcase.NONE)
+        return NCClass.ISOTROPIC, Subcase.NONE, None
     if abs(i2) <= eps_iso * mag:
         sub = Subcase.IA if i1 > 0 else Subcase.IB
         mu = 0.0 if i1 > 0 else np.pi / 2
@@ -186,7 +202,7 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
         mu = np.pi / 4 if i2 > 0 else 3 * np.pi / 4
     else:
         sub = Subcase.GENERIC
-    return NCParameter(K_to_theta(K), K, i1, i2, mag, float(mu), NCClass.NON_ISOTROPIC, sub)
+    return NCClass.NON_ISOTROPIC, sub, float(mu)
 
 
 def classify_theta(theta, eps_iso: float = EPS_ISO, tol: float = 1e-12) -> NCParameter:

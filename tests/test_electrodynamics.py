@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncframe.electrodynamics import (
     DualFrame,
+    _base,
     FieldState,
     UnitSystem,
     constitutive_forward,
@@ -408,6 +412,12 @@ def plain_dual_residual(f, K, chi):
     return np.linalg.norm(r) / plain_scale(f, K)
 
 
+def plain_covariance_residual(b, f, K):
+    O = so3c_from_spinor(b).matrix
+    r = plain_forward(O @ f, O @ K) - O @ plain_forward(f, K)
+    return np.linalg.norm(r) / plain_scale(f, K)
+
+
 def plain_gr_constraints(G, R, K):
     Gc, Rc, Kc = np.conj(G), np.conj(R), np.conj(K)
     a, b, s = _dot(Gc, Kc), _dot(R, Kc), _dot(Gc, R)
@@ -513,3 +523,105 @@ class TestBitIdentity:
         assert isinstance(frame, DualFrame)
         for got, want in zip(gr_constraint_residual(frame, K), plain_gr_constraints(frame.G, frame.R, K)):
             assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The (f, K) memo behind covariance_residual and dual_invariance_residual:
+# whatever the order of calls, every result equals the plain formulas.
+# ---------------------------------------------------------------------------
+
+QUARTER_MULTIPLES = [j * np.pi / 4 for j in range(8)]
+
+
+def assert_plain_dual(f, K, chi):
+    assert_same_bits(dual_invariance_residual(f, K, chi), plain_dual_residual(f, K, chi))
+
+
+class TestMemo:
+    def test_repeated_scan_on_one_state(self, rng):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        for _ in range(2):
+            for chi in QUARTER_MULTIPLES:
+                assert_plain_dual(f, K, chi)
+
+    @pytest.mark.parametrize("shared", ["f", "K", "none"])
+    def test_interleaved_states(self, rng, shared):
+        fA, KA = random_field(rng), random_field(rng, 0.3)
+        fB, KB = random_field(rng), random_field(rng, 0.3)
+        if shared == "f":
+            fB = fA.copy()
+        elif shared == "K":
+            KB = KA.copy()
+        for _ in range(2):
+            for f, K in ((fA, KA), (fB, KB)):
+                for chi in (np.pi / 4, np.pi / 2):
+                    assert_plain_dual(f, K, chi)
+
+    def test_inputs_differing_in_the_sign_of_a_zero(self):
+        K = parts([0.5, -0.0, 2.0], [0.5, -0.0, 0.0])
+        f1 = parts([1.0, 0.0, 0.0], [0.5, -0.0, 0.0])
+        f2 = parts([1.0, -0.0, 0.0], [0.5, -0.0, 0.0])
+        # the two forward images differ in the sign of a zero
+        assert plain_forward(f1, K).tobytes() != plain_forward(f2, K).tobytes()
+        for f in (f1, f2, f1):
+            h, scale = _base(f, K)
+            assert_same_bits(h, plain_forward(f, K))
+            assert_same_bits(scale, plain_scale(f, K))
+            assert_plain_dual(f, K, np.pi / 4)
+
+    def test_input_mutated_in_place(self, rng):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_plain_dual(f, K, np.pi / 4)
+        f[1] *= 2.0
+        assert_plain_dual(f, K, np.pi / 4)
+        K[2] = 0.0
+        assert_plain_dual(f, K, np.pi / 4)
+
+    def test_forward_result_is_the_callers_own(self, rng):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_plain_dual(f, K, 0.0)
+        h = constitutive_forward(f, K)
+        h[:] = 0.0
+        assert_plain_dual(f, K, np.pi / 4)
+
+    def test_covariance_and_dual_in_either_order(self, rng):
+        b = random_spinor(rng)
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_plain_dual(f, K, np.pi / 4)
+        assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
+        g, L = random_field(rng), random_field(rng, 0.3)
+        assert_same_bits(covariance_residual(b, g, L), plain_covariance_residual(b, g, L))
+        assert_plain_dual(g, L, np.pi / 4)
+
+    def test_concurrent_threads_match_serial(self, rng):
+        states = [(random_field(rng), random_field(rng, 0.3), random_spinor(rng)) for _ in range(8)]
+
+        def evaluate(f, K, b):
+            dual = [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
+            return np.array(dual + [covariance_residual(b, f, K)])
+
+        serial = [evaluate(*state) for state in states]
+        for (f, K, b), want in zip(states, serial):
+            plain = [plain_dual_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
+            assert_same_bits(want, np.array(plain + [plain_covariance_residual(b, f, K)]))
+        results = [[] for _ in states]
+
+        def work(i):
+            for _ in range(100):
+                results[i].append(evaluate(*states[i]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 100
+            for row in got:
+                assert_same_bits(row, want)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from ncframe.errors import (
     HalfTurnResult,
     NonUnitAxis,
     NotPureElement,
+    NotUnitDelta,
 )
 from ncframe.group import (
     ETA,
@@ -34,8 +37,9 @@ from ncframe.group import (
     spinor_from_rotation,
     verify_su2_boost_identities,
 )
-from ncframe.linalg import inf_norm
+from ncframe.linalg import DEFAULT_TOL, det3, inf_norm
 from ncframe.sampling import random_spinor
+from ncframe.stabilizer import stabilizer_element
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -78,6 +82,111 @@ class TestConstructorRejections:
     def test_lorentz4_rejects_metric_violation(self):
         with pytest.raises(ConstraintViolation, match="eta"):
             Lorentz4(np.diag([1.0, 2.0, 1.0, 1.0]))
+
+
+def raises_with(error, message, build, *args):
+    with pytest.raises(error) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
+class TestToleranceScales:
+    """Residuals between DEFAULT_TOL and DEFAULT_TOL * scale pass; larger ones raise.
+
+    Each check compares its residual with DEFAULT_TOL times a scale >= 1 set
+    by the size of the element, so these cases straddle both thresholds of a
+    large element.
+    """
+
+    @staticmethod
+    def spinor(excess, s=100.0):
+        # k0^2 - k.k = 1 + excess; scale = |k0|^2 + ||k||^2 ~ 2e4
+        return math.sqrt(1.0 + s * s + excess), np.array([0.0, 0.0, s], dtype=complex)
+
+    def test_spinor_element(self):
+        k0, k = self.spinor(1e-8)
+        det = k0 * k0 - complex(k @ k)
+        assert DEFAULT_TOL < abs(det - 1.0) <= DEFAULT_TOL * (k0**2 + np.linalg.norm(k) ** 2)
+        SpinorElement(k0, k)
+        k0, k = self.spinor(1e-5)
+        det = k0 * k0 - complex(k @ k)
+        assert abs(det - 1.0) > DEFAULT_TOL * (k0**2 + np.linalg.norm(k) ** 2)
+        message = f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
+        raises_with(ConstraintViolation, message, SpinorElement, k0, k)
+
+    @staticmethod
+    def delta(excess, ch=100.0):
+        # delta.delta = 1 + excess; ||delta||^2 ~ 2e4
+        return np.array([ch, 1j * math.sqrt(ch * ch - 1.0 - excess), 0.0])
+
+    def test_unit_square(self):
+        d = self.delta(1e-8)
+        assert DEFAULT_TOL < abs(d @ d - 1.0) <= DEFAULT_TOL * np.linalg.norm(d) ** 2
+        GammaDelta(0.3, d)
+        stabilizer_element(0.3, d)
+        d = self.delta(1e-5)
+        assert abs(d @ d - 1.0) > DEFAULT_TOL * np.linalg.norm(d) ** 2
+        message = f"delta.delta = {complex(d @ d):.15g}, expected 1"
+        raises_with(ConstraintViolation, message, GammaDelta, 0.3, d)
+        raises_with(NotUnitDelta, message, stabilizer_element, 0.3, d)
+
+    def test_complex_rotation(self):
+        # rapidity 12: both the orthogonality and the determinant residual
+        # exceed DEFAULT_TOL, and both are within their scaled tolerance
+        O = so3c_from_spinor(spinor_from_boost(12.0, EZ)).matrix
+        scale = inf_norm(O) ** 2
+        assert DEFAULT_TOL < inf_norm(O.T @ O - np.eye(3)) <= DEFAULT_TOL * scale
+        assert DEFAULT_TOL < abs(det3(O) - 1.0) <= DEFAULT_TOL * scale**1.5
+        ComplexRotation(O)
+        # rapidity 6, one entry moved: the orthogonality residual
+        O = so3c_from_spinor(spinor_from_boost(6.0, EZ)).matrix.copy()
+        scale = inf_norm(O) ** 2
+        for shift, ok in ((1e-9, True), (1e-6, False)):
+            P = O.copy()
+            P[0, 0] += shift
+            resid = inf_norm(P.T @ P - np.eye(3))
+            assert resid > DEFAULT_TOL
+            if ok:
+                assert resid <= DEFAULT_TOL * scale
+                ComplexRotation(P)
+            else:
+                assert resid > DEFAULT_TOL * scale
+                message = f"O^T O - I residual {resid:.3e} exceeds tolerance"
+                raises_with(ConstraintViolation, message, ComplexRotation, P)
+        # -O: orthogonal to DEFAULT_TOL, determinant -1
+        assert inf_norm(O.T @ O - np.eye(3)) <= DEFAULT_TOL
+        message = f"det O = {det3(-O):.15g}, expected +1"
+        raises_with(ConstraintViolation, message, ComplexRotation, -O)
+
+    def test_lorentz4_metric(self):
+        L = lorentz4_from_spinor(spinor_from_boost(10.0, EZ)).matrix
+        scale = inf_norm(L) ** 2
+        assert DEFAULT_TOL < inf_norm(L.T @ ETA @ L - ETA) <= DEFAULT_TOL * scale
+        Lorentz4(L)
+        P = L.copy()
+        P[1, 2] += 1.0
+        resid = inf_norm(P.T @ ETA @ P - ETA)
+        assert resid > DEFAULT_TOL * scale
+        message = f"L^T eta L - eta residual {resid:.3e} exceeds tolerance"
+        raises_with(ConstraintViolation, message, Lorentz4, P)
+
+    def test_lorentz4_orthochronous(self):
+        # L00 below 1 - DEFAULT_TOL, but within DEFAULT_TOL * ||L||^2 of 1; the
+        # large second column (X, sqrt(X^2 + 1), 0, 0) keeps L^T eta L - eta
+        # within its scaled tolerance
+        X = 1e11
+        L = np.eye(4)
+        L[0, 0] = 1.0 - 1e-9
+        L[0, 1], L[1, 1] = X, math.sqrt(X * X + 1.0)
+        scale = inf_norm(L) ** 2
+        assert inf_norm(L.T @ ETA @ L - ETA) <= DEFAULT_TOL * scale
+        assert 1.0 - DEFAULT_TOL * scale <= L[0, 0] < 1.0 - DEFAULT_TOL
+        Lorentz4(L)
+        # time reversal of a rapidity-10 boost: L00 = -cosh(10)
+        L = np.diag([-1.0, 1.0, 1.0, 1.0]) @ lorentz4_from_spinor(spinor_from_boost(10.0, EZ)).matrix
+        assert L[0, 0] < 1.0 - DEFAULT_TOL * inf_norm(L) ** 2
+        message = f"L00 = {L[0, 0]:.15g} < 1 (not orthochronous)"
+        raises_with(ConstraintViolation, message, Lorentz4, L)
 
 
 class TestSpinorElement:

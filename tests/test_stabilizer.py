@@ -103,6 +103,29 @@ class TestClassify:
         p = classify(np.array([1.0, 1j, 0.0]))
         assert p.klass is NCClass.ISOTROPIC and p.subcase is Subcase.NONE
 
+    @pytest.mark.parametrize(
+        "K",
+        [
+            [1.0, 0.5, 0.0],           # Ia
+            [0.5j, 1.0j, 0.0],         # Ib
+            [1 + 1j, 0.0, 0.0],        # IIa
+            [1 - 1j, 0.0, 0.0],        # IIb
+            [1 + 0.5j, 0.3, 0.2j],     # generic
+            [1.0, 1j, 0.0],            # isotropic
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 300, 511, 512, 513, 700, 1000, 1020])
+    def test_labels_survive_norm_overflow(self, K, k):
+        # ||2^k K|| overflows from k = 512 on, while every entry stays finite
+        want = classify(K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = classify(2.0**k * np.asarray(K))
+        assert (got.klass, got.subcase) == (want.klass, want.subcase)
+        if want.mu is None:
+            assert got.mu is None
+        else:
+            assert got.mu == pytest.approx(want.mu, rel=1e-15)
+
     def test_scale_covariance(self, rng):
         for _ in range(20):
             K = random_nonisotropic_K(rng)
