@@ -53,10 +53,6 @@ class DegenerateDelta(NcframeError):
     """Reduction to real form failed on degenerate input."""
 
 
-class DegenerateNorm(NcframeError):
-    """Rotation factor cannot be normalized (rotation-part norm is zero)."""
-
-
 class NotIsotropicElement(NcframeError):
     """Element is not of the isotropic family (scalar part +-1, null vector part)."""
 

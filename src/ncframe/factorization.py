@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNorm, InternalInconsistency, NotIsotropic, NotIsotropicElement
+from .errors import InternalInconsistency, NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, spinor_compose
 from .linalg import DEFAULT_TOL, bdot3, cross3, hnorm3, vec3
 from .stabilizer import EPS_ISO
@@ -63,8 +63,6 @@ def _boost_from_velocity(B: np.ndarray) -> SpinorElement:
 def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     n0, m0, n, m = b.n0, b.m0, b.n, b.m
     r2 = n0 * n0 + float(n.dot(n))
-    if r2 <= 1e-20:
-        raise DegenerateNorm("rotation part has zero norm; cannot normalize")
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
     B = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r2
     boost = _boost_from_velocity(B)

@@ -15,6 +15,7 @@ the same image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,17 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
 # power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
-# and they compute the scale only for a larger r.  `not r <= DEFAULT_TOL`,
-# not `r > DEFAULT_TOL`, sends a NaN residual to the full test, as before.
+# and they compute the scale only for a larger r.
+
+
+def _exceeds(r: float, bound: float) -> bool:
+    """True unless r <= bound, the final test of every constructor check.
+
+    Written so that a NaN residual fails.  An infinite residual fails too,
+    even against the infinite bound that an infinite entry (or an overflowed
+    norm) gives: no valid element has one.
+    """
+    return not r <= bound or r == math.inf
 
 
 def _matrix_scale(m: np.ndarray) -> float:
@@ -76,7 +86,7 @@ class SpinorElement:
         object.__setattr__(self, "k", k)
         det = k0 * k0 - bdot3(k, k)
         err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and err > DEFAULT_TOL * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2):
+        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2)):
             raise ConstraintViolation(
                 f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
             )
@@ -190,11 +200,11 @@ class ComplexRotation:
         resid = inf_norm(m.T @ m - EYE3)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
-            if resid > DEFAULT_TOL * scale:
+            if _exceeds(resid, DEFAULT_TOL * scale):
                 raise ConstraintViolation(f"O^T O - I residual {resid:.3e} exceeds tolerance")
         det = det3(m)
         err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and err > DEFAULT_TOL * (scale or _matrix_scale(m)) ** 1.5:
+        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * (scale or _matrix_scale(m)) ** 1.5):
             raise ConstraintViolation(f"det O = {det:.15g}, expected +1")
 
     @classmethod
@@ -220,12 +230,12 @@ class Lorentz4:
         resid = inf_norm(m.T @ ETA @ m - ETA)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
-            if resid > DEFAULT_TOL * scale:
+            if _exceeds(resid, DEFAULT_TOL * scale):
                 raise ConstraintViolation(f"L^T eta L - eta residual {resid:.3e} exceeds tolerance")
         l00 = m[0, 0]
-        if not l00 >= 1.0 - DEFAULT_TOL and l00 < 1.0 - DEFAULT_TOL * (scale or _matrix_scale(m)):
+        if not l00 >= 1.0 - DEFAULT_TOL and not l00 >= 1.0 - DEFAULT_TOL * (scale or _matrix_scale(m)):
             raise ConstraintViolation(f"L00 = {l00:.15g} < 1 (not orthochronous)")
-        if np.linalg.det(m) < 0.0:
+        if not np.linalg.det(m) >= 0.0:
             raise ConstraintViolation("det L < 0 (improper)")
 
     @classmethod
@@ -239,22 +249,37 @@ class Lorentz4:
         return self.matrix @ x
 
 
+def _trusted(cls, matrix: np.ndarray):
+    """An instance of ComplexRotation or Lorentz4 holding ``matrix``, unchecked.
+
+    Only for the image of a validated SpinorElement under a closed form: the
+    image of a group element is proper by construction, so the element's own
+    check stands for it.  ``matrix`` must already be the array the public
+    constructor would store (complex128 3x3, or float64 4x4).
+    """
+    image = object.__new__(cls)
+    object.__setattr__(image, "matrix", matrix)
+    return image
+
+
 def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     """Complex orthogonal image O(k) = I + 2*(i*k0*k^x - (k^x)^2).
 
     This is the 2-to-1 vector representation: O(-b) = O(b), and
     O(b1*b2) = O(b1) O(b2).  Pure rotations give real orthogonal matrices;
-    pure boosts give complex symmetric ones.
+    pure boosts give complex symmetric ones.  The image is not checked again:
+    ``b`` passed the SpinorElement check.
     """
     kx = axial_matrix(b.k)
-    return ComplexRotation(EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
+    return _trusted(ComplexRotation, EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
 
 
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     """Real 4x4 Lorentz image, built entrywise from k0, k and their conjugates.
 
     Row/column 0 is time.  For a pure boost this reproduces the standard
-    closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.
+    closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.  Like
+    :func:`so3c_from_spinor`, the image is not checked again.
     """
     k0, k0c, k = b.k0, b.k0.conjugate(), b.k.tolist()
     # |k_i|^2 stays numpy's vectorized abs, which rounds differently from
@@ -281,7 +306,7 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
                 L[i + 1][j + 1] = 2.0 * eps * (k0c * k[l]).imag + 2.0 * (
                     k[i] * k[j].conjugate()
                 ).real
-    return Lorentz4(L)
+    return _trusted(Lorentz4, np.asarray(L, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -311,7 +336,7 @@ def _require_unit_square(d: ComplexVec3, error: type[Exception]) -> None:
     """
     sq = bdot3(d, d)
     err = abs(sq - 1.0)
-    if not err <= DEFAULT_TOL and err > DEFAULT_TOL * max(1.0, hnorm3(d) ** 2):
+    if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * max(1.0, hnorm3(d) ** 2)):
         raise error(f"delta.delta = {sq:.15g}, expected 1")
 
 
@@ -322,8 +347,13 @@ def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
     Delta is a boost.  For fixed Delta the family is Abelian with
     gamma'' = gamma' + gamma.
     """
-    half = gd.gamma / 2.0
-    return SpinorElement(np.cos(half), -1j * np.sin(half) * gd.delta)
+    return _spinor_from_gamma_delta(gd.gamma, gd.delta)
+
+
+def _spinor_from_gamma_delta(gamma: complex, delta: ComplexVec3) -> SpinorElement:
+    """The element of :func:`spinor_from_gamma_delta`, for a delta already checked."""
+    half = gamma / 2.0
+    return SpinorElement(np.cos(half), -1j * np.sin(half) * delta)
 
 
 def gamma_delta_from_spinor(b: SpinorElement) -> GammaDelta:

@@ -35,13 +35,12 @@ from .errors import (
 )
 from .group import (
     ComplexRotation,
-    GammaDelta,
     Lorentz4,
     SpinorElement,
     _require_unit_square,
+    _spinor_from_gamma_delta,
     lorentz4_from_spinor,
     so3c_from_spinor,
-    spinor_from_gamma_delta,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -267,7 +266,7 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     delta = vec3(delta)
     _require_unit_square(delta, NotUnitDelta)
     gamma = complex(gamma)
-    spinor = spinor_from_gamma_delta(GammaDelta(gamma, delta))
+    spinor = _spinor_from_gamma_delta(gamma, delta)
     return StabilizerElement(
         family="non-isotropic",
         spinor=spinor,

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -25,8 +26,15 @@ from ncframe.electrodynamics import (
     residual_scale,
 )
 from ncframe.errors import NonFiniteInput
-from ncframe.group import so3c_from_spinor
-from ncframe.linalg import hnorm
+from ncframe.group import (
+    ComplexRotation,
+    SpinorElement,
+    so3c_from_spinor,
+    spinor_compose,
+    spinor_from_boost,
+    spinor_from_rotation,
+)
+from ncframe.linalg import DEFAULT_TOL, hnorm
 from ncframe.sampling import random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import stabilizer_element, unit_delta
 
@@ -463,6 +471,26 @@ unit_systems = st.sampled_from([UnitSystem.natural(), UnitSystem.si(), UnitSyste
 spinors = st.integers(0, 2**32 - 1).map(lambda seed: random_spinor(np.random.default_rng(seed)))
 
 
+def rotation_boost_at(seed, beta, frac):
+    """A seeded rotation after a boost of rapidity beta, rescaled to the tolerance edge.
+
+    The rescaling makes k0^2 - k.k - 1 frac of SpinorElement's tolerance
+    (capped at 1/2 in absolute terms); frac = 0 keeps the element's bits.
+    """
+    rng = np.random.default_rng(seed)
+    e1, e2 = rng.normal(size=(2, 3))
+    b = spinor_compose(spinor_from_rotation(rng.uniform(0.0, 2 * np.pi), e1 / np.linalg.norm(e1)),
+                       spinor_from_boost(beta, e2 / np.linalg.norm(e2)))
+    scale = max(1.0, abs(b.k0) ** 2 + hnorm(b.k) ** 2)
+    s = math.sqrt(1.0 / (1.0 - frac * min(DEFAULT_TOL * scale, 0.5)))
+    return SpinorElement(s * b.k0, s * b.k)
+
+
+edge_fractions = st.one_of(
+    st.just(0.0), st.tuples(st.floats(0.1, 0.9), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+)
+
+
 def parts(re, im):
     """Complex array with the exact parts given, signed zeros included."""
     out = np.empty(len(re), dtype=complex)
@@ -501,6 +529,20 @@ class TestBitIdentity:
         r = plain_forward(O @ f, O @ K) - O @ plain_forward(f, K)
         assert_same_bits(covariance_residual(b, f, K), np.linalg.norm(r) / plain_scale(f, K))
         assert_same_bits(residual_scale(f, K), plain_scale(f, K))
+
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.floats(-30.0, 30.0), frac=edge_fractions, fK=field_and_K)
+    def test_covariance_residual_up_to_rapidity_30(self, seed, beta, frac, fK):
+        # O(b) is not checked again, so an element at the edge of the
+        # SpinorElement tolerance, whose O the ComplexRotation check refused,
+        # gets the plain formula's residual like every other element
+        b = rotation_boost_at(seed, beta, frac)
+        f, K = fK
+        O = so3c_from_spinor(b).matrix
+        r = plain_forward(O @ f, O @ K) - O @ plain_forward(f, K)
+        assert_same_bits(covariance_residual(b, f, K), np.linalg.norm(r) / plain_scale(f, K))
+        if frac == 0.0:
+            # an exact element's image passes the public check unchanged
+            assert_same_bits(ComplexRotation(O).matrix, O)
 
     @given(fhK=pair_and_K, chi=angles)
     @example(fhK=(SIGNED_ZERO_F, SIGNED_ZERO_F, parts([-0.0] * 3, [0.0] * 3)), chi=-0.0)

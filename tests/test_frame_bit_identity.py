@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from ncframe.errors import (
     ConstraintViolation,
     DegenerateDelta,
-    DegenerateNorm,
     GammaDegenerate,
     InternalInconsistency,
     IsotropicInput,
@@ -239,8 +238,6 @@ def plain_isotropic_element(z, k, eps_iso=EPS_ISO):
 def plain_factor(b, order):
     n0, m0, n, m = b.k0.real, b.k0.imag, -b.k.imag, b.k.real
     r2 = n0 * n0 + float(n @ n)
-    if r2 <= 1e-20:
-        raise DegenerateNorm("rotation part has zero norm; cannot normalize")
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
     B = (n0 * m - m0 * n + cross_sign * np.cross(m, n)) / r2
     b2 = float(B @ B)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    SIGMA,
     boost_closed_form,
     compose2,
     lorentz4_real_split,
     random_unit_delta,
     rotation_matrix_angle_axis,
+    to_matrix2,
 )
 
+from ncframe import group
 from ncframe.errors import (
     ConstraintViolation,
     GammaDegenerate,
@@ -37,9 +41,10 @@ from ncframe.group import (
     spinor_from_rotation,
     verify_su2_boost_identities,
 )
-from ncframe.linalg import DEFAULT_TOL, det3, inf_norm
+from ncframe.group import _require_unit_square
+from ncframe.linalg import DEFAULT_TOL, EYE3, bdot3, det3, hnorm3, inf_norm
 from ncframe.sampling import random_spinor
-from ncframe.stabilizer import stabilizer_element
+from ncframe.stabilizer import isotropic_stabilizer_element, stabilizer_element, unit_delta
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -54,6 +59,16 @@ def spinor_close_up_to_sign(a, b, tol=1e-9):
 
 def _axis(theta, phi):
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def rotation_boost(alpha, beta, angles):
+    """Rotation by alpha after a boost of rapidity beta, the two axes from four angles."""
+    return spinor_compose(
+        spinor_from_rotation(alpha, _axis(*angles[:2])), spinor_from_boost(beta, _axis(*angles[2:]))
+    )
+
+
+angles4 = st.tuples(*[st.floats(0.0, 2 * np.pi)] * 4)
 
 
 class TestConstructorRejections:
@@ -356,15 +371,9 @@ class TestLorentz4:
                 lorentz4_from_spinor(b).matrix, lorentz4_real_split(b), atol=1e-12
             )
 
-    @given(
-        alpha=st.floats(0.0, 2 * np.pi),
-        beta=st.floats(-10.0, 10.0),
-        angles=st.tuples(*[st.floats(0.0, 2 * np.pi)] * 4),
-    )
+    @given(alpha=st.floats(0.0, 2 * np.pi), beta=st.floats(-10.0, 10.0), angles=angles4)
     def test_matches_real_split_formula_up_to_rapidity_10(self, alpha, beta, angles):
-        b = spinor_compose(
-            spinor_from_rotation(alpha, _axis(*angles[:2])), spinor_from_boost(beta, _axis(*angles[2:]))
-        )
+        b = rotation_boost(alpha, beta, angles)
         L = lorentz4_from_spinor(b).matrix
         assert inf_norm(L - lorentz4_real_split(b)) <= 1e-12 * max(1.0, inf_norm(L))
 
@@ -465,3 +474,168 @@ class TestPureIdentities:
         mixed = spinor_compose(spinor_from_rotation(0.5, EZ), spinor_from_boost(0.5, [1, 0, 0]))
         with pytest.raises(NotPureElement):
             verify_su2_boost_identities(mixed)
+
+
+# ---------------------------------------------------------------------------
+# Trusted images: so3c_from_spinor and lorentz4_from_spinor build O(b) and
+# L(b) from an element that passed the SpinorElement check, without running
+# the ComplexRotation and Lorentz4 checks again.
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def checked_images():
+    """Build the images through the public constructors, with every check."""
+    trusted = group._trusted
+    group._trusted = lambda cls, matrix: cls(matrix)
+    try:
+        yield
+    finally:
+        group._trusted = trusted
+
+
+def so3c_oracle(b):
+    """O_ij = tr(sigma_i B sigma_j B^-1) / 2, with literal 2x2 matrices."""
+    B, B_inv = to_matrix2(b.k0, b.k), to_matrix2(b.k0, -b.k)
+    return np.array([[0.5 * np.trace(SIGMA[i] @ B @ SIGMA[j] @ B_inv) for j in range(3)] for i in range(3)])
+
+
+def at_tolerance_edge(b, frac):
+    """b rescaled so that k0^2 - k.k - 1 is frac of SpinorElement's tolerance.
+
+    The rescaled element has scale s^2 times b's; the tolerance it takes up
+    is capped at 1/2 in absolute terms, so that s^2 stays within [2/3, 2].
+    """
+    scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
+    s = math.sqrt(1.0 / (1.0 - frac * min(DEFAULT_TOL * scale, 0.5)))
+    return SpinorElement(s * b.k0, s * b.k)
+
+
+def _k_at(exp, seed, isotropic):
+    """K of magnitude about 10**exp: generic, or u + i*p with orthonormal u, p."""
+    rng = np.random.default_rng(seed)
+    if not isotropic:
+        return 10.0**exp * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    u, p = rng.normal(size=3), rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    p -= (p @ u) * u
+    return 10.0**exp * (u + 1j * p / np.linalg.norm(p))
+
+
+rapidities = st.floats(-30.0, 30.0)
+high_rapidities = st.tuples(st.floats(16.0, 30.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+edge_fractions = st.tuples(st.floats(0.1, 0.9), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+
+
+class TestTrustedImages:
+    @staticmethod
+    def assert_same_as_checked(b):
+        """The trusted images carry the checked constructors' bytes, where those accept."""
+        images = so3c_from_spinor(b).matrix, lorentz4_from_spinor(b).matrix
+        assert images[0].dtype == np.complex128 and images[0].shape == (3, 3)
+        assert images[1].dtype == np.float64 and images[1].shape == (4, 4)
+        with checked_images():
+            for build, got in zip((so3c_from_spinor, lorentz4_from_spinor), images):
+                try:
+                    want = build(b).matrix
+                except ConstraintViolation as exc:
+                    # LAPACK's determinant of an exact image loses its sign to
+                    # cancellation at large rapidity; no other check refuses one
+                    assert build is lorentz4_from_spinor and str(exc) == "det L < 0 (improper)"
+                    continue
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @given(alpha=st.floats(0.0, 2 * np.pi), beta=rapidities, angles=angles4)
+    def test_rotation_boost_images_equal_checked(self, alpha, beta, angles):
+        self.assert_same_as_checked(rotation_boost(alpha, beta, angles))
+
+    @given(exp=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 2 * np.pi),
+           beta=rapidities, isotropic=st.booleans())
+    def test_stabilizer_images_equal_checked(self, exp, seed, alpha, beta, isotropic):
+        # K over magnitudes 1e-100..1e100, as the frame path sees it
+        K = _k_at(exp, seed, isotropic)
+        if isotropic:
+            z = complex(math.cos(alpha), math.sin(alpha)) * math.exp(beta / 2) / np.linalg.norm(K)
+            elem = isotropic_stabilizer_element(z, K)
+        else:
+            elem = stabilizer_element(complex(alpha, beta), unit_delta(K)[1])
+        assert elem.rotation.matrix.tobytes() == so3c_from_spinor(elem.spinor).matrix.tobytes()
+        self.assert_same_as_checked(elem.spinor)
+
+    @given(alpha=st.floats(0.0, 2 * np.pi), beta=high_rapidities, angles=angles4)
+    def test_high_rapidity_images_match_oracles(self, alpha, beta, angles):
+        # rapidity 16..30, where the Lorentz4 check refused some exact images
+        # as improper; no determinant sign is asserted here, because the
+        # rounded L can have a negative exact determinant
+        b = rotation_boost(alpha, beta, angles)
+        L = lorentz4_from_spinor(b).matrix
+        assert inf_norm(L - lorentz4_real_split(b)) <= 1e-12 * max(1.0, inf_norm(L))
+        O = so3c_from_spinor(b).matrix
+        assert inf_norm(O - so3c_oracle(b)) <= 1e-12 * max(1.0, inf_norm(O))
+        e = _axis(*angles[2:])
+        L = lorentz4_from_spinor(spinor_from_boost(beta, e)).matrix
+        assert inf_norm(L - boost_closed_form(beta, e)) <= 1e-12 * max(1.0, inf_norm(L))
+
+    @given(alpha=st.floats(0.0, 2 * np.pi), beta=rapidities, angles=angles4, frac=edge_fractions)
+    def test_residuals_at_the_tolerance_edge(self, alpha, beta, angles, frac):
+        # For b = s*b1 with b1 exact and eps = k0^2 - k.k - 1 = s^2 - 1:
+        # O(b)^T O(b) - I = -s^2 eps (A + A^T) with A = O(b1) - I, and
+        # |A + A^T| = 4 |(k1^x)^2| <= 4 ||k1||^2, so the orthogonality residual
+        # is at most 4 |eps| scale; L(b) = s^4 L(b1) puts the metric residual
+        # at |s^4 - 1| <= (2 + |eps|) |eps| <= 2 |eps| scale (1 + DEFAULT_TOL).
+        # The margins cover rounding, below 1e-4 of the bounds at the edge.
+        b = at_tolerance_edge(rotation_boost(alpha, beta, angles), frac)
+        eps = abs(b.k0 * b.k0 - bdot3(b.k, b.k) - 1.0)
+        scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
+        O = so3c_from_spinor(b).matrix
+        assert inf_norm(O.T @ O - EYE3) <= 4.5 * eps * scale
+        L = lorentz4_from_spinor(b).matrix
+        assert inf_norm(L.T @ ETA @ L - ETA) <= 2.5 * eps * scale
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _filled(shape, value, where=(0, 0)):
+    m = np.eye(shape)
+    m[where] = value
+    return m
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """A NaN or infinite residual fails every check: `not r <= bound`."""
+
+    @pytest.mark.parametrize("k0, k", [
+        (NAN, np.zeros(3)),
+        (INF, np.zeros(3)),
+        (1.0, np.array([0.0, INF, 0.0])),
+        (1.0, np.array([0.0, 0.0, complex(0.0, NAN)])),
+    ])
+    def test_spinor_element(self, k0, k):
+        with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k"):
+            SpinorElement(k0, k)
+
+    @pytest.mark.parametrize("m", [np.full((3, 3), NAN), np.full((3, 3), INF), _filled(3, INF), _filled(3, NAN, (2, 1))])
+    def test_complex_rotation(self, m):
+        with pytest.raises(ConstraintViolation):
+            ComplexRotation(m)
+
+    @pytest.mark.parametrize("m", [np.full((4, 4), NAN), np.full((4, 4), INF), _filled(4, INF), _filled(4, NAN, (3, 3))])
+    def test_lorentz4(self, m):
+        with pytest.raises(ConstraintViolation):
+            Lorentz4(m)
+
+    @pytest.mark.parametrize("d", [[NAN, 0.0, 0.0], [INF, 0.0, 0.0], [1.0, 0.0, complex(0.0, INF)]])
+    def test_unit_square(self, d):
+        d = np.array(d, dtype=complex)
+        with pytest.raises(NotUnitDelta, match="delta.delta"):
+            _require_unit_square(d, NotUnitDelta)
+        with pytest.raises(ConstraintViolation, match="delta.delta"):
+            GammaDelta(0.3, d)
+
+    @pytest.mark.parametrize("gamma", [NAN, complex(0.0, INF), complex(NAN, 1.0)])
+    def test_stabilizer_element(self, gamma):
+        with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k"):
+            stabilizer_element(gamma, [1.0, 0.0, 0.0])
