@@ -9,8 +9,7 @@ field-state commands add "E" and "B" (3 numbers each), factor takes
 Exit codes: 0 all residuals within thresholds; 1 residual failure;
 2 malformed input; 3 theta not antisymmetric; 4 vanishing K (stabilizer);
 5 isotropic/commutative input to reduce; 6 spinor constraint violation;
-7 any other library error (an ``NcframeError`` the codes above do not name,
-for example an internal inconsistency at extreme rapidity).
+7 any other library error (an ``NcframeError`` the codes above do not name).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits so doubles round-trip losslessly.
 """
@@ -34,9 +33,7 @@ from .electrodynamics import (
 )
 from .errors import NcframeError, NotAntisymmetric
 from .factorization import (
-    FactorOrder,
     factor_boost_rotation,
-    factor_isotropic,
     factor_rotation_boost,
     isotropic_sign,
 )
@@ -339,16 +336,9 @@ def cmd_factor(args) -> int:
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
     b = project_to_group(k0, k)
     tol = args.tol if args.tol is not None else 1e-10
-    isotropic = isotropic_sign(b, args.eps_iso) != 0
-    if isotropic:
-        pairs = [
-            factor_isotropic(b, FactorOrder.ROTATION_FIRST, eps_iso=args.eps_iso),
-            factor_isotropic(b, FactorOrder.BOOST_FIRST, eps_iso=args.eps_iso),
-        ]
-    else:
-        pairs = [factor_rotation_boost(b), factor_boost_rotation(b)]
+    pairs = [factor_rotation_boost(b), factor_boost_rotation(b)]
     report = _base_report(args, "factor", doc, tol)
-    report["method"] = "isotropic" if isotropic else "generic"
+    report["method"] = "isotropic" if isotropic_sign(b, args.eps_iso) else "generic"
     report["det_residual"] = abs(det - 1.0)
     report["factorizations"] = [_spinor_entry(b, p) for p in pairs]
     report["pass"] = all(f["roundtrip_residual"] <= tol for f in report["factorizations"])

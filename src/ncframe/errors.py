@@ -55,7 +55,3 @@ class DegenerateDelta(NcframeError):
 
 class NotIsotropicElement(NcframeError):
     """Element is not of the isotropic family (scalar part +-1, null vector part)."""
-
-
-class InternalInconsistency(NcframeError):
-    """An internal invariant that should hold for valid group elements was violated."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotIsotropic, NotIsotropicElement
+from .errors import NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, spinor_compose
 from .linalg import DEFAULT_TOL, bdot3, cross3, hnorm3, vec3
 from .stabilizer import EPS_ISO
@@ -48,25 +48,12 @@ class RotationBoostPair:
         return spinor_compose(self.boost, self.rotation)
 
 
-def _boost_from_velocity(B: np.ndarray) -> SpinorElement:
-    """Boost spinor from the velocity-like vector B = b / b0 (needs ||B|| < 1)."""
-    b2 = float(B.dot(B))
-    if b2 >= 1.0 - 1e-10:
-        raise InternalInconsistency(
-            f"boost velocity parameter ||B||^2 = {b2:.15g} reached 1; "
-            "input is not a valid group element (or is boosted beyond double range)"
-        )
-    b0 = 1.0 / math.sqrt(1.0 - b2)
-    return SpinorElement(b0, b0 * B + 0j)
-
-
 def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     n0, m0, n, m = b.n0, b.m0, b.n, b.m
-    r2 = n0 * n0 + float(n.dot(n))
+    r = math.sqrt(n0 * n0 + float(n.dot(n)))
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
-    B = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r2
-    boost = _boost_from_velocity(B)
-    r = math.sqrt(r2)
+    # r >= 1 in exact arithmetic; max() keeps b0 >= 1 after rounding
+    boost = SpinorElement(max(r, 1.0), (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r)
     a0, a = n0 / r, n / r
     sign = 1
     if a0 < 0.0:
@@ -78,10 +65,13 @@ def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
 def factor_rotation_boost(b: SpinorElement) -> RotationBoostPair:
     """Split b = rotation o boost.
 
-    The rotation factor is (n0, n) normalized by sqrt(n0^2 + n.n) (always
-    >= 1 for a valid element), and the boost velocity parameter is
+    With r = sqrt(n0^2 + n.n) (always >= 1 for a valid element), the
+    rotation factor is (n0, n) / r and the boost factor is
 
-        B = (n0*m - m0*n + m x n) / (n0^2 + n.n).
+        b0 = r,  b = (n0*m - m0*n + m x n) / r,
+
+    which involves no difference of nearly equal terms at any rapidity (b0
+    is held at 1 where rounding puts r just below it).
     """
     return _factor(b, FactorOrder.ROTATION_FIRST)
 
@@ -112,28 +102,15 @@ def factor_isotropic(
 ) -> RotationBoostPair:
     """Factor an element of the isotropic family, k0 = +-1 and k.k = 0.
 
-    Writing the element as k0*(I + kappa.sigma) with kappa = -i*n + m
-    (n.n = m.m, n.m = 0), the factors close in radicals:
-
-        a0 = 1/sqrt(1 + n.n),  a = a0*n,
-        b0 = sqrt(1 + n.n),    b = b0*(m -+ n x m)/(1 + n.n)
-
-    with the minus sign for rotation-first order and plus for boost-first.
-    The returned ``sign`` is k0.
+    This is the generic split restricted to the family: writing the element
+    as k0*(I + kappa.sigma) with kappa = -i*n + m (n.n = m.m, n.m = 0), the
+    factors are a0 = 1/sqrt(1 + n.n), a = a0*n and b0 = sqrt(1 + n.n),
+    b = (m -+ n x m)/b0, with the minus sign for rotation-first order and
+    plus for boost-first.  The returned ``sign`` is k0.
     """
-    sgn = isotropic_sign(b, eps_iso)
-    if not sgn:
+    if not isotropic_sign(b, eps_iso):
         raise NotIsotropicElement("element must have k0 = +-1 and k.k = 0")
-    kappa = b.k / sgn
-    n, m = -kappa.imag, kappa.real
-    n2 = float(n.dot(n))
-    b0 = math.sqrt(1.0 + n2)
-    a0 = 1.0 / b0
-    cross_sign = -1.0 if order is FactorOrder.ROTATION_FIRST else 1.0
-    bvec = b0 * (m + cross_sign * cross3(n, m)) / (1.0 + n2)
-    rotation = SpinorElement(a0, -1j * a0 * n)
-    boost = SpinorElement(b0, bvec + 0j)
-    return RotationBoostPair(rotation=rotation, boost=boost, order=order, sign=sgn)
+    return _factor(b, order)
 
 
 def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) -> dict:

@@ -54,14 +54,6 @@ def rvec3(v) -> np.ndarray:
     return a
 
 
-def mat3(m) -> ComplexMat3:
-    """Coerce to a complex 3x3 matrix."""
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    return a
-
-
 def rmat4(m) -> RealMat4:
     """Coerce to a real 4x4 matrix."""
     a = np.asarray(m, dtype=float)

@@ -176,16 +176,13 @@ class TestExitCodes:
         code, _ = run_cli(["constitutive", "--dual-check", chi], doc, tmp_path, capsys)
         assert code == 2
 
-    def test_library_error_exit_code(self, tmp_path, capsys):
-        # A pure boost of rapidity 26 defeats the velocity form of the
-        # factorization (a known cancellation defect): InternalInconsistency,
-        # which is not a ValueError.  If that defect is fixed, pick another
-        # input that raises a non-ValueError NcframeError.
-        infile = tmp_path / "boost.json"
-        infile.write_text(json.dumps({"spinor": [math.cosh(13.0), 0, 0, 0, 0, 0, 0, math.sinh(13.0)]}))
-        assert main(["factor", "--in", str(infile)]) == 7
-        captured = capsys.readouterr()
-        assert captured.out == "" and "InternalInconsistency" in captured.err
+    def test_rapidity_26_factor_exits_0(self, tmp_path, capsys):
+        # a pure boost of rapidity 26, where 1 - B.B for the velocity
+        # B = b/b0 is about 1e-11: the factorization must not go through B
+        doc = {"spinor": [math.cosh(13.0), 0, 0, 0, 0, 0, 0, math.sinh(13.0)]}
+        code, out = run_cli(["factor"], doc, tmp_path, capsys)
+        assert code == 0 and out["pass"]
+        assert all(f["roundtrip_residual"] <= out["tolerances"]["tol"] for f in out["factorizations"])
 
     def test_every_library_error_maps_to_exit_7(self, tmp_path, capsys, monkeypatch):
         from ncframe import cli, errors
@@ -248,6 +245,16 @@ class TestBehavior:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["class"] == "NonIsotropic"
+
+    def test_factor_isotropic_element_at_tolerance_edge(self, tmp_path, capsys):
+        # k0 = 1 + 9e-11 (inside DEFAULT_TOL) and k.k = 1.8e-10 (inside
+        # eps_iso ||k||^2): reported isotropic although not exactly in the
+        # family, so its factors must come from the generic split
+        spinor = [1.00000000009, 0.0, -0.07671679390447186, 0.2311291964837923, -0.41509257492700563,
+                  -0.46066878344211815, -0.13904207120102702, 0.007719603088493279]
+        code, out = run_cli(["factor"], {"spinor": spinor}, tmp_path, capsys)
+        assert code == 0
+        assert out["method"] == "isotropic" and out["pass"]
 
     def test_factor_near_isotropic_element(self, tmp_path, capsys):
         # |k0 - 1| = 7.5e-10 and k.k within eps_iso: the CLI and

@@ -11,7 +11,7 @@ from ncframe.factorization import (
     isotropic_sign,
     scale_freedom_report,
 )
-from ncframe.group import SpinorElement, spinor_from_boost, spinor_from_rotation
+from ncframe.group import SpinorElement, spinor_compose, spinor_from_boost, spinor_from_rotation
 from ncframe.linalg import hnorm, inf_norm
 from ncframe.sampling import random_isotropic_k, random_spinor
 
@@ -80,6 +80,26 @@ class TestGenericFactorization:
             Brb = rb.boost.k.real / rb.boost.k0.real
             Bbr = br.boost.k.real / br.boost.k0.real
             np.testing.assert_allclose(Brb - Bbr, 2.0 * np.cross(b.m, b.n) / r2, atol=1e-12)
+
+
+class TestLargeRapidity:
+    def test_roundtrip_at_rapidity_16_to_30(self, rng):
+        # rotation o boost with random axes, |rapidity| 16..30 and rotation
+        # angles 0..4 pi (both sheets of the double cover): the boost factor
+        # b0 = sqrt(n0^2 + n.n) has no cancellation, so both orders factor
+        # and round-trip as in the unit box
+        for _ in range(300):
+            axes = rng.normal(size=(2, 3))
+            beta = rng.choice((-1.0, 1.0)) * rng.uniform(16.0, 30.0)
+            b = spinor_compose(
+                spinor_from_rotation(rng.uniform(0.0, 4 * np.pi), axes[0] / hnorm(axes[0])),
+                spinor_from_boost(beta, axes[1] / hnorm(axes[1])),
+            )
+            for pair in (factor_rotation_boost(b), factor_boost_rotation(b)):
+                boost = pair.boost
+                assert boost.k0.real >= 1.0
+                assert abs(boost.k0.imag) < 1e-12 and inf_norm(boost.k.imag) < 1e-12
+                assert roundtrip_residual(b, pair) < 1e-10
 
 
 class TestIsotropicFactorization:
