@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIsotropic, NotIsotropicElement
-from .group import SpinorElement, spinor_compose
+from .group import SpinorElement, _trusted_spinor, spinor_compose
 from .linalg import DEFAULT_TOL, bdot3, cross3, hnorm3, vec3
 from .stabilizer import EPS_ISO
 
@@ -49,16 +49,26 @@ class RotationBoostPair:
 
 
 def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
+    # Neither factor is checked again.  The rotation has a0^2 + a.a = 1 up to
+    # rounding.  The boost has k0^2 - k.k - 1 = Re(eps) + Im(eps)^2 / (4 r^2),
+    # where eps = k0^2 - k.k - 1 of b, and a scale at most b's.  A checked b
+    # has |m0|, ||m|| <= r (1 + DEFAULT_TOL), so every product and partial
+    # sum of the boost numerator stays near r^2 or below, and both factors
+    # are finite while 4 r^2 is.  Beyond that (entries near 1e154) the
+    # checked constructor decides, as it always has.
     n0, m0, n, m = b.n0, b.m0, b.n, b.m
-    r = math.sqrt(n0 * n0 + float(n.dot(n)))
+    r2 = n0 * n0 + float(n.dot(n))
+    r = math.sqrt(r2)
+    build = _trusted_spinor if math.isfinite(4.0 * r2) else SpinorElement
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
+    bk = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r
     # r >= 1 in exact arithmetic; max() keeps b0 >= 1 after rounding
-    boost = SpinorElement(max(r, 1.0), (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r)
+    boost = build(complex(max(r, 1.0)), bk.astype(complex))
     a0, a = n0 / r, n / r
     sign = 1
     if a0 < 0.0:
         a0, a, sign = -a0, -a, -1
-    rotation = SpinorElement(a0, -1j * a)
+    rotation = build(complex(a0), -1j * a)
     return RotationBoostPair(rotation=rotation, boost=boost, order=order, sign=sign)
 
 
@@ -72,6 +82,12 @@ def factor_rotation_boost(b: SpinorElement) -> RotationBoostPair:
 
     which involves no difference of nearly equal terms at any rapidity (b0
     is held at 1 where rounding puts r just below it).
+
+    Neither factor is checked again: both are closed forms of b, which was
+    checked.  The rotation is a unit vector up to rounding, and the boost's
+    k0^2 - k.k - 1 is at most b's own plus its square over 4 r^2, against a
+    scale at most b's.  Beyond entries of about 1e154, where the closed
+    form can overflow, the checked constructor decides as before.
     """
     return _factor(b, FactorOrder.ROTATION_FIRST)
 

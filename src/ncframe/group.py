@@ -115,12 +115,29 @@ class SpinorElement:
     def from_real_split(cls, n0, m0, n, m) -> "SpinorElement":
         return cls(complex(n0, m0), np.asarray(m, dtype=float) - 1j * np.asarray(n, dtype=float))
 
+    # Negating k0, k or both leaves k0^2 - k.k the same to the bit, so the
+    # results inherit this element's check.
+
     def __neg__(self) -> "SpinorElement":
-        return SpinorElement(-self.k0, -self.k)
+        return _trusted_spinor(-self.k0, -self.k)
 
     def inverse(self) -> "SpinorElement":
         # (k0 + k.sigma)(k0 - k.sigma) = k0^2 - k.k = 1
-        return SpinorElement(self.k0, -self.k)
+        return _trusted_spinor(self.k0, -self.k)
+
+
+def _trusted_spinor(k0: complex, k: ComplexVec3) -> SpinorElement:
+    """A SpinorElement holding (k0, k), unchecked.
+
+    Only for a closed form of an input that was checked, where k0^2 - k.k = 1
+    follows within the element's own tolerance.  ``k0`` must be a Python
+    complex and ``k`` a complex128 3-vector: what the public constructor
+    would store.
+    """
+    b = object.__new__(SpinorElement)
+    object.__setattr__(b, "k0", k0)
+    object.__setattr__(b, "k", k)
+    return b
 
 
 def project_to_group(k0, k) -> SpinorElement:
@@ -143,6 +160,8 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     """
     k0 = b1.k0 * b2.k0 + bdot3(b1.k, b2.k)
     k = b1.k0 * b2.k + b2.k0 * b1.k + 1j * cross3(b1.k, b2.k)
+    # Checked: the product's scale can be far below its factors' (b b^-1 is
+    # the identity), so the factors' tolerance does not carry over.
     return SpinorElement(k0, k)
 
 
@@ -153,7 +172,7 @@ def _unit_axis(e) -> np.ndarray:
     e = np.asarray(e.real if np.iscomplexobj(e) else e, dtype=float)
     if e.shape != (3,):
         raise NonUnitAxis(f"axis must be a 3-vector, got shape {e.shape}")
-    if abs(e @ e - 1.0) > DEFAULT_TOL:
+    if not abs(e @ e - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
         raise NonUnitAxis(f"axis norm^2 = {e @ e:.15g}, expected 1")
     return e
 
@@ -252,10 +271,11 @@ class Lorentz4:
 def _trusted(cls, matrix: np.ndarray):
     """An instance of ComplexRotation or Lorentz4 holding ``matrix``, unchecked.
 
-    Only for the image of a validated SpinorElement under a closed form: the
-    image of a group element is proper by construction, so the element's own
-    check stands for it.  ``matrix`` must already be the array the public
-    constructor would store (complex128 3x3, or float64 4x4).
+    Only for a closed form of a checked input that is proper by
+    construction: the image of a validated SpinorElement, whose own check
+    stands for it, or the reducing rotation of ``stabilizer.reduce_to_real``.
+    ``matrix`` must already be the array the public constructor would store
+    (complex128 3x3, or float64 4x4).
     """
     image = object.__new__(cls)
     object.__setattr__(image, "matrix", matrix)
@@ -351,9 +371,20 @@ def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
 
 
 def _spinor_from_gamma_delta(gamma: complex, delta: ComplexVec3) -> SpinorElement:
-    """The element of :func:`spinor_from_gamma_delta`, for a delta already checked."""
+    """The element of :func:`spinor_from_gamma_delta`, for a delta already checked.
+
+    The element is not checked again: k0^2 - k.k - 1 = sin^2(gamma/2)
+    (Delta.Delta - 1), which the unit-square tolerance of delta keeps inside
+    the element's own.  Where the scale |k0|^2 + ||k||^2 of the closed form
+    is not finite (|Im gamma| above about 710, or a huge delta), the checked
+    constructor decides, as before.
+    """
     half = gamma / 2.0
-    return SpinorElement(np.cos(half), -1j * np.sin(half) * delta)
+    k0, k = complex(np.cos(half)), -1j * np.sin(half) * delta
+    a, n = abs(k0), hnorm3(k)
+    if math.isfinite(a * a + n * n):
+        return _trusted_spinor(k0, k)
+    return SpinorElement(k0, k)
 
 
 def gamma_delta_from_spinor(b: SpinorElement) -> GammaDelta:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .group import (
     SpinorElement,
     _require_unit_square,
     _spinor_from_gamma_delta,
+    _trusted,
     lorentz4_from_spinor,
     so3c_from_spinor,
 )
@@ -61,6 +63,9 @@ from .linalg import (
 
 #: Relative isotropy / commutativity threshold on |K.K| against ||K||^2.
 EPS_ISO = 1e-9
+
+# |Kscalar| = sqrt(|K.K|) below this means K.K is a subnormal float.
+_SUBNORMAL_ROOT = math.sqrt(sys.float_info.min)
 
 
 class NCClass(str, enum.Enum):
@@ -262,6 +267,11 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     Requires Delta.Delta = 1.  Re(gamma) is the rotation-like parameter,
     Im(gamma) the boost-like one; elements with the same Delta commute and
     compose by adding gamma.
+
+    Delta is checked once; the element and its image are not checked again,
+    because k0^2 - k.k - 1 = sin^2(gamma/2) (Delta.Delta - 1) stays inside
+    the element's own tolerance.  Where the closed form overflows, the
+    checked constructor decides, as before.
     """
     delta = vec3(delta)
     _require_unit_square(delta, NotUnitDelta)
@@ -290,6 +300,8 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     if abs(ksq) > eps_iso * nrm**2:
         raise NotIsotropic(f"k.k = {ksq:.3e} is not zero within tolerance")
     z = complex(z)
+    # Checked: k.k = 0 only within eps_iso, which can be looser than the
+    # element's own DEFAULT_TOL.
     spinor = SpinorElement(1.0, z * k)
     return StabilizerElement(
         family="isotropic",
@@ -305,9 +317,14 @@ def rotation_between(src, dst) -> np.ndarray:
 
     Uses the rational (Gibbs-vector) form O(c) = I + 2*(c^x + (c^x)^2)/(1+c.c)
     with c = src x dst / (1 + src.dst).  Antiparallel inputs fall back to the
-    half-turn O = I + 2*(u^x)^2 about an axis u perpendicular to src.
+    half-turn O = I + 2*(u^x)^2 about an axis u perpendicular to src.  NaN or
+    inf entries raise :class:`NonFiniteInput`.
     """
-    return _rotation_between(rvec3(src), rvec3(dst))
+    src, dst = rvec3(src), rvec3(dst)
+    dot = float(src.dot(dst))  # not finite if an entry of either is not
+    _require_finite(src, dot, "src")
+    _require_finite(dst, dot, "dst")
+    return _rotation_between(src, dst)
 
 
 def _rotation_between(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -341,12 +358,20 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
 
     ``e_target=None`` picks e = N0.  For real Delta (rho = 0) the plane
     degenerates and S is just the real rotation taking N0 to the target.
+
+    For complex Delta with ch = cosh(rho) >= 1, S is not checked again:
+    T^T T = I whenever sh^2 = ch^2 - 1, which holds to rounding, and the
+    real rotation keeps S orthogonal; S is finite because ch is.  The
+    sliver ch < 1 (Re Delta just inside the unit-square tolerance, where sh
+    is held at 0) and real Delta keep the ComplexRotation check.
     """
-    return _reduce_to_real(vec3(delta), e_target)
+    delta = vec3(delta)
+    _require_unit_square(delta, NotUnitDelta)
+    return _reduce_to_real(delta, e_target)
 
 
 def _reduce_to_real(delta: ComplexVec3, e_target) -> ComplexRotation:
-    _require_unit_square(delta, NotUnitDelta)
+    """S of :func:`reduce_to_real`, for a delta with delta.delta = 1 already."""
     N, M = delta.real, delta.imag
     ch = rnorm3(N)
     if ch < 1.0 - DEFAULT_TOL:
@@ -366,14 +391,16 @@ def _reduce_to_real(delta: ComplexVec3, e_target) -> ComplexRotation:
     uu = np.outer(u, u)
     T = uu.astype(complex) + 1j * sh * (EYE3 - uu) - ch * axial_matrix(u)
     target = N0 if e_target is None else _unit_target(e_target)
-    O2 = _rotation_between(M0, target)
-    return ComplexRotation(O2.astype(complex) @ T)
+    S = _rotation_between(M0, target).astype(complex) @ T
+    if ch >= 1.0:
+        return _trusted(ComplexRotation, S)
+    return ComplexRotation(S)
 
 
 def _unit_target(e) -> np.ndarray:
     e = rvec3(e)
     nrm = hnorm(e)
-    if abs(nrm - 1.0) > DEFAULT_TOL:
+    if not abs(nrm - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
         raise ValueError(f"target must be a real unit vector (norm {nrm:.15g})")
     return e
 
@@ -386,6 +413,9 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     the invariants of Kcanon equal those of K by construction.
     """
     kscalar, delta = _unit_delta(vec3(K), eps_iso)
+    if abs(kscalar) < _SUBNORMAL_ROOT:
+        # Delta.Delta = 1 to rounding unless K.K is subnormal and lost digits
+        _require_unit_square(delta, NotUnitDelta)
     S = _reduce_to_real(delta, None)
     e = S.matrix.dot(delta).real
     e /= rnorm3(e)

@@ -141,15 +141,25 @@ class TestIsotropicFactorization:
             expected2 = pair.boost.k0.real * (m + np.cross(n, m)) / (1 + n2)
             np.testing.assert_allclose(bv2, expected2, atol=1e-12)
 
-    def test_agrees_with_generic_path(self, rng):
-        # the generic split applies to isotropic elements too and must agree
-        k = random_isotropic_k(rng)
-        b = SpinorElement(1.0, k)
-        iso = factor_isotropic(b)
-        gen = factor_rotation_boost(b)
-        assert abs(iso.rotation.k0 - gen.rotation.k0) < 1e-12
-        assert inf_norm(iso.rotation.k - gen.rotation.k) < 1e-12
-        assert inf_norm(iso.boost.k - gen.boost.k) < 1e-12
+    def test_matches_docstring_closed_form(self, rng):
+        # b = k0 (I + kappa.sigma), kappa = -i n + m: a0 = 1/sqrt(1 + n.n),
+        # a = a0 n, b0 = sqrt(1 + n.n), b = (m -+ n x m)/b0 (minus for
+        # rotation-first), and sign = k0
+        for _ in range(50):
+            kappa = random_isotropic_k(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+            n, m = -kappa.imag, kappa.real
+            b0 = np.sqrt(1.0 + n @ n)
+            a0 = 1.0 / b0
+            for k0 in (1, -1):
+                for order, cross_sign in ((FactorOrder.ROTATION_FIRST, -1.0), (FactorOrder.BOOST_FIRST, 1.0)):
+                    pair = factor_isotropic(SpinorElement(k0, k0 * kappa), order)
+                    assert pair.sign == k0
+                    got = (pair.rotation.k0, -pair.rotation.k.imag, pair.boost.k0, pair.boost.k.real)
+                    want = (a0, a0 * n, b0, (m + cross_sign * np.cross(n, m)) / b0)
+                    for g, w in zip(got, want):
+                        assert inf_norm(np.asarray(g - w)) <= 1e-12 * max(1.0, inf_norm(np.asarray(w)))
+                    assert inf_norm(pair.rotation.k.real) == 0.0 and pair.rotation.k0.imag == 0.0
+                    assert inf_norm(pair.boost.k.imag) == 0.0 and pair.boost.k0.imag == 0.0
 
     def test_non_isotropic_rejected(self, rng):
         with pytest.raises(NotIsotropicElement):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     SIGMA,
@@ -15,14 +15,23 @@ from oracles import (
     to_matrix2,
 )
 
-from ncframe import group
+from ncframe import factorization, group, stabilizer
 from ncframe.errors import (
     ConstraintViolation,
     GammaDegenerate,
     HalfTurnResult,
+    NcframeError,
+    NonFiniteInput,
     NonUnitAxis,
     NotPureElement,
     NotUnitDelta,
+)
+from ncframe.factorization import (
+    FactorOrder,
+    RotationBoostPair,
+    factor_boost_rotation,
+    factor_isotropic,
+    factor_rotation_boost,
 )
 from ncframe.group import (
     ETA,
@@ -44,7 +53,15 @@ from ncframe.group import (
 from ncframe.group import _require_unit_square
 from ncframe.linalg import DEFAULT_TOL, EYE3, bdot3, det3, hnorm3, inf_norm
 from ncframe.sampling import random_spinor
-from ncframe.stabilizer import isotropic_stabilizer_element, stabilizer_element, unit_delta
+from ncframe.stabilizer import (
+    StabilizerElement,
+    canonical_frame,
+    isotropic_stabilizer_element,
+    reduce_to_real,
+    rotation_between,
+    stabilizer_element,
+    unit_delta,
+)
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -484,14 +501,25 @@ class TestPureIdentities:
 
 
 @contextlib.contextmanager
-def checked_images():
-    """Build the images through the public constructors, with every check."""
-    trusted = group._trusted
-    group._trusted = lambda cls, matrix: cls(matrix)
+def patched(*patches):
+    """Bind each (module, name) to a value for the duration, then restore it."""
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, value in patches:
+        setattr(module, name, value)
     try:
         yield
     finally:
-        group._trusted = trusted
+        for module, name, value in saved:
+            setattr(module, name, value)
+
+
+def checked(cls, matrix):
+    return cls(matrix)
+
+
+def checked_images():
+    """Build the images through the public constructors, with every check."""
+    return patched((group, "_trusted", checked))
 
 
 def so3c_oracle(b):
@@ -639,3 +667,216 @@ class TestNonFinite:
     def test_stabilizer_element(self, gamma):
         with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k"):
             stabilizer_element(gamma, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("build", [spinor_from_rotation, spinor_from_boost])
+    def test_unit_axis(self, build):
+        with pytest.raises(NonUnitAxis, match="axis norm"):
+            build(0.3, [NAN, 0.0, 0.0])
+
+    def test_reduce_to_real_target(self):
+        delta = np.array([math.cosh(0.5), 1j * math.sinh(0.5), 0.0])
+        with pytest.raises(ValueError, match="target must be a real unit vector"):
+            reduce_to_real(delta, [NAN, 0.0, 0.0])
+
+    def test_rotation_between(self):
+        with pytest.raises(NonFiniteInput, match="dst has a NaN"):
+            rotation_between([1.0, 0.0, 0.0], [NAN, 0.0, 0.0])
+        with pytest.raises(NonFiniteInput, match="src has a NaN"):
+            rotation_between([INF, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Trusted constructions: the stabilizer element O(gamma, Delta), both factors
+# of the factorization, -b, b^-1 and the reducing rotation S are closed forms
+# of an input that was checked, and are stored without being checked again.
+# ---------------------------------------------------------------------------
+
+
+def checked_constructions():
+    """Build every trusted element and reducing rotation through the checked constructors.
+
+    The images O(b) and L(b) stay trusted: TestTrustedImages covers them.
+    """
+    return patched((group, "_trusted_spinor", SpinorElement), (factorization, "_trusted_spinor", SpinorElement),
+                   (stabilizer, "_trusted", checked))
+
+
+def _stored(x):
+    """What a result stores, as exact bytes, with the types of the stored values."""
+    if isinstance(x, SpinorElement):
+        return type(x.k0), np.complex128(x.k0).tobytes(), x.k.dtype, x.k.shape, x.k.tobytes()
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if isinstance(x, ComplexRotation):
+        return _stored(x.matrix)
+    if isinstance(x, RotationBoostPair):
+        return _stored(x.rotation), _stored(x.boost), x.order, x.sign
+    if isinstance(x, StabilizerElement):
+        return _stored(x.spinor), _stored(x.rotation)
+    return tuple(_stored(v) for v in x)
+
+
+def _spinors(x):
+    """The SpinorElements a result holds."""
+    if isinstance(x, SpinorElement):
+        return [x]
+    if isinstance(x, RotationBoostPair):
+        return [x.rotation, x.boost]
+    if isinstance(x, StabilizerElement):
+        return [x.spinor]
+    return []
+
+
+def _outcome(build, *args):
+    try:
+        result = build(*args)
+    except (NcframeError, ValueError, ArithmeticError) as exc:
+        return (type(exc), str(exc)), None
+    return ("ok", _stored(result)), result
+
+
+EPS = np.finfo(float).eps
+EX = np.array([1.0, 0.0, 0.0])
+
+
+def assert_same_as_checked(build, *args):
+    """The trusted result has the bytes the checked constructors store, where they accept.
+
+    Where they refuse and the trusted path accepts, the refusal must be one
+    of a spinor whose k0^2 - k.k - 1 overshoots the element's tolerance by
+    rounding alone: a few units in the last place of its scale.  Returns
+    True for such a refusal removed.
+    """
+    got, result = _outcome(build, *args)
+    with checked_constructions():
+        want, _ = _outcome(build, *args)
+    if got == want:
+        return False
+    assert got[0] == "ok" and want[0] is ConstraintViolation and want[1].startswith("k0^2 - k.k")
+    for b in _spinors(result):
+        scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
+        assert abs(b.k0 * b.k0 - bdot3(b.k, b.k) - 1.0) <= DEFAULT_TOL * scale + 8 * EPS * scale
+    return True
+
+
+def orthonormal_pair(angles):
+    """Real orthonormal (N0, M0), from two angles for N0 and one for M0 about it."""
+    n0 = _axis(*angles[:2])
+    u = np.cross(n0, np.eye(3)[np.argmin(np.abs(n0))])
+    u /= np.linalg.norm(u)
+    return n0, math.cos(angles[2]) * u + math.sin(angles[2]) * np.cross(n0, u)
+
+
+def unit_square_delta(rho, angles, frac):
+    """cosh(rho) N0 + i sinh(rho) M0, rescaled so that Delta.Delta - 1 is frac
+    of the unit-square tolerance."""
+    n0, m0 = orthonormal_pair(angles)
+    d = math.cosh(rho) * n0 + 1j * math.sinh(rho) * m0
+    t = math.sqrt(1.0 + frac * DEFAULT_TOL * max(1.0, float(np.linalg.norm(d)) ** 2))
+    return t * d
+
+
+tolerance_fractions = st.one_of(edge_fractions, st.sampled_from([-1.0, 1.0, 0.0]))
+# ||Delta|| = sqrt(cosh(2 rho)), up to about 1.4e4
+direction_rapidities = st.floats(0.0, math.asinh(1e4))
+
+
+class TestTrustedConstruction:
+    @given(alpha=st.floats(0.0, 4 * np.pi), beta=st.floats(-30.0, 30.0), rho=direction_rapidities,
+           angles=angles4, frac=tolerance_fractions)
+    def test_stabilizer_element(self, alpha, beta, rho, angles, frac):
+        delta = unit_square_delta(rho, angles, frac)
+        gamma = complex(alpha, beta)
+        assert_same_as_checked(stabilizer_element, gamma, delta)
+        assert_same_as_checked(lambda: spinor_from_gamma_delta(GammaDelta(gamma, delta)))
+        try:
+            b = stabilizer_element(gamma, delta).spinor
+        except NotUnitDelta:  # rounding can put the edge just outside
+            return
+        for build in (factor_rotation_boost, factor_boost_rotation, lambda b: -b, lambda b: b.inverse()):
+            assert_same_as_checked(build, b)
+
+    @given(alpha=st.floats(0.0, 4 * np.pi), beta=st.floats(-30.0, 30.0), angles=angles4, frac=tolerance_fractions)
+    def test_factors_negation_and_inverse(self, alpha, beta, angles, frac):
+        try:
+            b = at_tolerance_edge(rotation_boost(alpha, beta, angles), frac)
+        except ConstraintViolation:  # rounding can put the edge just outside
+            return
+        for source in (b, -b, b.inverse()):
+            for build in (factor_rotation_boost, factor_boost_rotation):
+                assert_same_as_checked(build, source)
+        # negation and inversion leave k0^2 - k.k the same to the bit
+        for build in (lambda b: -b, lambda b: b.inverse()):
+            assert not assert_same_as_checked(build, b)
+
+    @given(seed=st.integers(0, 2**32 - 1), exp=st.integers(-100, 100), order=st.sampled_from(list(FactorOrder)),
+           z=st.complex_numbers(max_magnitude=1e3))
+    def test_isotropic_factors(self, seed, exp, order, z):
+        k = _k_at(exp, seed, True)
+        for k0 in (1.0, -1.0):
+            b = SpinorElement(k0, k0 * z / np.linalg.norm(k) * k)
+            assert_same_as_checked(factor_isotropic, b, order)
+
+    @given(rho=direction_rapidities, angles=angles4, frac=tolerance_fractions, target=angles4)
+    def test_reduce_to_real(self, rho, angles, frac, target):
+        delta = unit_square_delta(rho, angles, frac)
+        assert not assert_same_as_checked(reduce_to_real, delta)
+        assert not assert_same_as_checked(reduce_to_real, delta, _axis(*target[:2]))
+
+    @given(dch=st.floats(-5e-11, 5e-11), sh=st.floats(1e-11, 1e-5), angles=angles4)
+    def test_reduce_to_real_near_cosh_one(self, dch, sh, angles):
+        # ch just below 1 keeps the ComplexRotation check, ch >= 1 is trusted
+        n0, m0 = orthonormal_pair(angles)
+        delta = (1.0 + dch) * n0 + 1j * sh * m0
+        assert not assert_same_as_checked(reduce_to_real, delta)
+
+    @given(exp=st.integers(-160, 100), seed=st.integers(0, 2**32 - 1), isotropic=st.booleans(),
+           near=st.floats(1e-9, 1e-6))
+    @example(exp=-157, seed=0, isotropic=False, near=1e-9)
+    @example(exp=-160, seed=0, isotropic=False, near=1e-9)
+    def test_canonical_frame(self, exp, seed, isotropic, near):
+        # down to |K| ~ 1e-160, where K.K is subnormal; near-isotropic K gives ||Delta|| up to 3e4
+        K = _k_at(exp, seed, isotropic)
+        if isotropic:
+            K = K + 10.0**exp * math.sqrt(near) * np.array([0.0, 0.0, 1.0])
+        assert not assert_same_as_checked(canonical_frame, K)
+        try:
+            S, kcanon = canonical_frame(K)
+        except NcframeError:
+            return
+        # where it returns, S carries K onto the frame it reports
+        assert inf_norm(S.matrix @ K - kcanon) <= 1e-8 * max(1.0, inf_norm(S.matrix)) * np.abs(K).max()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [700.0, 712.0, 1000.0, 1419.0, 1421.0, 1500.0, INF, -INF, NAN])
+    def test_stabilizer_element_overflow_falls_back(self, beta):
+        # past |Im gamma| ~ 710 the element's scale overflows, past ~1420 cos
+        # and sin do; the checked constructor decides there, as it always has
+        assert not assert_same_as_checked(stabilizer_element, complex(0.3, beta), EX)
+        if abs(beta) > 1420.0 or math.isnan(beta):
+            with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k = nan"):
+                stabilizer_element(complex(0.3, beta), EX)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_factor_overflow_falls_back(self):
+        # ||k||^2 overflows, so the element's own bound is infinite and it
+        # passes; n0^2 + n.n overflows too, so r = inf and the boost is
+        # refused by its own check, as it always was
+        b = SpinorElement.from_real_split(1.1e154, 0.0, [1e154, 0.0, 0.0], [0.0, 1.2e154, 0.0])
+        for build in (factor_rotation_boost, factor_boost_rotation):
+            assert not assert_same_as_checked(build, b)
+            with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k = inf"):
+                build(b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ch", [1e103, 1e120, 1e150])
+    def test_reduce_to_real_at_huge_cosh(self, ch):
+        # a refusal removed: beyond ||Re Delta|| ~ 5e102 the ComplexRotation
+        # check overflows (det3 of S, or the power of its scale) and refused
+        # S; the trusted S is orthogonal to rounding, relative to ||S||^2
+        delta = np.array([ch, 1j * math.sqrt(ch * ch - 1.0), 0.0])
+        S = reduce_to_real(delta).matrix
+        with checked_constructions(), pytest.raises((ConstraintViolation, OverflowError)):
+            reduce_to_real(delta)
+        scaled = S / ch
+        assert np.isfinite(S).all() and inf_norm(scaled.T @ scaled - EYE3 / ch**2) <= 1e-14
