@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .electrodynamics import (
+    DUAL_TOL,
     UnitSystem,
     constitutive_forward,
     constitutive_real_forward,
@@ -331,7 +332,8 @@ def cmd_factor(args) -> int:
     k0 = complex(raw[0], raw[1])
     k = raw[5:8].astype(complex) - 1j * raw[2:5]
     det = k0 * k0 - complex(k @ k)
-    scale = max(1.0, abs(k0) ** 2 + hnorm(k) ** 2)
+    a, n = abs(k0), hnorm(k)
+    scale = max(1.0, a * a + n * n)
     if abs(det - 1.0) > _SPINOR_DET_TOL * scale:
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
     b = project_to_group(k0, k)
@@ -378,7 +380,7 @@ def cmd_constitutive(args) -> int:
     if dual_entries:
         report["dual_checks"] = dual_entries
     ok = cross <= tol and all(
-        e["residual"] <= 1e-10 for e in dual_entries if e["expected_invariant"]
+        e["residual"] <= DUAL_TOL for e in dual_entries if e["expected_invariant"]
     )
     report["pass"] = bool(ok)
     emit(report, args.format)
@@ -394,7 +396,7 @@ def cmd_dual_scan(args) -> int:
         raise CliError("--steps must be at least 4", EXIT_MALFORMED)
     units = UnitSystem(c=args.c, epsilon0=args.epsilon0)
     f = E + 1j * units.c * B
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else DUAL_TOL
     rows = []
     for j in range(args.steps):
         chi = 2.0 * np.pi * j / args.steps

@@ -94,6 +94,9 @@ def residual_scale(f, K) -> float:
 #: Distance, in quarter turns, within which a dual angle counts as a quarter turn.
 QUARTER_TOL = 1e-9
 
+#: Largest dual_invariance_residual that passes at a quarter turn.
+DUAL_TOL = 1e-10
+
 
 def quarter_turn(chi: float) -> tuple[int, bool]:
     """Nearest quarter-turn index q = round(chi / (pi/2)), and whether chi lies on it.
@@ -140,33 +143,30 @@ def _inverse(h: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
 
 
 # The per-field-state quantities of the last (f, K) that a residual read:
-# (key, h, scale) with key the raw bytes of f and K, h = forward(f, K) and
-# scale = residual_scale(f, K).  A dual scan evaluates many angles on one
-# field state, so they compute h and the scale once.  The key is the exact
-# bytes, so a mutated input or a zero of the other sign misses and every
+# (key, h, scale, gram) with key the raw bytes of f and K, h = forward(f, K),
+# scale = residual_scale(f, K) and gram = (fhK, dots), the rows f, h, K
+# stacked and every bilinear dot between them, or None until a dual residual
+# first asks for it (covariance_residual never does).  A dual scan evaluates
+# many angles on one field state, so they compute these once.  The key is the
+# exact bytes, so a mutated input or a zero of the other sign misses and every
 # result keeps its bits.  The tuple is replaced in one assignment and read
-# once per call, so concurrent callers at worst miss; h never leaves the
+# once per call, so concurrent callers at worst miss; nothing in it leaves the
 # module, so no caller can mutate it.
-_memo: tuple[bytes, ComplexVec3 | None, float] = (b"", None, 1.0)
+_memo: tuple[bytes, ComplexVec3 | None, float, tuple | None] = (b"", None, 1.0, None)
 
 
-def _base(f: ComplexVec3, K: ComplexVec3) -> tuple[ComplexVec3, float]:
-    """(forward(f, K), residual scale), computed once per field state."""
+def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
+    """The memo entry of (f, K), with its gram filled in when ``gram`` is set."""
     global _memo
     key = f.tobytes() + K.tobytes()
     memo = _memo
-    if memo[0] == key:
-        return memo[1], memo[2]
-    h, scale = _forward(f, K), _scale(f, K)
-    _memo = (key, h, scale)
-    return h, scale
-
-
-def _dual(f: ComplexVec3, h: ComplexVec3, K: ComplexVec3, chi: float):
-    c, s = math.cos(chi), math.sin(chi)
-    # complex(c, s) is exp(1j * chi) bit for bit; `+ 0.0` turns sin(-0.0) into
-    # the +0.0 imaginary part that exp(1j * -0.0) has.
-    return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s + 0.0) * K
+    if memo[0] != key:
+        memo = (key, _forward(f, K), _scale(f, K), None)
+    if gram and memo[3] is None:
+        fhK = np.stack((f, memo[1], K))
+        memo = memo[:3] + ((fhK, fhK.dot(fhK.T).tolist()),)
+    _memo = memo
+    return memo
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
@@ -221,7 +221,7 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     """
     f, K = vec3(f), vec3(K)
     O = so3c_from_spinor(b).matrix
-    h, scale = _base(f, K)
+    _, h, scale, _ = _base(f, K)
     r = _forward(O.dot(f), O.dot(K)) - O.dot(h)
     return hnorm3(r) / scale
 
@@ -232,7 +232,11 @@ def dual_transform(f, h, K, chi: float):
     h' = cos(chi) h + i sin(chi) f, f' = i sin(chi) h + cos(chi) f, and
     K' = exp(i*chi) K; equivalently G and R both pick up the phase exp(i*chi).
     """
-    return _dual(vec3(f), vec3(h), vec3(K), chi)
+    f, h, K = vec3(f), vec3(h), vec3(K)
+    c, s = math.cos(chi), math.sin(chi)
+    # complex(c, s) is exp(1j * chi) bit for bit; `+ 0.0` turns sin(-0.0) into
+    # the +0.0 imaginary part that exp(1j * -0.0) has.
+    return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s + 0.0) * K
 
 
 def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> float:
@@ -246,17 +250,38 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     ``None`` selects it from chi (:func:`quarter_turn`).  The residual is
     relative to ||f|| (1 + ||K|| ||f||) and vanishes (to rounding) exactly at
     the four quarter-turn angles; generic angles fail at second order in K.
+
+    With c = cos(chi), s = sin(chi) and e = exp(i*chi), the primed fields
+    f' = c f + i s h, h' = c h + i s f and K' = e K make the residual vector
+    an exact combination alpha f + beta h + gamma K of the unprimed ones, whose
+    coefficients need only the bilinear dots of f, h and K:
+
+    * forward relation, r = h' - forward(f', K'): with
+      A = (e (c f.K + i s h.K))* and Q = c^2 f.f + 2ics f.h - s^2 h.h,
+      alpha = is - (1 + A) c, beta = c - (1 + A) is, gamma = -Q* e / 2;
+    * inverse relation (swapped), r = f' - inverse(h', K'): with
+      B = (e (c h.K + i s f.K))* and P = c^2 h.h + 2ics f.h - s^2 f.f,
+      alpha = c - (1 - B) is, beta = is - (1 - B) c, gamma = P* e / 2.
+
+    The expansion is exact in exact arithmetic; the dots are computed once
+    per field state, so each further angle costs a few scalar operations.
     """
     f, K = vec3(f), vec3(K)
     if swapped is None:
         swapped = quarter_turn(chi)[0] % 2 == 1
-    h, scale = _base(f, K)
-    fp, hp, Kp = _dual(f, h, K, chi)
+    _, _, scale, (fhK, g) = _base(f, K, gram=True)
+    c, s = math.cos(chi), math.sin(chi)
+    e, i_s = complex(c, s), 1j * s
+    (ff, fh, fK), (_, hh, hK) = g[0], g[1]
     if swapped:
-        r = fp - _inverse(hp, Kp)
+        u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()
+        w = 0.5 * (c * c * hh + 2j * c * s * fh - s * s * ff).conjugate() * e
+        coef = (c - u * i_s, i_s - u * c, w)
     else:
-        r = hp - _forward(fp, Kp)
-    return hnorm3(r) / scale
+        u = 1.0 + (e * (c * fK + i_s * hK)).conjugate()
+        w = -0.5 * (c * c * ff + 2j * c * s * fh - s * s * hh).conjugate() * e
+        coef = (i_s - u * c, c - u * i_s, w)
+    return hnorm3(np.array(coef).dot(fhK)) / scale
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,9 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 # The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
 # power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
-# and they compute the scale only for a larger r.
+# and they compute the scale only for a larger r.  Every square in a scale is
+# a product, not a float power: an entry beyond ~1e154 then gives an infinite
+# bound, which _exceeds refuses, where ``x ** 2`` raises OverflowError.
 
 
 def _exceeds(r: float, bound: float) -> bool:
@@ -66,7 +68,14 @@ def _exceeds(r: float, bound: float) -> bool:
 
 def _matrix_scale(m: np.ndarray) -> float:
     """max(1, ||m||_inf^2), the scale of the ComplexRotation and Lorentz4 checks."""
-    return max(1.0, inf_norm(m) ** 2)
+    x = inf_norm(m)
+    return max(1.0, x * x)
+
+
+def _spinor_scale(k0: complex, k: ComplexVec3) -> float:
+    """max(1, |k0|^2 + ||k||^2), the scale of the spinor checks."""
+    a, n = abs(k0), hnorm3(k)
+    return max(1.0, a * a + n * n)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,7 @@ class SpinorElement:
         object.__setattr__(self, "k", k)
         det = k0 * k0 - bdot3(k, k)
         err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2)):
+        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, k)):
             raise ConstraintViolation(
                 f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
             )
@@ -145,7 +154,7 @@ def project_to_group(k0, k) -> SpinorElement:
     k0 = complex(k0)
     k = vec3(k)
     det = k0 * k0 - bdot3(k, k)
-    if abs(det) < 1e-12 * max(1.0, abs(k0) ** 2 + hnorm3(k) ** 2):
+    if abs(det) < 1e-12 * _spinor_scale(k0, k):
         raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
     s = np.sqrt(det)  # principal branch, Re >= 0
     return SpinorElement(k0 / s, k / s)
@@ -223,8 +232,10 @@ class ComplexRotation:
                 raise ConstraintViolation(f"O^T O - I residual {resid:.3e} exceeds tolerance")
         det = det3(m)
         err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * (scale or _matrix_scale(m)) ** 1.5):
-            raise ConstraintViolation(f"det O = {det:.15g}, expected +1")
+        if not err <= DEFAULT_TOL:
+            scale = scale or _matrix_scale(m)
+            if _exceeds(err, DEFAULT_TOL * (scale * math.sqrt(scale))):
+                raise ConstraintViolation(f"det O = {det:.15g}, expected +1")
 
     @classmethod
     def identity(cls) -> "ComplexRotation":
@@ -356,8 +367,10 @@ def _require_unit_square(d: ComplexVec3, error: type[Exception]) -> None:
     """
     sq = bdot3(d, d)
     err = abs(sq - 1.0)
-    if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * max(1.0, hnorm3(d) ** 2)):
-        raise error(f"delta.delta = {sq:.15g}, expected 1")
+    if not err <= DEFAULT_TOL:
+        nd = hnorm3(d)
+        if _exceeds(err, DEFAULT_TOL * max(1.0, nd * nd)):
+            raise error(f"delta.delta = {sq:.15g}, expected 1")
 
 
 def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:

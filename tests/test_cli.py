@@ -194,6 +194,18 @@ class TestExitCodes:
         code, _ = run_cli(["reduce"], {"nm": [1, 0, 0, 0, 0, 0]}, tmp_path, capsys)
         assert code == 7
 
+    @pytest.mark.parametrize("argv", [["constitutive", "--dual-check", repr(math.pi / 2)],
+                                      ["dual-scan", "--steps", "4"]])
+    def test_dual_residual_above_dual_tol_fails(self, argv, tmp_path, capsys, monkeypatch):
+        from ncframe import cli
+        from ncframe.electrodynamics import DUAL_TOL
+
+        doc = {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
+        for residual, code, passed in ((DUAL_TOL, 0, True), (math.nextafter(DUAL_TOL, 1.0), 1, False)):
+            monkeypatch.setattr(cli, "dual_invariance_residual", lambda f, K, chi: residual)
+            got, out = run_cli(argv, doc, tmp_path, capsys)
+            assert (got, out["pass"]) == (code, passed)
+
     def test_stabilizer_parameter_family_mismatch(self, tmp_path, capsys):
         code, _ = run_cli(["stabilizer", "--z", "1,0"], {"nm": [0, 0, 1, 0, 0, 0]}, tmp_path, capsys)
         assert code == 2

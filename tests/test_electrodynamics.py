@@ -412,8 +412,26 @@ def plain_dual(f, h, K, chi):
 
 
 def plain_dual_residual(f, K, chi):
+    """The closed form: the residual vector as alpha f + beta h + gamma K."""
+    fhK = np.stack((f, plain_forward(f, K), K))
+    g = fhK @ fhK.T
+    c, s = np.cos(chi), np.sin(chi)
+    e, i_s = np.exp(1j * chi), 1j * s
+    if int(round(chi / (np.pi / 2))) % 2 == 1:
+        u = 1.0 - np.conj(e * (c * g[1, 2] + i_s * g[0, 2]))
+        w = 0.5 * np.conj(c * c * g[1, 1] + 2j * c * s * g[0, 1] - s * s * g[0, 0]) * e
+        coef = np.array([c - u * i_s, i_s - u * c, w])
+    else:
+        u = 1.0 + np.conj(e * (c * g[0, 2] + i_s * g[1, 2]))
+        w = -0.5 * np.conj(c * c * g[0, 0] + 2j * c * s * g[0, 1] - s * s * g[1, 1]) * e
+        coef = np.array([i_s - u * c, c - u * i_s, w])
+    return np.linalg.norm(coef @ fhK) / plain_scale(f, K)
+
+
+def expanded_dual_residual(f, K, chi):
+    """The definition: rotate (f, h, K) by chi, then apply the relation."""
     fp, hp, Kp = plain_dual(f, plain_forward(f, K), K, chi)
-    if int(round(chi / (np.pi / 2))) % 4 in (1, 3):
+    if int(round(chi / (np.pi / 2))) % 2 == 1:
         r = fp - plain_inverse(hp, Kp)
     else:
         r = hp - plain_forward(fp, Kp)
@@ -567,6 +585,19 @@ class TestBitIdentity:
             assert_same_bits(got, want)
 
 
+class TestDualClosedForm:
+    @given(fK=field_and_K, chi=angles)
+    def test_matches_the_expanded_definition(self, fK, chi):
+        # the closed form is exact in exact arithmetic, so the two evaluations
+        # differ by rounding, relative to the size of the K terms
+        f, K = fK
+        got, want = dual_invariance_residual(f, K, chi), expanded_dual_residual(f, K, chi)
+        assert math.isfinite(got) == math.isfinite(want)
+        if math.isfinite(want):
+            coupling = np.linalg.norm(K) * np.linalg.norm(f)
+            assert abs(got - want) <= 1e-14 * max(1.0, coupling) ** 2
+
+
 # ---------------------------------------------------------------------------
 # The (f, K) memo behind covariance_residual and dual_invariance_residual:
 # whatever the order of calls, every result equals the plain formulas.
@@ -606,7 +637,7 @@ class TestMemo:
         # the two forward images differ in the sign of a zero
         assert plain_forward(f1, K).tobytes() != plain_forward(f2, K).tobytes()
         for f in (f1, f2, f1):
-            h, scale = _base(f, K)
+            _, h, scale, _ = _base(f, K)
             assert_same_bits(h, plain_forward(f, K))
             assert_same_bits(scale, plain_scale(f, K))
             assert_plain_dual(f, K, np.pi / 4)
@@ -634,6 +665,39 @@ class TestMemo:
         g, L = random_field(rng), random_field(rng, 0.3)
         assert_same_bits(covariance_residual(b, g, L), plain_covariance_residual(b, g, L))
         assert_plain_dual(g, L, np.pi / 4)
+
+    def test_covariance_then_dual_on_one_state(self, rng):
+        # covariance leaves the gram unbuilt; the first dual call builds it
+        b = random_spinor(rng)
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
+        assert _base(f, K)[3] is None
+        for chi in QUARTER_MULTIPLES:
+            assert_plain_dual(f, K, chi)
+        assert _base(f, K)[3] is not None
+        assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
+
+    def test_dual_then_covariance_on_one_state(self, rng):
+        # covariance reads the entry the dual scan filled and keeps its gram
+        b = random_spinor(rng)
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_plain_dual(f, K, np.pi / 4)
+        gram = _base(f, K)[3]
+        assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
+        assert _base(f, K)[3] is gram
+        assert_plain_dual(f, K, np.pi / 2)
+
+    def test_dual_fills_the_gram_and_keeps_the_base(self, rng):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        key, h, scale, gram = _base(f, K)
+        assert gram is None
+        assert_plain_dual(f, K, np.pi / 4)
+        key2, h2, scale2, (fhK, dots) = _base(f, K)
+        assert key2 == key and h2 is h
+        assert_same_bits(h2, plain_forward(f, K))
+        assert_same_bits(scale2, plain_scale(f, K))
+        assert_same_bits(fhK, np.stack((f, h, K)))
+        assert_same_bits(np.array(dots), fhK @ fhK.T)
 
     def test_concurrent_threads_match_serial(self, rng):
         states = [(random_field(rng), random_field(rng, 0.3), random_spinor(rng)) for _ in range(8)]

@@ -668,6 +668,18 @@ class TestNonFinite:
         with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k"):
             stabilizer_element(gamma, [1.0, 0.0, 0.0])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("build", [
+        lambda: stabilizer_element(complex(0.3, 712.0), [1.0, 0.0, 0.0]),
+        lambda: ComplexRotation(1e160 * np.eye(3)),
+        lambda: Lorentz4(1e160 * np.eye(4)),
+    ], ids=["stabilizer_element", "complex_rotation", "lorentz4"])
+    def test_overflowing_scale(self, build):
+        # the square of an entry beyond ~1e154 is an infinite bound, which
+        # the check refuses, not an OverflowError from a float power
+        with pytest.raises(ConstraintViolation):
+            build()
+
     @pytest.mark.parametrize("build", [spinor_from_rotation, spinor_from_boost])
     def test_unit_axis(self, build):
         with pytest.raises(NonUnitAxis, match="axis norm"):
@@ -871,12 +883,12 @@ class TestTrustedConstruction:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("ch", [1e103, 1e120, 1e150])
     def test_reduce_to_real_at_huge_cosh(self, ch):
-        # a refusal removed: beyond ||Re Delta|| ~ 5e102 the ComplexRotation
-        # check overflows (det3 of S, or the power of its scale) and refused
-        # S; the trusted S is orthogonal to rounding, relative to ||S||^2
+        # beyond ||Re Delta|| ~ 5e102 the det bound DEFAULT_TOL ||S||^3 of the
+        # ComplexRotation check is an infinite float and the residual
+        # |det3(S) - 1| = 1 is finite, so the checked S is the trusted S; it
+        # is orthogonal to rounding, relative to ||S||^2
         delta = np.array([ch, 1j * math.sqrt(ch * ch - 1.0), 0.0])
         S = reduce_to_real(delta).matrix
-        with checked_constructions(), pytest.raises((ConstraintViolation, OverflowError)):
-            reduce_to_real(delta)
+        assert not assert_same_as_checked(reduce_to_real, delta)
         scaled = S / ch
         assert np.isfinite(S).all() and inf_norm(scaled.T @ scaled - EYE3 / ch**2) <= 1e-14
