@@ -24,8 +24,6 @@ from .electrodynamics import (
     dual_transform,
     gr_constraint_residual,
     gr_from_fields,
-    grid_curl,
-    grid_divergence,
     maxwell_variable_check,
 )
 from .factorization import (
@@ -44,7 +42,6 @@ from .group import (
     Lorentz4,
     SpinorElement,
     gamma_delta_from_spinor,
-    gibbs_compose,
     lorentz4_from_spinor,
     project_to_group,
     so3c_from_spinor,
@@ -54,7 +51,7 @@ from .group import (
     spinor_from_rotation,
     verify_su2_boost_identities,
 )
-from .linalg import axial_matrix, bilinear_dot, cross, hnorm, inf_norm
+from .linalg import axial_matrix, bilinear_dot, hnorm, inf_norm
 from .stabilizer import (
     EPS_ISO,
     NCClass,
@@ -64,7 +61,6 @@ from .stabilizer import (
     K_to_theta,
     canonical_frame,
     classify,
-    classify_theta,
     invariants,
     isotropic_stabilizer_element,
     reduce_to_real,
@@ -98,13 +94,11 @@ __all__ = [
     "bilinear_dot",
     "canonical_frame",
     "classify",
-    "classify_theta",
     "constitutive_forward",
     "constitutive_inverse",
     "constitutive_real_forward",
     "constitutive_real_inverse",
     "covariance_residual",
-    "cross",
     "dual_invariance_residual",
     "dual_transform",
     "errors",
@@ -112,11 +106,8 @@ __all__ = [
     "factor_isotropic",
     "factor_rotation_boost",
     "gamma_delta_from_spinor",
-    "gibbs_compose",
     "gr_constraint_residual",
     "gr_from_fields",
-    "grid_curl",
-    "grid_divergence",
     "hnorm",
     "inf_norm",
     "invariants",

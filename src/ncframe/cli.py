@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from .electrodynamics import (
     DUAL_TOL,
+    FieldState,
     UnitSystem,
     constitutive_forward,
-    constitutive_real_forward,
     dual_invariance_residual,
     quarter_turn,
     residual_scale,
@@ -207,7 +207,7 @@ def _classification_block(param) -> dict:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     param = classify(K, eps_iso=args.eps_iso)
@@ -227,8 +227,7 @@ def cmd_classify(args) -> int:
     else:
         report["residuals"] = {}
         report["pass"] = True
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return report
 
 
 def _element_entry(elem, K, tol) -> dict:
@@ -246,7 +245,7 @@ def _element_entry(elem, K, tol) -> dict:
     return entry
 
 
-def cmd_stabilizer(args) -> int:
+def cmd_stabilizer(args) -> dict:
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     param = classify(K, eps_iso=args.eps_iso)
@@ -281,11 +280,10 @@ def cmd_stabilizer(args) -> int:
             elements.append(_element_entry(isotropic_stabilizer_element(z, K, args.eps_iso), K, tol))
     report["elements"] = elements
     report["pass"] = all(e["pass"] for e in elements)
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return report
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> dict:
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     param = classify(K, eps_iso=args.eps_iso)
@@ -308,8 +306,7 @@ def cmd_reduce(args) -> int:
     report["K_canonical"] = _cvec(kcanon)
     report["residuals"] = residuals
     report["pass"] = all(r <= tol for r in residuals.values())
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return report
 
 
 def _spinor_entry(source: SpinorElement, pair) -> dict:
@@ -326,7 +323,7 @@ def _spinor_entry(source: SpinorElement, pair) -> dict:
     }
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> dict:
     doc = _read_doc(args)
     raw = _real_array(doc, "spinor", (8,))
     k0 = complex(raw[0], raw[1])
@@ -344,50 +341,48 @@ def cmd_factor(args) -> int:
     report["det_residual"] = abs(det - 1.0)
     report["factorizations"] = [_spinor_entry(b, p) for p in pairs]
     report["pass"] = all(f["roundtrip_residual"] <= tol for f in report["factorizations"])
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    return report
 
 
-def cmd_constitutive(args) -> int:
+def _dual_row(f, K, chi: float) -> dict:
+    return {
+        "chi": chi,
+        "residual": dual_invariance_residual(f, K, chi),
+        "expected_invariant": quarter_turn(chi)[1],
+    }
+
+
+def _dual_pass(rows, tol: float) -> bool:
+    """Every row at a quarter turn is within tol; other angles are not expected to be."""
+    return all(r["residual"] <= tol for r in rows if r["expected_invariant"])
+
+
+def cmd_constitutive(args) -> dict:
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     E = _real_array(doc, "E", (3,))
     B = _real_array(doc, "B", (3,))
     units = UnitSystem(c=args.c, epsilon0=args.epsilon0)
-    D, H = constitutive_real_forward(E, B, K, units)
-    f = E + 1j * units.c * B
-    h_real_route = (D + 1j * H / units.c) / units.epsilon0
+    state = FieldState.from_eb(E, B, K, units)
+    f = state.f
     h = constitutive_forward(f, K)
-    cross = hnorm(h_real_route - h) / residual_scale(f, K)
+    cross = hnorm(state.h - h) / residual_scale(f, K)
     tol = args.tol if args.tol is not None else 1e-12
     report = _base_report(args, "constitutive", doc, tol)
     report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
-    report["D"] = D
-    report["H"] = H
+    report["D"] = state.D
+    report["H"] = state.H
     report["f"] = _cvec(f)
     report["h"] = _cvec(h)
     report["residuals"] = {"real_vs_complex": cross}
-    dual_entries = []
-    for text in args.dual_check or []:
-        chi = float(text)
-        dual_entries.append(
-            {
-                "chi": chi,
-                "residual": dual_invariance_residual(f, K, chi),
-                "expected_invariant": quarter_turn(chi)[1],
-            }
-        )
-    if dual_entries:
-        report["dual_checks"] = dual_entries
-    ok = cross <= tol and all(
-        e["residual"] <= DUAL_TOL for e in dual_entries if e["expected_invariant"]
-    )
-    report["pass"] = bool(ok)
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    dual_rows = [_dual_row(f, K, float(text)) for text in args.dual_check or []]
+    if dual_rows:
+        report["dual_checks"] = dual_rows
+    report["pass"] = cross <= tol and _dual_pass(dual_rows, DUAL_TOL)
+    return report
 
 
-def cmd_dual_scan(args) -> int:
+def cmd_dual_scan(args) -> dict:
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     E = _real_array(doc, "E", (3,))
@@ -397,22 +392,12 @@ def cmd_dual_scan(args) -> int:
     units = UnitSystem(c=args.c, epsilon0=args.epsilon0)
     f = E + 1j * units.c * B
     tol = args.tol if args.tol is not None else DUAL_TOL
-    rows = []
-    for j in range(args.steps):
-        chi = 2.0 * np.pi * j / args.steps
-        rows.append(
-            {
-                "chi": chi,
-                "residual": dual_invariance_residual(f, K, chi),
-                "expected_invariant": quarter_turn(chi)[1],
-            }
-        )
+    rows = [_dual_row(f, K, 2.0 * np.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, "dual-scan", doc, tol)
     report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
     report["scan"] = rows
-    report["pass"] = all(r["residual"] <= tol for r in rows if r["expected_invariant"])
-    emit(report, args.format)
-    return EXIT_OK if report["pass"] else EXIT_RESIDUAL
+    report["pass"] = _dual_pass(rows, tol)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +454,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        report = _HANDLERS[args.subcommand](args)
+        emit(report, args.format)
+        return EXIT_OK if report["pass"] else EXIT_RESIDUAL
     except CliError as exc:
         print(f"ncframe: {exc}", file=sys.stderr)
         return exc.code

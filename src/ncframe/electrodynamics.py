@@ -344,13 +344,13 @@ def _spacing3(spacing):
     return s
 
 
-def grid_divergence(F: np.ndarray, spacing) -> np.ndarray:
+def _grid_divergence(F: np.ndarray, spacing) -> np.ndarray:
     """Central-difference divergence of a (3, nx, ny, nz) field, periodic BCs."""
     h = _spacing3(spacing)
     return sum(_pderiv(F[i], i, h[i]) for i in range(3))
 
 
-def grid_curl(F: np.ndarray, spacing) -> np.ndarray:
+def _grid_curl(F: np.ndarray, spacing) -> np.ndarray:
     """Central-difference curl of a (3, nx, ny, nz) field, periodic BCs."""
     h = _spacing3(spacing)
     d = lambda i, j: _pderiv(F[i], j, h[j])  # noqa: E731
@@ -382,16 +382,16 @@ def maxwell_variable_check(
     E, B, D, H = (np.asarray(x, dtype=float) for x in (E, B, D, H))
     dE, dB, dD, dH = (np.asarray(x, dtype=float) for x in (dE_dt, dB_dt, dD_dt, dH_dt))
 
-    r_div_b = grid_divergence(B, spacing)
-    r_faraday = grid_curl(E, spacing) + dB
-    r_div_d = grid_divergence(D, spacing)
-    r_ampere = grid_curl(H, spacing) / c - dD / c
+    r_div_b = _grid_divergence(B, spacing)
+    r_faraday = _grid_curl(E, spacing) + dB
+    r_div_d = _grid_divergence(D, spacing)
+    r_ampere = _grid_curl(H, spacing) / c - dD / c
 
     F1 = D / eps0 + 1j * c * B
     dF1 = dD / eps0 + 1j * c * dB
     F2 = E + 1j * H / (c * eps0)
-    c_div = grid_divergence(F1, spacing)
-    c_curl = -1j * dF1 / c + grid_curl(F2, spacing)
+    c_div = _grid_divergence(F1, spacing)
+    c_curl = -1j * dF1 / c + _grid_curl(F2, spacing)
 
     f = E + 1j * c * B
     h = (D + 1j * H / c) / eps0
@@ -399,8 +399,8 @@ def maxwell_variable_check(
     dh = (dD + 1j * dH / c) / eps0
     G, R = (h + f) / 2.0, np.conj(h - f) / 2.0
     dG, dR = (dh + df) / 2.0, np.conj(dh - df) / 2.0
-    gr_div = grid_divergence(G + R, spacing)
-    gr_curl = -1j * (dG + dR) / c + grid_curl(G - R, spacing)
+    gr_div = _grid_divergence(G + R, spacing)
+    gr_curl = -1j * (dG + dR) / c + _grid_curl(G - R, spacing)
 
     amax = lambda a: float(np.abs(a).max())  # noqa: E731
     return {

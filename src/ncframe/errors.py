@@ -17,10 +17,6 @@ class NonUnitAxis(NcframeError):
     """Rotation/boost axis is not a real unit vector."""
 
 
-class HalfTurnResult(NcframeError):
-    """Gibbs-vector composition lands on a half-turn, which has no finite Gibbs vector."""
-
-
 class GammaDegenerate(NcframeError):
     """Angle/axis extraction attempted on an element whose axis is undefined."""
 

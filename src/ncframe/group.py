@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     ConstraintViolation,
     GammaDegenerate,
-    HalfTurnResult,
     NonUnitAxis,
     NotPureElement,
 )
@@ -37,10 +36,8 @@ from .linalg import (
     bdot3,
     cross3,
     det3,
-    hnorm,
     hnorm3,
     inf_norm,
-    is_real,
     rnorm3,
     rvec3,
     vec3,
@@ -175,12 +172,10 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
 
 
 def _unit_axis(e) -> np.ndarray:
-    e = np.asarray(e)
-    if np.iscomplexobj(e) and not is_real(e):
-        raise NonUnitAxis("axis must be real")
-    e = np.asarray(e.real if np.iscomplexobj(e) else e, dtype=float)
-    if e.shape != (3,):
-        raise NonUnitAxis(f"axis must be a 3-vector, got shape {e.shape}")
+    try:
+        e = rvec3(e)
+    except ValueError as exc:
+        raise NonUnitAxis(f"axis: {exc}") from exc
     if not abs(e @ e - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
         raise NonUnitAxis(f"axis norm^2 = {e @ e:.15g}, expected 1")
     return e
@@ -196,21 +191,6 @@ def spinor_from_boost(beta: float, e) -> SpinorElement:
     """Boost of rapidity beta along the real unit axis e."""
     e = _unit_axis(e)
     return SpinorElement(np.cosh(beta / 2), np.sinh(beta / 2) * e + 0j)
-
-
-def gibbs_compose(c1, c2) -> np.ndarray:
-    """Compose two rotations given as Gibbs vectors c = tan(angle/2) * axis.
-
-    c'' = (c1 + c2 + c1 x c2) / (1 - c1.c2), where c1 acts second (it carries
-    the primes of the left factor).  Raises :class:`HalfTurnResult` at the
-    half-turn singularity 1 - c1.c2 = 0, where the composite has no finite
-    Gibbs vector.
-    """
-    c1, c2 = rvec3(c1), rvec3(c2)
-    denom = 1.0 - c1 @ c2
-    if abs(denom) <= 1e-12 * (1.0 + hnorm(c1) * hnorm(c2)):
-        raise HalfTurnResult("composition is a half-turn (scalar part vanishes)")
-    return (c1 + c2 + cross3(c1, c2)) / denom
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ def rvec3(v) -> np.ndarray:
     """Coerce to a real 3-vector; reject nonzero imaginary parts."""
     a = np.asarray(v)
     if np.iscomplexobj(a):
-        if np.abs(a.imag).max() > DEFAULT_TOL * max(1.0, np.abs(a).max()):
+        # written as "not <=" so that a NaN imaginary part is refused too
+        if not np.abs(a.imag).max() <= DEFAULT_TOL * max(1.0, np.abs(a).max()):
             raise ValueError("expected a real 3-vector")
         a = a.real
     a = np.asarray(a, dtype=float)
@@ -85,11 +86,6 @@ def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     p = u[_CROSS_L] * v[_CROSS_R]
     return p[0] - p[1]
-
-
-def cross(u, v) -> ComplexVec3:
-    """Vector product, complex-bilinear in both arguments."""
-    return cross3(vec3(u), vec3(v))
 
 
 def axial_matrix(v) -> ComplexMat3:
@@ -149,9 +145,3 @@ def rnorm3(v: np.ndarray) -> float:
     ``np.linalg.norm`` for any stride.
     """
     return math.sqrt(v.dot(v))
-
-
-def is_real(a, tol: float = DEFAULT_TOL) -> bool:
-    """True if every imaginary part is below tol * max(1, |a|)."""
-    a = np.asarray(a, dtype=complex)
-    return bool(np.abs(a.imag).max() <= tol * max(1.0, float(np.abs(a).max()))) if a.size else True

@@ -209,14 +209,6 @@ def _label(nrm: float, i1: float, i2: float, mag: float, mu: float,
     return NCClass.NON_ISOTROPIC, sub, float(mu)
 
 
-def classify_theta(theta, eps_iso: float = EPS_ISO, tol: float = 1e-12) -> NCParameter:
-    """Classify directly from the antisymmetric matrix form."""
-    K = theta_to_K(theta, tol=tol)
-    param = classify(K, eps_iso=eps_iso)
-    return NCParameter(rmat4(theta), param.K, param.I1, param.I2, param.I, param.mu,
-                       param.klass, param.subcase)
-
-
 def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     """Split a non-isotropic K into Kscalar * Delta with Delta.Delta = 1.
 

@@ -14,13 +14,25 @@ import pytest
 from oracles import boost_closed_form, random_unit_delta
 
 from ncframe.electrodynamics import (
+    UnitSystem,
     constitutive_forward,
     constitutive_inverse,
     constitutive_real_forward,
     covariance_residual,
     dual_invariance_residual,
+    dual_transform,
+    maxwell_variable_check,
+    quarter_turn,
+    residual_scale,
 )
-from ncframe.group import ETA, lorentz4_from_spinor, so3c_from_spinor, spinor_compose, spinor_from_boost
+from ncframe.group import (
+    ETA,
+    lorentz4_from_spinor,
+    so3c_from_spinor,
+    spinor_compose,
+    spinor_from_boost,
+    verify_su2_boost_identities,
+)
 from ncframe.linalg import hnorm, inf_norm
 from ncframe.sampling import random_gamma, random_isotropic_k, random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import (
@@ -140,14 +152,26 @@ def test_criterion_05_reduction_suite():
 
 
 def test_criterion_06_factorization_suite():
-    from ncframe.factorization import FactorOrder, factor_boost_rotation, factor_isotropic, factor_rotation_boost
+    from ncframe.factorization import (
+        FactorOrder,
+        factor_boost_rotation,
+        factor_isotropic,
+        factor_rotation_boost,
+        scale_freedom_report,
+    )
     from ncframe.group import SpinorElement
 
     rng = np.random.default_rng(106)
-    worst_round = worst_boost = 0.0
+    worst_round = worst_boost = worst_pure = 0.0
+    kinds_ok = True
     for _ in range(500):
         b = random_spinor(rng)
         for pair in (factor_rotation_boost(b), factor_boost_rotation(b)):
+            # each factor is a pure element: real O = O^-T, or O^* = O^-1 = O^T
+            for factor, kind in ((pair.rotation, "rotation"), (pair.boost, "boost")):
+                rep = verify_su2_boost_identities(factor)
+                kinds_ok = kinds_ok and rep["kind"] == kind
+                worst_pure = max(worst_pure, rep["max_residual"])
             composed = pair.compose()
             scale = max(1.0, abs(b.k0), hnorm(b.k))
             worst_round = max(
@@ -156,9 +180,13 @@ def test_criterion_06_factorization_suite():
             )
             b0, bv = pair.boost.k0.real, pair.boost.k.real
             worst_boost = max(worst_boost, abs(b0 * b0 - bv @ bv - 1.0))
-    worst_iso = 0.0
+    worst_iso = worst_scale = 0.0
+    # the rescalings k -> lam exp(i sigma) k draw from their own stream
+    scales = np.random.default_rng(1060)
     for _ in range(100):
         k = random_isotropic_k(rng)
+        lam, sigma = scales.uniform(0.5, 2.0), scales.uniform(0.0, 2.0 * np.pi)
+        worst_scale = max(worst_scale, scale_freedom_report(k, lam, sigma)["max_residual"])
         b = SpinorElement(1.0, k)
         for order in FactorOrder:
             pair = factor_isotropic(b, order)
@@ -168,12 +196,15 @@ def test_criterion_06_factorization_suite():
             )
             n2 = float(b.n @ b.n)
             worst_iso = max(worst_iso, abs(pair.boost.k0.real - np.sqrt(1.0 + n2)))
-    ok = worst_round < 1e-10 and worst_boost < 1e-10 and worst_iso < 1e-10
-    report(6, ok, f"roundtrip {worst_round:.2e}, boost constraint {worst_boost:.2e}, isotropic b0 {worst_iso:.2e}")
+    ok = (worst_round < 1e-10 and worst_boost < 1e-10 and worst_iso < 1e-10
+          and kinds_ok and worst_pure < 1e-10 and worst_scale < 1e-10)
+    report(6, ok, f"roundtrip {worst_round:.2e}, boost constraint {worst_boost:.2e}, isotropic b0 {worst_iso:.2e}; "
+                  f"pure factors {'ok' if kinds_ok else 'MISLABELLED'}, identities {worst_pure:.2e}; "
+                  f"isotropic scale freedom {worst_scale:.2e}")
 
 
 def test_criterion_07_constitutive_consistency():
-    from ncframe.electrodynamics import UnitSystem, constitutive_real_inverse
+    from ncframe.electrodynamics import constitutive_real_inverse
 
     rng = np.random.default_rng(107)
     units = UnitSystem(c=2.0, epsilon0=0.5)
@@ -245,7 +276,7 @@ def test_criterion_09_dual_symmetry():
         witnesses.append((f, K))
     steps = 32
     discrete = {0, steps // 4, steps // 2, 3 * steps // 4}
-    worst_discrete, min_witness = 0.0, np.inf
+    worst_discrete, min_witness, worst_definition = 0.0, np.inf, 0.0
     for j in range(steps):
         chi = 2.0 * np.pi * j / steps
         residuals = [dual_invariance_residual(f, K, chi) for f, K in witnesses]
@@ -253,8 +284,16 @@ def test_criterion_09_dual_symmetry():
             worst_discrete = max(worst_discrete, max(residuals))
         else:
             min_witness = min(min_witness, max(residuals))
-    ok = worst_discrete < 1e-10 and min_witness > 1e-4
-    report(9, ok, f"discrete angles max {worst_discrete:.2e}; weakest generic-angle witness {min_witness:.2e}")
+        # the same residual from its definition: rotate (f, h, K) by chi, then
+        # apply the relation of the nearest quarter turn (inverse at odd ones)
+        swapped = quarter_turn(chi)[0] % 2 == 1
+        for (f, K), got in zip(witnesses, residuals):
+            fp, hp, Kp = dual_transform(f, constitutive_forward(f, K), K, chi)
+            r = fp - constitutive_inverse(hp, Kp) if swapped else hp - constitutive_forward(fp, Kp)
+            worst_definition = max(worst_definition, abs(hnorm(r) / residual_scale(f, K) - got))
+    ok = worst_discrete < 1e-10 and min_witness > 1e-4 and worst_definition < 1e-14
+    report(9, ok, f"discrete angles max {worst_discrete:.2e}; weakest generic-angle witness {min_witness:.2e}; "
+                  f"closed form vs definition {worst_definition:.2e}")
 
 
 def test_criterion_10_theta_covariance_convention():
@@ -296,3 +335,14 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
     capsys.readouterr()
     ok = count >= 6 and codes == [3, 4, 5, 6, 2]
     report(11, ok, f"{count} golden cases pass; error exit codes {codes} (expected [3, 4, 5, 6, 2])")
+
+
+def test_criterion_12_majorana_oppenheimer_rewrites(rng):
+    # random non-solution fields: large residuals, tiny rewrite discrepancies
+    shape = (3, 8, 8, 8)
+    fields = [rng.normal(size=shape) for _ in range(8)]
+    rep = maxwell_variable_check(*fields, 0.7, units=UnitSystem(2.0, 3.0))
+    worst = max(v for key in ("real_vs_complex", "complex_vs_gr") for v in rep[key].values())
+    ok = rep["real"]["faraday"] > 0.1 and worst < 1e-12
+    report(12, ok, f"off-shell fields: Faraday residual {rep['real']['faraday']:.2e}; "
+                   f"real/complex/(G, R) rewrite discrepancy {worst:.2e}")

@@ -16,10 +16,10 @@ from oracles import (
 )
 
 from ncframe import factorization, group, stabilizer
+from ncframe.electrodynamics import FieldState, constitutive_real_forward
 from ncframe.errors import (
     ConstraintViolation,
     GammaDegenerate,
-    HalfTurnResult,
     NcframeError,
     NonFiniteInput,
     NonUnitAxis,
@@ -40,7 +40,6 @@ from ncframe.group import (
     Lorentz4,
     SpinorElement,
     gamma_delta_from_spinor,
-    gibbs_compose,
     lorentz4_from_spinor,
     project_to_group,
     so3c_from_spinor,
@@ -304,35 +303,6 @@ class TestRotationBoostConstructors:
             spinor_from_rotation(1.0, [0, 0, 2])
         with pytest.raises(NonUnitAxis):
             spinor_from_boost(1.0, [0, 1j, 0])
-
-
-class TestGibbs:
-    def test_identity(self):
-        c = np.array([0.2, -0.4, 0.1])
-        np.testing.assert_allclose(gibbs_compose(np.zeros(3), c), c)
-
-    def test_tangent_addition_on_axis(self):
-        a1, a2 = 0.8, 0.5
-        c1 = np.tan(a1 / 2) * EZ
-        c2 = np.tan(a2 / 2) * EZ
-        np.testing.assert_allclose(gibbs_compose(c1, c2), np.tan((a1 + a2) / 2) * EZ, atol=1e-14)
-
-    def test_agrees_with_spinor_composition(self, rng):
-        for _ in range(50):
-            a1, a2 = rng.uniform(-2.5, 2.5, 2)
-            e1, e2 = rng.normal(size=(2, 3))
-            e1 /= np.linalg.norm(e1)
-            e2 /= np.linalg.norm(e2)
-            b = spinor_compose(spinor_from_rotation(a1, e1), spinor_from_rotation(a2, e2))
-            if abs(b.n0) < 1e-3:
-                continue
-            got = gibbs_compose(np.tan(a1 / 2) * e1, np.tan(a2 / 2) * e2)
-            np.testing.assert_allclose(got, b.n / b.n0, atol=1e-9)
-
-    def test_half_turn_raises(self):
-        c = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(HalfTurnResult):
-            gibbs_compose(c, c)  # c1.c2 = 1
 
 
 class TestSO3C:
@@ -695,6 +665,24 @@ class TestNonFinite:
             rotation_between([1.0, 0.0, 0.0], [NAN, 0.0, 0.0])
         with pytest.raises(NonFiniteInput, match="src has a NaN"):
             rotation_between([INF, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+    # A NaN imaginary part of a real-vector argument is refused, not dropped.
+    @pytest.mark.parametrize("build", [
+        lambda v: rotation_between(v, [0.0, 1.0, 0.0]),
+        lambda v: rotation_between([0.0, 1.0, 0.0], v),
+        lambda v: reduce_to_real([1.0, 0.0, 0.0], v),
+        lambda v: constitutive_real_forward(v, [0.0, 1.0, 0.0], [0.1, 0.0, 0.0]),
+        lambda v: FieldState(v, [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ], ids=["rotation_between_src", "rotation_between_dst", "reduce_to_real_target",
+            "constitutive_real_forward", "field_state"])
+    def test_nan_imaginary_part(self, build):
+        with pytest.raises(ValueError, match="expected a real 3-vector"):
+            build([1.0, 0.0, complex(0.0, NAN)])
+
+    @pytest.mark.parametrize("build", [spinor_from_rotation, spinor_from_boost])
+    def test_nan_imaginary_axis(self, build):
+        with pytest.raises(NonUnitAxis, match="expected a real 3-vector"):
+            build(0.3, [0.0, 0.0, complex(1.0, NAN)])
 
 
 # ---------------------------------------------------------------------------

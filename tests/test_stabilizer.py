@@ -143,17 +143,6 @@ class TestClassify:
         assert complex(i1, i2) == pytest.approx(ksq)
         assert mag == pytest.approx(abs(ksq))
 
-    def test_classify_theta_keeps_matrix(self, rng):
-        from ncframe.stabilizer import classify_theta
-
-        theta = rng.normal(size=(4, 4))
-        theta -= theta.T
-        p = classify_theta(theta)
-        np.testing.assert_array_equal(p.theta, theta)
-        q = classify(theta_to_K(theta))
-        assert p.klass is q.klass and p.subcase is q.subcase
-        assert p.I1 == q.I1 and p.I2 == q.I2
-
 
 NON_FINITE_K = (
     [np.nan, 0, 0],
