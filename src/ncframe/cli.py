@@ -255,29 +255,21 @@ def cmd_stabilizer(args) -> dict:
     rng = default_rng(args.seed)
     report = _base_report(args, "stabilizer", doc, tol)
     report.update(_classification_block(param))
-    elements = []
     if param.klass is NCClass.NON_ISOTROPIC:
         if args.z is not None:
             raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
         _, delta = unit_delta(K, eps_iso=args.eps_iso)
         report["delta"] = _cvec(delta)
-        params = []
-        if args.gamma is not None:
-            params.append(_parse_complex_flag(args.gamma))
-        params.extend(random_gamma(rng) for _ in range(args.count))
-        for g in params:
-            elements.append(_element_entry(stabilizer_element(g, delta), K, tol))
+        flag, draw = args.gamma, lambda: random_gamma(rng)
+        element = lambda gamma: stabilizer_element(gamma, delta)  # noqa: E731
     else:
         if args.gamma is not None:
             raise CliError("K is isotropic: use --z, not --gamma", EXIT_MALFORMED)
-        params = []
-        if args.z is not None:
-            params.append(_parse_complex_flag(args.z))
-        params.extend(
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(args.count)
-        )
-        for z in params:
-            elements.append(_element_entry(isotropic_stabilizer_element(z, K, args.eps_iso), K, tol))
+        flag, draw = args.z, lambda: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        element = lambda z: isotropic_stabilizer_element(z, K, args.eps_iso)  # noqa: E731
+    params = [] if flag is None else [_parse_complex_flag(flag)]
+    params.extend(draw() for _ in range(args.count))
+    elements = [_element_entry(element(p), K, tol) for p in params]
     report["elements"] = elements
     report["pass"] = all(e["pass"] for e in elements)
     return report

@@ -15,6 +15,7 @@ the same image.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -360,20 +361,29 @@ def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
     Delta is a boost.  For fixed Delta the family is Abelian with
     gamma'' = gamma' + gamma.
     """
-    return _spinor_from_gamma_delta(gd.gamma, gd.delta)
+    return _stabilizer_spinor(gd.gamma, gd.delta)
 
 
-def _spinor_from_gamma_delta(gamma: complex, delta: ComplexVec3) -> SpinorElement:
-    """The element of :func:`spinor_from_gamma_delta`, for a delta already checked.
+def _stabilizer_spinor(t: complex, K: ComplexVec3) -> SpinorElement:
+    """The small-group element b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K).
 
-    The element is not checked again: k0^2 - k.k - 1 = sin^2(gamma/2)
-    (Delta.Delta - 1), which the unit-square tolerance of delta keeps inside
-    the element's own.  Where the scale |k0|^2 + ||k||^2 of the closed form
-    is not finite (|Im gamma| above about 710, or a huge delta), the checked
-    constructor decides, as before.
+    Every b(t; K) fixes K, and b(t1; K) b(t2; K) = b(t1 + t2; K).  cos w and
+    sin w / w are even and entire in w^2, so the branch of the root does not
+    matter and the family is continuous through K.K = 0, where it is
+    (1, -i (t/2) K).  t = gamma with K = Delta gives O(gamma, Delta), and
+    t = 2i z with an isotropic k gives O(z k).
+
+    The element is not checked again: k0^2 - k.k = cos^2 w + sin^2 w = 1 for
+    every K, up to rounding relative to the element's own scale.  Where that
+    scale is not finite (|Im w| above about 710), the checked constructor
+    decides.  numpy's cos and sin return inf there, where cmath's raise
+    OverflowError; Python's complex division keeps sin w / w = 1 for a
+    subnormal w, where numpy's gives inf.
     """
-    half = gamma / 2.0
-    k0, k = complex(np.cos(half)), -1j * np.sin(half) * delta
+    half = 0.5 * t
+    w = half * cmath.sqrt(bdot3(K, K))
+    k0 = complex(np.cos(w))
+    k = (-1j * half * (complex(np.sin(w)) / w if w else 1.0)) * K
     a, n = abs(k0), hnorm3(k)
     if math.isfinite(a * a + n * n):
         return _trusted_spinor(k0, k)

@@ -39,7 +39,7 @@ from .group import (
     Lorentz4,
     SpinorElement,
     _require_unit_square,
-    _spinor_from_gamma_delta,
+    _stabilizer_spinor,
     _trusted,
     lorentz4_from_spinor,
     so3c_from_spinor,
@@ -260,15 +260,13 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     Im(gamma) the boost-like one; elements with the same Delta commute and
     compose by adding gamma.
 
-    Delta is checked once; the element and its image are not checked again,
-    because k0^2 - k.k - 1 = sin^2(gamma/2) (Delta.Delta - 1) stays inside
-    the element's own tolerance.  Where the closed form overflows, the
-    checked constructor decides, as before.
+    The element is the small-group spinor b(gamma; Delta) of
+    ``group._stabilizer_spinor``, which fixes Delta for any Delta.Delta.
     """
     delta = vec3(delta)
     _require_unit_square(delta, NotUnitDelta)
     gamma = complex(gamma)
-    spinor = _spinor_from_gamma_delta(gamma, delta)
+    spinor = _stabilizer_spinor(gamma, delta)
     return StabilizerElement(
         family="non-isotropic",
         spinor=spinor,
@@ -281,8 +279,10 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
 def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerElement:
     """Element O(z*k) of the additive family fixing an isotropic k.
 
-    The underlying spinor is I + z*k.sigma, which is already unimodular
-    because (k.sigma)^2 = k.k = 0; composition adds the z parameters.
+    The underlying spinor is the small-group spinor b(2i z; k) of
+    ``group._stabilizer_spinor``: I + z*k.sigma where k.k = 0 exactly, and
+    unimodular and fixing k for a k.k inside eps_iso too.  Composition adds
+    the z parameters.
     """
     k = vec3(k)
     nrm = hnorm3(k)
@@ -292,9 +292,7 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     if abs(ksq) > eps_iso * nrm**2:
         raise NotIsotropic(f"k.k = {ksq:.3e} is not zero within tolerance")
     z = complex(z)
-    # Checked: k.k = 0 only within eps_iso, which can be looser than the
-    # element's own DEFAULT_TOL.
-    spinor = SpinorElement(1.0, z * k)
+    spinor = _stabilizer_spinor(2j * z, k)
     return StabilizerElement(
         family="isotropic",
         spinor=spinor,
@@ -337,25 +335,21 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     """Complex rotation S with S @ Delta = e (real unit), for Delta.Delta = 1.
 
     Write Delta = cosh(rho) N0 + i*sinh(rho) M0 with orthonormal real N0, M0.
-    On the plane spanned by (N0, M0) the matrix
+    The pure boost of rapidity rho along u = M0 x N0, the small-group element
+    b(i rho; u), carries Delta to N0.  For K = Kscalar * Delta it is the
+    boost to the frame in which n and m are parallel, with
+    cosh(2 rho) = ||Delta||^2 = ||K||^2 / |K.K|.  A real rotation then
+    carries N0 to the requested target:
 
-        T = u u^T + i*sinh(rho) (I - u u^T) - cosh(rho) u^x,   u = M0 x N0,
+        S = rotation_between(N0, e) @ O(b(i rho; u)).
 
-    acts as [[i*sh, -ch], [ch, i*sh]] and sends Delta to M0; on the axis u it
-    acts as the identity, the unique completion with T^T T = I and det T = 1
-    (any other scaling of the axis component breaks orthogonality).  A real
-    rotation then carries M0 to the requested target:
+    ``e_target=None`` picks e = N0, and S is the boost alone.  For real Delta
+    (rho = 0) there is no boost and S is just the real rotation taking N0 to
+    the target.
 
-        S = rotation_between(M0, e) @ T.
-
-    ``e_target=None`` picks e = N0.  For real Delta (rho = 0) the plane
-    degenerates and S is just the real rotation taking N0 to the target.
-
-    For complex Delta with ch = cosh(rho) >= 1, S is not checked again:
-    T^T T = I whenever sh^2 = ch^2 - 1, which holds to rounding, and the
-    real rotation keeps S orthogonal; S is finite because ch is.  The
-    sliver ch < 1 (Re Delta just inside the unit-square tolerance, where sh
-    is held at 0) and real Delta keep the ComplexRotation check.
+    For complex Delta, S is not checked again: it is the image of a group
+    element, times a real rotation.  rho is asinh(||Im Delta||), which does
+    not cancel near rho = 0.
     """
     delta = vec3(delta)
     _require_unit_square(delta, NotUnitDelta)
@@ -373,20 +367,14 @@ def _reduce_to_real(delta: ComplexVec3, e_target) -> ComplexRotation:
     if mnorm <= 1e-12 * max(1.0, ch):
         target = N0 if e_target is None else _unit_target(e_target)
         return ComplexRotation(_rotation_between(N0, target).astype(complex))
-    M0 = M / mnorm
-    u = cross3(M0, N0)
+    u = cross3(M / mnorm, N0)
     unorm = rnorm3(u)
     if unorm < 1e-8:
         raise DegenerateDelta("Re delta and Im delta are parallel")
-    u = u / unorm
-    sh = math.sqrt(max(ch * ch - 1.0, 0.0))
-    uu = np.outer(u, u)
-    T = uu.astype(complex) + 1j * sh * (EYE3 - uu) - ch * axial_matrix(u)
-    target = N0 if e_target is None else _unit_target(e_target)
-    S = _rotation_between(M0, target).astype(complex) @ T
-    if ch >= 1.0:
-        return _trusted(ComplexRotation, S)
-    return ComplexRotation(S)
+    S = so3c_from_spinor(_stabilizer_spinor(1j * math.asinh(mnorm), u / unorm))
+    if e_target is None:
+        return S
+    return _trusted(ComplexRotation, _rotation_between(N0, _unit_target(e_target)) @ S.matrix)
 
 
 def _unit_target(e) -> np.ndarray:

@@ -101,3 +101,34 @@ def random_unit_delta(rng, rho_max=3.0, rho=None):
     M0 = np.cross(N0, rng.normal(size=3))
     M0 /= np.linalg.norm(M0)
     return np.cosh(rho) * N0 + 1j * np.sinh(rho) * M0, rho, N0, M0
+
+
+def e_parallel_b_boost(K):
+    """Rapidity and unit axis of the textbook boost to the frame where E || B.
+
+    With E = m and B = n (K = n + i m, c = 1), the frame moves along E x B
+    with rapidity rho, cosh(2 rho) = ||K||^2 / |K.K|, which diverges as
+    K.K -> 0: an isotropic K has no such frame.  rho is evaluated as
+    sinh(2 rho) = 2 |E x B| / |K.K|, the same identity without the
+    cancellation of acosh near 1 or of the velocity form
+    v / (1 + v^2) = |E x B| / (E^2 + B^2) near v = 1.
+    """
+    K = K / np.abs(K).max()  # rho and the axis do not depend on the scale
+    n, m = np.real(K), np.imag(K)
+    exb = np.cross(m, n)
+    s = np.linalg.norm(exb)
+    ksq = np.hypot(n @ n - m @ m, 2.0 * (n @ m))
+    return np.arcsinh(2.0 * s / ksq) / 2.0, exb / s
+
+
+def expm2(A):
+    """exp(A) of a 2x2 matrix: a Taylor series of A / 2**s, squared s times."""
+    s = max(0, int(np.ceil(np.log2(max(np.abs(A).max(), 1e-300)))) + 1)
+    B = A / 2.0**s
+    term = E = ID2
+    for j in range(1, 20):
+        term = term @ B / j
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import boost_closed_form, random_unit_delta
+from oracles import (
+    boost_closed_form,
+    e_parallel_b_boost,
+    random_unit_delta,
+    rotation_matrix_angle_axis,
+    to_matrix2,
+)
 
 from ncframe.electrodynamics import (
     UnitSystem,
@@ -27,15 +33,17 @@ from ncframe.electrodynamics import (
 )
 from ncframe.group import (
     ETA,
+    _stabilizer_spinor,
     lorentz4_from_spinor,
     so3c_from_spinor,
     spinor_compose,
     spinor_from_boost,
     verify_su2_boost_identities,
 )
-from ncframe.linalg import hnorm, inf_norm
+from ncframe.linalg import bilinear_dot, hnorm, inf_norm
 from ncframe.sampling import random_gamma, random_isotropic_k, random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import (
+    K_to_theta,
     canonical_frame,
     invariants,
     isotropic_stabilizer_element,
@@ -122,8 +130,29 @@ def test_criterion_04_stabilizer_suite():
         e12 = isotropic_stabilizer_element(z1 + z2, k)
         worst_iso = max(worst_iso, hnorm(e1.rotation.apply(k) - k) / hnorm(k))
         worst_add = max(worst_add, inf_norm(e1.rotation.matrix @ e2.rotation.matrix - e12.rotation.matrix))
-    ok = max(worst_fix, worst_comm, worst_iso, worst_add) < 1e-9
-    report(4, ok, f"fix {worst_fix:.2e}, commute {worst_comm:.2e}, isotropic fix {worst_iso:.2e}, z-additivity {worst_add:.2e}")
+    # one small group b(t; K) on both sides of the eps_iso switch: k.k = 8e-10
+    # is isotropic to classify, yet z = 3e4 makes w = i z sqrt(k.k) of order 1
+    k = np.array([1.0, 1j, 0.0]) + 4e-10 * np.array([1.0, 0.0, 0.0])
+    z1, z2 = 3e4, 2e4j
+    b1, b2, b12 = (to_matrix2(e.spinor.k0, e.spinor.k)
+                   for e in (isotropic_stabilizer_element(z, k) for z in (z1, z2, z1 + z2)))
+    switch_add = inf_norm(b1 @ b2 - b12) / max(1.0, inf_norm(b12))
+    # and continuous through K.K = 0: ||b(t; K_eps) - b(t; K_0)|| = O(eps)
+    K0 = np.array([1.0, 1j, 0.0])
+    epsilons = 10.0 ** -np.arange(2.0, 13.0)
+    slopes = []
+    for _ in range(5):
+        t = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        b0 = _stabilizer_spinor(t, K0)
+        gaps = []
+        for eps in epsilons:
+            b = _stabilizer_spinor(t, K0 + eps * np.array([1.0, 0.0, 0.0]))
+            gaps.append(max(abs(b.k0 - b0.k0), inf_norm(b.k - b0.k)))
+        slopes.append(np.polyfit(np.log(epsilons), np.log(gaps), 1)[0])
+    slope_ok = all(abs(s - 1.0) <= 0.1 for s in slopes)
+    ok = max(worst_fix, worst_comm, worst_iso, worst_add, switch_add) < 1e-9 and slope_ok
+    report(4, ok, f"fix {worst_fix:.2e}, commute {worst_comm:.2e}, isotropic fix {worst_iso:.2e}, z-additivity {worst_add:.2e}; "
+                  f"across the eps_iso switch {switch_add:.2e}; continuity slopes {[f'{s:.3f}' for s in slopes]}")
 
 
 def test_criterion_05_reduction_suite():
@@ -346,3 +375,51 @@ def test_criterion_12_majorana_oppenheimer_rewrites(rng):
     ok = rep["real"]["faraday"] > 0.1 and worst < 1e-12
     report(12, ok, f"off-shell fields: Faraday residual {rep['real']['faraday']:.2e}; "
                    f"real/complex/(G, R) rewrite discrepancy {worst:.2e}")
+
+
+def test_criterion_13_special_frame():
+    from test_stabilizer import frame_oracle
+
+    from ncframe.factorization import FactorOrder, factor_boost_rotation, factor_isotropic, factor_rotation_boost
+
+    rng = np.random.default_rng(113)
+    worst_boost = worst_cosh = worst_parallel = 0.0
+    worst_rot = worst_split = worst_orders = 0.0
+    for _ in range(300):
+        K = random_nonisotropic_K(rng)
+        S, kcanon = canonical_frame(K)
+        worst_boost = max(worst_boost, inf_norm(S.matrix - frame_oracle(K)) / max(1.0, inf_norm(S.matrix)))
+        rho, axis = e_parallel_b_boost(K)
+        L = boost_closed_form(rho, axis)
+        ratio = hnorm(K) ** 2 / abs(bilinear_dot(K, K))
+        worst_cosh = max(worst_cosh, abs(np.cosh(2.0 * rho) - ratio) / ratio)
+        kp = theta_to_K(L @ K_to_theta(K) @ L.T)
+        worst_parallel = max(worst_parallel, hnorm(np.cross(kp.real, kp.imag)) / hnorm(K) ** 2)
+        # there the small group is SO(2) x SO(1,1): a rotation by Re gamma
+        # about e times a boost of rapidity Im gamma along e, in either order
+        kscalar, _ = unit_delta(K)
+        e = (kcanon / kscalar).real
+        gamma = random_gamma(rng)
+        b = stabilizer_element(gamma, e).spinor
+        pairs = [factor_rotation_boost(b), factor_boost_rotation(b)]
+        for pair in pairs:
+            rot = so3c_from_spinor(pair.rotation).matrix
+            worst_rot = max(worst_rot, inf_norm(rot - rotation_matrix_angle_axis(gamma.real, e)))
+            boost = lorentz4_from_spinor(pair.boost).matrix
+            worst_split = max(worst_split, inf_norm(boost - boost_closed_form(gamma.imag, e)) / inf_norm(boost))
+        worst_orders = max(worst_orders, inf_norm(pairs[0].boost.k - pairs[1].boost.k))
+    # the isotropic family has no such frame: its rotation and boost axes
+    # are orthogonal, never coaxial
+    worst_axes = 0.0
+    for _ in range(300):
+        k = random_isotropic_k(rng)
+        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        b = isotropic_stabilizer_element(z, k).spinor
+        for order in FactorOrder:
+            pair = factor_isotropic(b, order)
+            n, v = pair.rotation.n, pair.boost.k.real
+            worst_axes = max(worst_axes, abs(n @ v) / (np.linalg.norm(n) * np.linalg.norm(v)))
+    ok = max(worst_boost, worst_cosh, worst_parallel, worst_rot, worst_split, worst_orders, worst_axes) < 1e-9
+    report(13, ok, f"S vs E||B boost {worst_boost:.2e}, cosh 2 rho {worst_cosh:.2e}, n' x m' {worst_parallel:.2e}; "
+                   f"SO(2) x SO(1,1): rotation {worst_rot:.2e}, boost {worst_split:.2e}, orders {worst_orders:.2e}; "
+                   f"isotropic axes cosine {worst_axes:.2e}")

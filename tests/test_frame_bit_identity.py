@@ -96,11 +96,6 @@ def plain_unit_square(d, error):
         raise error(f"delta.delta = {sq:.15g}, expected 1")
 
 
-def plain_so3c(k0, k):
-    kx = axial_matrix(k)
-    return ComplexRotation(EYE3 + 2.0 * (1j * k0 * kx - kx @ kx)).matrix
-
-
 def plain_project(k0, k):
     k0 = complex(k0)
     det = k0 * k0 - _dot(k, k)
@@ -188,29 +183,29 @@ def plain_rotation_between(src, dst):
 
 
 def plain_reduce_to_real(delta, target=None):
+    """The refusals and the real-Delta branch.  A complex Delta's S is the
+    image of the small-group boost, checked against the E-parallel-to-B
+    oracle in test_stabilizer and acceptance criterion 13."""
     plain_unit_square(delta, NotUnitDelta)
     N, M = delta.real, delta.imag
     ch = _norm(N)
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
     N0 = N / ch
-    target = N0 if target is None else target
     mnorm = _norm(M)
     if mnorm <= 1e-12 * max(1.0, ch):
+        target = N0 if target is None else target
         return ComplexRotation(plain_rotation_between(N0, target).astype(complex)).matrix
     M0 = M / mnorm
     u = np.cross(M0, N0)
     unorm = _norm(u)
     if unorm < 1e-8:
         raise DegenerateDelta("Re delta and Im delta are parallel")
-    u = u / unorm
-    sh = np.sqrt(max(ch * ch - 1.0, 0.0))
-    uu = np.outer(u, u)
-    T = uu.astype(complex) + 1j * sh * (EYE3 - uu) - ch * axial_matrix(u)
-    return ComplexRotation(plain_rotation_between(M0, target).astype(complex) @ T).matrix
+    return reduce_to_real(delta, target).matrix
 
 
 def plain_canonical_frame(K):
+    """Through plain_reduce_to_real: bit for bit where Delta is real."""
     kscalar, delta = plain_unit_delta(K)
     S = plain_reduce_to_real(delta)
     e = (S @ delta).real
@@ -219,22 +214,21 @@ def plain_canonical_frame(K):
 
 
 def plain_stabilizer_element(gamma, delta):
+    """The refusal of a Delta off the unit quadric.  An accepted element is
+    the small-group spinor, checked against the oracles in test_stabilizer."""
     plain_unit_square(delta, NotUnitDelta)
-    gamma = complex(gamma)
-    plain_unit_square(delta, ConstraintViolation)  # GammaDelta
-    half = gamma / 2.0
-    k0, k = plain_spinor(np.cos(half), -1j * np.sin(half) * delta)
-    return k0, k, plain_so3c(k0, k)
+    return element_of(stabilizer_element(gamma, delta))
 
 
 def plain_isotropic_element(z, k, eps_iso=EPS_ISO):
+    """The refusals.  An accepted element is the small-group spinor, checked
+    against the oracles in test_stabilizer."""
     nrm = _norm(k)
     if nrm == 0.0:
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
     if abs(_dot(k, k)) > eps_iso * nrm ** 2:
         raise NotIsotropic(f"k.k = {_dot(k, k):.3e} is not zero within tolerance")
-    k0, k = plain_spinor(1.0, complex(z) * k)
-    return k0, k, plain_so3c(k0, k)
+    return element_of(isotropic_stabilizer_element(z, k, eps_iso))
 
 
 def plain_factor_rotation(b):

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
-from oracles import random_unit_delta
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import (
+    boost_closed_form,
+    e_parallel_b_boost,
+    expm2,
+    from_matrix2,
+    random_unit_delta,
+    to_matrix2,
+)
+from test_frame_bit_identity import exponents, gammas, k_of_kind, seeded_K, seeds, units
 
 from ncframe.errors import (
     IsotropicInput,
@@ -11,7 +21,7 @@ from ncframe.errors import (
     ZeroVector,
 )
 from ncframe.group import ComplexRotation, lorentz4_from_spinor, so3c_from_spinor
-from ncframe.linalg import bilinear_dot, hnorm, inf_norm
+from ncframe.linalg import DEFAULT_TOL, bilinear_dot, hnorm, inf_norm
 from ncframe.sampling import random_isotropic_k, random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import (
     NCClass,
@@ -397,3 +407,74 @@ class TestCanonicalFrame:
     def test_isotropic_rejected(self):
         with pytest.raises(IsotropicInput):
             canonical_frame(np.array([1.0, 1j, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Both stabilizer families and the reducing boost are one small-group spinor
+# b(t; K).  Its values, over the magnitudes and classes of the bit-identity
+# sweep, against independent oracles.
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def spinor_gap(b, k0, k):
+    """Distance of b from (k0, k), relative to max(1, |b.k0|, ||b.k||)."""
+    return max(abs(b.k0 - k0), inf_norm(b.k - k)) / max(1.0, abs(b.k0), hnorm(b.k))
+
+
+def isotropic_k(exp, seed, near):
+    """k = s (u + i p) + s sqrt(near) (u x p), so k.k = s^2 near up to rounding."""
+    k = k_of_kind("isotropic", exp, seed)
+    w = np.cross(k.real, k.imag) / hnorm(k) * np.sqrt(2.0)
+    return k + np.sqrt(near) * w
+
+
+def frame_oracle(K):
+    """The complex orthogonal image of the E || B boost, column by column
+    through the theta transport theta_to_K(L theta L^T) = O theta_to_K(theta)."""
+    rho, axis = e_parallel_b_boost(K)
+    L = boost_closed_form(rho, axis)
+    return np.array([theta_to_K(L @ K_to_theta(e) @ L.T) for e in np.eye(3)]).T
+
+
+class TestSmallGroupOracles:
+    @given(K=seeded_K, gamma=gammas)
+    def test_gamma_family_is_cos_sin_of_half_gamma(self, K, gamma):
+        try:
+            _, delta = unit_delta(K)
+        except IsotropicInput:
+            return
+        half = gamma / 2.0
+        b = stabilizer_element(gamma, delta).spinor
+        assert spinor_gap(b, np.cos(half), -1j * np.sin(half) * delta) <= DEFAULT_TOL
+
+    @given(exp=exponents, seed=seeds, near=st.one_of(st.just(0.0), st.floats(1e-20, 1e-9)),
+           size=st.floats(-3.0, 1.5), phase=st.floats(0.0, 2 * np.pi))
+    def test_isotropic_family_is_exponential(self, exp, seed, near, size, phase):
+        # b(2i z; k) = exp(z k.sigma), for k.k inside eps_iso and |z| ||k|| up to 30
+        k = isotropic_k(exp, seed, near)
+        z = 10.0**size * complex(np.cos(phase), np.sin(phase)) / hnorm(k)
+        b = isotropic_stabilizer_element(z, k).spinor
+        assert spinor_gap(b, *from_matrix2(expm2(z * to_matrix2(0.0, k)))) <= DEFAULT_TOL
+        scale = abs(b.k0) ** 2 + hnorm(b.k) ** 2
+        assert abs(b.k0 * b.k0 - bilinear_dot(b.k, b.k) - 1.0) <= 16 * EPS * scale
+
+    def test_isotropic_element_unimodular_where_z_k_is_large(self):
+        # k.k = 1e-10 passes the eps_iso test; with z = 1e5, (1, z k) would
+        # have k0^2 - k.k = 0 exactly, a singular element
+        z, k = 1e5, np.array([1.0, 1j, 1e-5])
+        b = isotropic_stabilizer_element(z, k).spinor
+        assert abs(b.k0 * b.k0 - bilinear_dot(b.k, b.k) - 1.0) <= 16 * EPS * hnorm(z * k) ** 2
+
+    @given(kind=st.sampled_from(["generic", "Ia", "Ib", "IIa", "IIb"]), exp=exponents, seed=seeds, target=units)
+    def test_reduction_is_e_parallel_b_boost(self, kind, exp, seed, target):
+        K = k_of_kind(kind, exp, seed)
+        _, delta = unit_delta(K)
+        S, kcanon = canonical_frame(K)
+        assert inf_norm(S.matrix - frame_oracle(K)) <= 1e-9 * max(1.0, inf_norm(S.matrix))
+        assert inf_norm(reduce_to_real(delta).matrix - S.matrix) == 0.0
+        St = reduce_to_real(delta, target)
+        scale = max(1.0, inf_norm(St.matrix))
+        assert inf_norm(St.matrix.T @ St.matrix - np.eye(3)) <= 1e-9 * scale**2
+        assert hnorm(St.apply(delta) - target) <= 1e-9 * scale * hnorm(delta)
