@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, _trusted_spinor, spinor_compose
-from .linalg import DEFAULT_TOL, bdot3, cross3, hnorm3, vec3
-from .stabilizer import EPS_ISO
+from .linalg import DEFAULT_TOL, bdot3, cross3, vec3
+from .stabilizer import EPS_ISO, _isotropic, _scaled
 
 
 class FactorOrder(str, enum.Enum):
@@ -106,9 +106,8 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     sgn = 1 if abs(b.k0 - 1.0) <= abs(b.k0 + 1.0) else -1
     if abs(b.k0 - sgn) > DEFAULT_TOL:
         return 0
-    if abs(bdot3(b.k, b.k)) > eps_iso * max(1e-300, hnorm3(b.k) ** 2):
-        return 0
-    return sgn
+    ks, nrm, _ = _scaled(b.k)
+    return sgn if _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso) else 0
 
 
 def factor_isotropic(
@@ -140,8 +139,8 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    nrm2 = hnorm3(k) ** 2
-    if nrm2 == 0.0 or abs(bdot3(k, k)) > eps_iso * nrm2:
+    ks, nrm, _ = _scaled(k)
+    if nrm == 0.0 or not _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso):
         raise NotIsotropic("k.k must vanish within tolerance")
     n, m = -k.imag, k.real
     z = lam * np.exp(1j * sigma)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +60,11 @@ from .linalg import (
     vec3,
 )
 
-#: Relative isotropy / commutativity threshold on |K.K| against ||K||^2.
+#: Relative isotropy threshold on |K.K| against ||K||^2.
 EPS_ISO = 1e-9
 
-# |Kscalar| = sqrt(|K.K|) below this means K.K is a subnormal float.
-_SUBNORMAL_ROOT = math.sqrt(sys.float_info.min)
+# ||K|| where ||K||^2 and a non-isotropic |K.K| are normal: K is used as given.
+_WINDOW = (2.0**-450, 2.0**450)
 
 
 class NCClass(str, enum.Enum):
@@ -121,12 +120,8 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
 
 
 def _require_finite(a, nrm: float, name: str = "K") -> None:
-    """Raise :class:`NonFiniteInput` if an entry of a is NaN or infinite.
-
-    nrm is a norm of a that the caller computes anyway; a NaN or inf entry
-    makes it NaN or inf, so the entries are scanned only then (a finite K
-    whose norm overflows is not rejected).
-    """
+    """Raise :class:`NonFiniteInput` if an entry of a is NaN or infinite; the
+    entries are scanned only when nrm, a norm of a, is not finite."""
     if not math.isfinite(nrm) and not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
@@ -167,46 +162,51 @@ def _invariants(K: ComplexVec3) -> tuple[float, float, float, float]:
 def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     """Classify K into commutative / non-isotropic / isotropic with subcase.
 
-    Commutative means ||K|| = 0 within eps_iso; isotropic means
-    |K.K| <= eps_iso * ||K||^2.  The boundary subcases Ia/Ib (I2 = 0) and
-    IIa/IIb (I1 = 0) are detected relative to I = |K.K|, so the labels are
-    invariant under real rescaling of K.  NaN or inf entries raise
-    :class:`NonFiniteInput`.  For a finite K whose norm overflows, the labels
-    and mu come from K scaled by an exact power of two, while I1, I2 and I
-    stay those of K as given (so they can be infinite or NaN).
+    Commutative means K = 0; isotropic means |K.K| <= eps_iso * ||K||^2.
+    Ia/Ib (I2 = 0) and IIa/IIb (I1 = 0) are detected relative to I = |K.K|.
+    Labels and mu come from K scaled by an exact power of two, so the units
+    of K do not matter; I1, I2 and I are those of K as given (they can
+    overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
     K = vec3(K)
-    nrm = hnorm3(K)
-    _require_finite(K, nrm)
-    i1, i2, mag, mu = _invariants(K)
-    if math.isfinite(nrm):
-        klass, sub, mu = _label(nrm, i1, i2, mag, mu, eps_iso)
-    else:
-        # ||K|| overflows although every entry is finite: label K scaled by
-        # the exact power of two that brings its largest part into [0.5, 1).
-        big = max(np.abs(K.real).max(), np.abs(K.imag).max())
-        Ks = K * 2.0 ** -math.frexp(big)[1]
-        klass, sub, mu = _label(hnorm3(Ks), *_invariants(Ks), eps_iso)
+    Ks, nrm, e = _scaled(K)
+    i1, i2, mag, mu = _invariants(Ks)
+    klass, sub = NCClass.NON_ISOTROPIC, Subcase.GENERIC
+    if nrm == 0.0 or _isotropic(mag, nrm, eps_iso):
+        klass = NCClass.ISOTROPIC if nrm else NCClass.COMMUTATIVE
+        sub, mu = Subcase.NONE, None
+    elif abs(i2) <= eps_iso * mag:
+        sub, mu = (Subcase.IA, 0.0) if i1 > 0 else (Subcase.IB, np.pi / 2)
+    elif abs(i1) <= eps_iso * mag:
+        sub, mu = (Subcase.IIA, np.pi / 4) if i2 > 0 else (Subcase.IIB, 3 * np.pi / 4)
+    if e:
+        i1, i2, mag, _ = _invariants(K)
     return NCParameter(K_to_theta(K), K, i1, i2, mag, mu, klass, sub)
 
 
-def _label(nrm: float, i1: float, i2: float, mag: float, mu: float,
-           eps_iso: float) -> tuple[NCClass, Subcase, float | None]:
-    """(class, subcase, mu) of :func:`classify` from the norm and invariants of K."""
-    norm2 = nrm ** 2
-    if math.sqrt(norm2) <= eps_iso:
-        return NCClass.COMMUTATIVE, Subcase.NONE, None
-    if mag <= eps_iso * norm2:
-        return NCClass.ISOTROPIC, Subcase.NONE, None
-    if abs(i2) <= eps_iso * mag:
-        sub = Subcase.IA if i1 > 0 else Subcase.IB
-        mu = 0.0 if i1 > 0 else np.pi / 2
-    elif abs(i1) <= eps_iso * mag:
-        sub = Subcase.IIA if i2 > 0 else Subcase.IIB
-        mu = np.pi / 4 if i2 > 0 else 3 * np.pi / 4
-    else:
-        sub = Subcase.GENERIC
-    return NCClass.NON_ISOTROPIC, sub, float(mu)
+def _scaled(K: ComplexVec3) -> tuple[ComplexVec3, float, int]:
+    """(Ks, ||Ks||, e) with Ks = 2**-e K exactly: K inside ``_WINDOW``, else K
+    with its largest part in [0.5, 1).  NaN or inf raise NonFiniteInput."""
+    nrm = hnorm3(K)
+    if _WINDOW[0] <= nrm <= _WINDOW[1]:
+        return K, nrm, 0
+    _require_finite(K, nrm)
+    e = math.frexp(max(np.abs(K.real).max(), np.abs(K.imag).max()))[1]
+    Ks = _ldexp(K, -e)
+    return Ks, hnorm3(Ks), e
+
+
+def _ldexp(z, e: int):
+    """2**e z for a complex scalar or 3-vector; unlike z * 2.0**e, keeps signed zeros and any e."""
+    if not e:
+        return z
+    w = np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
+    return w if np.ndim(z) else complex(w[0])
+
+
+def _isotropic(mag: float, nrm: float, eps_iso: float) -> bool:
+    """The isotropy test |K.K| <= eps_iso ||K||^2, on a K from :func:`_scaled`."""
+    return mag <= eps_iso * nrm ** 2
 
 
 def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
@@ -217,19 +217,20 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
     entries raise :class:`NonFiniteInput`.
     """
-    return _unit_delta(vec3(K), eps_iso)
+    kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
+    return _ldexp(kscalar, e), delta
 
 
-def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, ComplexVec3]:
-    nrm = hnorm3(K)
-    _require_finite(K, nrm)
-    i1, i2, mag, mu = _invariants(K)
-    if mag <= eps_iso * nrm ** 2 or nrm == 0.0:
+def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, ComplexVec3, int]:
+    """(Kscalar / 2**e, Delta, e): the split of K scaled by :func:`_scaled`."""
+    Ks, nrm, e = _scaled(K)
+    _, _, mag, mu = _invariants(Ks)
+    if nrm == 0.0 or _isotropic(mag, nrm, eps_iso):
         raise IsotropicInput("K.K = 0 within tolerance: no unit-square direction exists")
     # exp(i*mu) from math.cos and math.sin, bit for bit; the + 0.0 turns the
     # -0.0 of sin(-0.0) into the +0.0 that exp gives.
     kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
-    return kscalar, K / kscalar
+    return kscalar, Ks / kscalar, e
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,11 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     the z parameters.
     """
     k = vec3(k)
-    nrm = hnorm3(k)
+    ks, nrm, _ = _scaled(k)
     if nrm == 0.0:
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    ksq = bdot3(k, k)
-    if abs(ksq) > eps_iso * nrm**2:
-        raise NotIsotropic(f"k.k = {ksq:.3e} is not zero within tolerance")
+    if not _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso):
+        raise NotIsotropic(f"k.k = {bdot3(k, k):.3e} is not zero within tolerance")
     z = complex(z)
     spinor = _stabilizer_spinor(2j * z, k)
     return StabilizerElement(
@@ -392,11 +392,8 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     real unit vector.  In that frame n' and m' are both parallel to e, and
     the invariants of Kcanon equal those of K by construction.
     """
-    kscalar, delta = _unit_delta(vec3(K), eps_iso)
-    if abs(kscalar) < _SUBNORMAL_ROOT:
-        # Delta.Delta = 1 to rounding unless K.K is subnormal and lost digits
-        _require_unit_square(delta, NotUnitDelta)
+    kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
     S = _reduce_to_real(delta, None)
-    e = S.matrix.dot(delta).real
-    e /= rnorm3(e)
-    return S, kscalar * e
+    u = S.matrix.dot(delta).real
+    u /= rnorm3(u)
+    return S, _ldexp(kscalar * u, e)

@@ -161,6 +161,19 @@ class TestExitCodes:
         code, _ = run_cli(["reduce"], {"nm": [0, 0, 0, 0, 0, 0]}, tmp_path, capsys)
         assert code == 5
 
+    @pytest.mark.parametrize("argv", [["classify"], ["reduce"], ["stabilizer", "--count", "2"]])
+    def test_residuals_at_tiny_k(self, argv, tmp_path, capsys):
+        # ||K||^2 and K.K underflow to 0 at 1e-170; the residuals are degree 0 in K
+        code, out = run_cli(argv, {"nm": [1e-170, 0, 0, 0, 5e-171, 0]}, tmp_path, capsys)
+        assert code == 0 and out["pass"] and out["class"] == "NonIsotropic"
+
+    def test_classify_overflowing_invariants(self, tmp_path, capsys):
+        # K is labelled, but its invariants I1 and I overflow to inf, which
+        # the report refuses
+        with np.errstate(over="ignore"):
+            code, _ = run_cli(["classify"], {"nm": [1e200, 0, 0, 0, 0, 0]}, tmp_path, capsys)
+        assert code == 2
+
     def test_factor_constraint_violation(self, tmp_path, capsys):
         code, _ = run_cli(["factor"], {"spinor": [2, 0, 0, 0, 0, 0, 0, 0]}, tmp_path, capsys)
         assert code == 6

@@ -140,7 +140,18 @@ def plain_invariants(K):
     return i1, i2, mag, float(mu)
 
 
+def pinned(K):
+    """Where plain_classify and plain_unit_delta are right, and so pinned bit
+    for bit: ||K|| > EPS_ISO and K.K a normal float (or zero).  Below that,
+    their absolute commutative cut and the digits a subnormal K.K loses are
+    what the exact power-of-two scaling of K removed; test_stabilizer checks
+    the labels and the frame there by scale covariance."""
+    mag = abs(_dot(K, K))
+    return _norm(K) > EPS_ISO and (mag == 0.0 or mag >= np.finfo(float).tiny)
+
+
 def plain_classify(K, eps_iso=EPS_ISO):
+    """classify's formulas, for a K where pinned(K) holds."""
     nrm = _norm(K)
     i1, i2, mag, mu = plain_invariants(K)
     norm2 = nrm ** 2
@@ -160,6 +171,7 @@ def plain_classify(K, eps_iso=EPS_ISO):
 
 
 def plain_unit_delta(K, eps_iso=EPS_ISO):
+    """unit_delta's formulas, pinned where pinned(K) holds."""
     nrm = _norm(K)
     _, _, mag, mu = plain_invariants(K)
     if mag <= eps_iso * nrm ** 2 or nrm == 0.0:
@@ -402,8 +414,9 @@ class TestBitIdentity:
     def test_classify(self, K):
         assert_same(invariants(K), plain_invariants(K))
         p = classify(K)
-        assert_same((p.I1, p.I2, p.I, p.mu, p.klass, p.subcase), plain_classify(K))
         assert_same(p.K, K)
+        if pinned(K):
+            assert_same((p.I1, p.I2, p.I, p.mu, p.klass, p.subcase), plain_classify(K))
 
     @given(K=any_K)
     @example(K=REAL_AXIS)
@@ -413,6 +426,8 @@ class TestBitIdentity:
     @example(K=HYPOT_CASE)
     @example(K=ATAN2_CASE)
     def test_unit_delta_and_canonical_frame(self, K):
+        if not pinned(K):
+            return
         assert_same(outcome(unit_delta, K), outcome(plain_unit_delta, K))
         assert_same(outcome(lambda K: frame_of(canonical_frame(K)), K), outcome(plain_canonical_frame, K))
 

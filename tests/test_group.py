@@ -823,12 +823,14 @@ class TestTrustedConstruction:
         assert not assert_same_as_checked(reduce_to_real, delta)
         assert not assert_same_as_checked(reduce_to_real, delta, _axis(*target[:2]))
 
-    @given(dch=st.floats(-5e-11, 5e-11), sh=st.floats(1e-11, 1e-5), angles=angles4)
-    def test_reduce_to_real_near_cosh_one(self, dch, sh, angles):
-        # ch just below 1 keeps the ComplexRotation check, ch >= 1 is trusted
+    @given(dch=st.floats(-5e-11, 5e-11), sh=st.floats(1e-11, 1e-5), angles=angles4, target=angles4)
+    def test_reduce_to_real_near_cosh_one(self, dch, sh, angles, target):
+        # ||Re Delta|| on either side of 1 and a small Im Delta: the product
+        # rotation_between(N0, e) @ O(b(i rho; u)) that stabilizer._trusted
+        # stores has the bytes of the checked ComplexRotation
         n0, m0 = orthonormal_pair(angles)
         delta = (1.0 + dch) * n0 + 1j * sh * m0
-        assert not assert_same_as_checked(reduce_to_real, delta)
+        assert not assert_same_as_checked(reduce_to_real, delta, _axis(*target[:2]))
 
     @given(exp=st.integers(-160, 100), seed=st.integers(0, 2**32 - 1), isotropic=st.booleans(),
            near=st.floats(1e-9, 1e-6))

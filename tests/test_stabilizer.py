@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import (
     boost_closed_form,
@@ -124,9 +124,12 @@ class TestClassify:
             [1.0, 1j, 0.0],            # isotropic
         ],
     )
-    @pytest.mark.parametrize("k", [1, 300, 511, 512, 513, 700, 1000, 1020])
+    @pytest.mark.parametrize("k", [1, 300, 511, 512, 513, 700, 1000, 1020,
+                                   -1, -300, -511, -512, -513, -700, -1000, -1022])
     def test_labels_survive_norm_overflow(self, K, k):
-        # ||2^k K|| overflows from k = 512 on, while every entry stays finite
+        # ||2^k K|| overflows from k = 512 on, while every entry stays finite;
+        # ||2^k K||^2 underflows from k = -512 down, and at k = -1022 the
+        # parts below 1 are subnormal
         want = classify(K)
         with np.errstate(over="ignore", invalid="ignore"):
             got = classify(2.0**k * np.asarray(K))
@@ -407,6 +410,22 @@ class TestCanonicalFrame:
     def test_isotropic_rejected(self):
         with pytest.raises(IsotropicInput):
             canonical_frame(np.array([1.0, 1j, 0.0]))
+
+    @given(kind=st.sampled_from(["generic", "Ia", "Ib", "IIa", "IIb"]), seed=seeds, k=st.integers(-1000, 1000))
+    def test_exact_under_power_of_two_scaling(self, kind, seed, k):
+        # K at magnitude about 1, then 2^k K: the same S and Delta bytes, and
+        # Kscalar and Kcanon exactly 2^k times, from ||K|| near 1e-301 to 1e301
+        K = k_of_kind(kind, 0, seed)
+        Kk = np.ldexp(K.view(float), k).view(complex)
+        assume(np.ldexp(Kk.view(float), -k).tobytes() == K.tobytes())  # 2^k K is exact
+        S, kcanon = canonical_frame(K)
+        kscalar, delta = unit_delta(K)
+        with np.errstate(over="ignore"):  # ||Kk||^2 overflows from k = 511 on
+            Sk, kcanon_k = canonical_frame(Kk)
+            kscalar_k, delta_k = unit_delta(Kk)
+        assert Sk.matrix.tobytes() == S.matrix.tobytes() and delta_k.tobytes() == delta.tobytes()
+        assert kscalar_k == complex(*np.ldexp((kscalar.real, kscalar.imag), k))
+        assert kcanon_k.tobytes() == np.ldexp(kcanon.view(float), k).view(complex).tobytes()
 
 
 # ---------------------------------------------------------------------------
