@@ -25,13 +25,15 @@ two relations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteInput
 from .group import SpinorElement, so3c_from_spinor
-from .linalg import ComplexVec3, bdot3, hnorm3, rvec3, vec3
+from .linalg import ComplexVec3, rvec3, vec3
+from .stabilizer import _WINDOW, _exponent, _ldexp
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,10 @@ class UnitSystem:
     epsilon0: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0 and self.epsilon0 > 0):
-            raise ValueError("c and epsilon0 must be positive")
+        # the real routes divide by c * epsilon0, so it must be a normal float
+        ce = self.c * self.epsilon0
+        if not (self.c > 0 and self.epsilon0 > 0 and sys.float_info.min <= ce <= sys.float_info.max):
+            raise ValueError("c and epsilon0 must be positive, with a finite normal product")
 
     @classmethod
     def natural(cls) -> "UnitSystem":
@@ -88,7 +92,7 @@ class FieldState:
 
 def residual_scale(f, K) -> float:
     """||f|| (1 + ||K|| ||f||), the scale of every relative residual here; 1 if it is 0."""
-    return _scale(vec3(f), vec3(K))
+    return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
 #: Distance, in quarter turns, within which a dual angle counts as a quarter turn.
@@ -112,47 +116,83 @@ def quarter_turn(chi: float) -> tuple[int, bool]:
     return q, abs(quarter - q) < QUARTER_TOL
 
 
-# The private kernels below take complex 3-vectors that their public callers
-# have already coerced with vec3.
+# The private kernels below compute on 3-lists of Python complex (or float)
+# numbers, the ``tolist()`` of vectors that their public callers coerced with
+# vec3 or rvec3: on a 3-vector, numpy's per-call overhead costs more than
+# the arithmetic.  Dots sum left to right and squares are products, so an
+# overflow gives inf or NaN, never a Python exception.
 
 
-def _sdot(u: ComplexVec3, v: ComplexVec3) -> complex:
-    """u*.v* without forming the conjugates: conj(u.v), bit for bit.
-
-    Negating the imaginary parts of both inputs negates every imaginary
-    product, so the real sum is unchanged and the imaginary sum changes sign.
-    numpy's dot sums from +0.0, so an exactly zero imaginary sum is +0.0
-    either way; ``0.0 - im`` keeps it +0.0 where ``-im`` would give -0.0.
-    """
-    z = bdot3(u, v)
-    return complex(z.real, 0.0 - z.imag)
+def _dot(u: list, v: list) -> complex:
+    """Bilinear u.v, summed left to right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _scale(f: ComplexVec3, K: ComplexVec3) -> float:
-    nf = hnorm3(f)
-    s = nf * (1.0 + hnorm3(K) * nf)
+def _conj(v: list) -> list:
+    return [z.conjugate() for z in v]
+
+
+def _norm(v: list) -> float:
+    """Hermitian magnitude: math.hypot of the six parts, which cannot overflow early."""
+    a, b, c = v
+    return math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+
+
+def _apply(O: list, v: list) -> list:
+    """O v for a 3x3 nested list O."""
+    return [_dot(row, v) for row in O]
+
+
+def _scale(f: list, K: list) -> float:
+    nf = _norm(f)
+    s = nf * (1.0 + _norm(K) * nf)
     return s if s > 0.0 else 1.0
 
 
-def _forward(f: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
-    return (1.0 + _sdot(f, K)) * f + 0.5 * _sdot(f, f) * K
+def _forward(f: list, K: list) -> list:
+    fc = _conj(f)
+    p, w = 1.0 + _dot(fc, _conj(K)), 0.5 * _dot(fc, fc)
+    return [p * x + w * k for x, k in zip(f, K)]
 
 
-def _inverse(h: ComplexVec3, K: ComplexVec3) -> ComplexVec3:
-    return (1.0 - _sdot(h, K)) * h - 0.5 * _sdot(h, h) * K
+def _inverse(h: list, K: list) -> list:
+    hc = _conj(h)
+    p, w = 1.0 - _dot(hc, _conj(K)), 0.5 * _dot(hc, hc)
+    return [p * x - w * k for x, k in zip(h, K)]
+
+
+def _normalized(f: ComplexVec3, K: ComplexVec3) -> tuple[list, list, float]:
+    """f and K as 3-lists, and residual_scale of those, after the exact
+    rescaling (f, K) -> (2**-e f, 2**e K) when ||f|| or the scale is outside
+    ``_WINDOW``; e is the exponent of the largest part of f.
+
+    |f.f|, |f.h| and |h.h| are at most a few scale**2, so inside the window
+    none overflows and f.f does not underflow.  h scales with f and both
+    residuals are relative, so the rescaling changes no result where the
+    unscaled dots are normal floats.
+    """
+    fl, Kl = f.tolist(), K.tolist()
+    scale = _scale(fl, Kl)
+    if not (_WINDOW[0] <= _norm(fl) and scale <= _WINDOW[1]):
+        e = _exponent(f)
+        if e:
+            with np.errstate(over="ignore"):  # K 2**e overflows only if ||K|| ||f|| does
+                fl, Kl = _ldexp(f, -e).tolist(), _ldexp(K, e).tolist()
+            scale = _scale(fl, Kl)
+    return fl, Kl, scale
 
 
 # The per-field-state quantities of the last (f, K) that a residual read:
-# (key, h, scale, gram) with key the raw bytes of f and K, h = forward(f, K),
-# scale = residual_scale(f, K) and gram = (fhK, dots), the rows f, h, K
-# stacked and every bilinear dot between them, or None until a dual residual
-# first asks for it (covariance_residual never does).  A dual scan evaluates
-# many angles on one field state, so they compute these once.  The key is the
-# exact bytes, so a mutated input or a zero of the other sign misses and every
-# result keeps its bits.  The tuple is replaced in one assignment and read
-# once per call, so concurrent callers at worst miss; nothing in it leaves the
-# module, so no caller can mutate it.
-_memo: tuple[bytes, ComplexVec3 | None, float, tuple | None] = (b"", None, 1.0, None)
+# (key, f, K, h, scale, gram) with key the raw bytes of f and K as given;
+# f, K and scale from _normalized, h = forward(f, K), and gram the bilinear
+# dots (f.f, f.h, f.K, h.h, h.K), or None until a dual residual first asks
+# for them (covariance_residual never does).  A dual scan evaluates many
+# angles on one field state, so they compute these once.  The key is the
+# exact bytes, so a mutated input or a zero of the other sign misses and
+# every result keeps its bits.  The tuple is replaced in one assignment and
+# read once per call, so concurrent callers at worst miss; nothing in it
+# leaves the module, so no caller can mutate it.
+_memo: tuple = (b"", None, None, None, 1.0, None)
 
 
 def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
@@ -161,22 +201,23 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
     key = f.tobytes() + K.tobytes()
     memo = _memo
     if memo[0] != key:
-        memo = (key, _forward(f, K), _scale(f, K), None)
-    if gram and memo[3] is None:
-        fhK = np.stack((f, memo[1], K))
-        memo = memo[:3] + ((fhK, fhK.dot(fhK.T).tolist()),)
+        f, K, scale = _normalized(f, K)
+        memo = (key, f, K, _forward(f, K), scale, None)
+    if gram and memo[5] is None:
+        _, f, K, h = memo[:4]
+        memo = memo[:5] + ((_dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)),)
     _memo = memo
     return memo
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    return _forward(vec3(f), vec3(K))
+    return np.array(_forward(vec3(f).tolist(), vec3(K).tolist()))
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    return _inverse(vec3(h), vec3(K))
+    return np.array(_inverse(vec3(h).tolist(), vec3(K).tolist()))
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -186,31 +227,38 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     :func:`constitutive_forward`; kept in real form so the two routes can
     serve as mutual checks.
     """
-    E, cB = rvec3(E), units.c * rvec3(B)
+    c, eps0 = units.c, units.epsilon0
+    E = rvec3(E).tolist()
+    cB = [c * x for x in rvec3(B).tolist()]
     K = vec3(K)
-    n, m = K.real, K.imag
-    s1 = n.dot(E) - m.dot(cB)
-    s2 = m.dot(E) + n.dot(cB)
-    ecb = E.dot(cB)
-    quad = 0.5 * (E.dot(E) - cB.dot(cB))
-    d = E + s1 * E + s2 * cB + ecb * m + quad * n
-    g = cB + s1 * cB - s2 * E - ecb * n + quad * m
-    return units.epsilon0 * d, units.c * units.epsilon0 * g
+    n, m = K.real.tolist(), K.imag.tolist()
+    s1 = _dot(n, E) - _dot(m, cB)
+    s2 = _dot(m, E) + _dot(n, cB)
+    ecb = _dot(E, cB)
+    quad = 0.5 * (_dot(E, E) - _dot(cB, cB))
+    ceps0 = c * eps0
+    terms = list(zip(E, cB, n, m))
+    D = [eps0 * (e + s1 * e + s2 * b + ecb * y + quad * x) for e, b, x, y in terms]
+    H = [ceps0 * (b + s1 * b - s2 * e - ecb * x + quad * y) for e, b, x, y in terms]
+    return np.array(D), np.array(H)
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     """(E, B) from (D, H); the real form of :func:`constitutive_inverse`."""
-    d = rvec3(D) / units.epsilon0
-    g = rvec3(H) / (units.c * units.epsilon0)
+    c, eps0 = units.c, units.epsilon0
+    ceps0 = c * eps0
+    d = [x / eps0 for x in rvec3(D).tolist()]
+    g = [x / ceps0 for x in rvec3(H).tolist()]
     K = vec3(K)
-    n, m = K.real, K.imag
-    s1 = m.dot(g) - n.dot(d)
-    s2 = m.dot(d) + n.dot(g)
-    dg = d.dot(g)
-    quad = 0.5 * (g.dot(g) - d.dot(d))
-    E = d + s1 * d - s2 * g - dg * m + quad * n
-    cB = g + s1 * g + s2 * d + dg * n + quad * m
-    return E, cB / units.c
+    n, m = K.real.tolist(), K.imag.tolist()
+    s1 = _dot(m, g) - _dot(n, d)
+    s2 = _dot(m, d) + _dot(n, g)
+    dg = _dot(d, g)
+    quad = 0.5 * (_dot(g, g) - _dot(d, d))
+    terms = list(zip(d, g, n, m))
+    E = [a + s1 * a - s2 * b - dg * y + quad * x for a, b, x, y in terms]
+    B = [(b + s1 * b + s2 * a + dg * x + quad * y) / c for a, b, x, y in terms]
+    return np.array(E), np.array(B)
 
 
 def covariance_residual(b: SpinorElement, f, K) -> float:
@@ -220,10 +268,10 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     with O the complex orthogonal image of b; zero in exact arithmetic.
     """
     f, K = vec3(f), vec3(K)
-    O = so3c_from_spinor(b).matrix
-    _, h, scale, _ = _base(f, K)
-    r = _forward(O.dot(f), O.dot(K)) - O.dot(h)
-    return hnorm3(r) / scale
+    O = so3c_from_spinor(b).matrix.tolist()
+    _, f, K, h, scale, _ = _base(f, K)
+    moved = _forward(_apply(O, f), _apply(O, K))
+    return _norm([x - y for x, y in zip(moved, _apply(O, h))]) / scale
 
 
 def dual_transform(f, h, K, chi: float):
@@ -247,9 +295,10 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     pi that is the forward relation on (f', h'); at chi = pi/2 or 3*pi/2 the
     rotation exchanges the roles of f and h, so the inverse relation is the
     one that holds (``swapped=True``).  Pass ``swapped`` to force a role;
-    ``None`` selects it from chi (:func:`quarter_turn`).  The residual is
-    relative to ||f|| (1 + ||K|| ||f||) and vanishes (to rounding) exactly at
-    the four quarter-turn angles; generic angles fail at second order in K.
+    ``None`` selects it from chi (:func:`quarter_turn`, which also refuses a
+    NaN or infinite chi).  The residual is relative to ||f|| (1 + ||K|| ||f||)
+    and vanishes (to rounding) exactly at the four quarter-turn angles;
+    generic angles fail at second order in K.
 
     With c = cos(chi), s = sin(chi) and e = exp(i*chi), the primed fields
     f' = c f + i s h, h' = c h + i s f and K' = e K make the residual vector
@@ -267,21 +316,21 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     per field state, so each further angle costs a few scalar operations.
     """
     f, K = vec3(f), vec3(K)
+    q = quarter_turn(chi)[0]
     if swapped is None:
-        swapped = quarter_turn(chi)[0] % 2 == 1
-    _, _, scale, (fhK, g) = _base(f, K, gram=True)
+        swapped = q % 2 == 1
+    _, f, K, h, scale, (ff, fh, fK, hh, hK) = _base(f, K, gram=True)
     c, s = math.cos(chi), math.sin(chi)
     e, i_s = complex(c, s), 1j * s
-    (ff, fh, fK), (_, hh, hK) = g[0], g[1]
     if swapped:
         u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()
         w = 0.5 * (c * c * hh + 2j * c * s * fh - s * s * ff).conjugate() * e
-        coef = (c - u * i_s, i_s - u * c, w)
+        alpha, beta, gamma = c - u * i_s, i_s - u * c, w
     else:
         u = 1.0 + (e * (c * fK + i_s * hK)).conjugate()
         w = -0.5 * (c * c * ff + 2j * c * s * fh - s * s * hh).conjugate() * e
-        coef = (i_s - u * c, c - u * i_s, w)
-    return hnorm3(np.array(coef).dot(fhK)) / scale
+        alpha, beta, gamma = i_s - u * c, c - u * i_s, w
+    return _norm([alpha * x + beta * y + gamma * z for x, y, z in zip(f, h, K)]) / scale
 
 
 @dataclass(frozen=True)
@@ -302,8 +351,10 @@ class DualFrame:
 
 
 def gr_from_fields(f, h) -> DualFrame:
-    f, h = vec3(f), vec3(h)
-    return DualFrame(G=(h + f) / 2.0, R=np.conj(h - f) / 2.0)
+    f, h = vec3(f).tolist(), vec3(h).tolist()
+    G = [0.5 * (y + x) for x, y in zip(f, h)]
+    R = [0.5 * (y - x).conjugate() for x, y in zip(f, h)]
+    return DualFrame(G=np.array(G), R=np.array(R))
 
 
 def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
@@ -315,15 +366,16 @@ def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
     Both vanish to second order in K for a frame built from a consistent
     (f, h) pair; K = 0 forces R = 0, the vacuum relation h = f.
     """
-    K = vec3(K)
-    G, R = frame.G, frame.R
-    Rc = np.conj(R)
-    a = _sdot(G, K)
-    b = _sdot(Rc, K)  # R.K* = (R*.K)*
-    s = _sdot(G, Rc)  # G*.R = (G.R*)*
-    r1 = 2.0 * s * K + a * Rc + b * G
-    r2 = a * G + b * Rc + 0.5 * (_sdot(G, G) + bdot3(R, R)) * K - 2.0 * Rc
-    return hnorm3(r1), hnorm3(r2)
+    K = vec3(K).tolist()
+    G, R = frame.G.tolist(), frame.R.tolist()
+    Gc, Rc = _conj(G), _conj(R)
+    Kc = _conj(K)
+    a, b = _dot(Gc, Kc), _dot(R, Kc)
+    t, w = 2.0 * _dot(Gc, R), 0.5 * (_dot(Gc, Gc) + _dot(R, R))
+    terms = list(zip(G, Rc, K))
+    r1 = [t * k + a * rc + b * g for g, rc, k in terms]
+    r2 = [a * g + b * rc + w * k - 2.0 * rc for g, rc, k in terms]
+    return _norm(r1), _norm(r2)
 
 
 # ---------------------------------------------------------------------------

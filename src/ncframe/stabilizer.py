@@ -191,9 +191,14 @@ def _scaled(K: ComplexVec3) -> tuple[ComplexVec3, float, int]:
     if _WINDOW[0] <= nrm <= _WINDOW[1]:
         return K, nrm, 0
     _require_finite(K, nrm)
-    e = math.frexp(max(np.abs(K.real).max(), np.abs(K.imag).max()))[1]
+    e = _exponent(K)
     Ks = _ldexp(K, -e)
     return Ks, hnorm3(Ks), e
+
+
+def _exponent(v: ComplexVec3) -> int:
+    """The frexp exponent of the largest real or imaginary part of v."""
+    return math.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1]
 
 
 def _ldexp(z, e: int):

@@ -219,6 +219,29 @@ class TestExitCodes:
             got, out = run_cli(argv, doc, tmp_path, capsys)
             assert (got, out["pass"]) == (code, passed)
 
+    @pytest.mark.parametrize("argv", [["constitutive"], ["dual-scan"]])
+    def test_units_with_underflowing_product(self, argv, tmp_path, capsys):
+        # c * epsilon0 = 1e-400 is not a normal float; the real inverse read NaN
+        doc = {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
+        code, _ = run_cli([*argv, "--c", "1e-200", "--epsilon0", "1e-200"], doc, tmp_path, capsys)
+        assert code == 2
+
+    def test_fields_near_the_largest_float(self, tmp_path, capsys):
+        # the dual residuals rescale (f, K) and pass; D and H overflow, which
+        # the report refuses
+        doc = {"nm": [1e-308, 0, 0, 0, 5e-309, 0], "E": [1e308, 0, 0], "B": [0, 1e308, 0]}
+        code, out = run_cli(["dual-scan", "--steps", "4"], doc, tmp_path, capsys)
+        assert code == 0 and out["pass"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_cli(["constitutive"], doc, tmp_path, capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [["constitutive"], ["dual-scan"]])
+    def test_nan_fields(self, argv, tmp_path, capsys):
+        doc = {"E": [math.nan, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
+        code, _ = run_cli(argv, doc, tmp_path, capsys)
+        assert code == 2
+
     def test_stabilizer_parameter_family_mismatch(self, tmp_path, capsys):
         code, _ = run_cli(["stabilizer", "--z", "1,0"], {"nm": [0, 0, 1, 0, 0, 0]}, tmp_path, capsys)
         assert code == 2
@@ -234,6 +257,12 @@ class TestBehavior:
         small = [row for row in out["scan"] if row["residual"] < 1e-10]
         assert len(small) == 4
         assert all(row["expected_invariant"] for row in small)
+
+    def test_dual_scan_at_1e160(self, tmp_path, capsys):
+        # f.f overflowed before the residuals rescaled (f, K)
+        doc = {"nm": [1e-160, 0, 0, 0, 5e-161, 0], "E": [1e160, 0, 0], "B": [0, 2e159, 0]}
+        code, out = run_cli(["dual-scan", "--steps", "4"], doc, tmp_path, capsys)
+        assert code == 0 and out["pass"]
 
     def test_dual_check_quarter_turns_outside_one_turn(self, tmp_path, capsys):
         doc = {"E": [1, 0.2, 0], "B": [0, 0.3, 0.1], "nm": [0.08, 0, 0.02, 0, 0.05, 0.01]}
