@@ -39,7 +39,7 @@ from .factorization import (
     isotropic_sign,
 )
 from .group import SpinorElement, project_to_group
-from .linalg import EYE3, bilinear_dot, hnorm, inf_norm
+from .linalg import EYE3, _ldexp, bilinear_dot, hnorm, inf_norm
 from .sampling import default_rng, random_gamma
 from .stabilizer import (
     EPS_ISO,
@@ -52,7 +52,7 @@ from .stabilizer import (
     theta_to_K,
     unit_delta,
 )
-from .stabilizer import _ldexp, _scaled
+from .stabilizer import _scaled
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -324,7 +324,7 @@ def cmd_factor(args) -> dict:
     raw = _real_array(doc, "spinor", (8,))
     k0 = complex(raw[0], raw[1])
     k = raw[5:8].astype(complex) - 1j * raw[2:5]
-    det = k0 * k0 - complex(k @ k)
+    det = k0 * k0 - bilinear_dot(k, k)
     a, n = abs(k0), hnorm(k)
     scale = max(1.0, a * a + n * n)
     if abs(det - 1.0) > _SPINOR_DET_TOL * scale:

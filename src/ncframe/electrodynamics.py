@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import NonFiniteInput
 from .group import SpinorElement, so3c_from_spinor
-from .linalg import ComplexVec3, rvec3, vec3
-from .stabilizer import _WINDOW, _exponent, _ldexp
+from .linalg import _WINDOW, ComplexVec3, _apply, _conj, _dot, _exponent, _ldexp, _norm, rvec3, vec3
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,10 @@ class FieldState:
 
 
 def residual_scale(f, K) -> float:
-    """||f|| (1 + ||K|| ||f||), the scale of every relative residual here; 1 if it is 0."""
+    """||f|| (1 + ||K|| ||f||), the scale of every relative residual here; 1 if it is 0.
+
+    NaN when an entry of f or K is NaN, as the residuals are.
+    """
     return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
@@ -116,37 +118,15 @@ def quarter_turn(chi: float) -> tuple[int, bool]:
     return q, abs(quarter - q) < QUARTER_TOL
 
 
-# The private kernels below compute on 3-lists of Python complex (or float)
+# The private functions below compute on 3-lists of Python complex (or float)
 # numbers, the ``tolist()`` of vectors that their public callers coerced with
-# vec3 or rvec3: on a 3-vector, numpy's per-call overhead costs more than
-# the arithmetic.  Dots sum left to right and squares are products, so an
-# overflow gives inf or NaN, never a Python exception.
-
-
-def _dot(u: list, v: list) -> complex:
-    """Bilinear u.v, summed left to right."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _conj(v: list) -> list:
-    return [z.conjugate() for z in v]
-
-
-def _norm(v: list) -> float:
-    """Hermitian magnitude: math.hypot of the six parts, which cannot overflow early."""
-    a, b, c = v
-    return math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag)
-
-
-def _apply(O: list, v: list) -> list:
-    """O v for a 3x3 nested list O."""
-    return [_dot(row, v) for row in O]
+# vec3 or rvec3, through the scalar kernels of ``linalg``.
 
 
 def _scale(f: list, K: list) -> float:
     nf = _norm(f)
     s = nf * (1.0 + _norm(K) * nf)
-    return s if s > 0.0 else 1.0
+    return 1.0 if s == 0.0 else s
 
 
 def _forward(f: list, K: list) -> list:
@@ -161,25 +141,26 @@ def _inverse(h: list, K: list) -> list:
     return [p * x - w * k for x, k in zip(h, K)]
 
 
-def _normalized(f: ComplexVec3, K: ComplexVec3) -> tuple[list, list, float]:
-    """f and K as 3-lists, and residual_scale of those, after the exact
-    rescaling (f, K) -> (2**-e f, 2**e K) when ||f|| or the scale is outside
-    ``_WINDOW``; e is the exponent of the largest part of f.
+def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
+    """(2**-e f, 2**e K, residual_scale of those, e), rescaled exactly when
+    ||f|| or the scale is outside ``_WINDOW``, with e the exponent of the
+    largest part of f; else (f, K, scale, 0).
 
     |f.f|, |f.h| and |h.h| are at most a few scale**2, so inside the window
-    none overflows and f.f does not underflow.  h scales with f and both
-    residuals are relative, so the rescaling changes no result where the
-    unscaled dots are normal floats.
+    none overflows and f.f does not underflow.  h scales with f, so each of
+    the four maps (of h, for the inverses) is evaluated as 2**e map(2**-e f,
+    2**e K), and both residuals, being relative, on the rescaled pair; where
+    the unscaled dots are normal floats, the rescaling changes no result.
+    K 2**e overflows only if ||K|| ||f|| does.
     """
-    fl, Kl = f.tolist(), K.tolist()
-    scale = _scale(fl, Kl)
-    if not (_WINDOW[0] <= _norm(fl) and scale <= _WINDOW[1]):
-        e = _exponent(f)
-        if e:
-            with np.errstate(over="ignore"):  # K 2**e overflows only if ||K|| ||f|| does
-                fl, Kl = _ldexp(f, -e).tolist(), _ldexp(K, e).tolist()
-            scale = _scale(fl, Kl)
-    return fl, Kl, scale
+    nf = _norm(f)
+    scale = nf * (1.0 + _norm(K) * nf)
+    if _WINDOW[0] <= nf and scale <= _WINDOW[1]:  # so scale > 0
+        return f, K, scale, 0
+    e = _exponent(f)
+    if e:
+        f, K = _ldexp(f, -e).tolist(), _ldexp(K, e).tolist()
+    return f, K, _scale(f, K), e
 
 
 # The per-field-state quantities of the last (f, K) that a residual read:
@@ -201,7 +182,7 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
     key = f.tobytes() + K.tobytes()
     memo = _memo
     if memo[0] != key:
-        f, K, scale = _normalized(f, K)
+        f, K, scale, _ = _normalized(f.tolist(), K.tolist())
         memo = (key, f, K, _forward(f, K), scale, None)
     if gram and memo[5] is None:
         _, f, K, h = memo[:4]
@@ -212,12 +193,22 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    return np.array(_forward(vec3(f).tolist(), vec3(K).tolist()))
+    f, K, _, e = _normalized(vec3(f).tolist(), vec3(K).tolist())
+    return _ldexp(np.array(_forward(f, K)), e)
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    return np.array(_inverse(vec3(h).tolist(), vec3(K).tolist()))
+    h, K, _, e = _normalized(vec3(h).tolist(), vec3(K).tolist())
+    return _ldexp(np.array(_inverse(h, K)), e)
+
+
+def _real_normalized(x: list, y: list, K) -> tuple[list, list, list, list, int]:
+    """(x, y, n, m, e): x + i*y and K = n + i*m through :func:`_normalized`."""
+    f, K, _, e = _normalized([complex(a, b) for a, b in zip(x, y)], vec3(K).tolist())
+    if e:
+        x, y = [z.real for z in f], [z.imag for z in f]
+    return x, y, [z.real for z in K], [z.imag for z in K], e
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -228,19 +219,17 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     serve as mutual checks.
     """
     c, eps0 = units.c, units.epsilon0
-    E = rvec3(E).tolist()
     cB = [c * x for x in rvec3(B).tolist()]
-    K = vec3(K)
-    n, m = K.real.tolist(), K.imag.tolist()
+    E, cB, n, m, e = _real_normalized(rvec3(E).tolist(), cB, K)
     s1 = _dot(n, E) - _dot(m, cB)
     s2 = _dot(m, E) + _dot(n, cB)
     ecb = _dot(E, cB)
     quad = 0.5 * (_dot(E, E) - _dot(cB, cB))
     ceps0 = c * eps0
     terms = list(zip(E, cB, n, m))
-    D = [eps0 * (e + s1 * e + s2 * b + ecb * y + quad * x) for e, b, x, y in terms]
-    H = [ceps0 * (b + s1 * b - s2 * e - ecb * x + quad * y) for e, b, x, y in terms]
-    return np.array(D), np.array(H)
+    D = [eps0 * (a + s1 * a + s2 * b + ecb * y + quad * x) for a, b, x, y in terms]
+    H = [ceps0 * (b + s1 * b - s2 * a - ecb * x + quad * y) for a, b, x, y in terms]
+    return _ldexp(np.array(D), e), _ldexp(np.array(H), e)
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
@@ -249,8 +238,7 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     ceps0 = c * eps0
     d = [x / eps0 for x in rvec3(D).tolist()]
     g = [x / ceps0 for x in rvec3(H).tolist()]
-    K = vec3(K)
-    n, m = K.real.tolist(), K.imag.tolist()
+    d, g, n, m, e = _real_normalized(d, g, K)
     s1 = _dot(m, g) - _dot(n, d)
     s2 = _dot(m, d) + _dot(n, g)
     dg = _dot(d, g)
@@ -258,7 +246,7 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     terms = list(zip(d, g, n, m))
     E = [a + s1 * a - s2 * b - dg * y + quad * x for a, b, x, y in terms]
     B = [(b + s1 * b + s2 * a + dg * x + quad * y) / c for a, b, x, y in terms]
-    return np.array(E), np.array(B)
+    return _ldexp(np.array(E), e), _ldexp(np.array(B), e)
 
 
 def covariance_residual(b: SpinorElement, f, K) -> float:

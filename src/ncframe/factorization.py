@@ -12,13 +12,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NotIsotropic, NotIsotropicElement
-from .group import SpinorElement, _trusted_spinor, spinor_compose
-from .linalg import DEFAULT_TOL, bdot3, cross3, vec3
-from .stabilizer import EPS_ISO, _isotropic, _scaled
+from .group import SpinorElement, _trusted, spinor_compose
+from .linalg import DEFAULT_TOL, _cross, _dot, vec3
+from .stabilizer import EPS_ISO, _null
 
 
 class FactorOrder(str, enum.Enum):
@@ -56,19 +57,20 @@ def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     # sum of the boost numerator stays near r^2 or below, and both factors
     # are finite while 4 r^2 is.  Beyond that (entries near 1e154) the
     # checked constructor decides, as it always has.
-    n0, m0, n, m = b.n0, b.m0, b.n, b.m
-    r2 = n0 * n0 + float(n.dot(n))
+    n0, m0, kl = b.n0, b.m0, b.k.tolist()
+    n, m = [-z.imag for z in kl], [z.real for z in kl]
+    r2 = n0 * n0 + _dot(n, n)
     r = math.sqrt(r2)
-    build = _trusted_spinor if math.isfinite(4.0 * r2) else SpinorElement
+    build = partial(_trusted, SpinorElement) if math.isfinite(4.0 * r2) else SpinorElement
     cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
-    bk = (n0 * m - m0 * n + cross_sign * cross3(m, n)) / r
+    bk = [(n0 * x - m0 * y + cross_sign * c) / r for x, y, c in zip(m, n, _cross(m, n))]
     # r >= 1 in exact arithmetic; max() keeps b0 >= 1 after rounding
-    boost = build(complex(max(r, 1.0)), bk.astype(complex))
-    a0, a = n0 / r, n / r
+    boost = build(k0=complex(max(r, 1.0)), k=np.array(bk, dtype=complex))
+    a0, a = n0 / r, [x / r for x in n]
     sign = 1
     if a0 < 0.0:
-        a0, a, sign = -a0, -a, -1
-    rotation = build(complex(a0), -1j * a)
+        a0, a, sign = -a0, [-x for x in a], -1
+    rotation = build(k0=complex(a0), k=np.array([-1j * x for x in a]))
     return RotationBoostPair(rotation=rotation, boost=boost, order=order, sign=sign)
 
 
@@ -106,8 +108,7 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     sgn = 1 if abs(b.k0 - 1.0) <= abs(b.k0 + 1.0) else -1
     if abs(b.k0 - sgn) > DEFAULT_TOL:
         return 0
-    ks, nrm, _ = _scaled(b.k)
-    return sgn if _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso) else 0
+    return sgn if _null(b.k, eps_iso) else 0
 
 
 def factor_isotropic(
@@ -139,29 +140,30 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    ks, nrm, _ = _scaled(k)
-    if nrm == 0.0 or not _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso):
+    if not k.any() or not _null(k, eps_iso):
         raise NotIsotropic("k.k must vanish within tolerance")
-    n, m = -k.imag, k.real
     z = lam * np.exp(1j * sigma)
     kp = z * k
-    np_, mp = -kp.imag, kp.real
+    kl, kpl = k.tolist(), kp.tolist()
+    n, m = [-w.imag for w in kl], [w.real for w in kl]
+    np_, mp = [-w.imag for w in kpl], [w.real for w in kpl]
     lam2 = lam * lam
+    nn = _dot(n, n)
     checks = {
-        "n_norm2": abs(float(np_ @ np_) - lam2 * float(n @ n)),
-        "m_norm2": abs(float(mp @ mp) - lam2 * float(m @ m)),
-        "orthogonality": abs(float(np_ @ mp)),
-        "cross": float(np.abs(cross3(np_, mp) - lam2 * cross3(n, m)).max()),
+        "n_norm2": abs(_dot(np_, np_) - lam2 * nn),
+        "m_norm2": abs(_dot(mp, mp) - lam2 * _dot(m, m)),
+        "orthogonality": abs(_dot(np_, mp)),
+        "cross": max(abs(x - lam2 * y) for x, y in zip(_cross(np_, mp), _cross(n, m))),
     }
     pair = factor_isotropic(SpinorElement(1.0, kp), eps_iso=eps_iso)
-    expected_b0 = np.sqrt(1.0 + lam2 * float(n @ n))
+    expected_b0 = math.sqrt(1.0 + lam2 * nn)
     factor_checks = {
         "a0": abs(pair.rotation.n0 - 1.0 / expected_b0),
         "b0": abs(pair.boost.k0.real - expected_b0),
     }
     return {
-        "n_prime": np_,
-        "m_prime": mp,
+        "n_prime": np.array(np_),
+        "m_prime": np.array(mp),
         "identity_residuals": checks,
         "factor_residuals": factor_checks,
         "max_residual": max(max(checks.values()), max(factor_checks.values())),

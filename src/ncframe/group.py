@@ -33,13 +33,12 @@ from .linalg import (
     ComplexMat3,
     ComplexVec3,
     RealMat4,
+    _cross,
+    _dot,
+    _norm,
     axial_matrix,
-    bdot3,
-    cross3,
     det3,
-    hnorm3,
     inf_norm,
-    rnorm3,
     rvec3,
     vec3,
 )
@@ -70,9 +69,9 @@ def _matrix_scale(m: np.ndarray) -> float:
     return max(1.0, x * x)
 
 
-def _spinor_scale(k0: complex, k: ComplexVec3) -> float:
-    """max(1, |k0|^2 + ||k||^2), the scale of the spinor checks."""
-    a, n = abs(k0), hnorm3(k)
+def _spinor_scale(k0: complex, k: list) -> float:
+    """max(1, |k0|^2 + ||k||^2), the scale of the spinor checks; k as a 3-list."""
+    a, n = abs(k0), _norm(k)
     return max(1.0, a * a + n * n)
 
 
@@ -91,9 +90,10 @@ class SpinorElement:
         k0, k = complex(self.k0), vec3(self.k)
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "k", k)
-        det = k0 * k0 - bdot3(k, k)
+        kl = k.tolist()
+        det = k0 * k0 - _dot(kl, kl)
         err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, k)):
+        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, kl)):
             raise ConstraintViolation(
                 f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
             )
@@ -126,33 +126,35 @@ class SpinorElement:
     # results inherit this element's check.
 
     def __neg__(self) -> "SpinorElement":
-        return _trusted_spinor(-self.k0, -self.k)
+        return _trusted(SpinorElement, k0=-self.k0, k=-self.k)
 
     def inverse(self) -> "SpinorElement":
         # (k0 + k.sigma)(k0 - k.sigma) = k0^2 - k.k = 1
-        return _trusted_spinor(self.k0, -self.k)
+        return _trusted(SpinorElement, k0=self.k0, k=-self.k)
 
 
-def _trusted_spinor(k0: complex, k: ComplexVec3) -> SpinorElement:
-    """A SpinorElement holding (k0, k), unchecked.
+def _trusted(cls, **fields):
+    """A SpinorElement, ComplexRotation or Lorentz4 holding ``fields``, unchecked.
 
-    Only for a closed form of an input that was checked, where k0^2 - k.k = 1
-    follows within the element's own tolerance.  ``k0`` must be a Python
-    complex and ``k`` a complex128 3-vector: what the public constructor
-    would store.
+    Only for a closed form of a checked input that is valid by construction:
+    a spinor with k0^2 - k.k = 1 within its own tolerance, the image of a
+    validated SpinorElement, or the reducing rotation of
+    ``stabilizer.reduce_to_real``.  Each field must be what the public
+    constructor would store: a Python complex k0 and a complex128 3-vector
+    k, or a complex128 3x3 or float64 4x4 matrix.
     """
-    b = object.__new__(SpinorElement)
-    object.__setattr__(b, "k0", k0)
-    object.__setattr__(b, "k", k)
-    return b
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def project_to_group(k0, k) -> SpinorElement:
     """Rescale (k0, k) by the principal square root of k0^2 - k.k onto the group."""
-    k0 = complex(k0)
-    k = vec3(k)
-    det = k0 * k0 - bdot3(k, k)
-    if abs(det) < 1e-12 * _spinor_scale(k0, k):
+    k0, k = complex(k0), vec3(k)
+    kl = k.tolist()
+    det = k0 * k0 - _dot(kl, kl)
+    if abs(det) < 1e-12 * _spinor_scale(k0, kl):
         raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
     s = np.sqrt(det)  # principal branch, Re >= 0
     return SpinorElement(k0 / s, k / s)
@@ -165,11 +167,11 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     the bilinear dot with a plus sign (it reduces to the familiar
     n0'' = n0' n0 - n'.n of the unitary subgroup where k = -i*n).
     """
-    k0 = b1.k0 * b2.k0 + bdot3(b1.k, b2.k)
-    k = b1.k0 * b2.k + b2.k0 * b1.k + 1j * cross3(b1.k, b2.k)
+    p, q, u, v = b1.k0, b2.k0, b1.k.tolist(), b2.k.tolist()
+    k = [p * y + q * x + 1j * c for x, y, c in zip(u, v, _cross(u, v))]
     # Checked: the product's scale can be far below its factors' (b b^-1 is
     # the identity), so the factors' tolerance does not carry over.
-    return SpinorElement(k0, k)
+    return SpinorElement(p * q + _dot(u, v), k)
 
 
 def _unit_axis(e) -> np.ndarray:
@@ -177,8 +179,10 @@ def _unit_axis(e) -> np.ndarray:
         e = rvec3(e)
     except ValueError as exc:
         raise NonUnitAxis(f"axis: {exc}") from exc
-    if not abs(e @ e - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
-        raise NonUnitAxis(f"axis norm^2 = {e @ e:.15g}, expected 1")
+    el = e.tolist()
+    sq = _dot(el, el)
+    if not abs(sq - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
+        raise NonUnitAxis(f"axis norm^2 = {sq:.15g}, expected 1")
     return e
 
 
@@ -260,20 +264,6 @@ class Lorentz4:
         return self.matrix @ x
 
 
-def _trusted(cls, matrix: np.ndarray):
-    """An instance of ComplexRotation or Lorentz4 holding ``matrix``, unchecked.
-
-    Only for a closed form of a checked input that is proper by
-    construction: the image of a validated SpinorElement, whose own check
-    stands for it, or the reducing rotation of ``stabilizer.reduce_to_real``.
-    ``matrix`` must already be the array the public constructor would store
-    (complex128 3x3, or float64 4x4).
-    """
-    image = object.__new__(cls)
-    object.__setattr__(image, "matrix", matrix)
-    return image
-
-
 def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     """Complex orthogonal image O(k) = I + 2*(i*k0*k^x - (k^x)^2).
 
@@ -283,7 +273,7 @@ def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     ``b`` passed the SpinorElement check.
     """
     kx = axial_matrix(b.k)
-    return _trusted(ComplexRotation, EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
+    return _trusted(ComplexRotation, matrix=EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
 
 
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
@@ -294,12 +284,9 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     :func:`so3c_from_spinor`, the image is not checked again.
     """
     k0, k0c, k = b.k0, b.k0.conjugate(), b.k.tolist()
-    # |k_i|^2 stays numpy's vectorized abs, which rounds differently from
-    # Python's abs; every other entry is evaluated on Python scalars.
-    kk = np.abs(b.k) ** 2
-    total = float(kk.sum())
-    kk = kk.tolist()
-    a2 = abs(k0) ** 2
+    kk = [a * a for a in map(abs, k)]
+    total = kk[0] + kk[1] + kk[2]
+    a2 = abs(k0) * abs(k0)
     L = [[0.0] * 4 for _ in range(4)]
     L[0][0] = a2 + total
     for i in range(3):
@@ -318,7 +305,7 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
                 L[i + 1][j + 1] = 2.0 * eps * (k0c * k[l]).imag + 2.0 * (
                     k[i] * k[j].conjugate()
                 ).real
-    return _trusted(Lorentz4, np.asarray(L, dtype=float))
+    return _trusted(Lorentz4, matrix=np.asarray(L, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -337,19 +324,20 @@ class GammaDelta:
         object.__setattr__(self, "gamma", complex(self.gamma))
         d = vec3(self.delta)
         object.__setattr__(self, "delta", d)
-        _require_unit_square(d, ConstraintViolation)
+        _require_unit_square(d.tolist(), ConstraintViolation)
 
 
-def _require_unit_square(d: ComplexVec3, error: type[Exception]) -> None:
+def _require_unit_square(d: list, error: type[Exception]) -> None:
     """Raise ``error`` unless d.d = 1 within DEFAULT_TOL relative to max(1, ||d||^2).
 
-    The one test of a unit direction Delta, for a complex 3-vector that the
-    caller has already coerced; each caller names its own exception type.
+    The one test of a unit direction Delta, for the 3-list of a complex
+    3-vector that the caller has already coerced; each caller names its own
+    exception type.
     """
-    sq = bdot3(d, d)
+    sq = _dot(d, d)
     err = abs(sq - 1.0)
     if not err <= DEFAULT_TOL:
-        nd = hnorm3(d)
+        nd = _norm(d)
         if _exceeds(err, DEFAULT_TOL * max(1.0, nd * nd)):
             raise error(f"delta.delta = {sq:.15g}, expected 1")
 
@@ -361,10 +349,10 @@ def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
     Delta is a boost.  For fixed Delta the family is Abelian with
     gamma'' = gamma' + gamma.
     """
-    return _stabilizer_spinor(gd.gamma, gd.delta)
+    return _stabilizer_spinor(gd.gamma, gd.delta.tolist())
 
 
-def _stabilizer_spinor(t: complex, K: ComplexVec3) -> SpinorElement:
+def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     """The small-group element b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K).
 
     Every b(t; K) fixes K, and b(t1; K) b(t2; K) = b(t1 + t2; K).  cos w and
@@ -381,12 +369,13 @@ def _stabilizer_spinor(t: complex, K: ComplexVec3) -> SpinorElement:
     subnormal w, where numpy's gives inf.
     """
     half = 0.5 * t
-    w = half * cmath.sqrt(bdot3(K, K))
+    w = half * cmath.sqrt(_dot(K, K))
     k0 = complex(np.cos(w))
-    k = (-1j * half * (complex(np.sin(w)) / w if w else 1.0)) * K
-    a, n = abs(k0), hnorm3(k)
+    c = -1j * half * (complex(np.sin(w)) / w if w else 1.0)
+    k = [c * x for x in K]
+    a, n = abs(k0), _norm(k)
     if math.isfinite(a * a + n * n):
-        return _trusted_spinor(k0, k)
+        return _trusted(SpinorElement, k0=k0, k=np.array(k))
     return SpinorElement(k0, k)
 
 
@@ -397,9 +386,9 @@ def gamma_delta_from_spinor(b: SpinorElement) -> GammaDelta:
     (+-I, k = 0) and the isotropic family (k.k = 0, k != 0) have no usable
     direction and raise :class:`GammaDegenerate`.
     """
-    ksq = bdot3(b.k, b.k)
-    knorm2 = hnorm3(b.k) ** 2
-    if abs(ksq) <= 1e-12 * max(1.0, knorm2):
+    kl = b.k.tolist()
+    ksq, knorm = _dot(kl, kl), _norm(kl)
+    if abs(ksq) <= 1e-12 * max(1.0, knorm * knorm):
         raise GammaDegenerate("k.k = 0: direction undefined (deck or isotropic element)")
     half = np.arccos(complex(b.k0))  # principal: Re in [0, pi]
     s = np.sin(half)
@@ -414,9 +403,11 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     Returns a dict with the element kind, the individual residuals and their
     maximum.  Raises :class:`NotPureElement` for mixed elements.
     """
-    scale = max(1.0, abs(b.k0), hnorm3(b.k))
-    is_rotation = abs(b.m0) <= tol * scale and rnorm3(b.m) <= tol * scale
-    is_boost = abs(b.m0) <= tol * scale and rnorm3(b.n) <= tol * scale
+    kl = b.k.tolist()
+    scale = max(1.0, abs(b.k0), _norm(kl))
+    pure = abs(b.m0) <= tol * scale
+    is_rotation = pure and _norm([z.real for z in kl]) <= tol * scale
+    is_boost = pure and _norm([z.imag for z in kl]) <= tol * scale
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix

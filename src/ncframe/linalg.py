@@ -4,6 +4,11 @@ Dot products here are bilinear (no conjugation): the invariant "lengths"
 of complex orthogonal geometry are bilinear squares, so ``bilinear_dot(v, v)``
 can be any complex number, including zero for nonzero v.  Use :func:`hnorm`
 for the ordinary Hermitian magnitude.
+
+Every 3-vector dot, cross product and norm of the package goes through the
+private scalar kernels at the end of this module: a dot sums its three
+products left to right, and a norm is ``math.hypot`` of the six real parts.
+Matrix products (3x3 and 4x4) stay on numpy.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ DEFAULT_TOL = 1e-10
 #: to 1 + 0j entrywise, so the sum equals that with a complex identity.
 EYE3 = np.eye(3)
 EYE3.flags.writeable = False
-
-# Index pairs of the vector product: row 0 picks (1, 2, 0), row 1 (2, 0, 1).
-_CROSS_L = np.array([[1, 2, 0], [2, 0, 1]])
-_CROSS_R = _CROSS_L[::-1].copy()
 
 
 def vec3(v) -> ComplexVec3:
@@ -63,29 +64,9 @@ def rmat4(m) -> RealMat4:
     return a
 
 
-def bdot3(u: np.ndarray, v: np.ndarray) -> complex:
-    """Unconjugated dot product of two length-3 arrays, without coercion.
-
-    ``u.dot(v)`` runs the same BLAS dot as ``u @ v`` (so the same bits)
-    without matmul's ufunc set-up.
-    """
-    return complex(u.dot(v))
-
-
 def bilinear_dot(u, v) -> complex:
     """Unconjugated dot product sum_i u_i v_i."""
-    return bdot3(vec3(u), vec3(v))
-
-
-def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vector product of two length-3 arrays, without coercion.
-
-    The result has numpy's promoted dtype of u and v (real stays real) and
-    equals ``np.cross(u, v)`` bit for bit: both take the same elementwise
-    products u_j v_l and differences, only without np.cross's axis handling.
-    """
-    p = u[_CROSS_L] * v[_CROSS_R]
-    return p[0] - p[1]
+    return _dot(vec3(u).tolist(), vec3(v).tolist())
 
 
 def axial_matrix(v) -> ComplexMat3:
@@ -114,34 +95,62 @@ def inf_norm(a) -> float:
 
 
 def hnorm(v) -> float:
-    """Hermitian (Euclidean) magnitude sqrt(sum |v_i|^2) of all entries.
-
-    The same sums as ``np.linalg.norm(v)`` (so the same bits), without its
-    argument handling: sqrt(re.re + im.im) for complex input.
-    """
-    x = np.asarray(v)
-    if x.dtype.kind not in "fc":
-        x = x.astype(float)
-    x = x.ravel(order="K")
-    if x.dtype.kind == "c":
-        return hnorm3(x)
-    return rnorm3(x)
+    """Hermitian (Euclidean) magnitude sqrt(sum |v_i|^2) of a 3-vector."""
+    return _norm(vec3(v).tolist())
 
 
-def hnorm3(v: np.ndarray) -> float:
-    """Hermitian magnitude of a complex 1-d array, without coercion.
-
-    The complex branch of :func:`hnorm`: sqrt(re.re + im.im), the same sums
-    as ``np.linalg.norm`` for any stride.
-    """
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+# The private kernels below compute on 3-lists of Python complex (or float)
+# numbers, the ``tolist()`` of vectors that their callers coerced with vec3
+# or rvec3: on a 3-vector, numpy's per-call overhead costs more than the
+# arithmetic.  Every module does its 3-vector arithmetic through them.  Dots
+# sum left to right and squares are products, so an overflow gives inf or
+# NaN, never a Python exception.
 
 
-def rnorm3(v: np.ndarray) -> float:
-    """Euclidean magnitude of a real 1-d array, without coercion.
+def _dot(u: list, v: list) -> complex:
+    """Bilinear u.v, summed left to right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    The real branch of :func:`hnorm`: sqrt(v.v), the same sum as
-    ``np.linalg.norm`` for any stride.
-    """
-    return math.sqrt(v.dot(v))
+
+def _cross(u: list, v: list) -> list:
+    """Vector product u x v."""
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _conj(v: list) -> list:
+    return [z.conjugate() for z in v]
+
+
+def _norm(v: list) -> float:
+    """Hermitian magnitude: math.hypot of the six parts, which cannot overflow early."""
+    a, b, c = v
+    return math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+
+
+def _apply(O: list, v: list) -> list:
+    """O v for a 3x3 nested list O."""
+    return [_dot(row, v) for row in O]
+
+
+# Exact power-of-two scaling.  Inside _WINDOW a squared norm and a
+# non-isotropic |K.K| are normal floats; outside it, a homogeneous formula is
+# evaluated on 2**-e v, e = _exponent(v), and its result scaled back.
+_WINDOW = (2.0**-450, 2.0**450)
+
+
+def _exponent(v: list) -> int:
+    """The frexp exponent of the largest real or imaginary part of v."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in v))[1]
+
+
+def _ldexp(z, e: int):
+    """2**e z for a real or complex scalar, 3-list or array: z itself when e
+    is 0, else an array (a Python scalar for a scalar).  Unlike z * 2.0**e,
+    it keeps signed zeros and takes any e.  An overflow gives inf, without a
+    warning."""
+    if not e:
+        return z
+    a = np.ascontiguousarray(z)
+    with np.errstate(over="ignore"):
+        w = np.ldexp(a.view(float), e).view(a.dtype)
+    return w if np.ndim(z) else w[0].item()

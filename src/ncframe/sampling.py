@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import SpinorElement, project_to_group
-from .linalg import bilinear_dot, cross3, hnorm
+from .linalg import _cross, _dot, _norm
 
 
 def default_rng(seed: int = 0) -> np.random.Generator:
@@ -31,16 +31,17 @@ def random_spinor(rng: np.random.Generator, max_norm: float = 2.0) -> SpinorElem
     while True:
         k0 = complex(_uniform_complex(rng, 1)[0])
         k = _uniform_complex(rng, 3)
-        if abs(k0 * k0 - bilinear_dot(k, k)) < 0.25:
+        kl = k.tolist()
+        if abs(k0 * k0 - _dot(kl, kl)) < 0.25:
             continue
         b = project_to_group(k0, k)
-        if hnorm(b.k) <= max_norm:
+        if _norm(b.k.tolist()) <= max_norm:
             return b
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / hnorm(v)
+    return v / _norm(v.tolist())
 
 
 def random_nonisotropic_K(
@@ -51,16 +52,17 @@ def random_nonisotropic_K(
     """Random complex K with |K.K| bounded away from zero (relative)."""
     while True:
         K = scale * _uniform_complex(rng, 3)
-        nrm2 = hnorm(K) ** 2
-        if nrm2 > 1e-4 and abs(bilinear_dot(K, K)) > min_anisotropy * nrm2:
+        Kl = K.tolist()
+        nrm2 = _norm(Kl) ** 2
+        if nrm2 > 1e-4 and abs(_dot(Kl, Kl)) > min_anisotropy * nrm2:
             return K
 
 
 def random_isotropic_k(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random k = m - i*n with m.m = n.n, m.n = 0, so k.k = 0 to rounding."""
     n = random_unit_vector(rng)
-    m = cross3(n, rng.normal(size=3))
-    m /= hnorm(m)
+    c = _cross(n.tolist(), rng.normal(size=3).tolist())
+    m = np.array(c) / _norm(c)
     r = scale * rng.uniform(0.3, 1.7)
     return r * (m - 1j * n)
 

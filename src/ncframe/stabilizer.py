@@ -44,27 +44,26 @@ from .group import (
     so3c_from_spinor,
 )
 from .linalg import (
+    _WINDOW,
     DEFAULT_TOL,
     EYE3,
     ComplexVec3,
     RealMat4,
+    _apply,
+    _cross,
+    _dot,
+    _exponent,
+    _ldexp,
+    _norm,
     axial_matrix,
-    bdot3,
-    cross3,
-    hnorm,
-    hnorm3,
     inf_norm,
     rmat4,
-    rnorm3,
     rvec3,
     vec3,
 )
 
 #: Relative isotropy threshold on |K.K| against ||K||^2.
 EPS_ISO = 1e-9
-
-# ||K|| where ||K||^2 and a non-isotropic |K.K| are normal: K is used as given.
-_WINDOW = (2.0**-450, 2.0**450)
 
 
 class NCClass(str, enum.Enum):
@@ -140,17 +139,18 @@ def K_to_theta(K) -> RealMat4:
 
 def invariants(K) -> tuple[float, float, float, float]:
     """Return (I1, I2, I, mu) with mu = atan2(I2, I1)/2 folded into [0, pi)."""
-    return _invariants(vec3(K))
+    return _invariants(vec3(K).tolist())
 
 
-# The private kernels below take complex 3-vectors (real ones for
-# _rotation_between) that their public callers have already coerced.
+# The private functions below take complex 3-vectors that their public
+# callers have already coerced: arrays where annotated ComplexVec3, else
+# 3-lists (real ones for _rotation_between).
 
 
-def _invariants(K: ComplexVec3) -> tuple[float, float, float, float]:
+def _invariants(K: list) -> tuple[float, float, float, float]:
     # np.hypot and np.arctan2, not their math versions: those round
     # differently in the last bit for some arguments.
-    ksq = bdot3(K, K)
+    ksq = _dot(K, K)
     i1, i2 = ksq.real, ksq.imag
     mag = float(np.hypot(i1, i2))
     mu = 0.5 * np.arctan2(i2, i1)
@@ -180,38 +180,34 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     elif abs(i1) <= eps_iso * mag:
         sub, mu = (Subcase.IIA, np.pi / 4) if i2 > 0 else (Subcase.IIB, 3 * np.pi / 4)
     if e:
-        i1, i2, mag, _ = _invariants(K)
+        i1, i2, mag, _ = _invariants(K.tolist())
     return NCParameter(K_to_theta(K), K, i1, i2, mag, mu, klass, sub)
 
 
-def _scaled(K: ComplexVec3) -> tuple[ComplexVec3, float, int]:
-    """(Ks, ||Ks||, e) with Ks = 2**-e K exactly: K inside ``_WINDOW``, else K
-    with its largest part in [0.5, 1).  NaN or inf raise NonFiniteInput."""
-    nrm = hnorm3(K)
+def _scaled(K: ComplexVec3) -> tuple[list, float, int]:
+    """(Ks, ||Ks||, e) with Ks the 3-list of 2**-e K exactly: K inside
+    ``_WINDOW``, else K with its largest part in [0.5, 1).  NaN or inf raise
+    NonFiniteInput."""
+    Ks = K.tolist()
+    nrm = _norm(Ks)
     if _WINDOW[0] <= nrm <= _WINDOW[1]:
-        return K, nrm, 0
+        return Ks, nrm, 0
     _require_finite(K, nrm)
-    e = _exponent(K)
-    Ks = _ldexp(K, -e)
-    return Ks, hnorm3(Ks), e
-
-
-def _exponent(v: ComplexVec3) -> int:
-    """The frexp exponent of the largest real or imaginary part of v."""
-    return math.frexp(max(np.abs(v.real).max(), np.abs(v.imag).max()))[1]
-
-
-def _ldexp(z, e: int):
-    """2**e z for a complex scalar or 3-vector; unlike z * 2.0**e, keeps signed zeros and any e."""
-    if not e:
-        return z
-    w = np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
-    return w if np.ndim(z) else complex(w[0])
+    e = _exponent(Ks)
+    Ks = _ldexp(K, -e).tolist()
+    return Ks, _norm(Ks), e
 
 
 def _isotropic(mag: float, nrm: float, eps_iso: float) -> bool:
     """The isotropy test |K.K| <= eps_iso ||K||^2, on a K from :func:`_scaled`."""
-    return mag <= eps_iso * nrm ** 2
+    return mag <= eps_iso * (nrm * nrm)
+
+
+def _null(k: ComplexVec3, eps_iso: float) -> bool:
+    """Whether k.k = 0 within eps_iso relative to ||k||^2 (k = 0 included),
+    tested on k scaled by :func:`_scaled`.  NaN or inf raise NonFiniteInput."""
+    ks, nrm, _ = _scaled(k)
+    return _isotropic(abs(_dot(ks, ks)), nrm, eps_iso)
 
 
 def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
@@ -223,11 +219,11 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     entries raise :class:`NonFiniteInput`.
     """
     kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
-    return _ldexp(kscalar, e), delta
+    return _ldexp(kscalar, e), np.array(delta)
 
 
-def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, ComplexVec3, int]:
-    """(Kscalar / 2**e, Delta, e): the split of K scaled by :func:`_scaled`."""
+def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, list, int]:
+    """(Kscalar / 2**e, Delta as a 3-list, e): the split of K scaled by :func:`_scaled`."""
     Ks, nrm, e = _scaled(K)
     _, _, mag, mu = _invariants(Ks)
     if nrm == 0.0 or _isotropic(mag, nrm, eps_iso):
@@ -235,7 +231,7 @@ def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, ComplexVec3, i
     # exp(i*mu) from math.cos and math.sin, bit for bit; the + 0.0 turns the
     # -0.0 of sin(-0.0) into the +0.0 that exp gives.
     kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
-    return kscalar, Ks / kscalar, e
+    return kscalar, [z / kscalar for z in Ks], e
 
 
 @dataclass(frozen=True)
@@ -270,9 +266,10 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     ``group._stabilizer_spinor``, which fixes Delta for any Delta.Delta.
     """
     delta = vec3(delta)
-    _require_unit_square(delta, NotUnitDelta)
+    dl = delta.tolist()
+    _require_unit_square(dl, NotUnitDelta)
     gamma = complex(gamma)
-    spinor = _stabilizer_spinor(gamma, delta)
+    spinor = _stabilizer_spinor(gamma, dl)
     return StabilizerElement(
         family="non-isotropic",
         spinor=spinor,
@@ -291,13 +288,13 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     the z parameters.
     """
     k = vec3(k)
-    ks, nrm, _ = _scaled(k)
-    if nrm == 0.0:
+    if not k.any():  # NaN is nonzero: _null refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _isotropic(abs(bdot3(ks, ks)), nrm, eps_iso):
-        raise NotIsotropic(f"k.k = {bdot3(k, k):.3e} is not zero within tolerance")
+    if not _null(k, eps_iso):
+        kl = k.tolist()
+        raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
     z = complex(z)
-    spinor = _stabilizer_spinor(2j * z, k)
+    spinor = _stabilizer_spinor(2j * z, k.tolist())
     return StabilizerElement(
         family="isotropic",
         spinor=spinor,
@@ -316,24 +313,25 @@ def rotation_between(src, dst) -> np.ndarray:
     inf entries raise :class:`NonFiniteInput`.
     """
     src, dst = rvec3(src), rvec3(dst)
-    dot = float(src.dot(dst))  # not finite if an entry of either is not
+    s, d = src.tolist(), dst.tolist()
+    dot = _dot(s, d)  # not finite if an entry of either is not
     _require_finite(src, dot, "src")
     _require_finite(dst, dot, "dst")
-    return _rotation_between(src, dst)
+    return _rotation_between(s, d)
 
 
-def _rotation_between(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    denom = 1.0 + src.dot(dst)
+def _rotation_between(src: list, dst: list) -> np.ndarray:
+    denom = 1.0 + _dot(src, dst)
     if abs(denom) <= 1e-12:
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(src)))] = 1.0
-        u = cross3(src, seed)
-        u /= rnorm3(u)
-        ux = axial_matrix(u).real
+        seed = [0.0, 0.0, 0.0]
+        seed[min(range(3), key=lambda i: abs(src[i]))] = 1.0
+        u = _cross(src, seed)
+        nrm = _norm(u)
+        ux = axial_matrix([x / nrm for x in u]).real
         return EYE3 + 2.0 * (ux @ ux)
-    c = cross3(src, dst) / denom
+    c = [x / denom for x in _cross(src, dst)]
     cx = axial_matrix(c).real
-    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + c.dot(c))
+    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + _dot(c, c))
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
@@ -356,35 +354,35 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     element, times a real rotation.  rho is asinh(||Im Delta||), which does
     not cancel near rho = 0.
     """
-    delta = vec3(delta)
+    delta = vec3(delta).tolist()
     _require_unit_square(delta, NotUnitDelta)
     return _reduce_to_real(delta, e_target)
 
 
-def _reduce_to_real(delta: ComplexVec3, e_target) -> ComplexRotation:
+def _reduce_to_real(delta: list, e_target) -> ComplexRotation:
     """S of :func:`reduce_to_real`, for a delta with delta.delta = 1 already."""
-    N, M = delta.real, delta.imag
-    ch = rnorm3(N)
+    N, M = [z.real for z in delta], [z.imag for z in delta]
+    ch = _norm(N)
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
-    N0 = N / ch
-    mnorm = rnorm3(M)
+    N0 = [x / ch for x in N]
+    mnorm = _norm(M)
     if mnorm <= 1e-12 * max(1.0, ch):
         target = N0 if e_target is None else _unit_target(e_target)
         return ComplexRotation(_rotation_between(N0, target).astype(complex))
-    u = cross3(M / mnorm, N0)
-    unorm = rnorm3(u)
+    u = _cross([y / mnorm for y in M], N0)
+    unorm = _norm(u)
     if unorm < 1e-8:
         raise DegenerateDelta("Re delta and Im delta are parallel")
-    S = so3c_from_spinor(_stabilizer_spinor(1j * math.asinh(mnorm), u / unorm))
+    S = so3c_from_spinor(_stabilizer_spinor(1j * math.asinh(mnorm), [x / unorm for x in u]))
     if e_target is None:
         return S
-    return _trusted(ComplexRotation, _rotation_between(N0, _unit_target(e_target)) @ S.matrix)
+    return _trusted(ComplexRotation, matrix=_rotation_between(N0, _unit_target(e_target)) @ S.matrix)
 
 
-def _unit_target(e) -> np.ndarray:
-    e = rvec3(e)
-    nrm = hnorm(e)
+def _unit_target(e) -> list:
+    e = rvec3(e).tolist()
+    nrm = _norm(e)
     if not abs(nrm - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
         raise ValueError(f"target must be a real unit vector (norm {nrm:.15g})")
     return e
@@ -399,6 +397,6 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     """
     kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
     S = _reduce_to_real(delta, None)
-    u = S.matrix.dot(delta).real
-    u /= rnorm3(u)
-    return S, _ldexp(kscalar * u, e)
+    u = [z.real for z in _apply(S.matrix.tolist(), delta)]
+    nrm = _norm(u)
+    return S, _ldexp(np.array([kscalar * (x / nrm) for x in u]), e)

@@ -227,11 +227,15 @@ class TestExitCodes:
         assert code == 2
 
     def test_fields_near_the_largest_float(self, tmp_path, capsys):
-        # the dual residuals rescale (f, K) and pass; D and H overflow, which
-        # the report refuses
+        # the dual residuals and the maps rescale (f, K): D and H of 1.5e308
+        # are finite and pass; at 1.5 times the fields, D and H overflow,
+        # which the report refuses
         doc = {"nm": [1e-308, 0, 0, 0, 5e-309, 0], "E": [1e308, 0, 0], "B": [0, 1e308, 0]}
         code, out = run_cli(["dual-scan", "--steps", "4"], doc, tmp_path, capsys)
         assert code == 0 and out["pass"]
+        code, out = run_cli(["constitutive"], doc, tmp_path, capsys)
+        assert code == 0 and out["pass"]
+        doc.update(E=[1.5e308, 0, 0], B=[0, 1.5e308, 0])
         with np.errstate(over="ignore", invalid="ignore"):
             code, _ = run_cli(["constitutive"], doc, tmp_path, capsys)
         assert code == 2

@@ -50,7 +50,7 @@ from ncframe.group import (
     verify_su2_boost_identities,
 )
 from ncframe.group import _require_unit_square
-from ncframe.linalg import DEFAULT_TOL, EYE3, bdot3, det3, hnorm3, inf_norm
+from ncframe.linalg import DEFAULT_TOL, EYE3, bilinear_dot, det3, hnorm, inf_norm
 from ncframe.sampling import random_spinor
 from ncframe.stabilizer import (
     StabilizerElement,
@@ -483,13 +483,20 @@ def patched(*patches):
             setattr(module, name, value)
 
 
-def checked(cls, matrix):
-    return cls(matrix)
+def checking(*classes):
+    """A stand-in for group._trusted that builds the given classes through
+    their public constructors, with every check, and trusts the others."""
+    trusted = group._trusted
+
+    def build(cls, **fields):
+        return cls(**fields) if cls in classes else trusted(cls, **fields)
+
+    return build
 
 
 def checked_images():
     """Build the images through the public constructors, with every check."""
-    return patched((group, "_trusted", checked))
+    return patched((group, "_trusted", checking(ComplexRotation, Lorentz4)))
 
 
 def so3c_oracle(b):
@@ -504,7 +511,7 @@ def at_tolerance_edge(b, frac):
     The rescaled element has scale s^2 times b's; the tolerance it takes up
     is capped at 1/2 in absolute terms, so that s^2 stays within [2/3, 2].
     """
-    scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
+    scale = max(1.0, abs(b.k0) ** 2 + hnorm(b.k) ** 2)
     s = math.sqrt(1.0 / (1.0 - frac * min(DEFAULT_TOL * scale, 0.5)))
     return SpinorElement(s * b.k0, s * b.k)
 
@@ -584,8 +591,8 @@ class TestTrustedImages:
         # at |s^4 - 1| <= (2 + |eps|) |eps| <= 2 |eps| scale (1 + DEFAULT_TOL).
         # The margins cover rounding, below 1e-4 of the bounds at the edge.
         b = at_tolerance_edge(rotation_boost(alpha, beta, angles), frac)
-        eps = abs(b.k0 * b.k0 - bdot3(b.k, b.k) - 1.0)
-        scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
+        eps = abs(b.k0 * b.k0 - bilinear_dot(b.k, b.k) - 1.0)
+        scale = max(1.0, abs(b.k0) ** 2 + hnorm(b.k) ** 2)
         O = so3c_from_spinor(b).matrix
         assert inf_norm(O.T @ O - EYE3) <= 4.5 * eps * scale
         L = lorentz4_from_spinor(b).matrix
@@ -697,8 +704,8 @@ def checked_constructions():
 
     The images O(b) and L(b) stay trusted: TestTrustedImages covers them.
     """
-    return patched((group, "_trusted_spinor", SpinorElement), (factorization, "_trusted_spinor", SpinorElement),
-                   (stabilizer, "_trusted", checked))
+    spinors, rotations = checking(SpinorElement), checking(ComplexRotation)
+    return patched((group, "_trusted", spinors), (factorization, "_trusted", spinors), (stabilizer, "_trusted", rotations))
 
 
 def _stored(x):
@@ -754,8 +761,8 @@ def assert_same_as_checked(build, *args):
         return False
     assert got[0] == "ok" and want[0] is ConstraintViolation and want[1].startswith("k0^2 - k.k")
     for b in _spinors(result):
-        scale = max(1.0, abs(b.k0) ** 2 + hnorm3(b.k) ** 2)
-        assert abs(b.k0 * b.k0 - bdot3(b.k, b.k) - 1.0) <= DEFAULT_TOL * scale + 8 * EPS * scale
+        scale = max(1.0, abs(b.k0) ** 2 + hnorm(b.k) ** 2)
+        assert abs(b.k0 * b.k0 - bilinear_dot(b.k, b.k) - 1.0) <= DEFAULT_TOL * scale + 8 * EPS * scale
     return True
 
 
