@@ -153,15 +153,38 @@ def test_cross_agrees_with_np_cross(u, v):
     assert (np.abs(got - np.cross(u, v)) <= 4 * EPS * (au[j] * av[l] + au[l] * av[j])).all()
 
 
-@given(v=scaled_array((3,), 150))
-def test_norm_agrees_with_np_linalg_norm(v):
+def assert_norm_agrees(got, v):
     # math.hypot is correctly rounded to within an ulp, and np.linalg.norm to
     # within a few where no square under- or overflows: it runs on v scaled
-    # exactly to a largest part in [0.5, 1) (measured worst: 1.3 eps)
+    # exactly to a largest part in [0.5, 1) (measured worst: 1.3 eps over
+    # 2 * 10^5 draws)
     e = _exponent(v.tolist())
     want = math.ldexp(float(np.linalg.norm(_ldexp(v, -e))), e)
-    assert abs(_norm(v.tolist()) - want) <= 4 * EPS * want
-    assert abs(hnorm(v) - want) <= 4 * EPS * want
+    assert abs(got - want) <= 4 * EPS * want
+
+
+@given(v=scaled_array((6,), 150))
+def test_hnorm_agrees_with_np_linalg_norm(v):
+    assert_norm_agrees(hnorm(v[:3]), v[:3])
+    assert_norm_agrees(hnorm(v[::2]), v[::2])  # strided view
+
+
+@given(v=scaled_array((6,), 150))
+def test_complex_norm_agrees_with_np_linalg_norm(v):
+    v = v.astype(complex)
+    for x in (v[:3], v[::2]):
+        assert_norm_agrees(_norm(x.tolist()), x)
+        assert _norm(x.tolist()) == hnorm(x)
+
+
+@given(v=scaled_array((6,), 150))
+def test_real_norm_agrees_with_np_linalg_norm(v):
+    # complex draws give strided real and imaginary parts, as in delta.real
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    for x in parts:
+        for y in (x[:3], x[::2]):
+            assert_norm_agrees(_norm(y.tolist()), y)
+            assert _norm(y.tolist()) == hnorm(y) == _norm(y.astype(complex).tolist())
 
 
 @pytest.mark.parametrize("size", [1e300, 1.5e307, 1e-300, 5e-324])
