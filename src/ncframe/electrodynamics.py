@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput
-from .group import SpinorElement, so3c_from_spinor
+from .group import SpinorElement, _so3c
 from .linalg import _WINDOW, ComplexVec3, _apply, _conj, _dot, _exponent, _ldexp, _norm, rvec3, vec3
 
 
@@ -141,6 +141,13 @@ def _inverse(h: list, K: list) -> list:
     return [p * x - w * k for x, k in zip(h, K)]
 
 
+def _inside(f: list, K: list) -> tuple[float, bool]:
+    """(||f|| (1 + ||K|| ||f||), whether ||f|| and that scale lie inside ``_WINDOW``, so the scale is > 0)."""
+    nf = _norm(f)
+    scale = nf * (1.0 + _norm(K) * nf)
+    return scale, _WINDOW[0] <= nf and scale <= _WINDOW[1]
+
+
 def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     """(2**-e f, 2**e K, residual_scale of those, e), rescaled exactly when
     ||f|| or the scale is outside ``_WINDOW``, with e the exponent of the
@@ -153,9 +160,8 @@ def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     the unscaled dots are normal floats, the rescaling changes no result.
     K 2**e overflows only if ||K|| ||f|| does.
     """
-    nf = _norm(f)
-    scale = nf * (1.0 + _norm(K) * nf)
-    if _WINDOW[0] <= nf and scale <= _WINDOW[1]:  # so scale > 0
+    scale, inside = _inside(f, K)
+    if inside:
         return f, K, scale, 0
     e = _exponent(f)
     if e:
@@ -203,12 +209,28 @@ def constitutive_inverse(h, K) -> ComplexVec3:
     return _ldexp(np.array(_inverse(h, K)), e)
 
 
-def _real_normalized(x: list, y: list, K) -> tuple[list, list, list, list, int]:
-    """(x, y, n, m, e): x + i*y and K = n + i*m through :func:`_normalized`."""
-    f, K, _, e = _normalized([complex(a, b) for a, b in zip(x, y)], vec3(K).tolist())
-    if e:
-        x, y = [z.real for z in f], [z.imag for z in f]
-    return x, y, [z.real for z in K], [z.imag for z in K], e
+def _real_normalized(x: list, y: list, K, form, factors) -> tuple[list, list, list, list, int]:
+    """(u, v, n, m, e) with (u, v) = form(2**-e x, 2**-e y) and n + i*m = 2**e K.
+
+    ``form`` is a real route's map from its input pair to the parts of f (or
+    of h): it multiplies or divides x and y by unit constants, of the sizes
+    ``factors``.  e is 0 when u + i*v and K pass the window test of
+    :func:`_normalized`, or when u + i*v is zero.  Else e is, up to one or
+    two, the exponent of the largest part of u + i*v, taken from the
+    exponents of x, y and the factors, and form acts on the rescaled pair:
+    in SI units c B overflows at B = 1e301, where H is finite.
+    """
+    K = vec3(K).tolist()
+    u, v = form(x, y)
+    scale, inside = _inside([complex(a, b) for a, b in zip(u, v)], K)
+    e = 0
+    if not inside and scale != 0.0:
+        exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
+        e = max(exponents, default=0)
+        if e:
+            u, v = form(_ldexp(x, -e).tolist(), _ldexp(y, -e).tolist())
+            K = _ldexp(K, e).tolist()
+    return u, v, [z.real for z in K], [z.imag for z in K], e
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -219,8 +241,9 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     serve as mutual checks.
     """
     c, eps0 = units.c, units.epsilon0
-    cB = [c * x for x in rvec3(B).tolist()]
-    E, cB, n, m, e = _real_normalized(rvec3(E).tolist(), cB, K)
+    E, cB, n, m, e = _real_normalized(
+        rvec3(E).tolist(), rvec3(B).tolist(), K, lambda x, y: (x, [c * b for b in y]), (1.0, c)
+    )
     s1 = _dot(n, E) - _dot(m, cB)
     s2 = _dot(m, E) + _dot(n, cB)
     ecb = _dot(E, cB)
@@ -236,9 +259,10 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     """(E, B) from (D, H); the real form of :func:`constitutive_inverse`."""
     c, eps0 = units.c, units.epsilon0
     ceps0 = c * eps0
-    d = [x / eps0 for x in rvec3(D).tolist()]
-    g = [x / ceps0 for x in rvec3(H).tolist()]
-    d, g, n, m, e = _real_normalized(d, g, K)
+    d, g, n, m, e = _real_normalized(
+        rvec3(D).tolist(), rvec3(H).tolist(), K,
+        lambda x, y: ([a / eps0 for a in x], [b / ceps0 for b in y]), (1.0 / eps0, 1.0 / ceps0),
+    )
     s1 = _dot(m, g) - _dot(n, d)
     s2 = _dot(m, d) + _dot(n, g)
     dg = _dot(d, g)
@@ -256,7 +280,7 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     with O the complex orthogonal image of b; zero in exact arithmetic.
     """
     f, K = vec3(f), vec3(K)
-    O = so3c_from_spinor(b).matrix.tolist()
+    O = _so3c(b.k0, b.k.tolist())
     _, f, K, h, scale, _ = _base(f, K)
     moved = _forward(_apply(O, f), _apply(O, K))
     return _norm([x - y for x, y in zip(moved, _apply(O, h))]) / scale

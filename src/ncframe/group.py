@@ -36,7 +36,6 @@ from .linalg import (
     _cross,
     _dot,
     _norm,
-    axial_matrix,
     det3,
     inf_norm,
     rvec3,
@@ -272,8 +271,27 @@ def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     pure boosts give complex symmetric ones.  The image is not checked again:
     ``b`` passed the SpinorElement check.
     """
-    kx = axial_matrix(b.k)
-    return _trusted(ComplexRotation, matrix=EYE3 + 2.0 * (1j * b.k0 * kx - kx @ kx))
+    return _trusted(ComplexRotation, matrix=np.array(_so3c(b.k0, b.k.tolist())))
+
+
+def _so3c(k0: complex, k: list) -> list:
+    """O(k) of :func:`so3c_from_spinor` as a 3x3 nested list of Python complex.
+
+    With -(k^x)^2 = (k.k) I - k k^T, the diagonal is 1 + 2 (k_j k_j + k_l k_l)
+    over the two other indices, which does not cancel, and an off-diagonal
+    entry is +-2i k0 k_l - 2 k_i k_j.  Each entry starts from the complex 0
+    or 1 of the identity, so, as in I + X, no part is a negative zero.
+    """
+    a, b, c = k
+    t = 2j * k0
+    ta, tb, tc = t * a, t * b, t * c
+    aa, bb, cc = a * a, b * b, c * c
+    ab, ac, bc = 2.0 * (a * b), 2.0 * (a * c), 2.0 * (b * c)
+    return [
+        [1 + 0j + 2.0 * (bb + cc), 0j - tc - ab, 0j + tb - ac],
+        [0j + tc - ab, 1 + 0j + 2.0 * (aa + cc), 0j - ta - bc],
+        [0j - tb - ac, 0j + ta - bc, 1 + 0j + 2.0 * (aa + bb)],
+    ]
 
 
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
@@ -283,29 +301,28 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.  Like
     :func:`so3c_from_spinor`, the image is not checked again.
     """
-    k0, k0c, k = b.k0, b.k0.conjugate(), b.k.tolist()
-    kk = [a * a for a in map(abs, k)]
-    total = kk[0] + kk[1] + kk[2]
-    a2 = abs(k0) * abs(k0)
-    L = [[0.0] * 4 for _ in range(4)]
-    L[0][0] = a2 + total
-    for i in range(3):
-        t = -2.0 * (k0c * k[i]).real
-        j, l = (i + 1) % 3, (i + 2) % 3
-        c = -2.0 * (k[j] * k[l].conjugate()).imag
-        L[0][i + 1] = t + c
-        L[i + 1][0] = t - c
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                L[i + 1][j + 1] = a2 + 2.0 * kk[i] - total
-            else:
-                l = 3 - i - j
-                eps = 1.0 if (j - i) % 3 == 1 else -1.0  # Levi-Civita eps_ijl
-                L[i + 1][j + 1] = 2.0 * eps * (k0c * k[l]).imag + 2.0 * (
-                    k[i] * k[j].conjugate()
-                ).real
-    return _trusted(Lorentz4, matrix=np.asarray(L, dtype=float))
+    k0 = b.k0
+    x, y, z = b.k.tolist()
+    k0c = k0.conjugate()
+    px, py, pz = k0c * x, k0c * y, k0c * z
+    # k_i k_j^* for the three pairs; swapping i and j conjugates it, bit for bit
+    qyz, qzx, qxy = y * z.conjugate(), z * x.conjugate(), x * y.conjugate()
+    ax, ay, az, a0 = abs(x), abs(y), abs(z), abs(k0)
+    xx, yy, zz, a2 = ax * ax, ay * ay, az * az, a0 * a0
+    total = xx + yy + zz
+    # time row and column: -2 Re(k0^* k_i) -+ 2 Im(k_j k_l^*), (i, j, l) cyclic
+    tx, ty, tz = -2.0 * px.real, -2.0 * py.real, -2.0 * pz.real
+    cx, cy, cz = -2.0 * qyz.imag, -2.0 * qzx.imag, -2.0 * qxy.imag
+    # space block: 2 eps_ijl Im(k0^* k_l) + 2 Re(k_i k_j^*) off the diagonal
+    rx, ry, rz = 2.0 * px.imag, 2.0 * py.imag, 2.0 * pz.imag
+    sx, sy, sz = 2.0 * qyz.real, 2.0 * qzx.real, 2.0 * qxy.real
+    L = [
+        [a2 + total, tx + cx, ty + cy, tz + cz],
+        [tx - cx, a2 + 2.0 * xx - total, rz + sz, -ry + sy],
+        [ty - cy, -rz + sz, a2 + 2.0 * yy - total, rx + sx],
+        [tz - cz, ry + sy, -rx + sx, a2 + 2.0 * zz - total],
+    ]
+    return _trusted(Lorentz4, matrix=np.array(L))
 
 
 @dataclass(frozen=True)

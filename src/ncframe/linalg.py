@@ -8,7 +8,9 @@ for the ordinary Hermitian magnitude.
 Every 3-vector dot, cross product and norm of the package goes through the
 private scalar kernels at the end of this module: a dot sums its three
 products left to right, and a norm is ``math.hypot`` of the six real parts.
-Matrix products (3x3 and 4x4) stay on numpy.
+The group images and the theta <-> K maps are written out entry by entry on
+Python scalars in their own modules; only 3x3 and 4x4 matrix products and
+the checks of ``group.ComplexRotation`` and ``group.Lorentz4`` stay on numpy.
 """
 
 from __future__ import annotations

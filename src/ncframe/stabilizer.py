@@ -56,7 +56,6 @@ from .linalg import (
     _ldexp,
     _norm,
     axial_matrix,
-    inf_norm,
     rmat4,
     rvec3,
     vec3,
@@ -107,15 +106,20 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
     uses (length^2 for a noncommutativity matrix) and K carries them.  NaN or
     inf entries raise :class:`NonFiniteInput`.
     """
-    theta = rmat4(theta)
-    scale = inf_norm(theta)
-    _require_finite(theta, scale, "theta")
-    resid = inf_norm(theta + theta.T)
+    rows = rmat4(theta).tolist()
+    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = rows
+    entries = [abs(x) for row in rows for x in row]
+    # max() passes over a NaN in some positions, so finiteness is settled first
+    _require_finite(entries, sum(entries), "theta")
+    scale = max(entries)
+    resid = max(
+        2.0 * max(abs(t00), abs(t11), abs(t22), abs(t33)),
+        abs(t01 + t10), abs(t02 + t20), abs(t03 + t30),
+        abs(t12 + t21), abs(t13 + t31), abs(t23 + t32),
+    )
     if resid > tol * max(1.0, scale):
         raise NotAntisymmetric(f"theta + theta^T residual {resid:.3e}")
-    m = np.array([theta[0, 1], theta[0, 2], theta[0, 3]])
-    n = np.array([theta[2, 3], theta[3, 1], theta[1, 2]])
-    return n + 1j * m
+    return np.array([complex(t23, t01), complex(t31, t02), complex(t12, t03)])
 
 
 def _require_finite(a, nrm: float, name: str = "K") -> None:
@@ -127,14 +131,15 @@ def _require_finite(a, nrm: float, name: str = "K") -> None:
 
 def K_to_theta(K) -> RealMat4:
     """Inverse of :func:`theta_to_K`; exact by construction."""
-    K = vec3(K)
-    n, m = K.real, K.imag
-    theta = np.zeros((4, 4))
-    theta[0, 1:] = m
-    theta[1:, 0] = -m
-    theta[2, 3], theta[3, 1], theta[1, 2] = n
-    theta[3, 2], theta[1, 3], theta[2, 1] = -n
-    return theta
+    (n1, m1), (n2, m2), (n3, m3) = ((z.real, z.imag) for z in vec3(K).tolist())
+    return np.array(
+        [
+            [0.0, m1, m2, m3],
+            [-m1, 0.0, n3, -n2],
+            [-m2, -n3, 0.0, n1],
+            [-m3, n2, -n1, 0.0],
+        ]
+    )
 
 
 def invariants(K) -> tuple[float, float, float, float]:
@@ -148,15 +153,14 @@ def invariants(K) -> tuple[float, float, float, float]:
 
 
 def _invariants(K: list) -> tuple[float, float, float, float]:
-    # np.hypot and np.arctan2, not their math versions: those round
-    # differently in the last bit for some arguments.
+    # |K.K| is libm's hypot, as np.hypot is; np.arctan2 is kept because
+    # math.atan2 rounds differently in the last bit for some arguments.
     ksq = _dot(K, K)
     i1, i2 = ksq.real, ksq.imag
-    mag = float(np.hypot(i1, i2))
-    mu = 0.5 * np.arctan2(i2, i1)
+    mu = float(np.arctan2(i2, i1)) / 2.0
     if mu < 0.0:
-        mu += np.pi
-    return i1, i2, mag, float(mu)
+        mu += math.pi
+    return i1, i2, abs(ksq), mu
 
 
 def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately do not reuse the library's computation paths: the spinor
-algebra is done with literal 2x2 Pauli matrices, and the 4x4 Lorentz matrix
-is assembled from the alternative real-split entry table.
+algebra and the complex orthogonal image are done with literal 2x2 Pauli
+matrices, and the 4x4 Lorentz matrix is assembled from the alternative
+real-split entry table.
 """
 
 import numpy as np
@@ -31,6 +32,12 @@ def compose2(b1, b2):
     """Group product through literal 2x2 matrix multiplication."""
     P = to_matrix2(b1.k0, b1.k) @ to_matrix2(b2.k0, b2.k)
     return from_matrix2(P)
+
+
+def so3c_oracle(b):
+    """O_ij = tr(sigma_i B sigma_j B^-1) / 2, with literal 2x2 matrices."""
+    B, B_inv = to_matrix2(b.k0, b.k), to_matrix2(b.k0, -b.k)
+    return np.array([[0.5 * np.trace(SIGMA[i] @ B @ SIGMA[j] @ B_inv) for j in range(3)] for i in range(3)])
 
 
 def lorentz4_real_split(b):

@@ -540,6 +540,14 @@ MIXED_ZERO_K = parts([0.0, 0.0, 0.5], [-0.0, -1.0, 0.5])
 # h + f with real parts -0.0, which (h + f) / 2 would turn into +0.0
 NEGATIVE_ZERO_SUM = (parts([-0.0] * 3, [1.0, 0.5, 0.0]), parts([-0.0] * 3, [0.0] * 3), SIGNED_ZERO_K)
 
+# ||f|| = 4.8e-155 is below the window, so the real routes rescale it, where
+# their plain copies do not: each gives its own last bits
+RESCALED_REAL_STATE = (
+    np.zeros(3, dtype=complex),
+    np.array([0.0, 4.80223544e-155, 0.0], dtype=complex),
+    np.array([2.74e39 - 4.60e39j, -9.18e39 - 9.67e39j, 6.27e39 + 8.26e39j]),
+)
+
 
 class TestBitIdentity:
     @given(fK=field_and_K)
@@ -551,15 +559,21 @@ class TestBitIdentity:
         assert_same_bits(constitutive_inverse(f, K), plain_inverse(f, K))
 
     @given(fhK=pair_and_K, units=unit_systems)
+    @example(fhK=RESCALED_REAL_STATE, units=UnitSystem.natural())
     def test_constitutive_real(self, fhK, units):
+        # each route where it runs on its pair as given: E + i c B (forward)
+        # or D / eps0 + i H / (c eps0) (inverse) and K inside the window;
+        # TestPowerOfTwoScaling covers the rescaled region
         E, B, K = fhK[0].real, fhK[1].real, fhK[2]
-        pairs = (
-            (constitutive_real_forward(E, B, K, units), plain_real_forward(E, B, K, units)),
-            (constitutive_real_inverse(E, B, K, units), plain_real_inverse(E, B, K, units)),
+        c, eps0 = units.c, units.epsilon0
+        routes = (
+            (E + 1j * (c * B), constitutive_real_forward, plain_real_forward),
+            (E / eps0 + 1j * (B / (c * eps0)), constitutive_real_inverse, plain_real_inverse),
         )
-        for got, want in pairs:
-            assert_same_bits(got[0], want[0])
-            assert_same_bits(got[1], want[1])
+        for f, route, plain in routes:
+            if unscaled(f, K):
+                for got, want in zip(route(E, B, K, units), plain(E, B, K, units)):
+                    assert_same_bits(got, want)
 
     @given(b=spinors, fK=field_and_K)
     def test_covariance_residual(self, b, fK):
@@ -660,6 +674,7 @@ class TestAgreementWithMatmul:
         assert plain_norm(constitutive_inverse(f, K) - matmul_inverse(f, K)) <= 4 * EPS * plain_scale(f, K)
 
     @given(fhK=pair_and_K, units=unit_systems)
+    @example(fhK=RESCALED_REAL_STATE, units=UnitSystem.natural())
     def test_constitutive_real(self, fhK, units):
         # compared as the complex fields h = (D + i H/c)/eps0 and f = E + i c B
         E, B, K = fhK[0].real, fhK[1].real, fhK[2]
@@ -854,15 +869,40 @@ class TestPowerOfTwoScaling:
             assert_same_bits(constitutive_forward(fs, Ks), ldexp(constitutive_forward(f, K), k))
             assert_same_bits(constitutive_inverse(fs, Ks), ldexp(constitutive_inverse(f, K), k))
 
-    @given(f=moderate_cvec, K=moderate_cvec, k=st.integers(-1000, 1000),
-           units=st.sampled_from([UnitSystem.natural(), UnitSystem(c=2.0, epsilon0=3.0)]))
+    @given(f=moderate_cvec, K=moderate_cvec, k=st.integers(-1000, 1000), units=unit_systems)
     def test_real_maps_keep_their_bits(self, f, K, k, units):
-        # units whose c and epsilon0 keep c B and the results finite at 2**1000
+        # in SI units c B, D / eps0 and H / (c eps0) overflow at 2**1000
+        # unless they are formed after the rescaling; the results themselves
+        # can overflow, on both sides alike
         x, y, Ks = np.ldexp(f.real, k), np.ldexp(f.imag, k), ldexp(K, -k)
         for real_map in (constitutive_real_forward, constitutive_real_inverse):
             got, want = real_map(x, y, Ks, units), real_map(f.real, f.imag, K, units)
-            for g, w in zip(got, want):
-                assert_same_bits(g, np.ldexp(w, k))
+            with np.errstate(over="ignore"):
+                for g, w in zip(got, want):
+                    assert_same_bits(g, np.ldexp(w, k))
+
+    def test_real_maps_finite_where_c_B_overflowed(self):
+        # c B = 3e309 overflowed before the rescaling, and D and H read NaN;
+        # the inverse's H / (c eps0) likewise at H = 1e306
+        si, K = UnitSystem.si(), np.array([1e-302, 0.0, 0.0])
+        E, B = np.zeros(3), np.array([0.0, 1e301, 0.0])
+        D, H = constitutive_real_forward(E, B, K, si)
+        assert np.isfinite(D).all() and np.isfinite(H).all() and H[1] > 7e306
+        for got, want in zip((D, H), constitutive_real_forward(E, np.ldexp(B, -600), np.ldexp(K, 600), si)):
+            assert_same_bits(got, np.ldexp(want, 600))
+        K = np.array([1e-308, 0.0, 0.0])
+        E, B = constitutive_real_inverse(np.zeros(3), np.array([0.0, 1e306, 0.0]), K, si)
+        assert np.isfinite(B).all() and B[1] > 1e300
+        _, want = constitutive_real_inverse(np.zeros(3), np.array([0.0, 1e306 * 2.0**-600, 0.0]), K * 2.0**600, si)
+        assert_same_bits(B, np.ldexp(want, 600))
+        # c = 1e200: c B is finite, but the dots of f = E + i c B overflowed
+        # unless the rescaling takes c into account
+        units, K = UnitSystem(c=1e200, epsilon0=1e-200), np.array([1e-200, 0.5e-200j, 0.0])
+        E, B = np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.25])
+        h = constitutive_forward(E + 1j * (units.c * B), K)
+        D, H = constitutive_real_forward(E, B, K, units)
+        assert np.isfinite(D).all() and np.isfinite(H).all()
+        assert hnorm(D / units.epsilon0 + 1j * H / (units.c * units.epsilon0) - h) <= 1e-15 * hnorm(h)
 
     def test_maps_finite_where_the_dots_overflowed(self):
         # f*.f* ~ 1e320 overflowed inside h ~ 1e160, and every map read NaN

@@ -6,15 +6,17 @@ scalars through the kernels of ``linalg``.  The plain versions below write
 the same formulas out on Python scalars: every 3-vector dot sums its three
 products left to right, every cross product is the written-out formula, and
 every norm is ``math.hypot`` of the six real parts (``np.sqrt``, ``np.exp``
-and numpy's arrays where the library keeps them).  Every output, and every
-error with its message, must be the same, bit for bit and signed zeros
-included.  The one exception is the boost factor of the factorization,
+and numpy's arrays where the library keeps them); ``plain_lorentz4`` keeps
+the index loops of the Lorentz image and ``plain_K_to_theta`` numpy's slice
+assignments, which the library writes out entry by entry.  Every output,
+and every error with its message, must be the same, bit for bit and signed
+zeros included.  The one exception is the boost factor of the factorization,
 which is checked against the 2x2 oracle instead; its rotation factor and
 sign stay pinned bit for bit.
 
 ``TestAgreementWithMatmul`` compares the outputs with the forms the library
-used before, matmul dots, ``np.linalg.norm`` and ``np.cross``, within a few
-eps relative.
+used before, matmul dots and products, ``np.linalg.norm`` and ``np.cross``,
+within a few eps relative.
 
 K sweeps magnitudes 1e-100..1e100 over the generic class, the boundary
 subcases Ia/Ib/IIa/IIb and the isotropic class; the mantissas are seeded
@@ -28,7 +30,7 @@ import math
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import compose2
+from oracles import compose2, so3c_oracle
 
 from ncframe.errors import (
     ConstraintViolation,
@@ -53,10 +55,14 @@ from ncframe.group import (
     ComplexRotation,
     GammaDelta,
     SpinorElement,
+    _so3c,
     gamma_delta_from_spinor,
+    lorentz4_from_spinor,
     project_to_group,
     so3c_from_spinor,
     spinor_compose,
+    spinor_from_boost,
+    spinor_from_rotation,
     verify_su2_boost_identities,
 )
 from ncframe.linalg import DEFAULT_TOL, EYE3, axial_matrix, inf_norm
@@ -65,6 +71,7 @@ from ncframe.stabilizer import (
     EPS_ISO,
     NCClass,
     Subcase,
+    K_to_theta,
     canonical_frame,
     classify,
     invariants,
@@ -72,6 +79,7 @@ from ncframe.stabilizer import (
     reduce_to_real,
     rotation_between,
     stabilizer_element,
+    theta_to_K,
     unit_delta,
 )
 
@@ -287,6 +295,43 @@ def plain_isotropic_sign(b, eps_iso=EPS_ISO):
     return sgn
 
 
+def plain_lorentz4(b):
+    """lorentz4_from_spinor's entry table, with the index loops it was written with."""
+    k0, k0c, k = b.k0, b.k0.conjugate(), b.k.tolist()
+    kk = [a * a for a in map(abs, k)]
+    total = kk[0] + kk[1] + kk[2]
+    a2 = abs(k0) * abs(k0)
+    L = [[0.0] * 4 for _ in range(4)]
+    L[0][0] = a2 + total
+    for i in range(3):
+        t = -2.0 * (k0c * k[i]).real
+        j, l = (i + 1) % 3, (i + 2) % 3
+        c = -2.0 * (k[j] * k[l].conjugate()).imag
+        L[0][i + 1] = t + c
+        L[i + 1][0] = t - c
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                L[i + 1][j + 1] = a2 + 2.0 * kk[i] - total
+            else:
+                l = 3 - i - j
+                eps = 1.0 if (j - i) % 3 == 1 else -1.0  # Levi-Civita eps_ijl
+                L[i + 1][j + 1] = 2.0 * eps * (k0c * k[l]).imag + 2.0 * (k[i] * k[j].conjugate()).real
+    return np.asarray(L, dtype=float)
+
+
+def plain_K_to_theta(K):
+    """K_to_theta as numpy slice assignments."""
+    K = np.asarray(K, dtype=complex)
+    n, m = K.real, K.imag
+    theta = np.zeros((4, 4))
+    theta[0, 1:] = m
+    theta[1:, 0] = -m
+    theta[2, 3], theta[3, 1], theta[1, 2] = n
+    theta[3, 2], theta[1, 3], theta[2, 1] = -n
+    return theta
+
+
 # ---------------------------------------------------------------------------
 # Comparison.
 # ---------------------------------------------------------------------------
@@ -407,6 +452,26 @@ spinors = seeds.map(lambda seed: random_spinor(np.random.default_rng(seed)))
 units = seeds.map(lambda seed: _unit(np.random.default_rng(seed)))
 
 
+def rotation_boost(alpha, beta, seed):
+    """Rotation by alpha after a boost of rapidity beta, about seeded axes."""
+    rng = np.random.default_rng(seed)
+    return spinor_compose(spinor_from_rotation(alpha, _unit(rng)), spinor_from_boost(beta, _unit(rng)))
+
+
+def tilted_boost(beta, tilt, axis):
+    """Boost of rapidity beta along coordinate axis ``axis`` tilted by about ``tilt``."""
+    e = np.roll([1.0, tilt, -0.5 * tilt], axis)
+    return spinor_from_boost(beta, e / np.sqrt(e @ e))
+
+
+# elements up to rapidity 30 (the stress range), where ||O|| ~ e^30, and
+# boosts near a coordinate axis, whose diagonal entry along it is near 1
+boosted = st.one_of(
+    st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-30.0, 30.0), seeds).map(lambda t: rotation_boost(*t)),
+    st.tuples(st.floats(-30.0, 30.0), st.floats(1e-8, 1e-1), st.integers(0, 2)).map(lambda t: tilted_boost(*t)),
+)
+
+
 def parts(re, im):
     """Complex array with the exact parts given, signed zeros included."""
     out = np.empty(len(re), dtype=complex)
@@ -418,6 +483,12 @@ REAL_AXIS = parts([2.0, -0.0, 0.0], [0.0, -0.0, 0.0])         # Ia, real delta
 IMAGINARY_AXIS = parts([0.0, 0.0, -0.0], [0.0, 3.0, 0.0])     # Ib
 EXACT_ISOTROPIC = parts([1.0, 0.0, -0.0], [0.0, 1.0, 0.0])
 ZERO = parts([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0])
+# the identity and a z-rotation and z-boost, with zero parts of both signs
+SIGNED_ZERO_SPINORS = (
+    SpinorElement(1.0, ZERO),
+    SpinorElement(complex(math.cos(0.35), -0.0), parts([-0.0, 0.0, 0.0], [0.0, -0.0, -math.sin(0.35)])),
+    SpinorElement(complex(math.cosh(0.35), 0.0), parts([0.0, -0.0, math.sinh(0.35)], [-0.0, 0.0, -0.0])),
+)
 # K.K where math.hypot and math.atan2 round differently from np.hypot and
 # np.arctan2, which the invariants keep
 HYPOT_CASE = parts([-0.31664963176331873, 0.8562268420291475, 0.7794565770190949],
@@ -467,6 +538,24 @@ class TestBitIdentity:
         # a direction off the unit quadric is refused the same way
         off = (1.0 + 1e-9) * delta
         assert_same(outcome(lambda d: reduce_to_real(d).matrix, off), outcome(plain_reduce_to_real, off))
+
+    @given(b=st.one_of(spinors, boosted))
+    @example(b=SIGNED_ZERO_SPINORS[0])
+    @example(b=SIGNED_ZERO_SPINORS[1])
+    @example(b=SIGNED_ZERO_SPINORS[2])
+    def test_lorentz4_from_spinor(self, b):
+        for source in (b, -b):
+            assert_same(lorentz4_from_spinor(source).matrix, plain_lorentz4(source))
+
+    @given(K=any_K, zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=6, max_size=6))
+    @example(K=ZERO, zeros=[None] * 6)
+    def test_theta_maps(self, K, zeros):
+        # some parts replaced by zeros of either sign
+        re_im = [z if z is not None else x for x, z in zip(K.view(float).tolist(), zeros)]
+        K = parts(re_im[0::2], re_im[1::2])
+        theta = K_to_theta(K)
+        assert_same(theta, plain_K_to_theta(K))
+        assert_same(theta_to_K(theta), K)
 
     @given(src=units, dst=units)
     def test_rotation_between(self, src, dst):
@@ -584,7 +673,12 @@ class TestBitIdentity:
 # Gibbs vector of rotation_between.  Measured worst over 90000 seeded draws
 # of the kinds above, in eps: invariants 1.9, kscalar and Delta 2.9, S 1.5,
 # Kcanon 2.5, stabilizer element 0.7, rotation_between 2.9, compose 1.8,
-# rotation factor 1.0 and boost factor 1.3.
+# rotation factor 1.0 and boost factor 1.3.  The image O(k), now written
+# out entry by entry, is compared with the matmul form I + 2 (i k0 k^x -
+# (k^x)^2) within 4 eps max(1, ||O||) (measured worst 2.2 over 20000 draws
+# up to rapidity 30), and with the 2x2 trace oracle within 8 eps: the
+# oracle's four 2x2 products round too, and differ from the matmul form by
+# up to 4.2 eps (the written-out form: 5.1).
 # ---------------------------------------------------------------------------
 
 EPS = np.finfo(float).eps
@@ -616,6 +710,11 @@ def matmul_canonical_frame(K):
         S = so3c_from_spinor(SpinorElement(*matmul_stabilizer_spinor(1j * math.asinh(mnorm), u))).matrix
     e = (S @ delta).real
     return S, kscalar * e / np.linalg.norm(e)
+
+
+def matmul_so3c(k0, k):
+    kx = axial_matrix(k)
+    return EYE3 + 2.0 * (1j * k0 * kx - kx @ kx)
 
 
 def matmul_rotation_between(src, dst):
@@ -663,6 +762,26 @@ class TestAgreementWithMatmul:
         want_k0, want_k = matmul_stabilizer_spinor(gamma, delta)
         scale = max(1.0, abs(want_k0), np.abs(want_k).max())
         assert deviation([b.k0, *b.k], [want_k0, *want_k]) <= 4 * kappa * (1.0 + abs(gamma)) * scale
+
+    @given(b=st.one_of(spinors, boosted))
+    @example(b=SIGNED_ZERO_SPINORS[0])
+    @example(b=SIGNED_ZERO_SPINORS[1])
+    @example(b=SIGNED_ZERO_SPINORS[2])
+    def test_so3c(self, b):
+        O = so3c_from_spinor(b).matrix
+        assert_same(np.array(_so3c(b.k0, b.k.tolist())), O)  # the kernel covariance_residual uses
+        want = matmul_so3c(b.k0, b.k)
+        scale = max(1.0, np.abs(O).max())
+        assert deviation(O, want) <= 4 * scale
+        assert deviation(O, so3c_oracle(b)) <= 8 * scale
+        # the diagonal 1 + 2 (k_j k_j + k_l k_l) does not cancel: entrywise
+        # within 4 eps of its own scale, not of ||O|| (measured worst 2.0)
+        kk = np.abs(b.k) ** 2
+        for i in range(3):
+            assert deviation(O[i, i], want[i, i]) <= 4 * (1.0 + 2.0 * (kk[(i + 1) % 3] + kk[(i + 2) % 3]))
+        # as in I + X, no part of O is a negative zero
+        zeros = O.view(float)[O.view(float) == 0.0]
+        assert not np.signbit(zeros).any()
 
     @given(src=units, dst=units)
     def test_rotation_between(self, src, dst):

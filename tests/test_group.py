@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
-    SIGMA,
     boost_closed_form,
     compose2,
     lorentz4_real_split,
     random_unit_delta,
     rotation_matrix_angle_axis,
-    to_matrix2,
+    so3c_oracle,
 )
 
 from ncframe import factorization, group, stabilizer
@@ -497,12 +496,6 @@ def checking(*classes):
 def checked_images():
     """Build the images through the public constructors, with every check."""
     return patched((group, "_trusted", checking(ComplexRotation, Lorentz4)))
-
-
-def so3c_oracle(b):
-    """O_ij = tr(sigma_i B sigma_j B^-1) / 2, with literal 2x2 matrices."""
-    B, B_inv = to_matrix2(b.k0, b.k), to_matrix2(b.k0, -b.k)
-    return np.array([[0.5 * np.trace(SIGMA[i] @ B @ SIGMA[j] @ B_inv) for j in range(3)] for i in range(3)])
 
 
 def at_tolerance_edge(b, frac):

@@ -10,7 +10,7 @@ from oracles import (
     random_unit_delta,
     to_matrix2,
 )
-from test_frame_bit_identity import exponents, gammas, k_of_kind, seeded_K, seeds, units
+from test_frame_bit_identity import KINDS, exponents, gammas, k_of_kind, seeded_K, seeds, units
 
 from ncframe.errors import (
     IsotropicInput,
@@ -63,6 +63,24 @@ class TestThetaMap:
     def test_not_antisymmetric(self):
         with pytest.raises(NotAntisymmetric):
             theta_to_K(np.eye(4))
+
+    @given(seed=st.integers(0, 2**32 - 1), exp=st.integers(-150, 150))
+    def test_asymmetric_entry_at_each_position(self, seed, exp):
+        # theta + theta^T against 1e-12 max(1, max |theta|), entry by entry
+        rng = np.random.default_rng(seed)
+        theta = 10.0**exp * rng.uniform(0.5, 1.0, size=(4, 4))
+        theta -= theta.T
+        bound = 1e-12 * max(1.0, np.abs(theta).max())
+        for i in range(4):
+            for j in range(4):
+                # the residual of a diagonal entry is twice the entry
+                step = bound / (2.0 if i == j else 1.0)
+                near, far = theta.copy(), theta.copy()
+                near[i, j] += 0.5 * step
+                far[i, j] += 2.0 * step
+                theta_to_K(near)
+                with pytest.raises(NotAntisymmetric):
+                    theta_to_K(far)
 
     def test_covariance_convention(self, rng):
         # the theta <-> K map must intertwine the 4x4 and 3x3 actions
@@ -149,6 +167,12 @@ class TestClassify:
             assert q.I2 == pytest.approx(lam**2 * p.I2, rel=1e-12, abs=1e-12)
             assert q.mu == pytest.approx(p.mu, abs=1e-12)
 
+    @given(kind=st.sampled_from(KINDS), exp=st.integers(-150, 150), seed=seeds)
+    def test_invariant_magnitude_is_np_hypot(self, kind, exp, seed):
+        # |K.K| from 1e-300 to 1e300: abs of a complex is libm's hypot
+        i1, i2, mag, _ = invariants(k_of_kind(kind, exp, seed))
+        assert np.float64(mag).tobytes() == np.hypot(i1, i2).tobytes()
+
     def test_invariants_match_bilinear_square(self, rng):
         K = random_nonisotropic_K(rng)
         i1, i2, mag, mu = invariants(K)
@@ -176,10 +200,13 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_theta_to_K_rejects(self, value):
-        theta = K_to_theta([1.0, 0.5 + 0.2j, 0])
-        theta[0, 2] = value
-        with pytest.raises(NonFiniteInput):
-            theta_to_K(theta)
+        # at each of the 16 positions, also where max() would pass over a NaN
+        for i in range(4):
+            for j in range(4):
+                theta = K_to_theta([1.0, 0.5 + 0.2j, 0])
+                theta[i, j] = value
+                with pytest.raises(NonFiniteInput):
+                    theta_to_K(theta)
 
     def test_is_a_value_error(self):
         assert issubclass(NonFiniteInput, ValueError)
