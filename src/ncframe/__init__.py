@@ -38,16 +38,13 @@ from .factorization import (
 from .group import (
     ETA,
     ComplexRotation,
-    GammaDelta,
     Lorentz4,
     SpinorElement,
-    gamma_delta_from_spinor,
     lorentz4_from_spinor,
     project_to_group,
     so3c_from_spinor,
     spinor_compose,
     spinor_from_boost,
-    spinor_from_gamma_delta,
     spinor_from_rotation,
     verify_su2_boost_identities,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "DualFrame",
     "FactorOrder",
     "FieldState",
-    "GammaDelta",
     "K_to_theta",
     "Lorentz4",
     "NCClass",
@@ -105,7 +101,6 @@ __all__ = [
     "factor_boost_rotation",
     "factor_isotropic",
     "factor_rotation_boost",
-    "gamma_delta_from_spinor",
     "gr_constraint_residual",
     "gr_from_fields",
     "hnorm",
@@ -122,7 +117,6 @@ __all__ = [
     "so3c_from_spinor",
     "spinor_compose",
     "spinor_from_boost",
-    "spinor_from_gamma_delta",
     "spinor_from_rotation",
     "stabilizer_element",
     "theta_to_K",

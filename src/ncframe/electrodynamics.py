@@ -97,7 +97,9 @@ def residual_scale(f, K) -> float:
     return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
-#: Distance, in quarter turns, within which a dual angle counts as a quarter turn.
+#: Distance, in quarter turns, within which a dual angle counts as a quarter
+#: turn.  A chi that close to q pi/2 snaps to it: the dual rotation and its
+#: residual take the exact cos and sin of q pi/2, not cos and sin of chi.
 QUARTER_TOL = 1e-9
 
 #: Largest dual_invariance_residual that passes at a quarter turn.
@@ -116,6 +118,18 @@ def quarter_turn(chi: float) -> tuple[int, bool]:
     quarter = chi / (math.pi / 2)
     q = round(quarter)
     return q, abs(quarter - q) < QUARTER_TOL
+
+
+# (cos, sin) of q pi/2 for q = 0..3 modulo 4, exactly: math.cos(pi/2) is 6.1e-17
+_QUARTER_COS_SIN = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def _turn(chi: float) -> tuple[int, float, float]:
+    """(q, cos chi, sin chi) with q from :func:`quarter_turn`, exact where chi lies on q."""
+    q, on = quarter_turn(chi)
+    if on:
+        return (q, *_QUARTER_COS_SIN[q % 4])
+    return q, math.cos(chi), math.sin(chi)
 
 
 # The private functions below compute on 3-lists of Python complex (or float)
@@ -291,12 +305,12 @@ def dual_transform(f, h, K, chi: float):
 
     h' = cos(chi) h + i sin(chi) f, f' = i sin(chi) h + cos(chi) f, and
     K' = exp(i*chi) K; equivalently G and R both pick up the phase exp(i*chi).
+    A chi on a quarter turn (:func:`quarter_turn`, which refuses a NaN or inf
+    chi) takes its exact cos and sin: pi/2 maps (f, h, K) to i (h, f, K).
     """
     f, h, K = vec3(f), vec3(h), vec3(K)
-    c, s = math.cos(chi), math.sin(chi)
-    # complex(c, s) is exp(1j * chi) bit for bit; `+ 0.0` turns sin(-0.0) into
-    # the +0.0 imaginary part that exp(1j * -0.0) has.
-    return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s + 0.0) * K
+    _, c, s = _turn(chi)
+    return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s) * K
 
 
 def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> float:
@@ -309,8 +323,8 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     one that holds (``swapped=True``).  Pass ``swapped`` to force a role;
     ``None`` selects it from chi (:func:`quarter_turn`, which also refuses a
     NaN or infinite chi).  The residual is relative to ||f|| (1 + ||K|| ||f||)
-    and vanishes (to rounding) exactly at the four quarter-turn angles;
-    generic angles fail at second order in K.
+    and vanishes (to rounding) at the four quarter turns, with the exact cos
+    and sin of :func:`dual_transform`; generic angles fail at second order.
 
     With c = cos(chi), s = sin(chi) and e = exp(i*chi), the primed fields
     f' = c f + i s h, h' = c h + i s f and K' = e K make the residual vector
@@ -328,11 +342,10 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     per field state, so each further angle costs a few scalar operations.
     """
     f, K = vec3(f), vec3(K)
-    q = quarter_turn(chi)[0]
+    q, c, s = _turn(chi)
     if swapped is None:
         swapped = q % 2 == 1
     _, f, K, h, scale, (ff, fh, fK, hh, hK) = _base(f, K, gram=True)
-    c, s = math.cos(chi), math.sin(chi)
     e, i_s = complex(c, s), 1j * s
     if swapped:
         u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()

@@ -17,10 +17,6 @@ class NonUnitAxis(NcframeError):
     """Rotation/boost axis is not a real unit vector."""
 
 
-class GammaDegenerate(NcframeError):
-    """Angle/axis extraction attempted on an element whose axis is undefined."""
-
-
 class NotPureElement(NcframeError):
     """Element is neither a pure rotation nor a pure boost."""
 

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolation,
-    GammaDegenerate,
-    NonUnitAxis,
-    NotPureElement,
-)
+from .errors import ConstraintViolation, NonUnitAxis, NotPureElement
 from .linalg import (
     DEFAULT_TOL,
     EYE3,
@@ -325,50 +320,6 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     return _trusted(Lorentz4, matrix=np.array(L))
 
 
-@dataclass(frozen=True)
-class GammaDelta:
-    """Axis-angle data (gamma, Delta) of a non-isotropic element.
-
-    gamma = alpha + i*beta packs a rotation angle and a rapidity; Delta is a
-    complex direction with bilinear square one, i.e. Delta = N + i*M with
-    N.N - M.M = 1 and N.M = 0.
-    """
-
-    gamma: complex
-    delta: ComplexVec3
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        d = vec3(self.delta)
-        object.__setattr__(self, "delta", d)
-        _require_unit_square(d.tolist(), ConstraintViolation)
-
-
-def _require_unit_square(d: list, error: type[Exception]) -> None:
-    """Raise ``error`` unless d.d = 1 within DEFAULT_TOL relative to max(1, ||d||^2).
-
-    The one test of a unit direction Delta, for the 3-list of a complex
-    3-vector that the caller has already coerced; each caller names its own
-    exception type.
-    """
-    sq = _dot(d, d)
-    err = abs(sq - 1.0)
-    if not err <= DEFAULT_TOL:
-        nd = _norm(d)
-        if _exceeds(err, DEFAULT_TOL * max(1.0, nd * nd)):
-            raise error(f"delta.delta = {sq:.15g}, expected 1")
-
-
-def spinor_from_gamma_delta(gd: GammaDelta) -> SpinorElement:
-    """Element cos(gamma/2) - i*sin(gamma/2) Delta.sigma.
-
-    Real gamma with real Delta is a rotation; purely imaginary gamma with real
-    Delta is a boost.  For fixed Delta the family is Abelian with
-    gamma'' = gamma' + gamma.
-    """
-    return _stabilizer_spinor(gd.gamma, gd.delta.tolist())
-
-
 def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     """The small-group element b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K).
 
@@ -394,23 +345,6 @@ def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     if math.isfinite(a * a + n * n):
         return _trusted(SpinorElement, k0=k0, k=np.array(k))
     return SpinorElement(k0, k)
-
-
-def gamma_delta_from_spinor(b: SpinorElement) -> GammaDelta:
-    """Extract (gamma, Delta) with the principal branch gamma/2 = arccos(k0).
-
-    Defined only when k.k != 0: since k.k = -sin^2(gamma/2), the deck elements
-    (+-I, k = 0) and the isotropic family (k.k = 0, k != 0) have no usable
-    direction and raise :class:`GammaDegenerate`.
-    """
-    kl = b.k.tolist()
-    ksq, knorm = _dot(kl, kl), _norm(kl)
-    if abs(ksq) <= 1e-12 * max(1.0, knorm * knorm):
-        raise GammaDegenerate("k.k = 0: direction undefined (deck or isotropic element)")
-    half = np.arccos(complex(b.k0))  # principal: Re in [0, pi]
-    s = np.sin(half)
-    delta = 1j * b.k / s
-    return GammaDelta(2.0 * half, delta)
 
 
 def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> dict:

@@ -37,7 +37,7 @@ from .group import (
     ComplexRotation,
     Lorentz4,
     SpinorElement,
-    _require_unit_square,
+    _exceeds,
     _stabilizer_spinor,
     _trusted,
     lorentz4_from_spinor,
@@ -143,8 +143,14 @@ def K_to_theta(K) -> RealMat4:
 
 
 def invariants(K) -> tuple[float, float, float, float]:
-    """Return (I1, I2, I, mu) with mu = atan2(I2, I1)/2 folded into [0, pi)."""
-    return _invariants(vec3(K).tolist())
+    """Return (I1, I2, I, mu) with mu = atan2(I2, I1)/2 folded into [0, pi).
+
+    mu is scale-free, from K scaled by a power of two as in :func:`classify`;
+    I1, I2 and I are those of K as given, in its units squared (they can
+    overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
+    """
+    scaled, given, _ = _measured(vec3(K))
+    return (*given, scaled[3])
 
 
 # The private functions below take complex 3-vectors that their public
@@ -173,19 +179,23 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
     K = vec3(K)
-    Ks, nrm, e = _scaled(K)
-    i1, i2, mag, mu = _invariants(Ks)
+    (s1, s2, smag, mu), (i1, i2, mag), nrm = _measured(K)
     klass, sub = NCClass.NON_ISOTROPIC, Subcase.GENERIC
-    if nrm == 0.0 or _isotropic(mag, nrm, eps_iso):
+    if nrm == 0.0 or _isotropic(smag, nrm, eps_iso):
         klass = NCClass.ISOTROPIC if nrm else NCClass.COMMUTATIVE
         sub, mu = Subcase.NONE, None
-    elif abs(i2) <= eps_iso * mag:
-        sub, mu = (Subcase.IA, 0.0) if i1 > 0 else (Subcase.IB, np.pi / 2)
-    elif abs(i1) <= eps_iso * mag:
-        sub, mu = (Subcase.IIA, np.pi / 4) if i2 > 0 else (Subcase.IIB, 3 * np.pi / 4)
-    if e:
-        i1, i2, mag, _ = _invariants(K.tolist())
+    elif abs(s2) <= eps_iso * smag:
+        sub, mu = (Subcase.IA, 0.0) if s1 > 0 else (Subcase.IB, np.pi / 2)
+    elif abs(s1) <= eps_iso * smag:
+        sub, mu = (Subcase.IIA, np.pi / 4) if s2 > 0 else (Subcase.IIB, 3 * np.pi / 4)
     return NCParameter(K_to_theta(K), K, i1, i2, mag, mu, klass, sub)
+
+
+def _measured(K: ComplexVec3) -> tuple[tuple, tuple, float]:
+    """((I1, I2, I, mu) of Ks, (I1, I2, I) of K as given, ||Ks||), Ks from :func:`_scaled`."""
+    Ks, nrm, e = _scaled(K)
+    scaled = _invariants(Ks)
+    return scaled, (_invariants(K.tolist()) if e else scaled)[:3], nrm
 
 
 def _scaled(K: ComplexVec3) -> tuple[list, float, int]:
@@ -259,6 +269,18 @@ class StabilizerElement:
         return lorentz4_from_spinor(self.spinor)
 
 
+def _require_unit_square(d: list) -> None:
+    """Raise :class:`NotUnitDelta` unless d.d = 1 within DEFAULT_TOL relative
+    to max(1, ||d||^2): the one test of a unit direction Delta, for the
+    3-list of a complex 3-vector that the caller has already coerced."""
+    sq = _dot(d, d)
+    err = abs(sq - 1.0)
+    if not err <= DEFAULT_TOL:
+        nd = _norm(d)
+        if _exceeds(err, DEFAULT_TOL * max(1.0, nd * nd)):
+            raise NotUnitDelta(f"delta.delta = {sq:.15g}, expected 1")
+
+
 def stabilizer_element(gamma, delta) -> StabilizerElement:
     """Element O(gamma, Delta) of the Abelian family fixing every multiple of Delta.
 
@@ -267,11 +289,13 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     compose by adding gamma.
 
     The element is the small-group spinor b(gamma; Delta) of
-    ``group._stabilizer_spinor``, which fixes Delta for any Delta.Delta.
+    ``group._stabilizer_spinor``, which fixes Delta for any Delta.Delta; for
+    a unit Delta it is cos(gamma/2) - i sin(gamma/2) Delta.sigma, a rotation
+    for real gamma and Delta, a boost for imaginary gamma and real Delta.
     """
     delta = vec3(delta)
     dl = delta.tolist()
-    _require_unit_square(dl, NotUnitDelta)
+    _require_unit_square(dl)
     gamma = complex(gamma)
     spinor = _stabilizer_spinor(gamma, dl)
     return StabilizerElement(
@@ -359,7 +383,7 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     not cancel near rho = 0.
     """
     delta = vec3(delta).tolist()
-    _require_unit_square(delta, NotUnitDelta)
+    _require_unit_square(delta)
     return _reduce_to_real(delta, e_target)
 
 

@@ -268,6 +268,15 @@ class TestBehavior:
         code, out = run_cli(["dual-scan", "--steps", "4"], doc, tmp_path, capsys)
         assert code == 0 and out["pass"]
 
+    @pytest.mark.parametrize("argv", [["constitutive", "--dual-check", repr(math.pi / 2)],
+                                      ["dual-scan", "--steps", "8"]])
+    def test_dual_quarter_turn_at_large_coupling(self, argv, tmp_path, capsys):
+        # ||K|| ||f|| = 1e10: cos(pi/2) = 6.1e-17 made the quarter-turn
+        # residual 7.6e-7, and the command exit 1
+        doc = {"nm": [1e10, 0, 0, 0, 0, 0], "E": [1, 0.2, 0], "B": [0, 0.3, 0.1]}
+        code, out = run_cli(argv, doc, tmp_path, capsys)
+        assert code == 0 and out["pass"]
+
     def test_dual_check_quarter_turns_outside_one_turn(self, tmp_path, capsys):
         doc = {"E": [1, 0.2, 0], "B": [0, 0.3, 0.1], "nm": [0.08, 0, 0.02, 0, 0.05, 0.01]}
         angles = [-np.pi / 2, 5 * np.pi / 2, -3 * np.pi, 0.7]

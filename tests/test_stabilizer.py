@@ -181,6 +181,20 @@ class TestClassify:
         assert mag == pytest.approx(abs(ksq))
 
 
+    @pytest.mark.parametrize("K", [np.array([1 + 1j, 0, 0]), np.array([0.3 - 1.2j, 0.7 + 0.1j, -0.5 + 0.9j])],
+                             ids=["IIa", "generic"])
+    def test_invariants_mu_is_scale_free(self, K):
+        # mu comes from K scaled by a power of two, as classify's does: at
+        # 1e-200 K.K underflowed (mu read 0) and at 1e200 it overflowed (NaN)
+        mu, ksq = invariants(K)[3], bilinear_dot(K, K)
+        for p in range(-300, 301, 10):
+            Ks = 10.0**p * K
+            i1, i2, _, mu_s = invariants(Ks)
+            assert mu_s == pytest.approx(mu, rel=1e-15) and mu_s == classify(Ks).mu
+            if abs(p) <= 150:  # I1 and I2 are those of K as given
+                assert complex(i1, i2) == pytest.approx(10.0 ** (2 * p) * ksq, rel=1e-12)
+
+
 NON_FINITE_K = (
     [np.nan, 0, 0],
     [np.inf, 0, 0],
@@ -191,6 +205,11 @@ NON_FINITE_K = (
 
 
 class TestNonFiniteInput:
+    @pytest.mark.parametrize("K", NON_FINITE_K)
+    def test_invariants_reject(self, K):
+        with pytest.raises(NonFiniteInput):
+            invariants(K)
+
     @pytest.mark.parametrize("K", NON_FINITE_K)
     def test_classify_and_unit_delta_reject(self, K):
         with pytest.raises(NonFiniteInput):
