@@ -12,47 +12,50 @@ Exit codes: 0 all residuals within thresholds; 1 residual failure;
 7 any other library error (an ``NcframeError`` the codes above do not name).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits so doubles round-trip losslessly.
+
+classify, factor, constitutive and dual-scan run on the list-level kernels
+of the library and never import numpy; stabilizer and reduce build 3x3 and
+4x4 matrices, and stabilizer --count draws random parameters, so they do.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-import numpy as np
-
-from . import __version__
+from . import __version__, linalg
 from .electrodynamics import (
     DUAL_TOL,
-    FieldState,
     UnitSystem,
-    constitutive_forward,
-    dual_invariance_residual,
+    _dual_residual,
+    _f_of,
+    _forward,
+    _h_of,
+    _mapped,
+    _real_forward,
+    _scale,
+    _state,
     quarter_turn,
-    residual_scale,
 )
 from .errors import NcframeError, NotAntisymmetric
-from .factorization import (
-    factor_boost_rotation,
-    factor_rotation_boost,
-    isotropic_sign,
-)
-from .group import SpinorElement, project_to_group
-from .linalg import EYE3, _ldexp, bilinear_dot, hnorm, inf_norm
+from .factorization import FactorOrder, _factors, _isotropic_sign
+from .group import _check_spinor, _compose, _project
+from .linalg import _dot, _ldexp, _norm, inf_norm
 from .sampling import default_rng, random_gamma
 from .stabilizer import (
     EPS_ISO,
     NCClass,
-    K_to_theta,
+    _classify,
+    _K_to_theta,
+    _scaled,
+    _theta_to_K,
+    _unit_delta,
     canonical_frame,
-    classify,
     isotropic_stabilizer_element,
     stabilizer_element,
-    theta_to_K,
-    unit_delta,
 )
-from .stabilizer import _scaled
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -78,7 +81,7 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _jfloat(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise CliError(f"non-finite value in output: {x}", EXIT_MALFORMED)
     return format(float(x), ".17g")
 
@@ -88,21 +91,21 @@ def _encode(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return _jfloat(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         return f"[{_jfloat(obj.real)}, {_jfloat(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
+    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python numbers
+        return _encode(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -141,31 +144,46 @@ def _read_doc(args) -> dict:
     return doc
 
 
-def _real_array(doc, key, size) -> np.ndarray:
+def _entries(x) -> list:
+    """The entries of a rectangular nested list, row by row; a non-list is one entry."""
+    if not isinstance(x, list):
+        return [x]
+    if any(isinstance(v, list) for v in x):
+        if not all(isinstance(v, list) and len(v) == len(x[0]) for v in x):
+            raise ValueError("rows of unequal length")
+        return [e for v in x for e in _entries(v)]
+    return x
+
+
+def _real_values(doc, key, size: int) -> list:
+    """doc[key] as a list of ``size`` finite floats: a flat list, or rows of equal length."""
     if key not in doc:
         raise CliError(f"missing field {key!r}", EXIT_MALFORMED)
     try:
-        arr = np.asarray(doc[key], dtype=float).reshape(size)
-    except (TypeError, ValueError) as exc:
+        values = [float(x) for x in _entries(doc[key])]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"field {key!r}: {exc}", EXIT_MALFORMED) from exc
-    if not np.all(np.isfinite(arr)):
+    if len(values) != size:
+        raise CliError(f"field {key!r}: expected {size} numbers, got {len(values)}", EXIT_MALFORMED)
+    if not all(map(math.isfinite, values)):
         raise CliError(f"field {key!r} contains non-finite values", EXIT_MALFORMED)
-    return arr
+    return values
 
 
-def _parse_theta(doc) -> tuple[np.ndarray, np.ndarray]:
-    """Return (theta, K) from either the matrix or the 6-tuple form."""
+def _parse_theta(doc) -> tuple[list, list]:
+    """Return (theta as 4 rows, the 3-list of K) from either the matrix or the 6-tuple form."""
     if "theta" in doc:
-        theta = _real_array(doc, "theta", (4, 4))
+        values = _real_values(doc, "theta", 16)
+        theta = [values[i : i + 4] for i in range(0, 16, 4)]
         try:
-            K = theta_to_K(theta, tol=_THETA_ANTISYM_TOL)
+            K = _theta_to_K(theta, _THETA_ANTISYM_TOL)
         except NotAntisymmetric as exc:
             raise CliError(str(exc), EXIT_NOT_ANTISYMMETRIC) from exc
         return theta, K
     if "nm" in doc:
-        nm = _real_array(doc, "nm", (6,))
-        K = nm[:3] + 1j * nm[3:]
-        return K_to_theta(K), K
+        nm = _real_values(doc, "nm", 6)
+        K = [x + 1j * y for x, y in zip(nm[:3], nm[3:])]
+        return _K_to_theta(K), K
     raise CliError("input needs either 'theta' or 'nm'", EXIT_MALFORMED)
 
 
@@ -191,17 +209,25 @@ def _base_report(args, command: str, input_echo: dict, tol: float) -> dict:
     }
 
 
-def _cvec(v) -> list:
-    return [complex(x) for x in np.asarray(v, dtype=complex)]
-
-
-def _classification_block(param) -> dict:
+def _classification_block(K: list, classified: tuple) -> dict:
+    I1, I2, I, mu, klass, subcase = classified
     return {
-        "class": param.klass.value,
-        "subcase": param.subcase.value,
-        "invariants": {"I1": param.I1, "I2": param.I2, "I": param.I, "mu": param.mu},
-        "K": _cvec(param.K),
+        "class": klass.value,
+        "subcase": subcase.value,
+        "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
+        "K": K,
     }
+
+
+def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list]:
+    """(report, K, classification, theta) of the input, with the report's
+    base and classification filled in."""
+    doc = _read_doc(args)
+    theta, K = _parse_theta(doc)
+    classified = _classify(K, args.eps_iso)
+    report = _base_report(args, command, doc, tol)
+    report.update(_classification_block(K, classified))
+    return report, K, classified, theta
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +235,21 @@ def _classification_block(param) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> dict:
-    doc = _read_doc(args)
-    theta, K = _parse_theta(doc)
-    param = classify(K, eps_iso=args.eps_iso)
     tol = args.tol if args.tol is not None else 1e-9
-    report = _base_report(args, "classify", doc, tol)
-    report.update(_classification_block(param))
+    report, K, classified, theta = _classified(args, "classify", tol)
     report["theta"] = theta
-    if param.klass is NCClass.NON_ISOTROPIC:
-        kscalar, delta = unit_delta(K, eps_iso=args.eps_iso)
+    if classified[4] is NCClass.NON_ISOTROPIC:
+        ks, delta, e = _unit_delta(K, args.eps_iso)
+        kscalar = _ldexp(ks, e)
         report["Kscalar"] = kscalar
-        report["delta"] = _cvec(delta)
-        Ks, _, e = _scaled(K)
+        report["delta"] = delta
+        Ks = _scaled(K)[0]
+        # the split of the reported Kscalar: where it is subnormal, the
+        # digits it lost show here
+        ks = _ldexp(kscalar, -e)
         report["residuals"] = {
-            "delta_unit": abs(bilinear_dot(delta, delta) - 1.0),
-            "split": hnorm(_ldexp(kscalar, -e) * delta - Ks) / hnorm(Ks),
+            "delta_unit": abs(_dot(delta, delta) - 1.0),
+            "split": _norm([ks * d - k for d, k in zip(delta, Ks)]) / _norm(Ks),
         }
         report["pass"] = all(r <= tol for r in report["residuals"].values())
     else:
@@ -233,7 +259,7 @@ def cmd_classify(args) -> dict:
 
 
 def _element_entry(elem, Ks, tol) -> dict:
-    resid = hnorm(elem.rotation.apply(Ks) - Ks) / hnorm(Ks)
+    resid = _norm([x - k for x, k in zip(elem.rotation.apply(Ks).tolist(), Ks)]) / _norm(Ks)
     entry = {
         "matrix": elem.rotation.matrix,
         "lorentz": elem.lorentz4.matrix,
@@ -248,29 +274,28 @@ def _element_entry(elem, Ks, tol) -> dict:
 
 
 def cmd_stabilizer(args) -> dict:
-    doc = _read_doc(args)
-    theta, K = _parse_theta(doc)
-    param = classify(K, eps_iso=args.eps_iso)
-    if param.klass is NCClass.COMMUTATIVE:
-        raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
     tol = args.tol if args.tol is not None else 1e-9
-    rng = default_rng(args.seed)
-    report = _base_report(args, "stabilizer", doc, tol)
-    report.update(_classification_block(param))
-    if param.klass is NCClass.NON_ISOTROPIC:
+    report, K, classified, _ = _classified(args, "stabilizer", tol)
+    klass = classified[4]
+    if klass is NCClass.COMMUTATIVE:
+        raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
+    if klass is NCClass.NON_ISOTROPIC:
         if args.z is not None:
             raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
-        _, delta = unit_delta(K, eps_iso=args.eps_iso)
-        report["delta"] = _cvec(delta)
-        flag, draw = args.gamma, lambda: random_gamma(rng)
+        delta = _unit_delta(K, args.eps_iso)[1]
+        report["delta"] = delta
+        flag, draw = args.gamma, random_gamma
         element = lambda gamma: stabilizer_element(gamma, delta)  # noqa: E731
     else:
         if args.gamma is not None:
             raise CliError("K is isotropic: use --z, not --gamma", EXIT_MALFORMED)
-        flag, draw = args.z, lambda: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        flag = args.z
+        draw = lambda rng: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))  # noqa: E731
         element = lambda z: isotropic_stabilizer_element(z, K, args.eps_iso)  # noqa: E731
     params = [] if flag is None else [_parse_complex_flag(flag)]
-    params.extend(draw() for _ in range(args.count))
+    if args.count > 0:  # the generator, and numpy.random with it, only when sampling
+        rng = default_rng(args.seed)
+        params.extend(draw(rng) for _ in range(args.count))
     Ks = _scaled(K)[0]
     elements = [_element_entry(element(p), Ks, tol) for p in params]
     report["elements"] = elements
@@ -279,71 +304,70 @@ def cmd_stabilizer(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    doc = _read_doc(args)
-    theta, K = _parse_theta(doc)
-    param = classify(K, eps_iso=args.eps_iso)
-    if param.klass is not NCClass.NON_ISOTROPIC:
-        raise CliError(
-            f"class {param.klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE
-        )
     tol = args.tol if args.tol is not None else 1e-9
+    report, K, classified, _ = _classified(args, "reduce", tol)
+    klass = classified[4]
+    if klass is not NCClass.NON_ISOTROPIC:
+        raise CliError(f"class {klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE)
     S, kcanon = canonical_frame(K, eps_iso=args.eps_iso)
     Ks, _, e = _scaled(K)
-    kcs = _ldexp(kcanon, -e)
-    ksq, csq = bilinear_dot(Ks, Ks), bilinear_dot(kcs, kcs)
+    kcs = _ldexp(kcanon.tolist(), -e)
+    ksq, csq = _dot(Ks, Ks), _dot(kcs, kcs)
     residuals = {
-        "orthogonality": inf_norm(S.matrix.T @ S.matrix - EYE3),
-        "reduction": hnorm(S.apply(Ks) - kcs) / hnorm(Ks),
+        "orthogonality": inf_norm(S.matrix.T @ S.matrix - linalg.EYE3),
+        "reduction": _norm([x - k for x, k in zip(S.apply(Ks).tolist(), kcs)]) / _norm(Ks),
         "invariants": abs(csq - ksq) / abs(ksq),
     }
-    report = _base_report(args, "reduce", doc, tol)
-    report.update(_classification_block(param))
     report["S"] = S.matrix
-    report["K_canonical"] = _cvec(kcanon)
+    report["K_canonical"] = kcanon
     report["residuals"] = residuals
     report["pass"] = all(r <= tol for r in residuals.values())
     return report
 
 
-def _spinor_entry(source: SpinorElement, pair) -> dict:
-    composed = pair.compose()
-    num = max(abs(composed.k0 - pair.sign * source.k0), inf_norm(composed.k - pair.sign * source.k))
-    scale = max(1.0, abs(source.k0), hnorm(source.k))
-    rot, boost = pair.rotation, pair.boost
+def _spinor_entry(k0: complex, k: list, order: FactorOrder) -> dict:
+    """The factorization of (k0, k) in one order, with its round-trip residual."""
+    rotation, boost, sign = _factors(k0, k, order)
+    first, second = (rotation, boost) if order is FactorOrder.ROTATION_FIRST else (boost, rotation)
+    c0, ck = _compose(*first, *second)
+    _check_spinor(c0, ck)
+    num = max(abs(c0 - sign * k0), max(abs(x - sign * y) for x, y in zip(ck, k)))
+    scale = max(1.0, abs(k0), _norm(k))
+    (a0, a), (b0, b) = rotation, boost
     return {
-        "order": pair.order.value,
-        "sign": pair.sign,
-        "rotation": {"n0": rot.n0, "n": rot.n},
-        "boost": {"b0": boost.k0.real, "b": boost.k.real},
+        "order": order.value,
+        "sign": sign,
+        "rotation": {"n0": a0.real, "n": [-z.imag for z in a]},
+        "boost": {"b0": b0.real, "b": [z.real for z in b]},
         "roundtrip_residual": num / scale,
     }
 
 
 def cmd_factor(args) -> dict:
     doc = _read_doc(args)
-    raw = _real_array(doc, "spinor", (8,))
+    raw = _real_values(doc, "spinor", 8)
     k0 = complex(raw[0], raw[1])
-    k = raw[5:8].astype(complex) - 1j * raw[2:5]
-    det = k0 * k0 - bilinear_dot(k, k)
-    a, n = abs(k0), hnorm(k)
+    k = [m - 1j * n for n, m in zip(raw[2:5], raw[5:8])]
+    det = k0 * k0 - _dot(k, k)
+    a, n = abs(k0), _norm(k)
     scale = max(1.0, a * a + n * n)
     if abs(det - 1.0) > _SPINOR_DET_TOL * scale:
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
-    b = project_to_group(k0, k)
+    k0, k = _project(k0, k)
+    _check_spinor(k0, k)
     tol = args.tol if args.tol is not None else 1e-10
-    pairs = [factor_rotation_boost(b), factor_boost_rotation(b)]
     report = _base_report(args, "factor", doc, tol)
-    report["method"] = "isotropic" if isotropic_sign(b, args.eps_iso) else "generic"
+    report["method"] = "isotropic" if _isotropic_sign(k0, k, args.eps_iso) else "generic"
     report["det_residual"] = abs(det - 1.0)
-    report["factorizations"] = [_spinor_entry(b, p) for p in pairs]
+    report["factorizations"] = [_spinor_entry(k0, k, order) for order in FactorOrder]
     report["pass"] = all(f["roundtrip_residual"] <= tol for f in report["factorizations"])
     return report
 
 
-def _dual_row(f, K, chi: float) -> dict:
+def _dual_row(state: tuple, chi: float) -> dict:
     return {
         "chi": chi,
-        "residual": dual_invariance_residual(f, K, chi),
+        "residual": _dual_residual(state, chi),
         "expected_invariant": quarter_turn(chi)[1],
     }
 
@@ -353,42 +377,45 @@ def _dual_pass(rows, tol: float) -> bool:
     return all(r["residual"] <= tol for r in rows if r["expected_invariant"])
 
 
-def cmd_constitutive(args) -> dict:
+def _fields(args) -> tuple[dict, list, list, list, UnitSystem]:
+    """(input document, K, E, B, units) of a field-state command."""
     doc = _read_doc(args)
-    theta, K = _parse_theta(doc)
-    E = _real_array(doc, "E", (3,))
-    B = _real_array(doc, "B", (3,))
-    units = UnitSystem(c=args.c, epsilon0=args.epsilon0)
-    state = FieldState.from_eb(E, B, K, units)
-    f = state.f
-    h = constitutive_forward(f, K)
-    cross = hnorm(state.h - h) / residual_scale(f, K)
+    _, K = _parse_theta(doc)
+    E = _real_values(doc, "E", 3)
+    B = _real_values(doc, "B", 3)
+    return doc, K, E, B, UnitSystem(c=args.c, epsilon0=args.epsilon0)
+
+
+def cmd_constitutive(args) -> dict:
+    doc, K, E, B, units = _fields(args)
+    D, H = _real_forward(E, B, K, units)
+    f = _f_of(E, B, units)
+    h = _mapped(_forward, f, K)
+    cross = _norm([x - y for x, y in zip(_h_of(D, H, units), h)]) / _scale(f, K)
     tol = args.tol if args.tol is not None else 1e-12
     report = _base_report(args, "constitutive", doc, tol)
     report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
-    report["D"] = state.D
-    report["H"] = state.H
-    report["f"] = _cvec(f)
-    report["h"] = _cvec(h)
+    report["D"] = D
+    report["H"] = H
+    report["f"] = f
+    report["h"] = h
     report["residuals"] = {"real_vs_complex": cross}
-    dual_rows = [_dual_row(f, K, float(text)) for text in args.dual_check or []]
-    if dual_rows:
+    dual_rows = []
+    if args.dual_check:
+        state = _state(None, f, K, gram=True)
+        dual_rows = [_dual_row(state, float(text)) for text in args.dual_check]
         report["dual_checks"] = dual_rows
     report["pass"] = cross <= tol and _dual_pass(dual_rows, DUAL_TOL)
     return report
 
 
 def cmd_dual_scan(args) -> dict:
-    doc = _read_doc(args)
-    theta, K = _parse_theta(doc)
-    E = _real_array(doc, "E", (3,))
-    B = _real_array(doc, "B", (3,))
+    doc, K, E, B, units = _fields(args)
     if args.steps < 4:
         raise CliError("--steps must be at least 4", EXIT_MALFORMED)
-    units = UnitSystem(c=args.c, epsilon0=args.epsilon0)
-    f = E + 1j * units.c * B
+    state = _state(None, _f_of(E, B, units), K, gram=True)
     tol = args.tol if args.tol is not None else DUAL_TOL
-    rows = [_dual_row(f, K, 2.0 * np.pi * j / args.steps) for j in range(args.steps)]
+    rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, "dual-scan", doc, tol)
     report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
     report["scan"] = rows

@@ -27,12 +27,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonFiniteInput
 from .group import SpinorElement, _so3c
-from .linalg import _WINDOW, ComplexVec3, _apply, _conj, _dot, _exponent, _ldexp, _norm, rvec3, vec3
+from .linalg import _WINDOW, _apply, _conj, _dot, _exponent, _ldexp, _norm, np, rvec3, vec3
+
+if TYPE_CHECKING:
+    from .linalg import ComplexVec3
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,34 @@ class FieldState:
 
     @property
     def f(self) -> ComplexVec3:
-        return self.E + 1j * self.units.c * self.B
+        return np.array(_f_of(self.E.tolist(), self.B.tolist(), self.units))
 
     @property
     def h(self) -> ComplexVec3:
-        return (self.D + 1j * self.H / self.units.c) / self.units.epsilon0
+        return np.array(_h_of(self.D.tolist(), self.H.tolist(), self.units))
 
     @classmethod
     def from_eb(cls, E, B, K, units: UnitSystem = NATURAL) -> "FieldState":
         """Build the full state from (E, B) using the forward constitutive relation."""
         D, H = constitutive_real_forward(E, B, K, units)
         return cls(E=E, B=B, D=D, H=H, units=units)
+
+
+def _f_of(E: list, B: list, units: UnitSystem) -> list:
+    """f = E + i c B of :class:`FieldState`, on 3-lists."""
+    c = units.c
+    return [x + 1j * c * y for x, y in zip(E, B)]
+
+
+def _h_of(D: list, H: list, units: UnitSystem) -> list:
+    """h = (D + i H / c) / epsilon0 of :class:`FieldState`, on 3-lists.
+
+    Each part is multiplied by the reciprocals of c and epsilon0, as numpy's
+    complex division by a real number does, so every part keeps the value it
+    had as that array expression (a zero part can take the other sign).
+    """
+    rc, re = 1.0 / units.c, 1.0 / units.epsilon0
+    return [complex(x * re, y * rc * re) for x, y in zip(D, H)]
 
 
 def residual_scale(f, K) -> float:
@@ -109,15 +128,19 @@ DUAL_TOL = 1e-10
 def quarter_turn(chi: float) -> tuple[int, bool]:
     """Nearest quarter-turn index q = round(chi / (pi/2)), and whether chi lies on it.
 
-    chi lies on q when |chi / (pi/2) - q| < QUARTER_TOL.  q is not reduced
-    modulo 4, so an odd q means the quarter turn exchanges f and h.
+    chi lies on q when |chi / (pi/2) - q| < QUARTER_TOL and that quotient's
+    own rounding, |chi / (pi/2)| 2**-52, is below QUARTER_TOL too, so that no
+    angle beyond about 7e6 lies on a quarter turn.  q is not reduced modulo
+    4, so an odd q means the quarter turn exchanges f and h.
     Raises :class:`NonFiniteInput` for a NaN or infinite chi.
     """
     if not math.isfinite(chi):
         raise NonFiniteInput(f"dual angle must be finite, got {chi}")
     quarter = chi / (math.pi / 2)
     q = round(quarter)
-    return q, abs(quarter - q) < QUARTER_TOL
+    # the quotient itself is rounded by up to |quarter| 2**-52 quarter turns:
+    # past QUARTER_TOL of that (|chi| above about 7e6), no chi lies on q
+    return q, abs(quarter - q) < QUARTER_TOL and abs(quarter) * 2.0**-52 < QUARTER_TOL
 
 
 # (cos, sin) of q pi/2 for q = 0..3 modulo 4, exactly: math.cos(pi/2) is 6.1e-17
@@ -162,6 +185,13 @@ def _inside(f: list, K: list) -> tuple[float, bool]:
     return scale, _WINDOW[0] <= nf and scale <= _WINDOW[1]
 
 
+def _mapped(form, f: list, K: list) -> list:
+    """2**e form(2**-e f, 2**e K) with e from :func:`_normalized`: the forward
+    (``form`` = ``_forward``) or inverse (``_inverse``) map on 3-lists."""
+    f, K, _, e = _normalized(f, K)
+    return _ldexp(form(f, K), e)
+
+
 def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     """(2**-e f, 2**e K, residual_scale of those, e), rescaled exactly when
     ||f|| or the scale is outside ``_WINDOW``, with e the exponent of the
@@ -179,21 +209,35 @@ def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
         return f, K, scale, 0
     e = _exponent(f)
     if e:
-        f, K = _ldexp(f, -e).tolist(), _ldexp(K, e).tolist()
+        f, K = _ldexp(f, -e), _ldexp(K, e)
     return f, K, _scale(f, K), e
 
 
-# The per-field-state quantities of the last (f, K) that a residual read:
-# (key, f, K, h, scale, gram) with key the raw bytes of f and K as given;
-# f, K and scale from _normalized, h = forward(f, K), and gram the bilinear
-# dots (f.f, f.h, f.K, h.h, h.K), or None until a dual residual first asks
-# for them (covariance_residual never does).  A dual scan evaluates many
-# angles on one field state, so they compute these once.  The key is the
-# exact bytes, so a mutated input or a zero of the other sign misses and
-# every result keeps its bits.  The tuple is replaced in one assignment and
-# read once per call, so concurrent callers at worst miss; nothing in it
-# leaves the module, so no caller can mutate it.
+# A field state is (key, f, K, h, scale, gram): f, K and scale from
+# _normalized, h = forward(f, K), and gram the bilinear dots (f.f, f.h, f.K,
+# h.h, h.K), or None where no dual residual has asked for them
+# (covariance_residual never does).  A dual scan evaluates many angles on one
+# field state, so they are computed once per state.
+#
+# _memo is the state of the last (f, K) that a public residual read, with key
+# the raw bytes of f and K as given.  The key is the exact bytes, so a
+# mutated input or a zero of the other sign misses and every result keeps its
+# bits.  The tuple is replaced in one assignment and read once per call, so
+# concurrent callers at worst miss; nothing in it leaves the module, so no
+# caller can mutate it.
 _memo: tuple = (b"", None, None, None, 1.0, None)
+
+
+def _state(key, f: list, K: list, gram: bool = False) -> tuple:
+    """The field state of the 3-lists f and K under ``key``, with its gram
+    when ``gram`` is set."""
+    f, K, scale, _ = _normalized(f, K)
+    h = _forward(f, K)
+    return key, f, K, h, scale, (_gram(f, K, h) if gram else None)
+
+
+def _gram(f: list, K: list, h: list) -> tuple:
+    return _dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)
 
 
 def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
@@ -202,28 +246,24 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
     key = f.tobytes() + K.tobytes()
     memo = _memo
     if memo[0] != key:
-        f, K, scale, _ = _normalized(f.tolist(), K.tolist())
-        memo = (key, f, K, _forward(f, K), scale, None)
-    if gram and memo[5] is None:
-        _, f, K, h = memo[:4]
-        memo = memo[:5] + ((_dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)),)
+        memo = _state(key, f.tolist(), K.tolist(), gram)
+    elif gram and memo[5] is None:
+        memo = memo[:5] + (_gram(*memo[1:4]),)
     _memo = memo
     return memo
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    f, K, _, e = _normalized(vec3(f).tolist(), vec3(K).tolist())
-    return _ldexp(np.array(_forward(f, K)), e)
+    return np.array(_mapped(_forward, vec3(f).tolist(), vec3(K).tolist()))
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    h, K, _, e = _normalized(vec3(h).tolist(), vec3(K).tolist())
-    return _ldexp(np.array(_inverse(h, K)), e)
+    return np.array(_mapped(_inverse, vec3(h).tolist(), vec3(K).tolist()))
 
 
-def _real_normalized(x: list, y: list, K, form, factors) -> tuple[list, list, list, list, int]:
+def _real_normalized(x: list, y: list, K: list, form, factors) -> tuple[list, list, list, list, int]:
     """(u, v, n, m, e) with (u, v) = form(2**-e x, 2**-e y) and n + i*m = 2**e K.
 
     ``form`` is a real route's map from its input pair to the parts of f (or
@@ -234,7 +274,6 @@ def _real_normalized(x: list, y: list, K, form, factors) -> tuple[list, list, li
     exponents of x, y and the factors, and form acts on the rescaled pair:
     in SI units c B overflows at B = 1e301, where H is finite.
     """
-    K = vec3(K).tolist()
     u, v = form(x, y)
     scale, inside = _inside([complex(a, b) for a, b in zip(u, v)], K)
     e = 0
@@ -242,8 +281,8 @@ def _real_normalized(x: list, y: list, K, form, factors) -> tuple[list, list, li
         exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
         e = max(exponents, default=0)
         if e:
-            u, v = form(_ldexp(x, -e).tolist(), _ldexp(y, -e).tolist())
-            K = _ldexp(K, e).tolist()
+            u, v = form(_ldexp(x, -e), _ldexp(y, -e))
+            K = _ldexp(K, e)
     return u, v, [z.real for z in K], [z.imag for z in K], e
 
 
@@ -254,10 +293,14 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     :func:`constitutive_forward`; kept in real form so the two routes can
     serve as mutual checks.
     """
+    D, H = _real_forward(rvec3(E).tolist(), rvec3(B).tolist(), vec3(K).tolist(), units)
+    return np.array(D), np.array(H)
+
+
+def _real_forward(E: list, B: list, K: list, units: UnitSystem) -> tuple[list, list]:
+    """(D, H) of :func:`constitutive_real_forward` as 3-lists, on 3-lists."""
     c, eps0 = units.c, units.epsilon0
-    E, cB, n, m, e = _real_normalized(
-        rvec3(E).tolist(), rvec3(B).tolist(), K, lambda x, y: (x, [c * b for b in y]), (1.0, c)
-    )
+    E, cB, n, m, e = _real_normalized(E, B, K, lambda x, y: (x, [c * b for b in y]), (1.0, c))
     s1 = _dot(n, E) - _dot(m, cB)
     s2 = _dot(m, E) + _dot(n, cB)
     ecb = _dot(E, cB)
@@ -266,7 +309,7 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     terms = list(zip(E, cB, n, m))
     D = [eps0 * (a + s1 * a + s2 * b + ecb * y + quad * x) for a, b, x, y in terms]
     H = [ceps0 * (b + s1 * b - s2 * a - ecb * x + quad * y) for a, b, x, y in terms]
-    return _ldexp(np.array(D), e), _ldexp(np.array(H), e)
+    return _ldexp(D, e), _ldexp(H, e)
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
@@ -274,7 +317,7 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     c, eps0 = units.c, units.epsilon0
     ceps0 = c * eps0
     d, g, n, m, e = _real_normalized(
-        rvec3(D).tolist(), rvec3(H).tolist(), K,
+        rvec3(D).tolist(), rvec3(H).tolist(), vec3(K).tolist(),
         lambda x, y: ([a / eps0 for a in x], [b / ceps0 for b in y]), (1.0 / eps0, 1.0 / ceps0),
     )
     s1 = _dot(m, g) - _dot(n, d)
@@ -284,7 +327,7 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     terms = list(zip(d, g, n, m))
     E = [a + s1 * a - s2 * b - dg * y + quad * x for a, b, x, y in terms]
     B = [(b + s1 * b + s2 * a + dg * x + quad * y) / c for a, b, x, y in terms]
-    return _ldexp(np.array(E), e), _ldexp(np.array(B), e)
+    return np.array(_ldexp(E, e)), np.array(_ldexp(B, e))
 
 
 def covariance_residual(b: SpinorElement, f, K) -> float:
@@ -341,11 +384,15 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     The expansion is exact in exact arithmetic; the dots are computed once
     per field state, so each further angle costs a few scalar operations.
     """
-    f, K = vec3(f), vec3(K)
+    return _dual_residual(_base(vec3(f), vec3(K), gram=True), chi, swapped)
+
+
+def _dual_residual(state: tuple, chi: float, swapped: bool | None = None) -> float:
+    """:func:`dual_invariance_residual` on a field state with its gram."""
+    _, f, K, h, scale, (ff, fh, fK, hh, hK) = state
     q, c, s = _turn(chi)
     if swapped is None:
         swapped = q % 2 == 1
-    _, f, K, h, scale, (ff, fh, fK, hh, hK) = _base(f, K, gram=True)
     e, i_s = complex(c, s), 1j * s
     if swapped:
         u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()

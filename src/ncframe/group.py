@@ -18,27 +18,29 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import linalg
 from .errors import ConstraintViolation, NonUnitAxis, NotPureElement
 from .linalg import (
     DEFAULT_TOL,
-    EYE3,
-    ComplexMat3,
-    ComplexVec3,
-    RealMat4,
     _cross,
     _dot,
+    _lazy_names,
     _norm,
     det3,
     inf_norm,
+    np,
     rvec3,
     vec3,
 )
 
-#: Minkowski metric, signature (+, -, -, -).
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+if TYPE_CHECKING:
+    from .linalg import ComplexMat3, ComplexVec3, RealMat4
+
+#: ETA, the Minkowski metric with signature (+, -, -, -), is ``linalg.ETA``,
+#: built on first access.
+__getattr__ = _lazy_names(globals(), {"ETA": lambda: linalg.ETA})
 
 # The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
 # power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
@@ -84,13 +86,7 @@ class SpinorElement:
         k0, k = complex(self.k0), vec3(self.k)
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "k", k)
-        kl = k.tolist()
-        det = k0 * k0 - _dot(kl, kl)
-        err = abs(det - 1.0)
-        if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, kl)):
-            raise ConstraintViolation(
-                f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
-            )
+        _check_spinor(k0, k.tolist())
 
     @property
     def n0(self) -> float:
@@ -127,6 +123,16 @@ class SpinorElement:
         return _trusted(SpinorElement, k0=self.k0, k=-self.k)
 
 
+def _check_spinor(k0: complex, k: list) -> None:
+    """The check of :class:`SpinorElement`, on k0 and the 3-list of k."""
+    det = k0 * k0 - _dot(k, k)
+    err = abs(det - 1.0)
+    if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, k)):
+        raise ConstraintViolation(
+            f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
+        )
+
+
 def _trusted(cls, **fields):
     """A SpinorElement, ComplexRotation or Lorentz4 holding ``fields``, unchecked.
 
@@ -146,12 +152,40 @@ def _trusted(cls, **fields):
 def project_to_group(k0, k) -> SpinorElement:
     """Rescale (k0, k) by the principal square root of k0^2 - k.k onto the group."""
     k0, k = complex(k0), vec3(k)
-    kl = k.tolist()
-    det = k0 * k0 - _dot(kl, kl)
-    if abs(det) < 1e-12 * _spinor_scale(k0, kl):
+    s = np.complex128(_projection_root(k0, k.tolist()))
+    return SpinorElement(k0 / s, k / s)  # numpy's division, as always: see _project
+
+
+def _projection_root(k0: complex, k: list) -> complex:
+    """sqrt(k0^2 - k.k) on its principal branch (Re >= 0), for the 3-list of
+    k; ConstraintViolation where k0^2 - k.k is numerically zero."""
+    det = k0 * k0 - _dot(k, k)
+    if abs(det) < 1e-12 * _spinor_scale(k0, k):
         raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
-    s = np.sqrt(det)  # principal branch, Re >= 0
-    return SpinorElement(k0 / s, k / s)
+    return cmath.sqrt(det)
+
+
+def _project(k0: complex, k: list) -> tuple[complex, list]:
+    """(k0, k) / sqrt(k0^2 - k.k) of :func:`project_to_group` on Python
+    scalars, unchecked, for the 3-list of k.
+
+    Each quotient is rounded as numpy's scalar complex division rounds it
+    (Smith's method, times the reciprocal of the denominator), not as
+    Python's (which divides by it).  That is project_to_group's k0, bit for
+    bit; its k comes from numpy's array loop, which agrees wherever the root
+    is real and can differ in the last bit elsewhere.
+    """
+    s = _projection_root(k0, k)
+    c, d = s.real, s.imag
+    if abs(c) >= abs(d):
+        rat = d / c
+        scl = 1.0 / (c + d * rat)
+        quotient = lambda z: complex((z.real + z.imag * rat) * scl, (z.imag - z.real * rat) * scl)  # noqa: E731
+    else:
+        rat = c / d
+        scl = 1.0 / (d + c * rat)
+        quotient = lambda z: complex((z.real * rat + z.imag) * scl, (z.imag * rat - z.real) * scl)  # noqa: E731
+    return quotient(k0), [quotient(z) for z in k]
 
 
 def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
@@ -161,11 +195,15 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     the bilinear dot with a plus sign (it reduces to the familiar
     n0'' = n0' n0 - n'.n of the unitary subgroup where k = -i*n).
     """
-    p, q, u, v = b1.k0, b2.k0, b1.k.tolist(), b2.k.tolist()
-    k = [p * y + q * x + 1j * c for x, y, c in zip(u, v, _cross(u, v))]
     # Checked: the product's scale can be far below its factors' (b b^-1 is
     # the identity), so the factors' tolerance does not carry over.
-    return SpinorElement(p * q + _dot(u, v), k)
+    return SpinorElement(*_compose(b1.k0, b1.k.tolist(), b2.k0, b2.k.tolist()))
+
+
+def _compose(p: complex, u: list, q: complex, v: list) -> tuple[complex, list]:
+    """(p, u) * (q, v) of :func:`spinor_compose`, unchecked, on 3-lists."""
+    k = [p * y + q * x + 1j * c for x, y, c in zip(u, v, _cross(u, v))]
+    return p * q + _dot(u, v), k
 
 
 def _unit_axis(e) -> np.ndarray:
@@ -204,7 +242,7 @@ class ComplexRotation:
             raise ConstraintViolation(f"expected 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = None
-        resid = inf_norm(m.T @ m - EYE3)
+        resid = inf_norm(m.T @ m - linalg.EYE3)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
             if _exceeds(resid, DEFAULT_TOL * scale):
@@ -218,7 +256,7 @@ class ComplexRotation:
 
     @classmethod
     def identity(cls) -> "ComplexRotation":
-        return cls(EYE3)
+        return cls(linalg.EYE3)
 
     def apply(self, v) -> ComplexVec3:
         return self.matrix @ vec3(v)
@@ -236,7 +274,8 @@ class Lorentz4:
             raise ConstraintViolation(f"expected 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = None
-        resid = inf_norm(m.T @ ETA @ m - ETA)
+        eta = linalg.ETA
+        resid = inf_norm(m.T @ eta @ m - eta)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
             if _exceeds(resid, DEFAULT_TOL * scale):
@@ -332,14 +371,20 @@ def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     The element is not checked again: k0^2 - k.k = cos^2 w + sin^2 w = 1 for
     every K, up to rounding relative to the element's own scale.  Where that
     scale is not finite (|Im w| above about 710), the checked constructor
-    decides.  numpy's cos and sin return inf there, where cmath's raise
-    OverflowError; Python's complex division keeps sin w / w = 1 for a
-    subnormal w, where numpy's gives inf.
+    decides.  cos w and sin w are cmath's, which equal numpy's bit for bit
+    where they are finite.  Where cmath raises instead (an OverflowError
+    past |Im w| of about 710, a ValueError for an infinite Re w), numpy's
+    inf and NaN parts are taken, for the checked constructor to refuse.
+    Python's complex division keeps sin w / w = 1 for a subnormal w, where
+    numpy's gives inf.
     """
     half = 0.5 * t
     w = half * cmath.sqrt(_dot(K, K))
-    k0 = complex(np.cos(w))
-    c = -1j * half * (complex(np.sin(w)) / w if w else 1.0)
+    try:
+        k0, sin_w = cmath.cos(w), cmath.sin(w)
+    except (OverflowError, ValueError):
+        k0, sin_w = complex(np.cos(w)), complex(np.sin(w))
+    c = -1j * half * (sin_w / w if w else 1.0)
     k = [c * x for x in K]
     a, n = abs(k0), _norm(k)
     if math.isfinite(a * a + n * n):
@@ -362,13 +407,13 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix
-    residuals = {"orthogonality": inf_norm(O.T @ O - EYE3)}
+    residuals = {"orthogonality": inf_norm(O.T @ O - linalg.EYE3)}
     if is_rotation:
         kind = "rotation"
         residuals["realness"] = inf_norm(O.imag)
         residuals["conjugate_fixed"] = inf_norm(np.conj(O) - O)
     else:
         kind = "boost"
-        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - EYE3)
+        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - linalg.EYE3)
         residuals["conjugate_is_transpose"] = inf_norm(np.conj(O) - O.T)
     return {"kind": kind, "residuals": residuals, "max_residual": max(residuals.values())}

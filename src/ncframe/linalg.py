@@ -9,31 +9,76 @@ Every 3-vector dot, cross product and norm of the package goes through the
 private scalar kernels at the end of this module: a dot sums its three
 products left to right, and a norm is ``math.hypot`` of the six real parts.
 The group images and the theta <-> K maps are written out entry by entry on
-Python scalars in their own modules; only 3x3 and 4x4 matrix products and
-the checks of ``group.ComplexRotation`` and ``group.Lorentz4`` stay on numpy.
+Python scalars in their own modules.
+
+numpy loads only for 3x3 and 4x4 matrices (their products, the images as
+arrays and the checks of ``group.ComplexRotation`` and ``group.Lorentz4``)
+or for random draws (``ncframe.sampling``), besides the array arguments and
+results of the public functions.  The list-level kernels that those
+functions wrap never touch it.  Every module reaches numpy through the lazy
+binding ``np`` below, and the array constants ``EYE3`` and ``ETA`` and the
+array aliases are built on first access, so importing the package, or
+calling only kernels, does not import numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on the first attribute access.  Each attribute is
+    then stored in the instance, so a later access is one dict lookup."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # probes for protocols do not import numpy
+            raise AttributeError(name)
+        import numpy
+
+        value = self.__dict__[name] = getattr(numpy, name)
+        return value
+
+
+np = _Numpy()
+
+
+def _lazy_names(namespace: dict, builders: dict):
+    """A module ``__getattr__`` (PEP 562) that builds each name of
+    ``builders`` on first access and stores it in ``namespace``, the
+    module's globals, so that later accesses and imports find it there."""
+
+    def __getattr__(name: str):
+        if name not in builders:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = builders[name]()
+        return value
+
+    return __getattr__
+
+
+#: Default relative tolerance for all residual checks.
+DEFAULT_TOL = 1e-10
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 # Working representation: plain numpy arrays.
 #   ComplexVec3 -- shape (3,),  complex128
 #   ComplexMat3 -- shape (3, 3), complex128, row-major
 #   RealMat4    -- shape (4, 4), float64, index order (t, x, y, z)
-ComplexVec3 = np.ndarray
-ComplexMat3 = np.ndarray
-RealMat4 = np.ndarray
-
-#: Default relative tolerance for all residual checks.
-DEFAULT_TOL = 1e-10
-
-#: Read-only real 3x3 identity.  Adding it to a complex matrix promotes it
-#: to 1 + 0j entrywise, so the sum equals that with a complex identity.
-EYE3 = np.eye(3)
-EYE3.flags.writeable = False
+# EYE3 is the read-only real 3x3 identity: adding it to a complex matrix
+# promotes it to 1 + 0j entrywise, so the sum equals that with a complex
+# identity.  ETA is the Minkowski metric, signature (+, -, -, -).
+__getattr__ = _lazy_names(globals(), {
+    "ComplexVec3": lambda: np.ndarray,
+    "ComplexMat3": lambda: np.ndarray,
+    "RealMat4": lambda: np.ndarray,
+    "EYE3": lambda: _read_only(np.eye(3)),
+    "ETA": lambda: np.diag([1.0, -1.0, -1.0, -1.0]),
+})
 
 
 def vec3(v) -> ComplexVec3:
@@ -146,13 +191,16 @@ def _exponent(v: list) -> int:
 
 
 def _ldexp(z, e: int):
-    """2**e z for a real or complex scalar, 3-list or array: z itself when e
-    is 0, else an array (a Python scalar for a scalar).  Unlike z * 2.0**e,
-    it keeps signed zeros and takes any e.  An overflow gives inf, without a
-    warning."""
+    """2**e z for a real or complex scalar or a 3-list of them: z itself when
+    e is 0.  Unlike z * 2.0**e, it keeps signed zeros and takes any e.  An
+    overflow gives a signed inf, without a warning."""
     if not e:
         return z
-    a = np.ascontiguousarray(z)
-    with np.errstate(over="ignore"):
-        w = np.ldexp(a.view(float), e).view(a.dtype)
-    return w if np.ndim(z) else w[0].item()
+    if isinstance(z, list):
+        return [_ldexp(x, e) for x in z]
+    if isinstance(z, complex):
+        return complex(_ldexp(z.real, e), _ldexp(z.imag, e))
+    try:
+        return math.ldexp(z, e)
+    except OverflowError:
+        return math.copysign(math.inf, z)

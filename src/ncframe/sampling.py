@@ -7,10 +7,8 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .group import SpinorElement, project_to_group
-from .linalg import _cross, _dot, _norm
+from .linalg import _cross, _dot, _norm, np
 
 
 def default_rng(seed: int = 0) -> np.random.Generator:

@@ -18,12 +18,13 @@ Vanishing K.K ("isotropic"): the stabilizer is the additive family O(z*k).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import linalg
 from .errors import (
     DegenerateDelta,
     IsotropicInput,
@@ -46,9 +47,6 @@ from .group import (
 from .linalg import (
     _WINDOW,
     DEFAULT_TOL,
-    EYE3,
-    ComplexVec3,
-    RealMat4,
     _apply,
     _cross,
     _dot,
@@ -56,10 +54,14 @@ from .linalg import (
     _ldexp,
     _norm,
     axial_matrix,
+    np,
     rmat4,
     rvec3,
     vec3,
 )
+
+if TYPE_CHECKING:
+    from .linalg import ComplexVec3, RealMat4
 
 #: Relative isotropy threshold on |K.K| against ||K||^2.
 EPS_ISO = 1e-9
@@ -106,7 +108,11 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
     uses (length^2 for a noncommutativity matrix) and K carries them.  NaN or
     inf entries raise :class:`NonFiniteInput`.
     """
-    rows = rmat4(theta).tolist()
+    return np.array(_theta_to_K(rmat4(theta).tolist(), tol))
+
+
+def _theta_to_K(rows: list, tol: float) -> list:
+    """K of :func:`theta_to_K` as a 3-list, from theta as 4 rows of 4 floats."""
     (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = rows
     entries = [abs(x) for row in rows for x in row]
     # max() passes over a NaN in some positions, so finiteness is settled first
@@ -119,27 +125,31 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
     )
     if resid > tol * max(1.0, scale):
         raise NotAntisymmetric(f"theta + theta^T residual {resid:.3e}")
-    return np.array([complex(t23, t01), complex(t31, t02), complex(t12, t03)])
+    return [complex(t23, t01), complex(t31, t02), complex(t12, t03)]
 
 
-def _require_finite(a, nrm: float, name: str = "K") -> None:
-    """Raise :class:`NonFiniteInput` if an entry of a is NaN or infinite; the
-    entries are scanned only when nrm, a norm of a, is not finite."""
-    if not math.isfinite(nrm) and not np.isfinite(a).all():
+def _require_finite(a: list, nrm: float, name: str = "K") -> None:
+    """Raise :class:`NonFiniteInput` if an entry of the list a is NaN or
+    infinite; the entries are scanned only when nrm, a norm of a, is not
+    finite."""
+    if not math.isfinite(nrm) and not all(map(cmath.isfinite, a)):
         raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
 
 def K_to_theta(K) -> RealMat4:
     """Inverse of :func:`theta_to_K`; exact by construction."""
-    (n1, m1), (n2, m2), (n3, m3) = ((z.real, z.imag) for z in vec3(K).tolist())
-    return np.array(
-        [
-            [0.0, m1, m2, m3],
-            [-m1, 0.0, n3, -n2],
-            [-m2, -n3, 0.0, n1],
-            [-m3, n2, -n1, 0.0],
-        ]
-    )
+    return np.array(_K_to_theta(vec3(K).tolist()))
+
+
+def _K_to_theta(K: list) -> list:
+    """theta of :func:`K_to_theta` as 4 rows of 4 floats, from the 3-list of K."""
+    (n1, m1), (n2, m2), (n3, m3) = ((z.real, z.imag) for z in K)
+    return [
+        [0.0, m1, m2, m3],
+        [-m1, 0.0, n3, -n2],
+        [-m2, -n3, 0.0, n1],
+        [-m3, n2, -n1, 0.0],
+    ]
 
 
 def invariants(K) -> tuple[float, float, float, float]:
@@ -149,21 +159,20 @@ def invariants(K) -> tuple[float, float, float, float]:
     I1, I2 and I are those of K as given, in its units squared (they can
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
-    scaled, given, _ = _measured(vec3(K))
+    scaled, given, _ = _measured(vec3(K).tolist())
     return (*given, scaled[3])
 
 
-# The private functions below take complex 3-vectors that their public
-# callers have already coerced: arrays where annotated ComplexVec3, else
-# 3-lists (real ones for _rotation_between).
+# The private functions below take the 3-lists of complex 3-vectors that
+# their public callers have already coerced (real ones for _rotation_between).
 
 
 def _invariants(K: list) -> tuple[float, float, float, float]:
-    # |K.K| is libm's hypot, as np.hypot is; np.arctan2 is kept because
-    # math.atan2 rounds differently in the last bit for some arguments.
+    # |K.K| is libm's hypot, as np.hypot is.  math.atan2 differs from
+    # np.arctan2 in the last bit for a few per cent of arguments.
     ksq = _dot(K, K)
     i1, i2 = ksq.real, ksq.imag
-    mu = float(np.arctan2(i2, i1)) / 2.0
+    mu = math.atan2(i2, i1) / 2.0
     if mu < 0.0:
         mu += math.pi
     return i1, i2, abs(ksq), mu
@@ -179,36 +188,41 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
     K = vec3(K)
+    Kl = K.tolist()
+    return NCParameter(np.array(_K_to_theta(Kl)), K, *_classify(Kl, eps_iso))
+
+
+def _classify(K: list, eps_iso: float) -> tuple:
+    """(I1, I2, I, mu, class, subcase) of :func:`classify`, on the 3-list of K."""
     (s1, s2, smag, mu), (i1, i2, mag), nrm = _measured(K)
     klass, sub = NCClass.NON_ISOTROPIC, Subcase.GENERIC
     if nrm == 0.0 or _isotropic(smag, nrm, eps_iso):
         klass = NCClass.ISOTROPIC if nrm else NCClass.COMMUTATIVE
         sub, mu = Subcase.NONE, None
     elif abs(s2) <= eps_iso * smag:
-        sub, mu = (Subcase.IA, 0.0) if s1 > 0 else (Subcase.IB, np.pi / 2)
+        sub, mu = (Subcase.IA, 0.0) if s1 > 0 else (Subcase.IB, math.pi / 2)
     elif abs(s1) <= eps_iso * smag:
-        sub, mu = (Subcase.IIA, np.pi / 4) if s2 > 0 else (Subcase.IIB, 3 * np.pi / 4)
-    return NCParameter(K_to_theta(K), K, i1, i2, mag, mu, klass, sub)
+        sub, mu = (Subcase.IIA, math.pi / 4) if s2 > 0 else (Subcase.IIB, 3 * math.pi / 4)
+    return i1, i2, mag, mu, klass, sub
 
 
-def _measured(K: ComplexVec3) -> tuple[tuple, tuple, float]:
+def _measured(K: list) -> tuple[tuple, tuple, float]:
     """((I1, I2, I, mu) of Ks, (I1, I2, I) of K as given, ||Ks||), Ks from :func:`_scaled`."""
     Ks, nrm, e = _scaled(K)
     scaled = _invariants(Ks)
-    return scaled, (_invariants(K.tolist()) if e else scaled)[:3], nrm
+    return scaled, (_invariants(K) if e else scaled)[:3], nrm
 
 
-def _scaled(K: ComplexVec3) -> tuple[list, float, int]:
-    """(Ks, ||Ks||, e) with Ks the 3-list of 2**-e K exactly: K inside
+def _scaled(K: list) -> tuple[list, float, int]:
+    """(Ks, ||Ks||, e) with Ks the 3-list 2**-e K exactly: K inside
     ``_WINDOW``, else K with its largest part in [0.5, 1).  NaN or inf raise
     NonFiniteInput."""
-    Ks = K.tolist()
-    nrm = _norm(Ks)
+    nrm = _norm(K)
     if _WINDOW[0] <= nrm <= _WINDOW[1]:
-        return Ks, nrm, 0
+        return K, nrm, 0
     _require_finite(K, nrm)
-    e = _exponent(Ks)
-    Ks = _ldexp(K, -e).tolist()
+    e = _exponent(K)
+    Ks = _ldexp(K, -e)
     return Ks, _norm(Ks), e
 
 
@@ -217,7 +231,7 @@ def _isotropic(mag: float, nrm: float, eps_iso: float) -> bool:
     return mag <= eps_iso * (nrm * nrm)
 
 
-def _null(k: ComplexVec3, eps_iso: float) -> bool:
+def _null(k: list, eps_iso: float) -> bool:
     """Whether k.k = 0 within eps_iso relative to ||k||^2 (k = 0 included),
     tested on k scaled by :func:`_scaled`.  NaN or inf raise NonFiniteInput."""
     ks, nrm, _ = _scaled(k)
@@ -232,11 +246,11 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
     entries raise :class:`NonFiniteInput`.
     """
-    kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
+    kscalar, delta, e = _unit_delta(vec3(K).tolist(), eps_iso)
     return _ldexp(kscalar, e), np.array(delta)
 
 
-def _unit_delta(K: ComplexVec3, eps_iso: float) -> tuple[complex, list, int]:
+def _unit_delta(K: list, eps_iso: float) -> tuple[complex, list, int]:
     """(Kscalar / 2**e, Delta as a 3-list, e): the split of K scaled by :func:`_scaled`."""
     Ks, nrm, e = _scaled(K)
     _, _, mag, mu = _invariants(Ks)
@@ -316,13 +330,13 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     the z parameters.
     """
     k = vec3(k)
-    if not k.any():  # NaN is nonzero: _null refuses it
+    kl = k.tolist()
+    if not any(kl):  # NaN is nonzero: _null refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _null(k, eps_iso):
-        kl = k.tolist()
+    if not _null(kl, eps_iso):
         raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
     z = complex(z)
-    spinor = _stabilizer_spinor(2j * z, k.tolist())
+    spinor = _stabilizer_spinor(2j * z, kl)
     return StabilizerElement(
         family="isotropic",
         spinor=spinor,
@@ -343,8 +357,8 @@ def rotation_between(src, dst) -> np.ndarray:
     src, dst = rvec3(src), rvec3(dst)
     s, d = src.tolist(), dst.tolist()
     dot = _dot(s, d)  # not finite if an entry of either is not
-    _require_finite(src, dot, "src")
-    _require_finite(dst, dot, "dst")
+    _require_finite(s, dot, "src")
+    _require_finite(d, dot, "dst")
     return _rotation_between(s, d)
 
 
@@ -356,10 +370,10 @@ def _rotation_between(src: list, dst: list) -> np.ndarray:
         u = _cross(src, seed)
         nrm = _norm(u)
         ux = axial_matrix([x / nrm for x in u]).real
-        return EYE3 + 2.0 * (ux @ ux)
+        return linalg.EYE3 + 2.0 * (ux @ ux)
     c = [x / denom for x in _cross(src, dst)]
     cx = axial_matrix(c).real
-    return EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + _dot(c, c))
+    return linalg.EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + _dot(c, c))
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
@@ -423,8 +437,8 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     real unit vector.  In that frame n' and m' are both parallel to e, and
     the invariants of Kcanon equal those of K by construction.
     """
-    kscalar, delta, e = _unit_delta(vec3(K), eps_iso)
+    kscalar, delta, e = _unit_delta(vec3(K).tolist(), eps_iso)
     S = _reduce_to_real(delta, None)
     u = [z.real for z in _apply(S.matrix.tolist(), delta)]
     nrm = _norm(u)
-    return S, _ldexp(np.array([kscalar * (x / nrm) for x in u]), e)
+    return S, np.array(_ldexp([kscalar * (x / nrm) for x in u], e))

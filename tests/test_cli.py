@@ -129,6 +129,46 @@ def test_golden(name, tmp_path, capsys):
     assert_json_close(out, golden["output"], name)
 
 
+# The commands that run on the list-level kernels, without numpy.
+VECTOR_COMMANDS = ("classify", "factor", "constitutive", "dual-scan")
+
+_NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+import ncframe
+imported = "numpy" in sys.modules
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+from ncframe.cli import main
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results[name] = [code, out.getvalue()]
+print(json.dumps({"numpy_after_import": imported, "results": results}))
+"""
+
+
+def test_vector_commands_run_without_numpy(tmp_path):
+    # one child for all cases, to keep the suite's time budget
+    cases = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text()) for name in sorted(golden_cases())}
+    cases = {name: g for name, g in cases.items() if g["argv"][0] in VECTOR_COMMANDS}
+    assert len(cases) == 9
+    argvs = {}
+    for name, golden in cases.items():
+        infile = tmp_path / f"{name}.json"
+        infile.write_text(json.dumps(golden["input"]))
+        argvs[name] = [*golden["argv"], "--in", str(infile)]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["numpy_after_import"] is False
+    for name, golden in cases.items():
+        code, out = child["results"][name]
+        assert code == golden["exit_code"], name
+        assert json.loads(out) == golden["output"], name
+
+
 class TestExitCodes:
     def test_malformed_json(self, tmp_path, capsys):
         infile = tmp_path / "bad.json"
@@ -142,6 +182,12 @@ class TestExitCodes:
     def test_non_finite_input(self, tmp_path, capsys):
         infile = tmp_path / "inf.json"
         infile.write_text('{"nm": [1e999, 0, 0, 0, 0, 0]}')
+        assert main(["classify", "--in", str(infile)]) == 2
+
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys):
+        # a JSON integer too large for a float escaped as an OverflowError
+        infile = tmp_path / "big.json"
+        infile.write_text('{"nm": [1' + "0" * 400 + ", 0, 0, 0, 0, 0]}")
         assert main(["classify", "--in", str(infile)]) == 2
 
     def test_not_antisymmetric(self, tmp_path, capsys):
@@ -215,7 +261,7 @@ class TestExitCodes:
 
         doc = {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
         for residual, code, passed in ((DUAL_TOL, 0, True), (math.nextafter(DUAL_TOL, 1.0), 1, False)):
-            monkeypatch.setattr(cli, "dual_invariance_residual", lambda f, K, chi: residual)
+            monkeypatch.setattr(cli, "_dual_residual", lambda state, chi: residual)
             got, out = run_cli(argv, doc, tmp_path, capsys)
             assert (got, out["pass"]) == (code, passed)
 
@@ -285,6 +331,14 @@ class TestBehavior:
         assert code == 0
         assert [e["expected_invariant"] for e in out["dual_checks"]] == [True, True, True, False]
         assert all(e["residual"] < 1e-10 for e in out["dual_checks"][:3])
+
+    def test_dual_check_at_a_huge_angle(self, tmp_path, capsys):
+        # chi / (pi/2) = 6.4e16 is an integer float; chi = 1e17 is no quarter
+        # turn, so its residual is not expected to vanish
+        golden = json.loads((GOLDEN_DIR / "dual_scan_4.json").read_text())
+        code, out = run_cli(["constitutive", "--dual-check", "1e17"], golden["input"], tmp_path, capsys)
+        assert code == 0 and out["dual_checks"][0]["expected_invariant"] is False
+        assert out["dual_checks"][0]["residual"] > 1e-3
 
     def test_stabilizer_sampling_deterministic(self, tmp_path, capsys):
         doc = {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}

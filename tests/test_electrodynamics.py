@@ -311,6 +311,17 @@ class TestQuarterTurn:
         with pytest.raises(NonFiniteInput):
             quarter_turn(chi)
 
+    def test_huge_angles_lie_on_no_quarter_turn(self):
+        # chi / (pi/2) is rounded by up to |chi / (pi/2)| 2**-52 quarter
+        # turns; from chi of about 7e6 on that exceeds QUARTER_TOL, and past
+        # 2**53 quarter turns every quotient is an integer float
+        assert quarter_turn(1e17)[1] is False
+        assert quarter_turn(-1e17)[1] is False
+        assert quarter_turn(1e8 * np.pi / 2)[1] is False
+        # small multiples still snap
+        for q in (-1000, 7, 1000, 10**6):
+            assert quarter_turn(q * (np.pi / 2)) == (q, True)
+
     def test_selects_the_relation(self, rng):
         # odd quarter turns exchange f and h, even ones keep the forward relation
         f, K = random_field(rng), random_field(rng, 0.3)

@@ -165,7 +165,7 @@ def plain_invariants(K):
     ksq = _dot(K, K)
     i1, i2 = ksq.real, ksq.imag
     mag = float(np.hypot(i1, i2))
-    mu = 0.5 * np.arctan2(i2, i1)
+    mu = 0.5 * math.atan2(i2, i1)
     if mu < 0.0:
         mu += np.pi
     return i1, i2, mag, float(mu)
@@ -482,8 +482,9 @@ SIGNED_ZERO_SPINORS = (
     SpinorElement(complex(math.cos(0.35), -0.0), parts([-0.0, 0.0, 0.0], [0.0, -0.0, -math.sin(0.35)])),
     SpinorElement(complex(math.cosh(0.35), 0.0), parts([0.0, -0.0, math.sinh(0.35)], [-0.0, 0.0, -0.0])),
 )
-# K.K where math.hypot and math.atan2 round differently from np.hypot and
-# np.arctan2, which the invariants keep
+# K.K where math.hypot rounds differently from np.hypot, which the invariants
+# keep, and K.K where math.atan2, which they use, rounds differently from
+# np.arctan2
 HYPOT_CASE = parts([-0.31664963176331873, 0.8562268420291475, 0.7794565770190949],
                    [-0.038997966707707166, -0.0904803628348374, 0.3339860877077614])
 ATAN2_CASE = parts([0.0027144088342523354, 0.38155154241339884, 0.39462696471760217],
@@ -670,7 +671,7 @@ EPS = np.finfo(float).eps
 
 def matmul_unit_delta(K):
     ksq = complex(K @ K)
-    mu = 0.5 * np.arctan2(ksq.imag, ksq.real)
+    mu = 0.5 * math.atan2(ksq.imag, ksq.real)
     if mu < 0.0:
         mu += np.pi
     kscalar = complex(np.sqrt(float(np.hypot(ksq.real, ksq.imag))) * np.exp(1j * mu))
@@ -720,6 +721,26 @@ def deviation(got, want):
 
 
 class TestAgreementWithMatmul:
+    @given(K=any_K, k=st.integers(-700, 700))
+    @example(K=ATAN2_CASE, k=0)
+    @example(K=ATAN2_CASE, k=-700)
+    @example(K=IMAGINARY_AXIS, k=700)
+    def test_mu_agrees_with_arctan2(self, K, k):
+        # mu is math.atan2 of the invariants of K scaled into the window; on
+        # K times 2**k (1e-311 to 1e311 here) it agrees with np.arctan2 of
+        # the invariants of K within 2 ulp: numpy's arctan2 and libm's differ
+        # in the last bit for a few per cent of arguments
+        with np.errstate(over="ignore", under="ignore"):
+            Kk = np.ldexp(K.view(float), k)
+        if not pinned(K) or not np.array_equal(np.ldexp(Kk, -k), K.view(float)):
+            return  # the scaled K is not exact
+        ksq = _dot(K, K)
+        want = 0.5 * float(np.arctan2(ksq.imag, ksq.real))
+        if want < 0.0:
+            want += math.pi
+        mu = invariants(Kk.view(complex))[3]
+        assert abs(mu - want) <= 2 * math.ulp(want)
+
     @given(K=any_K, gamma=gammas)
     @example(K=HYPOT_CASE, gamma=1.0 + 0.5j)
     @example(K=IMAGINARY_AXIS, gamma=0j)
