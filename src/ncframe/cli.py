@@ -13,6 +13,11 @@ Exit codes: 0 all residuals within thresholds; 1 residual failure;
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits so doubles round-trip losslessly.
 
+classify, stabilizer and reduce read one scaled view of K, the exact
+Ks = 2^-exponent K of ``stabilizer._view``, and report its exponent: their
+invariants, Kscalar and K_canonical are those of Ks, so no report under- or
+overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
+
 classify, factor, constitutive and dual-scan run on the list-level kernels
 of the library and never import numpy; stabilizer and reduce build 3x3 and
 4x4 matrices, and stabilizer --count draws random parameters, so they do.
@@ -42,17 +47,15 @@ from .electrodynamics import (
 from .errors import NcframeError, NotAntisymmetric
 from .factorization import FactorOrder, _factors, _isotropic_sign
 from .group import _check_spinor, _compose, _project
-from .linalg import _dot, _ldexp, _norm, inf_norm
+from .linalg import _dot, _norm, inf_norm
 from .sampling import default_rng, random_gamma
 from .stabilizer import (
     EPS_ISO,
     NCClass,
-    _classify,
+    _canonical,
     _K_to_theta,
-    _scaled,
     _theta_to_K,
-    _unit_delta,
-    canonical_frame,
+    _view,
     isotropic_stabilizer_element,
     stabilizer_element,
 )
@@ -209,25 +212,23 @@ def _base_report(args, command: str, input_echo: dict, tol: float) -> dict:
     }
 
 
-def _classification_block(K: list, classified: tuple) -> dict:
-    I1, I2, I, mu, klass, subcase = classified
-    return {
-        "class": klass.value,
-        "subcase": subcase.value,
-        "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
-        "K": K,
-    }
-
-
 def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list]:
-    """(report, K, classification, theta) of the input, with the report's
-    base and classification filled in."""
+    """(report, K, the scaled view of K, theta) of the input, with the
+    report's base and classification filled in.  The invariants are those
+    of Ks = 2**-exponent K, so they neither under- nor overflow."""
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
-    classified = _classify(K, args.eps_iso)
+    view = _view(K, args.eps_iso)
+    _, e, (I1, I2, I, _), (mu, klass, subcase), _ = view
     report = _base_report(args, command, doc, tol)
-    report.update(_classification_block(K, classified))
-    return report, K, classified, theta
+    report.update({
+        "class": klass.value,
+        "subcase": subcase.value,
+        "exponent": e,
+        "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
+        "K": K,
+    })
+    return report, K, view, theta
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +237,15 @@ def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list
 
 def cmd_classify(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, K, classified, theta = _classified(args, "classify", tol)
+    report, _, (Ks, _, _, _, split), theta = _classified(args, "classify", tol)
     report["theta"] = theta
-    if classified[4] is NCClass.NON_ISOTROPIC:
-        ks, delta, e = _unit_delta(K, args.eps_iso)
-        kscalar = _ldexp(ks, e)
+    if split is not None:
+        kscalar, delta = split
         report["Kscalar"] = kscalar
         report["delta"] = delta
-        Ks = _scaled(K)[0]
-        # the split of the reported Kscalar: where it is subnormal, the
-        # digits it lost show here
-        ks = _ldexp(kscalar, -e)
         report["residuals"] = {
             "delta_unit": abs(_dot(delta, delta) - 1.0),
-            "split": _norm([ks * d - k for d, k in zip(delta, Ks)]) / _norm(Ks),
+            "split": _norm([kscalar * d - k for d, k in zip(delta, Ks)]) / _norm(Ks),
         }
         report["pass"] = all(r <= tol for r in report["residuals"].values())
     else:
@@ -275,14 +271,13 @@ def _element_entry(elem, Ks, tol) -> dict:
 
 def cmd_stabilizer(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, K, classified, _ = _classified(args, "stabilizer", tol)
-    klass = classified[4]
+    report, K, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "stabilizer", tol)
     if klass is NCClass.COMMUTATIVE:
         raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
     if klass is NCClass.NON_ISOTROPIC:
         if args.z is not None:
             raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
-        delta = _unit_delta(K, args.eps_iso)[1]
+        delta = split[1]
         report["delta"] = delta
         flag, draw = args.gamma, random_gamma
         element = lambda gamma: stabilizer_element(gamma, delta)  # noqa: E731
@@ -296,7 +291,6 @@ def cmd_stabilizer(args) -> dict:
     if args.count > 0:  # the generator, and numpy.random with it, only when sampling
         rng = default_rng(args.seed)
         params.extend(draw(rng) for _ in range(args.count))
-    Ks = _scaled(K)[0]
     elements = [_element_entry(element(p), Ks, tol) for p in params]
     report["elements"] = elements
     report["pass"] = all(e["pass"] for e in elements)
@@ -305,13 +299,10 @@ def cmd_stabilizer(args) -> dict:
 
 def cmd_reduce(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, K, classified, _ = _classified(args, "reduce", tol)
-    klass = classified[4]
-    if klass is not NCClass.NON_ISOTROPIC:
+    report, _, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "reduce", tol)
+    if split is None:
         raise CliError(f"class {klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE)
-    S, kcanon = canonical_frame(K, eps_iso=args.eps_iso)
-    Ks, _, e = _scaled(K)
-    kcs = _ldexp(kcanon.tolist(), -e)
+    S, kcs = _canonical(*split)
     ksq, csq = _dot(Ks, Ks), _dot(kcs, kcs)
     residuals = {
         "orthogonality": inf_norm(S.matrix.T @ S.matrix - linalg.EYE3),
@@ -319,7 +310,7 @@ def cmd_reduce(args) -> dict:
         "invariants": abs(csq - ksq) / abs(ksq),
     }
     report["S"] = S.matrix
-    report["K_canonical"] = kcanon
+    report["K_canonical"] = kcs
     report["residuals"] = residuals
     report["pass"] = all(r <= tol for r in residuals.values())
     return report

@@ -159,8 +159,9 @@ def invariants(K) -> tuple[float, float, float, float]:
     I1, I2 and I are those of K as given, in its units squared (they can
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
-    scaled, given, _ = _measured(vec3(K).tolist())
-    return (*given, scaled[3])
+    K = vec3(K).tolist()
+    _, e, scaled, _, _ = _view(K, EPS_ISO)
+    return (*(_invariants(K) if e else scaled)[:3], scaled[3])
 
 
 # The private functions below take the 3-lists of complex 3-vectors that
@@ -189,53 +190,52 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     """
     K = vec3(K)
     Kl = K.tolist()
-    return NCParameter(np.array(_K_to_theta(Kl)), K, *_classify(Kl, eps_iso))
+    _, e, scaled, label, _ = _view(Kl, eps_iso)
+    given = _invariants(Kl) if e else scaled
+    return NCParameter(np.array(_K_to_theta(Kl)), K, *given[:3], *label)
 
 
-def _classify(K: list, eps_iso: float) -> tuple:
-    """(I1, I2, I, mu, class, subcase) of :func:`classify`, on the 3-list of K."""
-    (s1, s2, smag, mu), (i1, i2, mag), nrm = _measured(K)
-    klass, sub = NCClass.NON_ISOTROPIC, Subcase.GENERIC
-    if nrm == 0.0 or _isotropic(smag, nrm, eps_iso):
+def _view(K: list, eps_iso: float) -> tuple:
+    """The scaled view of K, the one place that scales K for classification
+    and splitting: (Ks, e, (I1, I2, I, mu) of Ks, (mu, class, subcase) of
+    :func:`classify`, split).
+
+    Ks is the 3-list 2**-e K, exact: K itself inside ``_WINDOW``, else K
+    with its largest part in [0.5, 1).  split is (Kscalar / 2**e, Delta as a
+    3-list) of a non-isotropic K, None for any other.  NaN or inf raise
+    NonFiniteInput.
+    """
+    nrm, e = _norm(K), 0
+    if not _WINDOW[0] <= nrm <= _WINDOW[1]:
+        _require_finite(K, nrm)
+        e = _exponent(K)
+        K = _ldexp(K, -e)
+        nrm = _norm(K)
+    scaled = i1, i2, mag, mu = _invariants(K)
+    if nrm == 0.0 or mag <= eps_iso * (nrm * nrm):
         klass = NCClass.ISOTROPIC if nrm else NCClass.COMMUTATIVE
-        sub, mu = Subcase.NONE, None
-    elif abs(s2) <= eps_iso * smag:
-        sub, mu = (Subcase.IA, 0.0) if s1 > 0 else (Subcase.IB, math.pi / 2)
-    elif abs(s1) <= eps_iso * smag:
-        sub, mu = (Subcase.IIA, math.pi / 4) if s2 > 0 else (Subcase.IIB, 3 * math.pi / 4)
-    return i1, i2, mag, mu, klass, sub
-
-
-def _measured(K: list) -> tuple[tuple, tuple, float]:
-    """((I1, I2, I, mu) of Ks, (I1, I2, I) of K as given, ||Ks||), Ks from :func:`_scaled`."""
-    Ks, nrm, e = _scaled(K)
-    scaled = _invariants(Ks)
-    return scaled, (_invariants(K) if e else scaled)[:3], nrm
-
-
-def _scaled(K: list) -> tuple[list, float, int]:
-    """(Ks, ||Ks||, e) with Ks the 3-list 2**-e K exactly: K inside
-    ``_WINDOW``, else K with its largest part in [0.5, 1).  NaN or inf raise
-    NonFiniteInput."""
-    nrm = _norm(K)
-    if _WINDOW[0] <= nrm <= _WINDOW[1]:
-        return K, nrm, 0
-    _require_finite(K, nrm)
-    e = _exponent(K)
-    Ks = _ldexp(K, -e)
-    return Ks, _norm(Ks), e
-
-
-def _isotropic(mag: float, nrm: float, eps_iso: float) -> bool:
-    """The isotropy test |K.K| <= eps_iso ||K||^2, on a K from :func:`_scaled`."""
-    return mag <= eps_iso * (nrm * nrm)
+        return K, e, scaled, (None, klass, Subcase.NONE), None
+    # Kscalar = sqrt(I) exp(i*mu) from the raw mu, not the snapped mu of a
+    # subcase, so that Delta.Delta = 1 to rounding; exp(i*mu) from math.cos
+    # and math.sin, bit for bit, the + 0.0 turning the -0.0 of sin(-0.0)
+    # into the +0.0 that exp gives.
+    kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
+    split = (kscalar, [z / kscalar for z in K])
+    sub = Subcase.GENERIC
+    if abs(i2) <= eps_iso * mag:
+        mu, sub = (0.0, Subcase.IA) if i1 > 0 else (math.pi / 2, Subcase.IB)
+    elif abs(i1) <= eps_iso * mag:
+        mu, sub = (math.pi / 4, Subcase.IIA) if i2 > 0 else (3 * math.pi / 4, Subcase.IIB)
+    return K, e, scaled, (mu, NCClass.NON_ISOTROPIC, sub), split
 
 
 def _null(k: list, eps_iso: float) -> bool:
     """Whether k.k = 0 within eps_iso relative to ||k||^2 (k = 0 included),
-    tested on k scaled by :func:`_scaled`.  NaN or inf raise NonFiniteInput."""
-    ks, nrm, _ = _scaled(k)
-    return _isotropic(abs(_dot(ks, ks)), nrm, eps_iso)
+    tested on the scaled view of k.  NaN or inf raise NonFiniteInput."""
+    return _view(k, eps_iso)[4] is None
+
+
+_NO_SPLIT = "K.K = 0 within tolerance: no unit-square direction exists"
 
 
 def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
@@ -246,20 +246,10 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
     entries raise :class:`NonFiniteInput`.
     """
-    kscalar, delta, e = _unit_delta(vec3(K).tolist(), eps_iso)
-    return _ldexp(kscalar, e), np.array(delta)
-
-
-def _unit_delta(K: list, eps_iso: float) -> tuple[complex, list, int]:
-    """(Kscalar / 2**e, Delta as a 3-list, e): the split of K scaled by :func:`_scaled`."""
-    Ks, nrm, e = _scaled(K)
-    _, _, mag, mu = _invariants(Ks)
-    if nrm == 0.0 or _isotropic(mag, nrm, eps_iso):
-        raise IsotropicInput("K.K = 0 within tolerance: no unit-square direction exists")
-    # exp(i*mu) from math.cos and math.sin, bit for bit; the + 0.0 turns the
-    # -0.0 of sin(-0.0) into the +0.0 that exp gives.
-    kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
-    return kscalar, [z / kscalar for z in Ks], e
+    _, e, _, _, split = _view(vec3(K).tolist(), eps_iso)
+    if split is None:
+        raise IsotropicInput(_NO_SPLIT)
+    return _ldexp(split[0], e), np.array(split[1])
 
 
 @dataclass(frozen=True)
@@ -437,8 +427,17 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     real unit vector.  In that frame n' and m' are both parallel to e, and
     the invariants of Kcanon equal those of K by construction.
     """
-    kscalar, delta, e = _unit_delta(vec3(K).tolist(), eps_iso)
+    _, e, _, _, split = _view(vec3(K).tolist(), eps_iso)
+    if split is None:
+        raise IsotropicInput(_NO_SPLIT)
+    S, kcanon = _canonical(*split)
+    return S, np.array(_ldexp(kcanon, e))
+
+
+def _canonical(kscalar: complex, delta: list) -> tuple[ComplexRotation, list]:
+    """(S, Kcanon as a 3-list) of :func:`canonical_frame`, from a split of
+    :func:`_view`; Kcanon is that of the view's Ks."""
     S = _reduce_to_real(delta, None)
     u = [z.real for z in _apply(S.matrix.tolist(), delta)]
     nrm = _norm(u)
-    return S, np.array(_ldexp([kscalar * (x / nrm) for x in u], e))
+    return S, [kscalar * (x / nrm) for x in u]

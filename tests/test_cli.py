@@ -169,6 +169,10 @@ def test_vector_commands_run_without_numpy(tmp_path):
         assert json.loads(out) == golden["output"], name
 
 
+# The commands that report the scaled view of K.
+VIEW_COMMANDS = (["classify"], ["reduce"], ["stabilizer", "--count", "2"])
+
+
 class TestExitCodes:
     def test_malformed_json(self, tmp_path, capsys):
         infile = tmp_path / "bad.json"
@@ -207,18 +211,26 @@ class TestExitCodes:
         code, _ = run_cli(["reduce"], {"nm": [0, 0, 0, 0, 0, 0]}, tmp_path, capsys)
         assert code == 5
 
-    @pytest.mark.parametrize("argv", [["classify"], ["reduce"], ["stabilizer", "--count", "2"]])
-    def test_residuals_at_tiny_k(self, argv, tmp_path, capsys):
-        # ||K||^2 and K.K underflow to 0 at 1e-170; the residuals are degree 0 in K
-        code, out = run_cli(argv, {"nm": [1e-170, 0, 0, 0, 5e-171, 0]}, tmp_path, capsys)
+    @pytest.mark.parametrize("argv, nm", [
+        pytest.param(argv, nm, id=f"{kind}argv{i}")
+        for kind, nm in (("", [1e-170, 0, 0, 0, 5e-171, 0]), ("subnormal-", [1e-320, 0, 0, 0, 5e-321, 0]))
+        for i, argv in enumerate(VIEW_COMMANDS)
+    ])
+    def test_residuals_at_tiny_k(self, argv, nm, tmp_path, capsys):
+        # ||K||^2 and K.K underflow to 0 at 1e-170; the residuals are degree 0
+        # in K.  At 1e-320 Kscalar and K_canonical of K as given are
+        # subnormal, so the report gives those of 2**-exponent K.
+        code, out = run_cli(argv, {"nm": nm}, tmp_path, capsys)
         assert code == 0 and out["pass"] and out["class"] == "NonIsotropic"
 
-    def test_classify_overflowing_invariants(self, tmp_path, capsys):
-        # K is labelled, but its invariants I1 and I overflow to inf, which
-        # the report refuses
-        with np.errstate(over="ignore"):
-            code, _ = run_cli(["classify"], {"nm": [1e200, 0, 0, 0, 0, 0]}, tmp_path, capsys)
-        assert code == 2
+    @pytest.mark.parametrize("nm", [[1e200, 0, 0, 0, 0, 0], [1e200, 0, 0, 0, 5e199, 0]], ids=["real", "complex"])
+    @pytest.mark.parametrize("argv", VIEW_COMMANDS, ids=lambda argv: argv[0])
+    def test_classify_overflowing_invariants(self, argv, nm, tmp_path, capsys):
+        # I1 = n.n - m.m of K as given overflows to inf, or to NaN (inf - inf)
+        # when m is as large as n; the report gives those of Ks = 2**-665 K
+        code, out = run_cli(argv, {"nm": nm}, tmp_path, capsys)
+        assert code == 0 and out["pass"] and out["exponent"] == 665
+        assert all(map(math.isfinite, out["invariants"].values()))
 
     def test_factor_constraint_violation(self, tmp_path, capsys):
         code, _ = run_cli(["factor"], {"spinor": [2, 0, 0, 0, 0, 0, 0, 0]}, tmp_path, capsys)
@@ -339,6 +351,38 @@ class TestBehavior:
         code, out = run_cli(["constitutive", "--dual-check", "1e17"], golden["input"], tmp_path, capsys)
         assert code == 0 and out["dual_checks"][0]["expected_invariant"] is False
         assert out["dual_checks"][0]["residual"] > 1e-3
+
+    def test_scale_fuzz(self, tmp_path, capsys):
+        # non-isotropic K (|K.K| >= ||K||^2 / 4) at ||K|| from 1e-300 to
+        # 1e300: the reports are those of 2**-exponent K, so each passes
+        rng = np.random.default_rng(2024)
+        cases = 0
+        while cases < 100:
+            n, m = rng.normal(size=3), rng.normal(size=3)
+            K = n + 1j * m
+            if abs(K @ K) < 0.25 * np.vdot(K, K).real:
+                continue
+            nm = [float(x) for x in 10.0 ** rng.uniform(-300, 300) / np.linalg.norm(K) * np.concatenate([n, m])]
+            for argv in VIEW_COMMANDS:
+                code, out = run_cli(argv, {"nm": nm}, tmp_path, capsys)
+                assert (code, out["pass"]) == (0, True), (argv, nm)
+            cases += 1
+
+    def test_split_reads_the_raw_mu(self, tmp_path, capsys):
+        # Ia within eps_iso, so classify snaps mu to 0; a split with the
+        # snapped mu gave Delta.Delta - 1 = 5e-10, which stabilizer_element
+        # refused
+        from ncframe.linalg import DEFAULT_TOL
+        from ncframe.stabilizer import classify, stabilizer_element, unit_delta
+
+        K = [1 + 2.5e-10j, 0, 0]
+        p = classify(K)
+        assert (p.subcase.value, p.mu) == ("Ia", 0.0)
+        _, delta = unit_delta(K)
+        assert abs(delta @ delta - 1.0) <= DEFAULT_TOL
+        stabilizer_element(1 + 0.5j, delta)
+        code, out = run_cli(["stabilizer", "--gamma", "1,0.5"], {"nm": [1, 0, 0, 2.5e-10, 0, 0]}, tmp_path, capsys)
+        assert code == 0 and out["pass"]
 
     def test_stabilizer_sampling_deterministic(self, tmp_path, capsys):
         doc = {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}
