@@ -32,11 +32,11 @@ _HOMES = {
         "project_to_group", "so3c_from_spinor", "spinor_compose", "spinor_from_boost",
         "spinor_from_rotation", "verify_su2_boost_identities",
     ),
-    "linalg": ("axial_matrix", "bilinear_dot", "hnorm", "inf_norm"),
+    "linalg": ("bilinear_dot", "hnorm", "inf_norm"),
     "stabilizer": (
         "EPS_ISO", "NCClass", "NCParameter", "StabilizerElement", "Subcase", "K_to_theta",
         "canonical_frame", "classify", "invariants", "isotropic_stabilizer_element",
-        "reduce_to_real", "rotation_between", "stabilizer_element", "theta_to_K", "unit_delta",
+        "reduce_to_real", "stabilizer_element", "theta_to_K", "unit_delta",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
@@ -72,7 +72,6 @@ __all__ = [
     "StabilizerElement",
     "Subcase",
     "UnitSystem",
-    "axial_matrix",
     "bilinear_dot",
     "canonical_frame",
     "classify",
@@ -98,7 +97,6 @@ __all__ = [
     "maxwell_variable_check",
     "project_to_group",
     "reduce_to_real",
-    "rotation_between",
     "scale_freedom_report",
     "so3c_from_spinor",
     "spinor_compose",

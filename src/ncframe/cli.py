@@ -11,7 +11,10 @@ Exit codes: 0 all residuals within thresholds; 1 residual failure;
 5 isotropic/commutative input to reduce; 6 spinor constraint violation;
 7 any other library error (an ``NcframeError`` the codes above do not name).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
-digits so doubles round-trip losslessly.
+digits, so a float read back as a float is the double written.  A whole
+float prints as an integer (2.0 as 2, -0.0 as -0), so a reader that parses
+integers as integers loses the sign of -0 (``json.loads`` does, unless
+given ``parse_int=float``).
 
 classify, stabilizer and reduce read one scaled view of K, the exact
 Ks = 2^-exponent K of ``stabilizer._view``, and report its exponent: their
@@ -44,7 +47,7 @@ from .electrodynamics import (
     _state,
     quarter_turn,
 )
-from .errors import NcframeError, NotAntisymmetric
+from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
 from .factorization import FactorOrder, _factors, _isotropic_sign
 from .group import _check_spinor, _compose, _project
 from .linalg import _dot, _norm, inf_norm
@@ -185,7 +188,7 @@ def _parse_theta(doc) -> tuple[list, list]:
         return theta, K
     if "nm" in doc:
         nm = _real_values(doc, "nm", 6)
-        K = [x + 1j * y for x, y in zip(nm[:3], nm[3:])]
+        K = [complex(x, y) for x, y in zip(nm[:3], nm[3:])]
         return _K_to_theta(K), K
     raise CliError("input needs either 'theta' or 'nm'", EXIT_MALFORMED)
 
@@ -342,10 +345,13 @@ def cmd_factor(args) -> dict:
     det = k0 * k0 - _dot(k, k)
     a, n = abs(k0), _norm(k)
     scale = max(1.0, a * a + n * n)
-    if abs(det - 1.0) > _SPINOR_DET_TOL * scale:
+    if not abs(det - 1.0) <= _SPINOR_DET_TOL * scale:  # a NaN det fails too
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
-    k0, k = _project(k0, k)
-    _check_spinor(k0, k)
+    try:
+        k0, k = _project(k0, k)
+        _check_spinor(k0, k)
+    except ConstraintViolation as exc:
+        raise CliError(str(exc), EXIT_BAD_SPINOR) from exc
     tol = args.tol if args.tol is not None else 1e-10
     report = _base_report(args, "factor", doc, tol)
     report["method"] = "isotropic" if _isotropic_sign(k0, k, args.eps_iso) else "generic"

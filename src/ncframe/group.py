@@ -137,11 +137,10 @@ def _trusted(cls, **fields):
     """A SpinorElement, ComplexRotation or Lorentz4 holding ``fields``, unchecked.
 
     Only for a closed form of a checked input that is valid by construction:
-    a spinor with k0^2 - k.k = 1 within its own tolerance, the image of a
-    validated SpinorElement, or the reducing rotation of
-    ``stabilizer.reduce_to_real``.  Each field must be what the public
-    constructor would store: a Python complex k0 and a complex128 3-vector
-    k, or a complex128 3x3 or float64 4x4 matrix.
+    a spinor with k0^2 - k.k = 1 within its own tolerance, or the image of
+    one.  Each field must be what the public constructor would store: a
+    Python complex k0 and a complex128 3-vector k, or a complex128 3x3 or
+    float64 4x4 matrix.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():

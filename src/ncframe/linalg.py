@@ -116,19 +116,6 @@ def bilinear_dot(u, v) -> complex:
     return _dot(vec3(u).tolist(), vec3(v).tolist())
 
 
-def axial_matrix(v) -> ComplexMat3:
-    """Antisymmetric matrix v^x with v^x w = v x w for every w."""
-    v = vec3(v)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ],
-        dtype=complex,
-    )
-
-
 def det3(m: np.ndarray) -> complex:
     """Determinant of a 3x3 array by cofactor expansion along the first row."""
     (a, b, c), (d, e, f), (g, h, i) = m.tolist()

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import linalg
 from .errors import (
     DegenerateDelta,
     IsotropicInput,
@@ -38,7 +37,9 @@ from .group import (
     ComplexRotation,
     Lorentz4,
     SpinorElement,
+    _compose,
     _exceeds,
+    _so3c,
     _stabilizer_spinor,
     _trusted,
     lorentz4_from_spinor,
@@ -53,7 +54,6 @@ from .linalg import (
     _exponent,
     _ldexp,
     _norm,
-    axial_matrix,
     np,
     rmat4,
     rvec3,
@@ -165,7 +165,7 @@ def invariants(K) -> tuple[float, float, float, float]:
 
 
 # The private functions below take the 3-lists of complex 3-vectors that
-# their public callers have already coerced (real ones for _rotation_between).
+# their public callers have already coerced.
 
 
 def _invariants(K: list) -> tuple[float, float, float, float]:
@@ -336,36 +336,6 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     )
 
 
-def rotation_between(src, dst) -> np.ndarray:
-    """Real rotation matrix carrying unit vector src to unit vector dst.
-
-    Uses the rational (Gibbs-vector) form O(c) = I + 2*(c^x + (c^x)^2)/(1+c.c)
-    with c = src x dst / (1 + src.dst).  Antiparallel inputs fall back to the
-    half-turn O = I + 2*(u^x)^2 about an axis u perpendicular to src.  NaN or
-    inf entries raise :class:`NonFiniteInput`.
-    """
-    src, dst = rvec3(src), rvec3(dst)
-    s, d = src.tolist(), dst.tolist()
-    dot = _dot(s, d)  # not finite if an entry of either is not
-    _require_finite(s, dot, "src")
-    _require_finite(d, dot, "dst")
-    return _rotation_between(s, d)
-
-
-def _rotation_between(src: list, dst: list) -> np.ndarray:
-    denom = 1.0 + _dot(src, dst)
-    if abs(denom) <= 1e-12:
-        seed = [0.0, 0.0, 0.0]
-        seed[min(range(3), key=lambda i: abs(src[i]))] = 1.0
-        u = _cross(src, seed)
-        nrm = _norm(u)
-        ux = axial_matrix([x / nrm for x in u]).real
-        return linalg.EYE3 + 2.0 * (ux @ ux)
-    c = [x / denom for x in _cross(src, dst)]
-    cx = axial_matrix(c).real
-    return linalg.EYE3 + 2.0 * (cx + cx @ cx) / (1.0 + _dot(c, c))
-
-
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     """Complex rotation S with S @ Delta = e (real unit), for Delta.Delta = 1.
 
@@ -373,17 +343,17 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     The pure boost of rapidity rho along u = M0 x N0, the small-group element
     b(i rho; u), carries Delta to N0.  For K = Kscalar * Delta it is the
     boost to the frame in which n and m are parallel, with
-    cosh(2 rho) = ||Delta||^2 = ||K||^2 / |K.K|.  A real rotation then
-    carries N0 to the requested target:
+    cosh(2 rho) = ||Delta||^2 = ||K||^2 / |K.K|.  A real rotation r then
+    carries N0 to the requested target, and S is the image of one spinor:
 
-        S = rotation_between(N0, e) @ O(b(i rho; u)).
+        S = O(r * b(i rho; u)).
 
     ``e_target=None`` picks e = N0, and S is the boost alone.  For real Delta
     (rho = 0) there is no boost and S is just the real rotation taking N0 to
     the target.
 
-    For complex Delta, S is not checked again: it is the image of a group
-    element, times a real rotation.  rho is asinh(||Im Delta||), which does
+    S is not checked again: it is the image of a product of two spinors that
+    are unimodular by construction.  rho is asinh(||Im Delta||), which does
     not cancel near rho = 0.
     """
     delta = vec3(delta).tolist()
@@ -399,25 +369,52 @@ def _reduce_to_real(delta: list, e_target) -> ComplexRotation:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
     N0 = [x / ch for x in N]
     mnorm = _norm(M)
-    if mnorm <= 1e-12 * max(1.0, ch):
-        target = N0 if e_target is None else _unit_target(e_target)
-        return ComplexRotation(_rotation_between(N0, target).astype(complex))
-    u = _cross([y / mnorm for y in M], N0)
-    unorm = _norm(u)
-    if unorm < 1e-8:
-        raise DegenerateDelta("Re delta and Im delta are parallel")
-    S = so3c_from_spinor(_stabilizer_spinor(1j * math.asinh(mnorm), [x / unorm for x in u]))
-    if e_target is None:
-        return S
-    return _trusted(ComplexRotation, matrix=_rotation_between(N0, _unit_target(e_target)) @ S.matrix)
+    k0, k = 1 + 0j, [0j, 0j, 0j]  # no boost for a real delta
+    if mnorm > 1e-12 * max(1.0, ch):
+        u = _cross([y / mnorm for y in M], N0)
+        unorm = _norm(u)
+        if unorm < 1e-8:
+            raise DegenerateDelta("Re delta and Im delta are parallel")
+        b = _stabilizer_spinor(1j * math.asinh(mnorm), [x / unorm for x in u])
+        k0, k = b.k0, b.k.tolist()
+    if e_target is not None:
+        k0, k = _compose(*_turn_to(N0, _unit_target(e_target)), k0, k)
+    return _trusted(ComplexRotation, matrix=np.array(_so3c(k0, k)))
+
+
+def _turn_to(src: list, dst: list) -> tuple[complex, list]:
+    """The spinor (k0, k) of the real rotation about src x dst that carries
+    the real unit 3-list src to dst, unimodular to rounding.
+
+    For src.dst >= 0 it is (1 + src.dst, -i src x dst), normalized, whose
+    scalar part cannot cancel.  Otherwise the half turn (0, -i u) about the
+    unit u along src x dst = src x (src + dst) carries src to -src, and the
+    turn from -src, with -src.dst > 0, follows it.  The sum src + dst does
+    not cancel, so u is perpendicular to src to rounding however close dst
+    is to -src; for dst = -src, u is any axis perpendicular to src.
+    """
+    dot = _dot(src, dst)
+    if dot < 0.0:
+        u = _cross(src, [x + y for x, y in zip(src, dst)])
+        if not any(u):
+            seed = [0.0, 0.0, 0.0]
+            seed[min(range(3), key=lambda i: abs(src[i]))] = 1.0
+            u = _cross(src, seed)
+        nrm = _norm(u)
+        return _compose(*_turn_to([-x for x in src], dst), 0j, [-1j * (x / nrm) for x in u])
+    c = _cross(src, dst)
+    nrm = math.hypot(1.0 + dot, *c)
+    return complex((1.0 + dot) / nrm), [-1j * (x / nrm) for x in c]
 
 
 def _unit_target(e) -> list:
+    """The target e as a 3-list, normalized; it must have unit norm within
+    DEFAULT_TOL."""
     e = rvec3(e).tolist()
     nrm = _norm(e)
     if not abs(nrm - 1.0) <= DEFAULT_TOL:  # a NaN entry fails too
         raise ValueError(f"target must be a real unit vector (norm {nrm:.15g})")
-    return e
+    return [x / nrm for x in e]
 
 
 def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, ComplexVec3]:

@@ -233,8 +233,11 @@ class TestExitCodes:
         assert all(map(math.isfinite, out["invariants"].values()))
 
     def test_factor_constraint_violation(self, tmp_path, capsys):
-        code, _ = run_cli(["factor"], {"spinor": [2, 0, 0, 0, 0, 0, 0, 0]}, tmp_path, capsys)
-        assert code == 6
+        # k0^2 - k.k is 3, NaN (inf - inf) and 0 (so it cannot be projected)
+        for spinor in ([2, 0, 0, 0, 0, 0, 0, 0], [1e200, 0, 0, 0, 0, 0, 0, 1e200],
+                       [1e100, 0, 0, 0, 0, 0, 0, 1e100]):
+            code, _ = run_cli(["factor"], {"spinor": spinor}, tmp_path, capsys)
+            assert code == 6, spinor
 
     def test_dual_scan_too_few_steps(self, tmp_path, capsys):
         doc = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
@@ -431,6 +434,20 @@ class TestBehavior:
         assert code == 0
         assert out["method"] == "generic" and out["pass"]
         assert all(f["roundtrip_residual"] <= 1e-10 for f in out["factorizations"])
+
+    def test_signed_zeros_of_nm_and_theta(self, tmp_path, capsys):
+        # n1 = theta[2][3] = -0.0 in both forms; K keeps its sign in both
+        docs = ({"nm": [-0.0, 0, 1, 0, 0, 0]},
+                {"theta": [[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, -0.0], [0, 0, 0.0, 0]]})
+        reports = []
+        for doc in docs:
+            (tmp_path / "input.json").write_text(json.dumps(doc))
+            assert main(["classify", "--in", str(tmp_path / "input.json")]) == 0
+            # parse_int=float keeps the sign of "-0"
+            reports.append(json.loads(capsys.readouterr().out, parse_int=float)["K"])
+        signs = [[[math.copysign(1.0, x) for x in z] for z in K] for K in reports]
+        assert signs[0] == signs[1] == [[-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+        assert reports[0] == reports[1]
 
     def test_float_precision_roundtrip(self, tmp_path, capsys):
         # serialized doubles parse back bit-identically

@@ -19,7 +19,6 @@ from ncframe.electrodynamics import FieldState, constitutive_real_forward
 from ncframe.errors import (
     ConstraintViolation,
     NcframeError,
-    NonFiniteInput,
     NonUnitAxis,
     NotPureElement,
     NotUnitDelta,
@@ -52,7 +51,6 @@ from ncframe.stabilizer import (
     canonical_frame,
     isotropic_stabilizer_element,
     reduce_to_real,
-    rotation_between,
     stabilizer_element,
     unit_delta,
 )
@@ -629,20 +627,21 @@ class TestNonFinite:
             reduce_to_real(delta, [NAN, 0.0, 0.0])
 
     def test_rotation_between(self):
-        with pytest.raises(NonFiniteInput, match="dst has a NaN"):
-            rotation_between([1.0, 0.0, 0.0], [NAN, 0.0, 0.0])
-        with pytest.raises(NonFiniteInput, match="src has a NaN"):
-            rotation_between([INF, 0.0, 0.0], [1.0, 0.0, 0.0])
+        # the rotation between two real directions, reduce_to_real of a real
+        # Delta: a NaN target fails its unit-length test, and an infinite
+        # Delta the unit-square test
+        with pytest.raises(ValueError, match="target must be a real unit vector"):
+            reduce_to_real([1.0, 0.0, 0.0], [0.0, NAN, 0.0])
+        with pytest.raises(NotUnitDelta, match="delta.delta = inf"):
+            reduce_to_real([INF, 0.0, 0.0], [1.0, 0.0, 0.0])
 
     # A NaN imaginary part of a real-vector argument is refused, not dropped.
     @pytest.mark.parametrize("build", [
-        lambda v: rotation_between(v, [0.0, 1.0, 0.0]),
-        lambda v: rotation_between([0.0, 1.0, 0.0], v),
+        lambda v: reduce_to_real([0.0, 1.0, 0.0], v),
         lambda v: reduce_to_real([1.0, 0.0, 0.0], v),
         lambda v: constitutive_real_forward(v, [0.0, 1.0, 0.0], [0.1, 0.0, 0.0]),
         lambda v: FieldState(v, [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-    ], ids=["rotation_between_src", "rotation_between_dst", "reduce_to_real_target",
-            "constitutive_real_forward", "field_state"])
+    ], ids=["rotation_between_dst", "reduce_to_real_target", "constitutive_real_forward", "field_state"])
     def test_nan_imaginary_part(self, build):
         with pytest.raises(ValueError, match="expected a real 3-vector"):
             build([1.0, 0.0, complex(0.0, NAN)])
@@ -792,9 +791,9 @@ class TestTrustedConstruction:
 
     @given(dch=st.floats(-5e-11, 5e-11), sh=st.floats(1e-11, 1e-5), angles=angles4, target=angles4)
     def test_reduce_to_real_near_cosh_one(self, dch, sh, angles, target):
-        # ||Re Delta|| on either side of 1 and a small Im Delta: the product
-        # rotation_between(N0, e) @ O(b(i rho; u)) that stabilizer._trusted
-        # stores has the bytes of the checked ComplexRotation
+        # ||Re Delta|| on either side of 1 and a small Im Delta: the image
+        # O(r b(i rho; u)) that stabilizer._trusted stores, r the turn from N0
+        # to e, has the bytes of the checked ComplexRotation
         n0, m0 = orthonormal_pair(angles)
         delta = (1.0 + dch) * n0 + 1j * sh * m0
         assert not assert_same_as_checked(reduce_to_real, delta, _axis(*target[:2]))

@@ -22,7 +22,6 @@ from ncframe.linalg import (
     _exponent,
     _ldexp,
     _norm,
-    axial_matrix,
     bilinear_dot,
     det3,
     hnorm,
@@ -64,12 +63,6 @@ def test_kernel_examples():
     assert _dot([1.0, 1e16, -1e16], [1.0, 1.0, 1.0]) == 0.0
 
 
-def test_axial_matrix_examples():
-    expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    np.testing.assert_array_equal(axial_matrix([0, 0, 1]), expected)
-    np.testing.assert_array_equal(axial_matrix(np.zeros(3)), np.zeros((3, 3)))
-
-
 @given(u=cvec, v=cvec, w=cvec, alpha=cscalar)
 def test_bilinear_dot_symmetric_bilinear(u, v, w, alpha):
     assert bilinear_dot(u, v) == pytest.approx(bilinear_dot(v, u), rel=1e-12, abs=1e-12)
@@ -94,20 +87,6 @@ def test_cross_antisymmetric_and_orthogonal(u, v):
     uv, vu = _cross(u.tolist(), v.tolist()), _cross(v.tolist(), u.tolist())
     np.testing.assert_array_equal(uv, [-x for x in vu])
     assert abs(bilinear_dot(u, uv)) < 1e-9
-
-
-@given(v=cvec)
-def test_axial_matrix_identities(v):
-    ax = axial_matrix(v)
-    np.testing.assert_allclose(ax.T, -ax, atol=1e-12)
-    # (v^x)^2 = v v^T - (v.v) I
-    expected = np.outer(v, v) - bilinear_dot(v, v) * np.eye(3)
-    np.testing.assert_allclose(ax @ ax, expected, atol=1e-8)
-
-
-@given(v=cvec, w=cvec)
-def test_axial_matrix_is_cross(v, w):
-    np.testing.assert_allclose(axial_matrix(v) @ w, _cross(v.tolist(), w.tolist()), atol=1e-8)
 
 
 # Kernel sweeps over scale: entries m * 10**(e + d) with a common exponent e

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -32,7 +34,6 @@ from ncframe.stabilizer import (
     invariants,
     isotropic_stabilizer_element,
     reduce_to_real,
-    rotation_between,
     stabilizer_element,
     theta_to_K,
     unit_delta,
@@ -351,21 +352,36 @@ class TestIsotropicStabilizer:
 
 
 class TestRotationBetween:
+    # the rotation between two real unit directions is reduce_to_real of a real Delta
     def test_random_pairs(self, rng):
         for _ in range(50):
             a, b = rng.normal(size=(2, 3))
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
-            R = rotation_between(a, b)
+            R = reduce_to_real(a, b).matrix
             np.testing.assert_allclose(R @ a, b, atol=1e-12)
             assert inf_norm(R.T @ R - np.eye(3)) < 1e-12
             assert np.linalg.det(R) == pytest.approx(1.0)
 
     def test_antiparallel_fallback(self):
         a = np.array([0.0, 1.0, 0.0])
-        R = rotation_between(a, -a)
+        R = reduce_to_real(a, -a).matrix
         np.testing.assert_allclose(R @ a, -a, atol=1e-12)
         assert np.linalg.det(R) == pytest.approx(1.0)
+
+    def test_near_antiparallel(self, rng):
+        # dst at the angle pi - delta from src, and dst = -src: a half turn
+        # and a turn that does not cancel, so S src = dst to rounding
+        for delta in [*np.logspace(-14, -2, 49), 0.0]:
+            for _ in range(4):
+                src, w = rng.normal(size=(2, 3))
+                src /= np.linalg.norm(src)
+                w -= (w @ src) * src
+                w /= np.linalg.norm(w)
+                dst = -math.cos(delta) * src + math.sin(delta) * w
+                S = reduce_to_real(src, dst).matrix
+                assert np.abs(S @ src - dst).max() <= 1e-12, delta
+                assert inf_norm(S.T @ S - np.eye(3)) <= 1e-12, delta
 
 
 class TestReduceToReal:
