@@ -21,9 +21,12 @@ Ks = 2^-exponent K of ``stabilizer._view``, and report its exponent: their
 invariants, Kscalar and K_canonical are those of Ks, so no report under- or
 overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
 
-classify, factor, constitutive and dual-scan run on the list-level kernels
-of the library and never import numpy; stabilizer and reduce build 3x3 and
-4x4 matrices, and stabilizer --count draws random parameters, so they do.
+Every command runs on the list-level kernels of the library, so none
+imports numpy, except stabilizer --count N > 0, which draws its N random
+parameters from numpy.random.  The isotropic parameter z of stabilizer
+(given with --z or drawn from uniform(-1.5, 1.5)) is dimensionless: the
+element is O(z k) with k = Ks / ||Ks||, the unit direction of K, so it is
+the z of ``isotropic_stabilizer_element(z, K)`` times ||K||.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import math
 import sys
 
-from . import __version__, linalg
+from . import __version__
 from .electrodynamics import (
     DUAL_TOL,
     UnitSystem,
@@ -49,19 +52,10 @@ from .electrodynamics import (
 )
 from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
 from .factorization import FactorOrder, _factors, _isotropic_sign
-from .group import _check_spinor, _compose, _project
-from .linalg import _dot, _norm, inf_norm
+from .group import _check_spinor, _compose, _lorentz4, _project, _small_group, _so3c, _spinor_scale
+from .linalg import _apply, _dot, _norm
 from .sampling import default_rng, random_gamma
-from .stabilizer import (
-    EPS_ISO,
-    NCClass,
-    _canonical,
-    _K_to_theta,
-    _theta_to_K,
-    _view,
-    isotropic_stabilizer_element,
-    stabilizer_element,
-)
+from .stabilizer import EPS_ISO, NCClass, _canonical, _K_to_theta, _theta_to_K, _view
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -110,8 +104,6 @@ def _encode(obj) -> str:
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
-    if hasattr(obj, "tolist"):  # a numpy array or scalar, as Python numbers
-        return _encode(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -215,8 +207,8 @@ def _base_report(args, command: str, input_echo: dict, tol: float) -> dict:
     }
 
 
-def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list]:
-    """(report, K, the scaled view of K, theta) of the input, with the
+def _classified(args, command: str, tol: float) -> tuple[dict, tuple, list]:
+    """(report, the scaled view of K, theta) of the input, with the
     report's base and classification filled in.  The invariants are those
     of Ks = 2**-exponent K, so they neither under- nor overflow."""
     doc = _read_doc(args)
@@ -231,7 +223,7 @@ def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list
         "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
         "K": K,
     })
-    return report, K, view, theta
+    return report, view, theta
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,7 @@ def _classified(args, command: str, tol: float) -> tuple[dict, list, tuple, list
 
 def cmd_classify(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, _, (Ks, _, _, _, split), theta = _classified(args, "classify", tol)
+    report, (Ks, _, _, _, split), theta = _classified(args, "classify", tol)
     report["theta"] = theta
     if split is not None:
         kscalar, delta = split
@@ -257,24 +249,23 @@ def cmd_classify(args) -> dict:
     return report
 
 
-def _element_entry(elem, Ks, tol) -> dict:
-    resid = _norm([x - k for x, k in zip(elem.rotation.apply(Ks).tolist(), Ks)]) / _norm(Ks)
-    entry = {
-        "matrix": elem.rotation.matrix,
-        "lorentz": elem.lorentz4.matrix,
+def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol: float) -> dict:
+    """The small-group element b(t; k) that fixes Ks, reported under its parameter ``name``."""
+    k0, kk = _small_group(t, k)
+    O = _so3c(k0, kk)
+    resid = _norm([x - y for x, y in zip(_apply(O, Ks), Ks)]) / _norm(Ks)
+    return {
+        "matrix": O,
+        "lorentz": _lorentz4(k0, kk),
         "invariance_residual": resid,
         "pass": resid <= tol,
+        name: param,
     }
-    if elem.family == "non-isotropic":
-        entry["gamma"] = elem.gamma
-    else:
-        entry["z"] = elem.z
-    return entry
 
 
 def cmd_stabilizer(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, K, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "stabilizer", tol)
+    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "stabilizer", tol)
     if klass is NCClass.COMMUTATIVE:
         raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
     if klass is NCClass.NON_ISOTROPIC:
@@ -283,18 +274,20 @@ def cmd_stabilizer(args) -> dict:
         delta = split[1]
         report["delta"] = delta
         flag, draw = args.gamma, random_gamma
-        element = lambda gamma: stabilizer_element(gamma, delta)  # noqa: E731
+        entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, tol)  # noqa: E731
     else:
         if args.gamma is not None:
             raise CliError("K is isotropic: use --z, not --gamma", EXIT_MALFORMED)
         flag = args.z
         draw = lambda rng: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))  # noqa: E731
-        element = lambda z: isotropic_stabilizer_element(z, K, args.eps_iso)  # noqa: E731
+        nrm = _norm(Ks)
+        unit = [x / nrm for x in Ks]  # so z is dimensionless, like the unit delta
+        entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, tol)  # noqa: E731
     params = [] if flag is None else [_parse_complex_flag(flag)]
     if args.count > 0:  # the generator, and numpy.random with it, only when sampling
         rng = default_rng(args.seed)
         params.extend(draw(rng) for _ in range(args.count))
-    elements = [_element_entry(element(p), Ks, tol) for p in params]
+    elements = [entry(p) for p in params]
     report["elements"] = elements
     report["pass"] = all(e["pass"] for e in elements)
     return report
@@ -302,17 +295,19 @@ def cmd_stabilizer(args) -> dict:
 
 def cmd_reduce(args) -> dict:
     tol = args.tol if args.tol is not None else 1e-9
-    report, _, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "reduce", tol)
+    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "reduce", tol)
     if split is None:
         raise CliError(f"class {klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE)
     S, kcs = _canonical(*split)
     ksq, csq = _dot(Ks, Ks), _dot(kcs, kcs)
+    columns = list(zip(*S))  # S^T S - I, entry by entry
     residuals = {
-        "orthogonality": inf_norm(S.matrix.T @ S.matrix - linalg.EYE3),
-        "reduction": _norm([x - k for x, k in zip(S.apply(Ks).tolist(), kcs)]) / _norm(Ks),
+        "orthogonality": max(abs(_dot(u, v) - float(i == j))
+                             for i, u in enumerate(columns) for j, v in enumerate(columns)),
+        "reduction": _norm([x - k for x, k in zip(_apply(S, Ks), kcs)]) / _norm(Ks),
         "invariants": abs(csq - ksq) / abs(ksq),
     }
-    report["S"] = S.matrix
+    report["S"] = S
     report["K_canonical"] = kcs
     report["residuals"] = residuals
     report["pass"] = all(r <= tol for r in residuals.values())
@@ -343,9 +338,7 @@ def cmd_factor(args) -> dict:
     k0 = complex(raw[0], raw[1])
     k = [m - 1j * n for n, m in zip(raw[2:5], raw[5:8])]
     det = k0 * k0 - _dot(k, k)
-    a, n = abs(k0), _norm(k)
-    scale = max(1.0, a * a + n * n)
-    if not abs(det - 1.0) <= _SPINOR_DET_TOL * scale:  # a NaN det fails too
+    if not abs(det - 1.0) <= _SPINOR_DET_TOL * _spinor_scale(k0, k):  # a NaN det fails too
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
     try:
         k0, k = _project(k0, k)

@@ -66,9 +66,9 @@ def _matrix_scale(m: np.ndarray) -> float:
 
 
 def _spinor_scale(k0: complex, k: list) -> float:
-    """max(1, |k0|^2 + ||k||^2), the scale of the spinor checks; k as a 3-list."""
+    """max(1, |k0|^2 + ||k||^2), NaN for a NaN part: the scale of the spinor checks."""
     a, n = abs(k0), _norm(k)
-    return max(1.0, a * a + n * n)
+    return max(a * a + n * n, 1.0)
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,12 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.  Like
     :func:`so3c_from_spinor`, the image is not checked again.
     """
-    k0 = b.k0
-    x, y, z = b.k.tolist()
+    return _trusted(Lorentz4, matrix=np.array(_lorentz4(b.k0, b.k.tolist())))
+
+
+def _lorentz4(k0: complex, k: list) -> list:
+    """L of :func:`lorentz4_from_spinor` as 4 rows of 4 Python floats."""
+    x, y, z = k
     k0c = k0.conjugate()
     px, py, pz = k0c * x, k0c * y, k0c * z
     # k_i k_j^* for the three pairs; swapping i and j conjugates it, bit for bit
@@ -349,17 +353,23 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     # space block: 2 eps_ijl Im(k0^* k_l) + 2 Re(k_i k_j^*) off the diagonal
     rx, ry, rz = 2.0 * px.imag, 2.0 * py.imag, 2.0 * pz.imag
     sx, sy, sz = 2.0 * qyz.real, 2.0 * qzx.real, 2.0 * qxy.real
-    L = [
+    return [
         [a2 + total, tx + cx, ty + cy, tz + cz],
         [tx - cx, a2 + 2.0 * xx - total, rz + sz, -ry + sy],
         [ty - cy, -rz + sz, a2 + 2.0 * yy - total, rx + sx],
         [tz - cz, ry + sy, -rx + sx, a2 + 2.0 * zz - total],
     ]
-    return _trusted(Lorentz4, matrix=np.array(L))
 
 
 def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
-    """The small-group element b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K).
+    """The small-group element b(t; K) of :func:`_small_group` as a SpinorElement."""
+    k0, k = _small_group(t, K)
+    return _trusted(SpinorElement, k0=k0, k=np.array(k))
+
+
+def _small_group(t: complex, K: list) -> tuple[complex, list]:
+    """The small-group spinor b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K),
+    as (k0, the 3-list of k).
 
     Every b(t; K) fixes K, and b(t1; K) b(t2; K) = b(t1 + t2; K).  cos w and
     sin w / w are even and entire in w^2, so the branch of the root does not
@@ -369,11 +379,11 @@ def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
 
     The element is not checked again: k0^2 - k.k = cos^2 w + sin^2 w = 1 for
     every K, up to rounding relative to the element's own scale.  Where that
-    scale is not finite (|Im w| above about 710), the checked constructor
+    scale is not finite (|Im w| above about 710), the SpinorElement check
     decides.  cos w and sin w are cmath's, which equal numpy's bit for bit
     where they are finite.  Where cmath raises instead (an OverflowError
-    past |Im w| of about 710, a ValueError for an infinite Re w), numpy's
-    inf and NaN parts are taken, for the checked constructor to refuse.
+    past |Im w| of about 710, a ValueError for an infinite Re w), the inf
+    and NaN parts that numpy gives are taken, for the check to refuse.
     Python's complex division keeps sin w / w = 1 for a subnormal w, where
     numpy's gives inf.
     """
@@ -385,10 +395,9 @@ def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
         k0, sin_w = complex(np.cos(w)), complex(np.sin(w))
     c = -1j * half * (sin_w / w if w else 1.0)
     k = [c * x for x in K]
-    a, n = abs(k0), _norm(k)
-    if math.isfinite(a * a + n * n):
-        return _trusted(SpinorElement, k0=k0, k=np.array(k))
-    return SpinorElement(k0, k)
+    if not math.isfinite(_spinor_scale(k0, k)):
+        _check_spinor(k0, k)
+    return k0, k
 
 
 def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> dict:

@@ -11,14 +11,14 @@ products left to right, and a norm is ``math.hypot`` of the six real parts.
 The group images and the theta <-> K maps are written out entry by entry on
 Python scalars in their own modules.
 
-numpy loads only for 3x3 and 4x4 matrices (their products, the images as
-arrays and the checks of ``group.ComplexRotation`` and ``group.Lorentz4``)
-or for random draws (``ncframe.sampling``), besides the array arguments and
-results of the public functions.  The list-level kernels that those
-functions wrap never touch it.  Every module reaches numpy through the lazy
-binding ``np`` below, and the array constants ``EYE3`` and ``ETA`` and the
-array aliases are built on first access, so importing the package, or
-calling only kernels, does not import numpy.
+numpy loads only for the array arguments and results of the public
+functions, the checks of ``group.ComplexRotation`` and ``group.Lorentz4``
+and random draws (``ncframe.sampling``).  The list-level kernels that the
+public functions wrap, and that the CLI calls, take and return lists and
+never touch it.  Every module reaches numpy through the lazy binding ``np``
+below, and the array constants ``EYE3`` and ``ETA`` and the array aliases
+are built on first access, so importing the package, or calling only
+kernels, does not import numpy.
 """
 
 from __future__ import annotations

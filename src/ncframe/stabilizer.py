@@ -39,6 +39,7 @@ from .group import (
     SpinorElement,
     _compose,
     _exceeds,
+    _small_group,
     _so3c,
     _stabilizer_spinor,
     _trusted,
@@ -256,17 +257,11 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
 class StabilizerElement:
     """One element of the stabilizer of K, with its realized representations.
 
-    ``family`` is "non-isotropic" (parameters gamma, delta) or "isotropic"
-    (parameters z, k).  ``rotation`` satisfies rotation.apply(K) = K.
+    ``rotation`` satisfies rotation.apply(K) = K.
     """
 
-    family: str
     spinor: SpinorElement
     rotation: ComplexRotation
-    gamma: complex | None = None
-    delta: ComplexVec3 | None = None
-    z: complex | None = None
-    k: ComplexVec3 | None = None
 
     @property
     def lorentz4(self) -> Lorentz4:
@@ -297,18 +292,10 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     a unit Delta it is cos(gamma/2) - i sin(gamma/2) Delta.sigma, a rotation
     for real gamma and Delta, a boost for imaginary gamma and real Delta.
     """
-    delta = vec3(delta)
-    dl = delta.tolist()
-    _require_unit_square(dl)
-    gamma = complex(gamma)
-    spinor = _stabilizer_spinor(gamma, dl)
-    return StabilizerElement(
-        family="non-isotropic",
-        spinor=spinor,
-        rotation=so3c_from_spinor(spinor),
-        gamma=gamma,
-        delta=delta,
-    )
+    delta = vec3(delta).tolist()
+    _require_unit_square(delta)
+    spinor = _stabilizer_spinor(complex(gamma), delta)
+    return StabilizerElement(spinor=spinor, rotation=so3c_from_spinor(spinor))
 
 
 def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerElement:
@@ -319,21 +306,13 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     unimodular and fixing k for a k.k inside eps_iso too.  Composition adds
     the z parameters.
     """
-    k = vec3(k)
-    kl = k.tolist()
-    if not any(kl):  # NaN is nonzero: _null refuses it
+    k = vec3(k).tolist()
+    if not any(k):  # NaN is nonzero: _null refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _null(kl, eps_iso):
-        raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
-    z = complex(z)
-    spinor = _stabilizer_spinor(2j * z, kl)
-    return StabilizerElement(
-        family="isotropic",
-        spinor=spinor,
-        rotation=so3c_from_spinor(spinor),
-        z=z,
-        k=k,
-    )
+    if not _null(k, eps_iso):
+        raise NotIsotropic(f"k.k = {_dot(k, k):.3e} is not zero within tolerance")
+    spinor = _stabilizer_spinor(2j * complex(z), k)
+    return StabilizerElement(spinor=spinor, rotation=so3c_from_spinor(spinor))
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
@@ -358,11 +337,12 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     """
     delta = vec3(delta).tolist()
     _require_unit_square(delta)
-    return _reduce_to_real(delta, e_target)
+    return _trusted(ComplexRotation, matrix=np.array(_reduce_to_real(delta, e_target)))
 
 
-def _reduce_to_real(delta: list, e_target) -> ComplexRotation:
-    """S of :func:`reduce_to_real`, for a delta with delta.delta = 1 already."""
+def _reduce_to_real(delta: list, e_target) -> list:
+    """S of :func:`reduce_to_real` as a 3x3 nested list, for a delta with
+    delta.delta = 1 already."""
     N, M = [z.real for z in delta], [z.imag for z in delta]
     ch = _norm(N)
     if ch < 1.0 - DEFAULT_TOL:
@@ -375,11 +355,10 @@ def _reduce_to_real(delta: list, e_target) -> ComplexRotation:
         unorm = _norm(u)
         if unorm < 1e-8:
             raise DegenerateDelta("Re delta and Im delta are parallel")
-        b = _stabilizer_spinor(1j * math.asinh(mnorm), [x / unorm for x in u])
-        k0, k = b.k0, b.k.tolist()
+        k0, k = _small_group(1j * math.asinh(mnorm), [x / unorm for x in u])
     if e_target is not None:
         k0, k = _compose(*_turn_to(N0, _unit_target(e_target)), k0, k)
-    return _trusted(ComplexRotation, matrix=np.array(_so3c(k0, k)))
+    return _so3c(k0, k)
 
 
 def _turn_to(src: list, dst: list) -> tuple[complex, list]:
@@ -428,13 +407,13 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     if split is None:
         raise IsotropicInput(_NO_SPLIT)
     S, kcanon = _canonical(*split)
-    return S, np.array(_ldexp(kcanon, e))
+    return _trusted(ComplexRotation, matrix=np.array(S)), np.array(_ldexp(kcanon, e))
 
 
-def _canonical(kscalar: complex, delta: list) -> tuple[ComplexRotation, list]:
-    """(S, Kcanon as a 3-list) of :func:`canonical_frame`, from a split of
-    :func:`_view`; Kcanon is that of the view's Ks."""
+def _canonical(kscalar: complex, delta: list) -> tuple[list, list]:
+    """(S as a 3x3 nested list, Kcanon as a 3-list) of :func:`canonical_frame`,
+    from a split of :func:`_view`; Kcanon is that of the view's Ks."""
     S = _reduce_to_real(delta, None)
-    u = [z.real for z in _apply(S.matrix.tolist(), delta)]
+    u = [z.real for z in _apply(S, delta)]
     nrm = _norm(u)
     return S, [kscalar * (x / nrm) for x in u]

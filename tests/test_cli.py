@@ -127,10 +127,12 @@ def test_golden(name, tmp_path, capsys):
     code, out = run_cli(golden["argv"], golden["input"], tmp_path, capsys)
     assert code == golden["exit_code"]
     assert_json_close(out, golden["output"], name)
+    # the benchmark's cli workload compares exactly, so a golden must be current
+    assert out == golden["output"], name
 
 
-# The commands that run on the list-level kernels, without numpy.
-VECTOR_COMMANDS = ("classify", "factor", "constitutive", "dual-scan")
+# The golden cases that load numpy: stabilizer --count draws from numpy.random.
+NUMPY_CASES = ("stabilizer_sampled",)
 
 _NUMPY_FREE_CHILD = """
 import contextlib, io, json, sys
@@ -148,11 +150,11 @@ print(json.dumps({"numpy_after_import": imported, "results": results}))
 """
 
 
-def test_vector_commands_run_without_numpy(tmp_path):
+def test_goldens_run_without_numpy(tmp_path):
     # one child for all cases, to keep the suite's time budget
-    cases = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text()) for name in sorted(golden_cases())}
-    cases = {name: g for name, g in cases.items() if g["argv"][0] in VECTOR_COMMANDS}
-    assert len(cases) == 9
+    names = sorted(set(golden_cases()) - set(NUMPY_CASES))
+    cases = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text()) for name in names}
+    assert len(cases) == 13
     argvs = {}
     for name, golden in cases.items():
         infile = tmp_path / f"{name}.json"
@@ -370,6 +372,27 @@ class TestBehavior:
                 code, out = run_cli(argv, {"nm": nm}, tmp_path, capsys)
                 assert (code, out["pass"]) == (0, True), (argv, nm)
             cases += 1
+        # isotropic K (n.m = 0, ||n|| = ||m||) at the same scales: z is
+        # dimensionless, so the given and the sampled elements fix K at any
+        # ||K||; with z in units of 1/K they failed at 1e10 and were the
+        # identity at 1e-200
+        for _ in range(60):
+            n = rng.normal(size=3)
+            m = np.cross(n, rng.normal(size=3))
+            m *= np.linalg.norm(n) / np.linalg.norm(m)
+            nm = [float(x) for x in 10.0 ** rng.uniform(-300, 300) / np.linalg.norm(n) * np.concatenate([n, m])]
+            for argv in (["stabilizer", "--z", "2,-1"], ["stabilizer", "--count", "2"]):
+                code, out = run_cli(argv, {"nm": nm}, tmp_path, capsys)
+                assert (code, out["pass"], out["class"]) == (0, True, "Isotropic"), (argv, nm)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-5, 1e10, 1e200])
+    def test_isotropic_z_is_dimensionless(self, scale, tmp_path, capsys):
+        # the same --z gives the same element for K and any multiple of it
+        golden = json.loads((GOLDEN_DIR / "stabilizer_isotropic.json").read_text())
+        code, out = run_cli(golden["argv"], {"nm": [scale, 0, 0, 0, scale, 0]}, tmp_path, capsys)
+        assert code == 0 and out["pass"]
+        (want,), (got,) = golden["output"]["elements"], out["elements"]
+        assert_json_close(got, want)
 
     def test_split_reads_the_raw_mu(self, tmp_path, capsys):
         # Ia within eps_iso, so classify snaps mu to 0; a split with the
