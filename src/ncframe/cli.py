@@ -207,10 +207,11 @@ def _base_report(args, command: str, input_echo: dict, tol: float) -> dict:
     }
 
 
-def _classified(args, command: str, tol: float) -> tuple[dict, tuple, list]:
-    """(report, the scaled view of K, theta) of the input, with the
-    report's base and classification filled in.  The invariants are those
-    of Ks = 2**-exponent K, so they neither under- nor overflow."""
+def _classified(args, command: str) -> tuple[dict, tuple, list, float]:
+    """(report, the scaled view of K, theta, tol) of the input, with the
+    report's base and classification filled in; tol is --tol or 1e-9.  The
+    invariants are those of Ks = 2**-exponent K, so they neither under- nor overflow."""
+    tol = args.tol if args.tol is not None else 1e-9
     doc = _read_doc(args)
     theta, K = _parse_theta(doc)
     view = _view(K, args.eps_iso)
@@ -223,7 +224,7 @@ def _classified(args, command: str, tol: float) -> tuple[dict, tuple, list]:
         "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
         "K": K,
     })
-    return report, view, theta
+    return report, view, theta, tol
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +232,7 @@ def _classified(args, command: str, tol: float) -> tuple[dict, tuple, list]:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> dict:
-    tol = args.tol if args.tol is not None else 1e-9
-    report, (Ks, _, _, _, split), theta = _classified(args, "classify", tol)
+    report, (Ks, _, _, _, split), theta, tol = _classified(args, "classify")
     report["theta"] = theta
     if split is not None:
         kscalar, delta = split
@@ -264,8 +264,7 @@ def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol
 
 
 def cmd_stabilizer(args) -> dict:
-    tol = args.tol if args.tol is not None else 1e-9
-    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "stabilizer", tol)
+    report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "stabilizer")
     if klass is NCClass.COMMUTATIVE:
         raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
     if klass is NCClass.NON_ISOTROPIC:
@@ -294,8 +293,7 @@ def cmd_stabilizer(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    tol = args.tol if args.tol is not None else 1e-9
-    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, "reduce", tol)
+    report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "reduce")
     if split is None:
         raise CliError(f"class {klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE)
     S, kcs = _canonical(*split)

@@ -381,18 +381,17 @@ def _small_group(t: complex, K: list) -> tuple[complex, list]:
     every K, up to rounding relative to the element's own scale.  Where that
     scale is not finite (|Im w| above about 710), the SpinorElement check
     decides.  cos w and sin w are cmath's, which equal numpy's bit for bit
-    where they are finite.  Where cmath raises instead (an OverflowError
-    past |Im w| of about 710, a ValueError for an infinite Re w), the inf
-    and NaN parts that numpy gives are taken, for the check to refuse.
-    Python's complex division keeps sin w / w = 1 for a subnormal w, where
-    numpy's gives inf.
+    where they are finite; where cmath raises instead (an OverflowError, or
+    a ValueError for an infinite Re w), no element exists and k0^2 - k.k is
+    NaN.  Python's complex division keeps sin w / w = 1 for a subnormal w,
+    where numpy's gives inf.
     """
     half = 0.5 * t
     w = half * cmath.sqrt(_dot(K, K))
     try:
         k0, sin_w = cmath.cos(w), cmath.sin(w)
     except (OverflowError, ValueError):
-        k0, sin_w = complex(np.cos(w)), complex(np.sin(w))
+        raise ConstraintViolation(f"k0^2 - k.k = nan: cos w, sin w not finite at w = {w}") from None
     c = -1j * half * (sin_w / w if w else 1.0)
     k = [c * x for x in K]
     if not math.isfinite(_spinor_scale(k0, k)):

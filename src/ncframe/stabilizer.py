@@ -257,11 +257,17 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
 class StabilizerElement:
     """One element of the stabilizer of K, with its realized representations.
 
-    ``rotation`` satisfies rotation.apply(K) = K.
+    ``family`` is "non-isotropic" (parameters gamma, delta) or "isotropic"
+    (parameters z, k).  ``rotation`` satisfies rotation.apply(K) = K.
     """
 
+    family: str
     spinor: SpinorElement
     rotation: ComplexRotation
+    gamma: complex | None = None
+    delta: ComplexVec3 | None = None
+    z: complex | None = None
+    k: ComplexVec3 | None = None
 
     @property
     def lorentz4(self) -> Lorentz4:
@@ -292,10 +298,18 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     a unit Delta it is cos(gamma/2) - i sin(gamma/2) Delta.sigma, a rotation
     for real gamma and Delta, a boost for imaginary gamma and real Delta.
     """
-    delta = vec3(delta).tolist()
-    _require_unit_square(delta)
-    spinor = _stabilizer_spinor(complex(gamma), delta)
-    return StabilizerElement(spinor=spinor, rotation=so3c_from_spinor(spinor))
+    delta = vec3(delta)
+    dl = delta.tolist()
+    _require_unit_square(dl)
+    gamma = complex(gamma)
+    spinor = _stabilizer_spinor(gamma, dl)
+    return StabilizerElement(
+        family="non-isotropic",
+        spinor=spinor,
+        rotation=so3c_from_spinor(spinor),
+        gamma=gamma,
+        delta=delta,
+    )
 
 
 def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerElement:
@@ -306,13 +320,21 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     unimodular and fixing k for a k.k inside eps_iso too.  Composition adds
     the z parameters.
     """
-    k = vec3(k).tolist()
-    if not any(k):  # NaN is nonzero: _null refuses it
+    k = vec3(k)
+    kl = k.tolist()
+    if not any(kl):  # NaN is nonzero: _null refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _null(k, eps_iso):
-        raise NotIsotropic(f"k.k = {_dot(k, k):.3e} is not zero within tolerance")
-    spinor = _stabilizer_spinor(2j * complex(z), k)
-    return StabilizerElement(spinor=spinor, rotation=so3c_from_spinor(spinor))
+    if not _null(kl, eps_iso):
+        raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
+    z = complex(z)
+    spinor = _stabilizer_spinor(2j * z, kl)
+    return StabilizerElement(
+        family="isotropic",
+        spinor=spinor,
+        rotation=so3c_from_spinor(spinor),
+        z=z,
+        k=k,
+    )
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:
