@@ -50,7 +50,7 @@ def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     (a0, a), (b0, bk), sign = _factors(b.k0, b.k.tolist(), order)
     rotation = _trusted(SpinorElement, k0=a0, k=np.array(a))
     boost = _trusted(SpinorElement, k0=b0, k=np.array(bk))
-    return RotationBoostPair(rotation=rotation, boost=boost, order=order, sign=sign)
+    return _trusted(RotationBoostPair, rotation=rotation, boost=boost, order=order, sign=sign)
 
 
 def _factors(k0: complex, k: list, order: FactorOrder) -> tuple[tuple, tuple, int]:
@@ -114,11 +114,12 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     The family is k0 = +-1 within DEFAULT_TOL and k.k = 0 within eps_iso
     relative to ||k||^2: the elements :func:`factor_isotropic` accepts.
     """
-    return _isotropic_sign(b.k0, b.k.tolist(), eps_iso)
+    return _isotropic_sign(b.k0, b.k, eps_iso)
 
 
-def _isotropic_sign(k0: complex, k: list, eps_iso: float) -> int:
-    """:func:`isotropic_sign` of (k0, k), on the 3-list of k."""
+def _isotropic_sign(k0: complex, k, eps_iso: float) -> int:
+    """:func:`isotropic_sign` of (k0, k), for k as :func:`stabilizer._null`
+    takes it: the complex128 array of b, or the 3-list of the CLI."""
     sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
     if abs(k0 - sgn) > DEFAULT_TOL:
         return 0
@@ -154,7 +155,7 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    if not k.any() or not _null(k.tolist(), eps_iso):
+    if not k.any() or not _null(k, eps_iso):
         raise NotIsotropic("k.k must vanish within tolerance")
     z = lam * np.exp(1j * sigma)
     kp = z * k

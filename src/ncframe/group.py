@@ -134,17 +134,23 @@ def _check_spinor(k0: complex, k: list) -> None:
 
 
 def _trusted(cls, **fields):
-    """A SpinorElement, ComplexRotation or Lorentz4 holding ``fields``, unchecked.
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, unchecked.
 
-    Only for a closed form of a checked input that is valid by construction:
-    a spinor with k0^2 - k.k = 1 within its own tolerance, or the image of
-    one.  Each field must be what the public constructor would store: a
-    Python complex k0 and a complex128 3-vector k, or a complex128 3x3 or
-    float64 4x4 matrix.
+    For a SpinorElement, ComplexRotation or Lorentz4, only a closed form of
+    a checked input that is valid by construction: a spinor with
+    k0^2 - k.k = 1 within its own tolerance, or the image of one.  For a
+    StabilizerElement or RotationBoostPair, which have no check, it just
+    skips the dataclass ``__init__``.  Each field, every one of them, must be
+    what the public constructor would store: a Python complex k0 and a
+    complex128 3-vector k, or a complex128 3x3 or float64 4x4 matrix.
+
+    The fields go into the instance ``__dict__`` in one update, which is
+    valid because every class built here is a frozen dataclass without
+    ``__slots__``: frozen only blocks ``__setattr__``, and the instance
+    still has a ``__dict__``.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -85,9 +85,11 @@ class Subcase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class NCParameter:
-    """Classified noncommutativity data: theta, K, invariants and orbit class."""
+    """Classified noncommutativity data: K, its invariants and its orbit class.
 
-    theta: RealMat4
+    theta is not stored: ``K_to_theta(param.K)`` gives it back exactly.
+    """
+
     K: ComplexVec3
     I1: float
     I2: float
@@ -160,9 +162,9 @@ def invariants(K) -> tuple[float, float, float, float]:
     I1, I2 and I are those of K as given, in its units squared (they can
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
-    K = vec3(K).tolist()
-    _, e, scaled, _, _ = _view(K, EPS_ISO)
-    return (*(_invariants(K) if e else scaled)[:3], scaled[3])
+    K = vec3(K)
+    _, e, scaled, _, _ = _viewed(K, EPS_ISO)
+    return (*(_invariants(K.tolist()) if e else scaled)[:3], scaled[3])
 
 
 # The private functions below take the 3-lists of complex 3-vectors that
@@ -190,10 +192,31 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     overflow or underflow).  NaN or inf entries raise :class:`NonFiniteInput`.
     """
     K = vec3(K)
-    Kl = K.tolist()
-    _, e, scaled, label, _ = _view(Kl, eps_iso)
-    given = _invariants(Kl) if e else scaled
-    return NCParameter(np.array(_K_to_theta(Kl)), K, *given[:3], *label)
+    _, e, scaled, label, _ = _viewed(K, eps_iso)
+    given = _invariants(K.tolist()) if e else scaled
+    return NCParameter(K, *given[:3], *label)
+
+
+# _last is the scaled view of the last K that a public function viewed, under
+# the key (raw bytes of the coerced complex128 K, eps_iso): classify,
+# unit_delta and canonical_frame on one K view it once.  The key is the exact
+# bytes, so a mutated input or a zero of the other sign misses and every
+# result keeps its bits; a NaN or inf K raises before anything is stored.
+# The tuple is replaced in one assignment and read once per call, so
+# concurrent callers at worst miss.  No list in it leaves the module
+# uncopied, so no caller can mutate it.
+_last: tuple = (None, None)
+
+
+def _viewed(K: ComplexVec3, eps_iso: float) -> tuple:
+    """:func:`_view` of the coerced complex128 K, through the memo ``_last``."""
+    global _last
+    key = (K.tobytes(), eps_iso)
+    memo = _last
+    if memo[0] != key:
+        memo = (key, _view(K.tolist(), eps_iso))
+        _last = memo
+    return memo[1]
 
 
 def _view(K: list, eps_iso: float) -> tuple:
@@ -230,10 +253,13 @@ def _view(K: list, eps_iso: float) -> tuple:
     return K, e, scaled, (mu, NCClass.NON_ISOTROPIC, sub), split
 
 
-def _null(k: list, eps_iso: float) -> bool:
+def _null(k, eps_iso: float) -> bool:
     """Whether k.k = 0 within eps_iso relative to ||k||^2 (k = 0 included),
-    tested on the scaled view of k.  NaN or inf raise NonFiniteInput."""
-    return _view(k, eps_iso)[4] is None
+    tested on the scaled view of k: that of the memo for the complex128
+    array of a public caller, a fresh one for the 3-list of the CLI.  NaN or
+    inf raise NonFiniteInput."""
+    view = _view(k, eps_iso) if isinstance(k, list) else _viewed(k, eps_iso)
+    return view[4] is None
 
 
 _NO_SPLIT = "K.K = 0 within tolerance: no unit-square direction exists"
@@ -247,7 +273,7 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     Delta.Delta = (I1 + i*I2) / (I exp(2*i*mu)) = 1 identically.  NaN or inf
     entries raise :class:`NonFiniteInput`.
     """
-    _, e, _, _, split = _view(vec3(K).tolist(), eps_iso)
+    _, e, _, _, split = _viewed(vec3(K), eps_iso)
     if split is None:
         raise IsotropicInput(_NO_SPLIT)
     return _ldexp(split[0], e), np.array(split[1])
@@ -303,12 +329,15 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     _require_unit_square(dl)
     gamma = complex(gamma)
     spinor = _stabilizer_spinor(gamma, dl)
-    return StabilizerElement(
+    return _trusted(
+        StabilizerElement,
         family="non-isotropic",
         spinor=spinor,
         rotation=so3c_from_spinor(spinor),
         gamma=gamma,
         delta=delta,
+        z=None,
+        k=None,
     )
 
 
@@ -324,14 +353,17 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     kl = k.tolist()
     if not any(kl):  # NaN is nonzero: _null refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _null(kl, eps_iso):
+    if not _null(k, eps_iso):
         raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
     z = complex(z)
     spinor = _stabilizer_spinor(2j * z, kl)
-    return StabilizerElement(
+    return _trusted(
+        StabilizerElement,
         family="isotropic",
         spinor=spinor,
         rotation=so3c_from_spinor(spinor),
+        gamma=None,
+        delta=None,
         z=z,
         k=k,
     )
@@ -425,7 +457,7 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     real unit vector.  In that frame n' and m' are both parallel to e, and
     the invariants of Kcanon equal those of K by construction.
     """
-    _, e, _, _, split = _view(vec3(K).tolist(), eps_iso)
+    _, e, _, _, split = _viewed(vec3(K), eps_iso)
     if split is None:
         raise IsotropicInput(_NO_SPLIT)
     S, kcanon = _canonical(*split)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -848,3 +849,61 @@ class TestTrustedConstruction:
         assert not assert_same_as_checked(reduce_to_real, delta)
         scaled = S / ch
         assert np.isfinite(S).all() and inf_norm(scaled.T @ scaled - EYE3 / ch**2) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# group._trusted fills the instance __dict__ of a frozen dataclass in one
+# update: what it stores must be what the public constructor stores.
+# ---------------------------------------------------------------------------
+
+
+def _state(obj):
+    """The stored fields of a dataclass instance, in storage order: names,
+    types, dtypes and raw bytes, a nested instance by its own state."""
+    out = []
+    for name, value in vars(obj).items():
+        if dataclasses.is_dataclass(value):
+            out.append((name, _state(value)))
+        elif isinstance(value, np.ndarray):
+            out.append((name, value.dtype, value.shape, value.tobytes()))
+        elif isinstance(value, complex):
+            out.append((name, complex, np.complex128(value).tobytes()))
+        else:
+            out.append((name, type(value), value))
+    return tuple(out)
+
+
+def _trusted_and_public():
+    """(trusted result of the library, the same fields through the public constructor)."""
+    b = rotation_boost(0.4, 1.3, (0.3, 1.1, 0.7, 2.0))
+    delta = unit_delta(np.array([0.3 - 1.2j, 0.7 + 0.1j, -0.5 + 0.9j]))[1]
+    element = stabilizer_element(complex(0.8, -0.6), delta)
+    isotropic = isotropic_stabilizer_element(0.5 - 0.2j, np.array([1.0, 1j, 0.0]))
+    pair = factor_rotation_boost(b)
+    O, L = so3c_from_spinor(b), lorentz4_from_spinor(b)
+    return [
+        (-b, SpinorElement(-b.k0, -b.k)),
+        (O, ComplexRotation(O.matrix)),
+        (L, Lorentz4(L.matrix)),
+        (element, StabilizerElement(family="non-isotropic", spinor=element.spinor, rotation=element.rotation,
+                                    gamma=element.gamma, delta=element.delta)),
+        (isotropic, StabilizerElement(family="isotropic", spinor=isotropic.spinor, rotation=isotropic.rotation,
+                                      z=isotropic.z, k=isotropic.k)),
+        (pair, RotationBoostPair(rotation=pair.rotation, boost=pair.boost, order=pair.order, sign=pair.sign)),
+    ]
+
+
+class TestTrustedStorage:
+    @pytest.mark.parametrize("i", range(6), ids=["SpinorElement", "ComplexRotation", "Lorentz4",
+                                                 "StabilizerElement", "StabilizerElement-isotropic",
+                                                 "RotationBoostPair"])
+    def test_stores_what_the_constructor_stores(self, i):
+        trusted, public = _trusted_and_public()[i]
+        cls = type(public)
+        assert type(trusted) is cls
+        assert list(vars(trusted)) == list(vars(public)) == [f.name for f in dataclasses.fields(cls)]
+        assert _state(trusted) == _state(public)
+        for name in vars(trusted):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trusted, name, getattr(trusted, name))
+        assert not any("__slots__" in vars(c) for c in cls.__mro__)

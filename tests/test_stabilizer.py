@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
 )
 from test_frame_bit_identity import KINDS, exponents, gammas, k_of_kind, seeded_K, seeds, units
 
+from ncframe import stabilizer
 from ncframe.errors import (
     IsotropicInput,
     NonFiniteInput,
@@ -26,7 +28,9 @@ from ncframe.group import ComplexRotation, lorentz4_from_spinor, so3c_from_spino
 from ncframe.linalg import DEFAULT_TOL, bilinear_dot, hnorm, inf_norm
 from ncframe.sampling import random_isotropic_k, random_nonisotropic_K, random_spinor
 from ncframe.stabilizer import (
+    EPS_ISO,
     NCClass,
+    NCParameter,
     Subcase,
     K_to_theta,
     canonical_frame,
@@ -488,6 +492,107 @@ class TestCanonicalFrame:
         assert Sk.matrix.tobytes() == S.matrix.tobytes() and delta_k.tobytes() == delta.tobytes()
         assert kscalar_k == complex(*np.ldexp((kscalar.real, kscalar.imag), k))
         assert kcanon_k.tobytes() == np.ldexp(kcanon.view(float), k).view(complex).tobytes()
+
+
+def _bits(x):
+    """x with every float and complex as exact bits, signed zeros included."""
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(y) for y in x)
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    return x
+
+
+def _frame_bytes(K, eps_iso=EPS_ISO):
+    """Every output of classify, unit_delta and canonical_frame on K, as bytes."""
+    p = classify(K, eps_iso)
+    kscalar, delta = unit_delta(K, eps_iso)
+    S, kcanon = canonical_frame(K, eps_iso)
+    return _bits((p.I1, p.I2, p.I, p.mu, p.klass, p.subcase, kscalar)), delta.tobytes(), S.matrix.tobytes(), kcanon.tobytes()
+
+
+class TestScaledViewMemo:
+    """classify, invariants, unit_delta and canonical_frame view one K once,
+    through a one-entry memo keyed on the bytes of K and on eps_iso."""
+
+    def test_one_view_per_K(self, monkeypatch):
+        calls = []
+        view = stabilizer._view
+        monkeypatch.setattr(stabilizer, "_view", lambda K, eps: calls.append(K) or view(K, eps))
+        K = np.array([1.0 + 0.5j, 0.3, 0.2j])
+        classify(K)
+        invariants(K)
+        unit_delta(K)
+        canonical_frame(K)
+        assert len(calls) == 1
+        classify(2.0 * K)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("negative_first", [True, False])
+    def test_signed_zeros_miss(self, negative_first):
+        neg = np.array([1.0 + 0j, complex(-0.0, 0.5), 0.3j])
+        pos = np.array([1.0 + 0j, complex(0.0, 0.5), 0.3j])
+        views = {}
+        for K in (neg, pos) if negative_first else (pos, neg):
+            want = stabilizer._view(K.tolist(), EPS_ISO)
+            assert _bits(stabilizer._viewed(K, EPS_ISO)) == _bits(want)
+            assert _bits(classify(K).mu) == _bits(want[3][0])
+            assert unit_delta(K)[1].tobytes() == np.array(want[4][1]).tobytes()
+            views[K.tobytes()] = _bits(want)
+        assert views[neg.tobytes()] != views[pos.tobytes()]
+
+    def test_mutated_input_misses(self):
+        old, new = np.array([1.0 + 0.5j, 0.3, 0.2j]), np.array([0.4j, 1.0 - 0.2j, 0.7])
+        want = _frame_bytes(new.copy())
+        K = old.copy()
+        assert _frame_bytes(K) != want
+        classify(K)
+        K[:] = new
+        assert _frame_bytes(K) == want
+
+    def test_eps_iso_is_part_of_the_key(self):
+        # |K.K| / ||K||^2 is about 1e-6: non-isotropic at 1e-9, isotropic at 1e-3
+        K = np.array([1.0, 1j * (1.0 + 1e-6), 0.0])
+        for _ in range(2):
+            assert classify(K, 1e-9).klass is NCClass.NON_ISOTROPIC
+            assert classify(K, 1e-3).klass is NCClass.ISOTROPIC
+        with pytest.raises(IsotropicInput):
+            unit_delta(K, 1e-3)
+        assert unit_delta(K, 1e-9)[1].shape == (3,)
+
+    def test_non_finite_raises_every_time_and_stores_nothing(self):
+        classify([1.0, 0.5j, 0.0])
+        memo = stabilizer._last
+        for _ in range(2):
+            for f in (classify, invariants, unit_delta, canonical_frame):
+                with pytest.raises(NonFiniteInput):
+                    f([np.nan, 1.0, 0.0])
+            with pytest.raises(NonFiniteInput):
+                isotropic_stabilizer_element(1.0, [np.nan, 1.0, 0.0])
+        assert stabilizer._last is memo
+
+    def test_results_do_not_share_the_memo(self):
+        K = np.array([1.0 + 0.5j, 0.3, 0.2j])
+        want = _frame_bytes(K)
+        _, delta = unit_delta(K)
+        delta[:] = 0.0
+        canonical_frame(K)[1][:] = 0.0
+        assert _frame_bytes(K) == want
+
+
+class TestNCParameterContract:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(NCParameter)]
+        assert names == ["K", "I1", "I2", "I", "mu", "klass", "subcase"]
+
+    def test_theta_from_K(self, rng):
+        # the migration path of the former NCParameter.theta: exact
+        for _ in range(20):
+            theta = rng.normal(size=(4, 4))
+            theta -= theta.T
+            assert K_to_theta(classify(theta_to_K(theta)).K).tobytes() == theta.tobytes()
 
 
 # ---------------------------------------------------------------------------
