@@ -168,7 +168,8 @@ def invariants(K) -> tuple[float, float, float, float]:
 
 
 # The private functions below take the 3-lists of complex 3-vectors that
-# their public callers have already coerced.
+# their public callers have already coerced; _viewed, and _null for a public
+# caller, take the coerced complex128 array itself.
 
 
 def _invariants(K: list) -> tuple[float, float, float, float]:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -510,7 +512,8 @@ def _frame_bytes(K, eps_iso=EPS_ISO):
     p = classify(K, eps_iso)
     kscalar, delta = unit_delta(K, eps_iso)
     S, kcanon = canonical_frame(K, eps_iso)
-    return _bits((p.I1, p.I2, p.I, p.mu, p.klass, p.subcase, kscalar)), delta.tobytes(), S.matrix.tobytes(), kcanon.tobytes()
+    scalars = _bits((p.I1, p.I2, p.I, p.mu, p.klass, p.subcase, kscalar))
+    return scalars, delta.tobytes(), S.matrix.tobytes(), kcanon.tobytes()
 
 
 class TestScaledViewMemo:
@@ -580,6 +583,32 @@ class TestScaledViewMemo:
         delta[:] = 0.0
         canonical_frame(K)[1][:] = 0.0
         assert _frame_bytes(K) == want
+
+    def test_threads_get_their_own_view(self):
+        # more threads than cores, switching often: a view served for another
+        # thread's K would change the bytes of some result
+        Ks = [np.array([1.0 + 0.5j, 0.3, 0.2j]) * (i + 1) + 0.1j * i for i in range(4)]
+        want = [_frame_bytes(K) for K in Ks]
+        wrong = []
+        start = threading.Barrier(len(Ks))
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(300):
+                if _frame_bytes(Ks[i]) != want[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(Ks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 class TestNCParameterContract:
