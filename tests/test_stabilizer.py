@@ -524,6 +524,7 @@ class TestScaledViewMemo:
         calls = []
         view = stabilizer._view
         monkeypatch.setattr(stabilizer, "_view", lambda K, eps: calls.append(K) or view(K, eps))
+        monkeypatch.setattr(stabilizer, "_last", (None, None))  # whatever an earlier test viewed
         K = np.array([1.0 + 0.5j, 0.3, 0.2j])
         classify(K)
         invariants(K)
