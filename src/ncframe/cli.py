@@ -17,16 +17,19 @@ integers as integers loses the sign of -0 (``json.loads`` does, unless
 given ``parse_int=float``).
 
 classify, stabilizer and reduce read one scaled view of K, the exact
-Ks = 2^-exponent K of ``stabilizer._view``, and report its exponent: their
+Ks = 2^-exponent K of ``_kernels._view``, and report its exponent: their
 invariants, Kscalar and K_canonical are those of Ks, so no report under- or
 overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
 
-Every command runs on the list-level kernels of the library, so none
-imports numpy, except stabilizer --count N > 0, which draws its N random
-parameters from numpy.random.  The isotropic parameter z of stabilizer
-(given with --z or drawn from uniform(-1.5, 1.5)) is dimensionless: the
-element is O(z k) with k = Ks / ||Ks||, the unit direction of K, so it is
-the z of ``isotropic_stabilizer_element(z, K)`` times ||K||.
+Every command runs on the list-level kernels of ``ncframe._kernels``, and
+this module imports only them, ``linalg`` and ``errors``: no numpy, no
+dataclasses and none of the public layer modules.  The one exception is
+stabilizer --count N > 0, which imports ``ncframe.sampling`` (and numpy
+with it) to draw its N random parameters from numpy.random.  The isotropic
+parameter z of stabilizer (given with --z or drawn from uniform(-1.5, 1.5))
+is dimensionless: the element is O(z k) with k = Ks / ||Ks||, the unit
+direction of K, so it is the z of ``isotropic_stabilizer_element(z, K)``
+times ||K||.
 """
 
 from __future__ import annotations
@@ -37,25 +40,14 @@ import math
 import sys
 
 from . import __version__
-from .electrodynamics import (
-    DUAL_TOL,
-    UnitSystem,
-    _dual_residual,
-    _f_of,
-    _forward,
-    _h_of,
-    _mapped,
-    _real_forward,
-    _scale,
-    _state,
-    quarter_turn,
+from ._kernels import (
+    DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _canonical, _check_spinor, _check_units, _compose,
+    _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta, _lorentz4,
+    _mapped, _project, _real_forward, _scale, _small_group, _so3c, _spinor_scale, _state,
+    _theta_to_K, _view, quarter_turn,
 )
 from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
-from .factorization import FactorOrder, _factors, _isotropic_sign
-from .group import _check_spinor, _compose, _lorentz4, _project, _small_group, _so3c, _spinor_scale
 from .linalg import _apply, _dot, _norm
-from .sampling import default_rng, random_gamma
-from .stabilizer import EPS_ISO, NCClass, _canonical, _K_to_theta, _theta_to_K, _view
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -272,7 +264,7 @@ def cmd_stabilizer(args) -> dict:
             raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
         delta = split[1]
         report["delta"] = delta
-        flag, draw = args.gamma, random_gamma
+        flag, draw = args.gamma, None  # sampling.random_gamma, imported below
         entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, tol)  # noqa: E731
     else:
         if args.gamma is not None:
@@ -283,8 +275,11 @@ def cmd_stabilizer(args) -> dict:
         unit = [x / nrm for x in Ks]  # so z is dimensionless, like the unit delta
         entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, tol)  # noqa: E731
     params = [] if flag is None else [_parse_complex_flag(flag)]
-    if args.count > 0:  # the generator, and numpy.random with it, only when sampling
-        rng = default_rng(args.seed)
+    if args.count > 0:  # ncframe.sampling, and numpy with it, only when sampling
+        from . import sampling
+
+        rng = sampling.default_rng(args.seed)
+        draw = draw or sampling.random_gamma
         params.extend(draw(rng) for _ in range(args.count))
     elements = [entry(p) for p in params]
     report["elements"] = elements
@@ -365,24 +360,27 @@ def _dual_pass(rows, tol: float) -> bool:
     return all(r["residual"] <= tol for r in rows if r["expected_invariant"])
 
 
-def _fields(args) -> tuple[dict, list, list, list, UnitSystem]:
-    """(input document, K, E, B, units) of a field-state command."""
+def _fields(args) -> tuple[dict, list, list, list]:
+    """(input document, K, E, B) of a field-state command, after the
+    ``UnitSystem`` check of --c and --epsilon0."""
     doc = _read_doc(args)
     _, K = _parse_theta(doc)
     E = _real_values(doc, "E", 3)
     B = _real_values(doc, "B", 3)
-    return doc, K, E, B, UnitSystem(c=args.c, epsilon0=args.epsilon0)
+    _check_units(args.c, args.epsilon0)
+    return doc, K, E, B
 
 
 def cmd_constitutive(args) -> dict:
-    doc, K, E, B, units = _fields(args)
-    D, H = _real_forward(E, B, K, units)
-    f = _f_of(E, B, units)
+    doc, K, E, B = _fields(args)
+    c, eps0 = args.c, args.epsilon0
+    D, H = _real_forward(E, B, K, c, eps0)
+    f = _f_of(E, B, c)
     h = _mapped(_forward, f, K)
-    cross = _norm([x - y for x, y in zip(_h_of(D, H, units), h)]) / _scale(f, K)
+    cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
     tol = args.tol if args.tol is not None else 1e-12
     report = _base_report(args, "constitutive", doc, tol)
-    report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
+    report["units"] = {"c": c, "epsilon0": eps0}
     report["D"] = D
     report["H"] = H
     report["f"] = f
@@ -398,14 +396,14 @@ def cmd_constitutive(args) -> dict:
 
 
 def cmd_dual_scan(args) -> dict:
-    doc, K, E, B, units = _fields(args)
+    doc, K, E, B = _fields(args)
     if args.steps < 4:
         raise CliError("--steps must be at least 4", EXIT_MALFORMED)
-    state = _state(None, _f_of(E, B, units), K, gram=True)
+    state = _state(None, _f_of(E, B, args.c), K, gram=True)
     tol = args.tol if args.tol is not None else DUAL_TOL
     rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, "dual-scan", doc, tol)
-    report["units"] = {"c": units.c, "epsilon0": units.epsilon0}
+    report["units"] = {"c": args.c, "epsilon0": args.epsilon0}
     report["scan"] = rows
     report["pass"] = _dual_pass(rows, tol)
     return report

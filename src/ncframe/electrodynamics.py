@@ -24,14 +24,15 @@ two relations.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import NonFiniteInput
-from .group import SpinorElement, _so3c
-from .linalg import _WINDOW, _apply, _conj, _dot, _exponent, _ldexp, _norm, np, rvec3, vec3
+from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public here too
+    DUAL_TOL, QUARTER_TOL, _check_units, _dual_residual, _f_of, _forward, _gram, _h_of, _inverse,
+    _mapped, _real_forward, _real_normalized, _scale, _so3c, _state, _turn, quarter_turn,
+)
+from .group import SpinorElement
+from .linalg import _apply, _conj, _dot, _ldexp, _norm, np, rvec3, vec3
 
 if TYPE_CHECKING:
     from .linalg import ComplexVec3
@@ -45,10 +46,7 @@ class UnitSystem:
     epsilon0: float = 1.0
 
     def __post_init__(self):
-        # the real routes divide by c * epsilon0, so it must be a normal float
-        ce = self.c * self.epsilon0
-        if not (self.c > 0 and self.epsilon0 > 0 and sys.float_info.min <= ce <= sys.float_info.max):
-            raise ValueError("c and epsilon0 must be positive, with a finite normal product")
+        _check_units(self.c, self.epsilon0)
 
     @classmethod
     def natural(cls) -> "UnitSystem":
@@ -78,34 +76,17 @@ class FieldState:
 
     @property
     def f(self) -> ComplexVec3:
-        return np.array(_f_of(self.E.tolist(), self.B.tolist(), self.units))
+        return np.array(_f_of(self.E.tolist(), self.B.tolist(), self.units.c))
 
     @property
     def h(self) -> ComplexVec3:
-        return np.array(_h_of(self.D.tolist(), self.H.tolist(), self.units))
+        return np.array(_h_of(self.D.tolist(), self.H.tolist(), self.units.c, self.units.epsilon0))
 
     @classmethod
     def from_eb(cls, E, B, K, units: UnitSystem = NATURAL) -> "FieldState":
         """Build the full state from (E, B) using the forward constitutive relation."""
         D, H = constitutive_real_forward(E, B, K, units)
         return cls(E=E, B=B, D=D, H=H, units=units)
-
-
-def _f_of(E: list, B: list, units: UnitSystem) -> list:
-    """f = E + i c B of :class:`FieldState`, on 3-lists."""
-    c = units.c
-    return [x + 1j * c * y for x, y in zip(E, B)]
-
-
-def _h_of(D: list, H: list, units: UnitSystem) -> list:
-    """h = (D + i H / c) / epsilon0 of :class:`FieldState`, on 3-lists.
-
-    Each part is multiplied by the reciprocals of c and epsilon0, as numpy's
-    complex division by a real number does, so every part keeps the value it
-    had as that array expression (a zero part can take the other sign).
-    """
-    rc, re = 1.0 / units.c, 1.0 / units.epsilon0
-    return [complex(x * re, y * rc * re) for x, y in zip(D, H)]
 
 
 def residual_scale(f, K) -> float:
@@ -116,128 +97,13 @@ def residual_scale(f, K) -> float:
     return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
-#: Distance, in quarter turns, within which a dual angle counts as a quarter
-#: turn.  A chi that close to q pi/2 snaps to it: the dual rotation and its
-#: residual take the exact cos and sin of q pi/2, not cos and sin of chi.
-QUARTER_TOL = 1e-9
-
-#: Largest dual_invariance_residual that passes at a quarter turn.
-DUAL_TOL = 1e-10
-
-
-def quarter_turn(chi: float) -> tuple[int, bool]:
-    """Nearest quarter-turn index q = round(chi / (pi/2)), and whether chi lies on it.
-
-    chi lies on q when |chi / (pi/2) - q| < QUARTER_TOL and that quotient's
-    own rounding, |chi / (pi/2)| 2**-52, is below QUARTER_TOL too, so that no
-    angle beyond about 7e6 lies on a quarter turn.  q is not reduced modulo
-    4, so an odd q means the quarter turn exchanges f and h.
-    Raises :class:`NonFiniteInput` for a NaN or infinite chi.
-    """
-    if not math.isfinite(chi):
-        raise NonFiniteInput(f"dual angle must be finite, got {chi}")
-    quarter = chi / (math.pi / 2)
-    q = round(quarter)
-    # the quotient itself is rounded by up to |quarter| 2**-52 quarter turns:
-    # past QUARTER_TOL of that (|chi| above about 7e6), no chi lies on q
-    return q, abs(quarter - q) < QUARTER_TOL and abs(quarter) * 2.0**-52 < QUARTER_TOL
-
-
-# (cos, sin) of q pi/2 for q = 0..3 modulo 4, exactly: math.cos(pi/2) is 6.1e-17
-_QUARTER_COS_SIN = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-
-def _turn(chi: float) -> tuple[int, float, float]:
-    """(q, cos chi, sin chi) with q from :func:`quarter_turn`, exact where chi lies on q."""
-    q, on = quarter_turn(chi)
-    if on:
-        return (q, *_QUARTER_COS_SIN[q % 4])
-    return q, math.cos(chi), math.sin(chi)
-
-
-# The private functions below compute on 3-lists of Python complex (or float)
-# numbers, the ``tolist()`` of vectors that their public callers coerced with
-# vec3 or rvec3, through the scalar kernels of ``linalg``.
-
-
-def _scale(f: list, K: list) -> float:
-    nf = _norm(f)
-    s = nf * (1.0 + _norm(K) * nf)
-    return 1.0 if s == 0.0 else s
-
-
-def _forward(f: list, K: list) -> list:
-    fc = _conj(f)
-    p, w = 1.0 + _dot(fc, _conj(K)), 0.5 * _dot(fc, fc)
-    return [p * x + w * k for x, k in zip(f, K)]
-
-
-def _inverse(h: list, K: list) -> list:
-    hc = _conj(h)
-    p, w = 1.0 - _dot(hc, _conj(K)), 0.5 * _dot(hc, hc)
-    return [p * x - w * k for x, k in zip(h, K)]
-
-
-def _inside(f: list, K: list) -> tuple[float, bool]:
-    """(||f|| (1 + ||K|| ||f||), whether ||f|| and that scale lie inside ``_WINDOW``, so the scale is > 0)."""
-    nf = _norm(f)
-    scale = nf * (1.0 + _norm(K) * nf)
-    return scale, _WINDOW[0] <= nf and scale <= _WINDOW[1]
-
-
-def _mapped(form, f: list, K: list) -> list:
-    """2**e form(2**-e f, 2**e K) with e from :func:`_normalized`: the forward
-    (``form`` = ``_forward``) or inverse (``_inverse``) map on 3-lists."""
-    f, K, _, e = _normalized(f, K)
-    return _ldexp(form(f, K), e)
-
-
-def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
-    """(2**-e f, 2**e K, residual_scale of those, e), rescaled exactly when
-    ||f|| or the scale is outside ``_WINDOW``, with e the exponent of the
-    largest part of f; else (f, K, scale, 0).
-
-    |f.f|, |f.h| and |h.h| are at most a few scale**2, so inside the window
-    none overflows and f.f does not underflow.  h scales with f, so each of
-    the four maps (of h, for the inverses) is evaluated as 2**e map(2**-e f,
-    2**e K), and both residuals, being relative, on the rescaled pair; where
-    the unscaled dots are normal floats, the rescaling changes no result.
-    K 2**e overflows only if ||K|| ||f|| does.
-    """
-    scale, inside = _inside(f, K)
-    if inside:
-        return f, K, scale, 0
-    e = _exponent(f)
-    if e:
-        f, K = _ldexp(f, -e), _ldexp(K, e)
-    return f, K, _scale(f, K), e
-
-
-# A field state is (key, f, K, h, scale, gram): f, K and scale from
-# _normalized, h = forward(f, K), and gram the bilinear dots (f.f, f.h, f.K,
-# h.h, h.K), or None where no dual residual has asked for them
-# (covariance_residual never does).  A dual scan evaluates many angles on one
-# field state, so they are computed once per state.
-#
-# _memo is the state of the last (f, K) that a public residual read, with key
-# the raw bytes of f and K as given.  The key is the exact bytes, so a
-# mutated input or a zero of the other sign misses and every result keeps its
-# bits.  The tuple is replaced in one assignment and read once per call, so
-# concurrent callers at worst miss; nothing in it leaves the module, so no
-# caller can mutate it.
+# _memo is the field state (``_kernels._state``) of the last (f, K) that a
+# public residual read, with key the raw bytes of f and K as given.  The key
+# is the exact bytes, so a mutated input or a zero of the other sign misses
+# and every result keeps its bits.  The tuple is replaced in one assignment
+# and read once per call, so concurrent callers at worst miss; nothing in it
+# leaves the module, so no caller can mutate it.
 _memo: tuple = (b"", None, None, None, 1.0, None)
-
-
-def _state(key, f: list, K: list, gram: bool = False) -> tuple:
-    """The field state of the 3-lists f and K under ``key``, with its gram
-    when ``gram`` is set."""
-    f, K, scale, _ = _normalized(f, K)
-    h = _forward(f, K)
-    return key, f, K, h, scale, (_gram(f, K, h) if gram else None)
-
-
-def _gram(f: list, K: list, h: list) -> tuple:
-    return _dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)
 
 
 def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
@@ -263,29 +129,6 @@ def constitutive_inverse(h, K) -> ComplexVec3:
     return np.array(_mapped(_inverse, vec3(h).tolist(), vec3(K).tolist()))
 
 
-def _real_normalized(x: list, y: list, K: list, form, factors) -> tuple[list, list, list, list, int]:
-    """(u, v, n, m, e) with (u, v) = form(2**-e x, 2**-e y) and n + i*m = 2**e K.
-
-    ``form`` is a real route's map from its input pair to the parts of f (or
-    of h): it multiplies or divides x and y by unit constants, of the sizes
-    ``factors``.  e is 0 when u + i*v and K pass the window test of
-    :func:`_normalized`, or when u + i*v is zero.  Else e is, up to one or
-    two, the exponent of the largest part of u + i*v, taken from the
-    exponents of x, y and the factors, and form acts on the rescaled pair:
-    in SI units c B overflows at B = 1e301, where H is finite.
-    """
-    u, v = form(x, y)
-    scale, inside = _inside([complex(a, b) for a, b in zip(u, v)], K)
-    e = 0
-    if not inside and scale != 0.0:
-        exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
-        e = max(exponents, default=0)
-        if e:
-            u, v = form(_ldexp(x, -e), _ldexp(y, -e))
-            K = _ldexp(K, e)
-    return u, v, [z.real for z in K], [z.imag for z in K], e
-
-
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     """(D, H) from (E, B) in real variables.
 
@@ -293,23 +136,8 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     :func:`constitutive_forward`; kept in real form so the two routes can
     serve as mutual checks.
     """
-    D, H = _real_forward(rvec3(E).tolist(), rvec3(B).tolist(), vec3(K).tolist(), units)
+    D, H = _real_forward(rvec3(E).tolist(), rvec3(B).tolist(), vec3(K).tolist(), units.c, units.epsilon0)
     return np.array(D), np.array(H)
-
-
-def _real_forward(E: list, B: list, K: list, units: UnitSystem) -> tuple[list, list]:
-    """(D, H) of :func:`constitutive_real_forward` as 3-lists, on 3-lists."""
-    c, eps0 = units.c, units.epsilon0
-    E, cB, n, m, e = _real_normalized(E, B, K, lambda x, y: (x, [c * b for b in y]), (1.0, c))
-    s1 = _dot(n, E) - _dot(m, cB)
-    s2 = _dot(m, E) + _dot(n, cB)
-    ecb = _dot(E, cB)
-    quad = 0.5 * (_dot(E, E) - _dot(cB, cB))
-    ceps0 = c * eps0
-    terms = list(zip(E, cB, n, m))
-    D = [eps0 * (a + s1 * a + s2 * b + ecb * y + quad * x) for a, b, x, y in terms]
-    H = [ceps0 * (b + s1 * b - s2 * a - ecb * x + quad * y) for a, b, x, y in terms]
-    return _ldexp(D, e), _ldexp(H, e)
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
@@ -385,24 +213,6 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     per field state, so each further angle costs a few scalar operations.
     """
     return _dual_residual(_base(vec3(f), vec3(K), gram=True), chi, swapped)
-
-
-def _dual_residual(state: tuple, chi: float, swapped: bool | None = None) -> float:
-    """:func:`dual_invariance_residual` on a field state with its gram."""
-    _, f, K, h, scale, (ff, fh, fK, hh, hK) = state
-    q, c, s = _turn(chi)
-    if swapped is None:
-        swapped = q % 2 == 1
-    e, i_s = complex(c, s), 1j * s
-    if swapped:
-        u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()
-        w = 0.5 * (c * c * hh + 2j * c * s * fh - s * s * ff).conjugate() * e
-        alpha, beta, gamma = c - u * i_s, i_s - u * c, w
-    else:
-        u = 1.0 + (e * (c * fK + i_s * hK)).conjugate()
-        w = -0.5 * (c * c * ff + 2j * c * s * fh - s * s * hh).conjugate() * e
-        alpha, beta, gamma = i_s - u * c, c - u * i_s, w
-    return _norm([alpha * x + beta * y + gamma * z for x, y, z in zip(f, h, K)]) / scale
 
 
 @dataclass(frozen=True)

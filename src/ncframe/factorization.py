@@ -9,19 +9,14 @@ rather than folded into the factors.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
+from ._kernels import EPS_ISO, FactorOrder, _factors, _isotropic_sign
 from .errors import NotIsotropic, NotIsotropicElement
-from .group import SpinorElement, _check_spinor, _trusted, spinor_compose
-from .linalg import DEFAULT_TOL, _cross, _dot, np, vec3
-from .stabilizer import EPS_ISO, _null
-
-
-class FactorOrder(str, enum.Enum):
-    ROTATION_FIRST = "rotation-first"   # element = rotation o boost
-    BOOST_FIRST = "boost-first"         # element = boost o rotation
+from .group import SpinorElement, _trusted, spinor_compose
+from .linalg import _cross, _dot, np, vec3
+from .stabilizer import _null_viewed
 
 
 @dataclass(frozen=True)
@@ -51,36 +46,6 @@ def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     rotation = _trusted(SpinorElement, k0=a0, k=np.array(a))
     boost = _trusted(SpinorElement, k0=b0, k=np.array(bk))
     return _trusted(RotationBoostPair, rotation=rotation, boost=boost, order=order, sign=sign)
-
-
-def _factors(k0: complex, k: list, order: FactorOrder) -> tuple[tuple, tuple, int]:
-    """((a0, a), (b0, b), sign): the rotation and boost of :func:`_factor`
-    as (k0, 3-list of k) pairs of Python complex numbers, for the 3-list of
-    k of a checked element."""
-    # Neither factor is checked again.  The rotation has a0^2 + a.a = 1 up to
-    # rounding.  The boost has k0^2 - k.k - 1 = Re(eps) + Im(eps)^2 / (4 r^2),
-    # where eps = k0^2 - k.k - 1 of b, and a scale at most b's.  A checked b
-    # has |m0|, ||m|| <= r (1 + DEFAULT_TOL), so every product and partial
-    # sum of the boost numerator stays near r^2 or below, and both factors
-    # are finite while 4 r^2 is.  Beyond that (entries near 1e154) both get
-    # the SpinorElement check, as they always have.
-    n0, m0 = k0.real, k0.imag
-    n, m = [-z.imag for z in k], [z.real for z in k]
-    r2 = n0 * n0 + _dot(n, n)
-    r = math.sqrt(r2)
-    cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
-    bk = [complex((n0 * x - m0 * y + cross_sign * c) / r) for x, y, c in zip(m, n, _cross(m, n))]
-    # r >= 1 in exact arithmetic; max() keeps b0 >= 1 after rounding
-    boost = complex(max(r, 1.0)), bk
-    a0, a = n0 / r, [x / r for x in n]
-    sign = 1
-    if a0 < 0.0:
-        a0, a, sign = -a0, [-x for x in a], -1
-    rotation = complex(a0), [-1j * x for x in a]
-    if not math.isfinite(4.0 * r2):
-        _check_spinor(*boost)
-        _check_spinor(*rotation)
-    return rotation, boost, sign
 
 
 def factor_rotation_boost(b: SpinorElement) -> RotationBoostPair:
@@ -114,16 +79,7 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     The family is k0 = +-1 within DEFAULT_TOL and k.k = 0 within eps_iso
     relative to ||k||^2: the elements :func:`factor_isotropic` accepts.
     """
-    return _isotropic_sign(b.k0, b.k, eps_iso)
-
-
-def _isotropic_sign(k0: complex, k, eps_iso: float) -> int:
-    """:func:`isotropic_sign` of (k0, k), for k as :func:`stabilizer._null`
-    takes it: the complex128 array of b, or the 3-list of the CLI."""
-    sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
-    if abs(k0 - sgn) > DEFAULT_TOL:
-        return 0
-    return sgn if _null(k, eps_iso) else 0
+    return _isotropic_sign(b.k0, b.k, eps_iso, _null_viewed)
 
 
 def factor_isotropic(
@@ -155,7 +111,7 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    if not k.any() or not _null(k, eps_iso):
+    if not k.any() or not _null_viewed(k, eps_iso):
         raise NotIsotropic("k.k must vanish within tolerance")
     z = lam * np.exp(1j * sigma)
     kp = z * k

@@ -15,25 +15,14 @@ the same image.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import linalg
+from ._kernels import _check_spinor, _compose, _exceeds, _lorentz4, _projection_root, _small_group, _so3c
 from .errors import ConstraintViolation, NonUnitAxis, NotPureElement
-from .linalg import (
-    DEFAULT_TOL,
-    _cross,
-    _dot,
-    _lazy_names,
-    _norm,
-    det3,
-    inf_norm,
-    np,
-    rvec3,
-    vec3,
-)
+from .linalg import DEFAULT_TOL, _dot, _lazy_names, _norm, det3, inf_norm, np, rvec3, vec3
 
 if TYPE_CHECKING:
     from .linalg import ComplexMat3, ComplexVec3, RealMat4
@@ -42,33 +31,11 @@ if TYPE_CHECKING:
 #: built on first access.
 __getattr__ = _lazy_names(globals(), {"ETA": lambda: linalg.ETA})
 
-# The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
-# power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
-# and they compute the scale only for a larger r.  Every square in a scale is
-# a product, not a float power: an entry beyond ~1e154 then gives an infinite
-# bound, which _exceeds refuses, where ``x ** 2`` raises OverflowError.
-
-
-def _exceeds(r: float, bound: float) -> bool:
-    """True unless r <= bound, the final test of every constructor check.
-
-    Written so that a NaN residual fails.  An infinite residual fails too,
-    even against the infinite bound that an infinite entry (or an overflowed
-    norm) gives: no valid element has one.
-    """
-    return not r <= bound or r == math.inf
-
 
 def _matrix_scale(m: np.ndarray) -> float:
     """max(1, ||m||_inf^2), the scale of the ComplexRotation and Lorentz4 checks."""
     x = inf_norm(m)
     return max(1.0, x * x)
-
-
-def _spinor_scale(k0: complex, k: list) -> float:
-    """max(1, |k0|^2 + ||k||^2), NaN for a NaN part: the scale of the spinor checks."""
-    a, n = abs(k0), _norm(k)
-    return max(a * a + n * n, 1.0)
 
 
 @dataclass(frozen=True)
@@ -123,16 +90,6 @@ class SpinorElement:
         return _trusted(SpinorElement, k0=self.k0, k=-self.k)
 
 
-def _check_spinor(k0: complex, k: list) -> None:
-    """The check of :class:`SpinorElement`, on k0 and the 3-list of k."""
-    det = k0 * k0 - _dot(k, k)
-    err = abs(det - 1.0)
-    if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, k)):
-        raise ConstraintViolation(
-            f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
-        )
-
-
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, unchecked.
 
@@ -161,38 +118,6 @@ def project_to_group(k0, k) -> SpinorElement:
     return SpinorElement(k0 / s, k / s)  # numpy's division, as always: see _project
 
 
-def _projection_root(k0: complex, k: list) -> complex:
-    """sqrt(k0^2 - k.k) on its principal branch (Re >= 0), for the 3-list of
-    k; ConstraintViolation where k0^2 - k.k is numerically zero."""
-    det = k0 * k0 - _dot(k, k)
-    if abs(det) < 1e-12 * _spinor_scale(k0, k):
-        raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
-    return cmath.sqrt(det)
-
-
-def _project(k0: complex, k: list) -> tuple[complex, list]:
-    """(k0, k) / sqrt(k0^2 - k.k) of :func:`project_to_group` on Python
-    scalars, unchecked, for the 3-list of k.
-
-    Each quotient is rounded as numpy's scalar complex division rounds it
-    (Smith's method, times the reciprocal of the denominator), not as
-    Python's (which divides by it).  That is project_to_group's k0, bit for
-    bit; its k comes from numpy's array loop, which agrees wherever the root
-    is real and can differ in the last bit elsewhere.
-    """
-    s = _projection_root(k0, k)
-    c, d = s.real, s.imag
-    if abs(c) >= abs(d):
-        rat = d / c
-        scl = 1.0 / (c + d * rat)
-        quotient = lambda z: complex((z.real + z.imag * rat) * scl, (z.imag - z.real * rat) * scl)  # noqa: E731
-    else:
-        rat = c / d
-        scl = 1.0 / (d + c * rat)
-        quotient = lambda z: complex((z.real * rat + z.imag) * scl, (z.imag * rat - z.real) * scl)  # noqa: E731
-    return quotient(k0), [quotient(z) for z in k]
-
-
 def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     """Product b1 * b2 in the 2x2 representation, expressed on coefficients.
 
@@ -203,12 +128,6 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     # Checked: the product's scale can be far below its factors' (b b^-1 is
     # the identity), so the factors' tolerance does not carry over.
     return SpinorElement(*_compose(b1.k0, b1.k.tolist(), b2.k0, b2.k.tolist()))
-
-
-def _compose(p: complex, u: list, q: complex, v: list) -> tuple[complex, list]:
-    """(p, u) * (q, v) of :func:`spinor_compose`, unchecked, on 3-lists."""
-    k = [p * y + q * x + 1j * c for x, y, c in zip(u, v, _cross(u, v))]
-    return p * q + _dot(u, v), k
 
 
 def _unit_axis(e) -> np.ndarray:
@@ -313,26 +232,6 @@ def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     return _trusted(ComplexRotation, matrix=np.array(_so3c(b.k0, b.k.tolist())))
 
 
-def _so3c(k0: complex, k: list) -> list:
-    """O(k) of :func:`so3c_from_spinor` as a 3x3 nested list of Python complex.
-
-    With -(k^x)^2 = (k.k) I - k k^T, the diagonal is 1 + 2 (k_j k_j + k_l k_l)
-    over the two other indices, which does not cancel, and an off-diagonal
-    entry is +-2i k0 k_l - 2 k_i k_j.  Each entry starts from the complex 0
-    or 1 of the identity, so, as in I + X, no part is a negative zero.
-    """
-    a, b, c = k
-    t = 2j * k0
-    ta, tb, tc = t * a, t * b, t * c
-    aa, bb, cc = a * a, b * b, c * c
-    ab, ac, bc = 2.0 * (a * b), 2.0 * (a * c), 2.0 * (b * c)
-    return [
-        [1 + 0j + 2.0 * (bb + cc), 0j - tc - ab, 0j + tb - ac],
-        [0j + tc - ab, 1 + 0j + 2.0 * (aa + cc), 0j - ta - bc],
-        [0j - tb - ac, 0j + ta - bc, 1 + 0j + 2.0 * (aa + bb)],
-    ]
-
-
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     """Real 4x4 Lorentz image, built entrywise from k0, k and their conjugates.
 
@@ -343,66 +242,10 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     return _trusted(Lorentz4, matrix=np.array(_lorentz4(b.k0, b.k.tolist())))
 
 
-def _lorentz4(k0: complex, k: list) -> list:
-    """L of :func:`lorentz4_from_spinor` as 4 rows of 4 Python floats."""
-    x, y, z = k
-    k0c = k0.conjugate()
-    px, py, pz = k0c * x, k0c * y, k0c * z
-    # k_i k_j^* for the three pairs; swapping i and j conjugates it, bit for bit
-    qyz, qzx, qxy = y * z.conjugate(), z * x.conjugate(), x * y.conjugate()
-    ax, ay, az, a0 = abs(x), abs(y), abs(z), abs(k0)
-    xx, yy, zz, a2 = ax * ax, ay * ay, az * az, a0 * a0
-    total = xx + yy + zz
-    # time row and column: -2 Re(k0^* k_i) -+ 2 Im(k_j k_l^*), (i, j, l) cyclic
-    tx, ty, tz = -2.0 * px.real, -2.0 * py.real, -2.0 * pz.real
-    cx, cy, cz = -2.0 * qyz.imag, -2.0 * qzx.imag, -2.0 * qxy.imag
-    # space block: 2 eps_ijl Im(k0^* k_l) + 2 Re(k_i k_j^*) off the diagonal
-    rx, ry, rz = 2.0 * px.imag, 2.0 * py.imag, 2.0 * pz.imag
-    sx, sy, sz = 2.0 * qyz.real, 2.0 * qzx.real, 2.0 * qxy.real
-    return [
-        [a2 + total, tx + cx, ty + cy, tz + cz],
-        [tx - cx, a2 + 2.0 * xx - total, rz + sz, -ry + sy],
-        [ty - cy, -rz + sz, a2 + 2.0 * yy - total, rx + sx],
-        [tz - cz, ry + sy, -rx + sx, a2 + 2.0 * zz - total],
-    ]
-
-
 def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     """The small-group element b(t; K) of :func:`_small_group` as a SpinorElement."""
     k0, k = _small_group(t, K)
     return _trusted(SpinorElement, k0=k0, k=np.array(k))
-
-
-def _small_group(t: complex, K: list) -> tuple[complex, list]:
-    """The small-group spinor b(t; K) = (cos w, -i (t/2) (sin w / w) K), w = (t/2) sqrt(K.K),
-    as (k0, the 3-list of k).
-
-    Every b(t; K) fixes K, and b(t1; K) b(t2; K) = b(t1 + t2; K).  cos w and
-    sin w / w are even and entire in w^2, so the branch of the root does not
-    matter and the family is continuous through K.K = 0, where it is
-    (1, -i (t/2) K).  t = gamma with K = Delta gives O(gamma, Delta), and
-    t = 2i z with an isotropic k gives O(z k).
-
-    The element is not checked again: k0^2 - k.k = cos^2 w + sin^2 w = 1 for
-    every K, up to rounding relative to the element's own scale.  Where that
-    scale is not finite (|Im w| above about 710), the SpinorElement check
-    decides.  cos w and sin w are cmath's, which equal numpy's bit for bit
-    where they are finite; where cmath raises instead (an OverflowError, or
-    a ValueError for an infinite Re w), no element exists and k0^2 - k.k is
-    NaN.  Python's complex division keeps sin w / w = 1 for a subnormal w,
-    where numpy's gives inf.
-    """
-    half = 0.5 * t
-    w = half * cmath.sqrt(_dot(K, K))
-    try:
-        k0, sin_w = cmath.cos(w), cmath.sin(w)
-    except (OverflowError, ValueError):
-        raise ConstraintViolation(f"k0^2 - k.k = nan: cos w, sin w not finite at w = {w}") from None
-    c = -1j * half * (sin_w / w if w else 1.0)
-    k = [c * x for x in K]
-    if not math.isfinite(_spinor_scale(k0, k)):
-        _check_spinor(k0, k)
-    return k0, k
 
 
 def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> dict:

@@ -14,11 +14,12 @@ Python scalars in their own modules.
 numpy loads only for the array arguments and results of the public
 functions, the checks of ``group.ComplexRotation`` and ``group.Lorentz4``
 and random draws (``ncframe.sampling``).  The list-level kernels that the
-public functions wrap, and that the CLI calls, take and return lists and
-never touch it.  Every module reaches numpy through the lazy binding ``np``
-below, and the array constants ``EYE3`` and ``ETA`` and the array aliases
-are built on first access, so importing the package, or calling only
-kernels, does not import numpy.
+public functions wrap, and that the CLI calls, live in ``ncframe._kernels``,
+which imports only this module's scalar kernels and ``errors``: no numpy
+and no dataclasses below that boundary.  Every module reaches numpy through
+the lazy binding ``np`` below, and the array constants ``EYE3`` and ``ETA``
+and the array aliases are built on first access, so importing the package,
+or calling only kernels, does not import numpy.
 """
 
 from __future__ import annotations

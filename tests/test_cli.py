@@ -137,7 +137,9 @@ _NUMPY_FREE_CHILD = """
 import contextlib, io, json, sys
 import ncframe
 imported = "numpy" in sys.modules
-sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+dataclasses_imported = "dataclasses" in sys.modules
+# from here on, importing numpy or dataclasses raises ImportError
+sys.modules["numpy"] = sys.modules["dataclasses"] = None
 from ncframe.cli import main
 results = {}
 for name, argv in json.loads(sys.argv[1]).items():
@@ -145,7 +147,9 @@ for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(out):
         code = main(argv)
     results[name] = [code, out.getvalue()]
-print(json.dumps({"numpy_after_import": imported, "results": results}))
+modules = sorted(name for name in sys.modules if name.startswith("ncframe"))
+print(json.dumps({"numpy_after_import": imported, "dataclasses_after_import": dataclasses_imported,
+                  "modules": modules, "results": results}))
 """
 
 
@@ -164,6 +168,9 @@ def test_goldens_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     assert child["numpy_after_import"] is False
+    assert child["dataclasses_after_import"] is False
+    # no public layer module: the commands run on ncframe._kernels alone
+    assert child["modules"] == ["ncframe", "ncframe._kernels", "ncframe.cli", "ncframe.errors", "ncframe.linalg"]
     for name, golden in cases.items():
         code, out = child["results"][name]
         assert code == golden["exit_code"], name
@@ -181,6 +188,13 @@ def test_overflowing_gamma_is_refused_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["overflow"] == [2, ""]
     assert "k0^2 - k.k = nan" in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_kernels_import_without_numpy_or_dataclasses():
+    code = ('import sys; sys.modules["numpy"] = sys.modules["dataclasses"] = None\n'
+            "import ncframe._kernels")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # The commands that report the scaled view of K.
@@ -300,6 +314,18 @@ class TestExitCodes:
         doc = {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
         code, _ = run_cli([*argv, "--c", "1e-200", "--epsilon0", "1e-200"], doc, tmp_path, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("units", [["--c", "0"], ["--c", "-1"], ["--epsilon0", "nan"],
+                                       ["--c", "1e200", "--epsilon0", "1e200"]])
+    @pytest.mark.parametrize("argv", [["constitutive"], ["dual-scan"]])
+    def test_units_are_checked(self, argv, units, tmp_path, capsys):
+        # the UnitSystem check, run on the floats of --c and --epsilon0
+        infile = tmp_path / "input.json"
+        infile.write_text('{"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}')
+        assert main([*argv, *units, "--in", str(infile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ncframe: c and epsilon0 must be positive, with a finite normal product\n"
 
     def test_fields_near_the_largest_float(self, tmp_path, capsys):
         # the dual residuals and the maps rescale (f, K): D and H of 1.5e308

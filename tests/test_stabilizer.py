@@ -624,6 +624,22 @@ class TestNCParameterContract:
             theta -= theta.T
             assert K_to_theta(classify(theta_to_K(theta)).K).tobytes() == theta.tobytes()
 
+    def test_fields_do_not_alias_the_input(self):
+        # a complex128 input passes vec3 as the same array; the frozen
+        # results must not follow a later mutation of it
+        K = np.array([1 + 0.5j, 0.3, 0.2j])
+        p = classify(K)
+        K[0] = 5
+        assert p.K[0] == 1 + 0.5j and p.I1 == pytest.approx(0.8)
+        delta = np.array([1.0 + 0j, 0.0, 0.0])
+        elem = stabilizer_element(0.3, delta)
+        delta[0] = 5
+        assert elem.delta[0] == 1
+        k = np.array([1.0 + 0j, 1j, 0.0])
+        elem = isotropic_stabilizer_element(0.3, k)
+        k[0] = 5
+        assert elem.k[0] == 1
+
 
 # ---------------------------------------------------------------------------
 # Both stabilizer families and the reducing boost are one small-group spinor
