@@ -41,6 +41,8 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
+__all__ = ["errors", *_HOME]
+
 
 def __getattr__(name: str):
     if name not in _HOME:
@@ -54,56 +56,3 @@ def __dir__() -> list:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ETA",
-    "EPS_ISO",
-    "NATURAL",
-    "ComplexRotation",
-    "DualFrame",
-    "FactorOrder",
-    "FieldState",
-    "K_to_theta",
-    "Lorentz4",
-    "NCClass",
-    "NCParameter",
-    "RotationBoostPair",
-    "SpinorElement",
-    "StabilizerElement",
-    "Subcase",
-    "UnitSystem",
-    "bilinear_dot",
-    "canonical_frame",
-    "classify",
-    "constitutive_forward",
-    "constitutive_inverse",
-    "constitutive_real_forward",
-    "constitutive_real_inverse",
-    "covariance_residual",
-    "dual_invariance_residual",
-    "dual_transform",
-    "errors",
-    "factor_boost_rotation",
-    "factor_isotropic",
-    "factor_rotation_boost",
-    "gr_constraint_residual",
-    "gr_from_fields",
-    "hnorm",
-    "inf_norm",
-    "invariants",
-    "isotropic_sign",
-    "isotropic_stabilizer_element",
-    "lorentz4_from_spinor",
-    "maxwell_variable_check",
-    "project_to_group",
-    "reduce_to_real",
-    "scale_freedom_report",
-    "so3c_from_spinor",
-    "spinor_compose",
-    "spinor_from_boost",
-    "spinor_from_rotation",
-    "stabilizer_element",
-    "theta_to_K",
-    "unit_delta",
-    "verify_su2_boost_identities",
-]

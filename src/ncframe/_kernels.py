@@ -2,11 +2,13 @@
 functions of ``group``, ``stabilizer``, ``factorization`` and
 ``electrodynamics`` wrap.
 
-They take and return Python scalars and (nested) lists.  This module imports
-only ``math``, ``cmath``, ``enum``, ``sys``, ``errors`` and the scalar
-kernels of ``linalg``: no numpy and no dataclasses below it.  The public
-modules import back the names defined here (``stabilizer.NCClass`` is
-``_kernels.NCClass``), so a CLI child loads this module and not them.
+They take and return Python scalars and (nested) lists.  This module is the
+numpy boundary of the package: it imports only ``math``, ``cmath``, ``enum``,
+``sys`` and ``errors``, so no numpy and no dataclasses below it.  The public
+modules, numpy's side, import the names defined here (``stabilizer.NCClass``
+is ``_kernels.NCClass``, ``linalg.DEFAULT_TOL`` is ``_kernels.DEFAULT_TOL``),
+and the CLI imports only this module and ``errors``, so a CLI child loads
+neither numpy nor a public module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,70 @@ import math
 import sys
 
 from .errors import ConstraintViolation, DegenerateDelta, NonFiniteInput, NotAntisymmetric, NotUnitDelta
-from .linalg import _WINDOW, DEFAULT_TOL, _apply, _conj, _cross, _dot, _exponent, _ldexp, _norm
+
+#: Default relative tolerance for all residual checks.
+DEFAULT_TOL = 1e-10
+
+
+# linalg: the scalar kernels.  They compute on 3-lists of Python complex (or
+# float) numbers, the ``tolist()`` of vectors that their callers coerced with
+# ``linalg.vec3`` or ``linalg.rvec3``: on a 3-vector, numpy's per-call
+# overhead costs more than the arithmetic.  Every module does its 3-vector
+# arithmetic through them.  Dots sum left to right and squares are products,
+# so an overflow gives inf or NaN, never a Python exception.
+
+
+def _dot(u: list, v: list) -> complex:
+    """Bilinear u.v, summed left to right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: list, v: list) -> list:
+    """Vector product u x v."""
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _conj(v: list) -> list:
+    return [z.conjugate() for z in v]
+
+
+def _norm(v: list) -> float:
+    """Hermitian magnitude: math.hypot of the six parts, which cannot overflow early."""
+    a, b, c = v
+    return math.hypot(a.real, a.imag, b.real, b.imag, c.real, c.imag)
+
+
+def _apply(O: list, v: list) -> list:
+    """O v for a 3x3 nested list O."""
+    return [_dot(row, v) for row in O]
+
+
+# Exact power-of-two scaling.  Inside _WINDOW a squared norm and a
+# non-isotropic |K.K| are normal floats; outside it, a homogeneous formula is
+# evaluated on 2**-e v, e = _exponent(v), and its result scaled back.
+_WINDOW = (2.0**-450, 2.0**450)
+
+
+def _exponent(v: list) -> int:
+    """The frexp exponent of the largest real or imaginary part of v."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in v))[1]
+
+
+def _ldexp(z, e: int):
+    """2**e z for a real or complex scalar or a 3-list of them: z itself when
+    e is 0.  Unlike z * 2.0**e, it keeps signed zeros and takes any e.  An
+    overflow gives a signed inf, without a warning."""
+    if not e:
+        return z
+    if isinstance(z, list):
+        return [_ldexp(x, e) for x in z]
+    if isinstance(z, complex):
+        return complex(_ldexp(z.real, e), _ldexp(z.imag, e))
+    try:
+        return math.ldexp(z, e)
+    except OverflowError:
+        return math.copysign(math.inf, z)
+
 
 # group: the spinor check, composition, projection and the two images.
 

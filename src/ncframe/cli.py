@@ -21,9 +21,9 @@ Ks = 2^-exponent K of ``_kernels._view``, and report its exponent: their
 invariants, Kscalar and K_canonical are those of Ks, so no report under- or
 overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
 
-Every command runs on the list-level kernels of ``ncframe._kernels``, and
-this module imports only them, ``linalg`` and ``errors``: no numpy, no
-dataclasses and none of the public layer modules.  The one exception is
+Every command runs on the list-level kernels of ``ncframe._kernels``, the
+package's numpy boundary, and this module imports only them and ``errors``:
+no numpy, no dataclasses and none of the public modules.  The one exception is
 stabilizer --count N > 0, which imports ``ncframe.sampling`` (and numpy
 with it) to draw its N random parameters from numpy.random.  The isotropic
 parameter z of stabilizer (given with --z or drawn from uniform(-1.5, 1.5))
@@ -41,13 +41,12 @@ import sys
 
 from . import __version__
 from ._kernels import (
-    DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _canonical, _check_spinor, _check_units, _compose,
-    _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta, _lorentz4,
-    _mapped, _project, _real_forward, _scale, _small_group, _so3c, _spinor_scale, _state,
-    _theta_to_K, _view, quarter_turn,
+    DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _apply, _canonical, _check_spinor, _check_units,
+    _compose, _dot, _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta,
+    _lorentz4, _mapped, _norm, _project, _real_forward, _scale, _small_group, _so3c, _spinor_scale,
+    _state, _theta_to_K, _view, quarter_turn,
 )
 from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
-from .linalg import _apply, _dot, _norm
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -256,6 +255,8 @@ def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol
 
 
 def cmd_stabilizer(args) -> dict:
+    if args.count < 0:
+        raise CliError("--count must not be negative", EXIT_MALFORMED)
     report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "stabilizer")
     if klass is NCClass.COMMUTATIVE:
         raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)

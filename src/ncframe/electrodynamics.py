@@ -25,17 +25,16 @@ two relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public here too
-    DUAL_TOL, QUARTER_TOL, _check_units, _dual_residual, _f_of, _forward, _gram, _h_of, _inverse,
-    _mapped, _real_forward, _real_normalized, _scale, _so3c, _state, _turn, quarter_turn,
+    DUAL_TOL, QUARTER_TOL, _apply, _check_units, _conj, _dot, _dual_residual, _f_of, _forward,
+    _gram, _h_of, _inverse, _ldexp, _mapped, _norm, _real_forward, _real_normalized, _scale, _so3c,
+    _state, _turn, quarter_turn,
 )
 from .group import SpinorElement
-from .linalg import _apply, _conj, _dot, _ldexp, _norm, np, rvec3, vec3
-
-if TYPE_CHECKING:
-    from .linalg import ComplexVec3
+from .linalg import ComplexVec3, rvec3, vec3
 
 
 @dataclass(frozen=True)

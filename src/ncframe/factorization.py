@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._kernels import EPS_ISO, FactorOrder, _factors, _isotropic_sign
+import numpy as np
+
+from ._kernels import EPS_ISO, FactorOrder, _cross, _dot, _factors, _isotropic_sign
 from .errors import NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, _trusted, spinor_compose
-from .linalg import _cross, _dot, np, vec3
+from .linalg import vec3
 from .stabilizer import _null_viewed
 
 

@@ -17,19 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from . import linalg
-from ._kernels import _check_spinor, _compose, _exceeds, _lorentz4, _projection_root, _small_group, _so3c
+import numpy as np
+
+from ._kernels import (
+    DEFAULT_TOL, _check_spinor, _compose, _dot, _exceeds, _lorentz4, _norm, _projection_root,
+    _small_group, _so3c,
+)
 from .errors import ConstraintViolation, NonUnitAxis, NotPureElement
-from .linalg import DEFAULT_TOL, _dot, _lazy_names, _norm, det3, inf_norm, np, rvec3, vec3
-
-if TYPE_CHECKING:
-    from .linalg import ComplexMat3, ComplexVec3, RealMat4
-
-#: ETA, the Minkowski metric with signature (+, -, -, -), is ``linalg.ETA``,
-#: built on first access.
-__getattr__ = _lazy_names(globals(), {"ETA": lambda: linalg.ETA})
+from .linalg import ETA, EYE3, ComplexMat3, ComplexVec3, RealMat4, det3, inf_norm, rvec3, vec3
 
 
 def _matrix_scale(m: np.ndarray) -> float:
@@ -166,7 +162,7 @@ class ComplexRotation:
             raise ConstraintViolation(f"expected 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = None
-        resid = inf_norm(m.T @ m - linalg.EYE3)
+        resid = inf_norm(m.T @ m - EYE3)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
             if _exceeds(resid, DEFAULT_TOL * scale):
@@ -180,7 +176,7 @@ class ComplexRotation:
 
     @classmethod
     def identity(cls) -> "ComplexRotation":
-        return cls(linalg.EYE3)
+        return cls(EYE3)
 
     def apply(self, v) -> ComplexVec3:
         return self.matrix @ vec3(v)
@@ -198,8 +194,7 @@ class Lorentz4:
             raise ConstraintViolation(f"expected 4x4, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         scale = None
-        eta = linalg.ETA
-        resid = inf_norm(m.T @ eta @ m - eta)
+        resid = inf_norm(m.T @ ETA @ m - ETA)
         if not resid <= DEFAULT_TOL:
             scale = _matrix_scale(m)
             if _exceeds(resid, DEFAULT_TOL * scale):
@@ -263,13 +258,13 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix
-    residuals = {"orthogonality": inf_norm(O.T @ O - linalg.EYE3)}
+    residuals = {"orthogonality": inf_norm(O.T @ O - EYE3)}
     if is_rotation:
         kind = "rotation"
         residuals["realness"] = inf_norm(O.imag)
         residuals["conjugate_fixed"] = inf_norm(np.conj(O) - O)
     else:
         kind = "boost"
-        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - linalg.EYE3)
+        residuals["conjugate_is_inverse"] = inf_norm(np.conj(O) @ O - EYE3)
         residuals["conjugate_is_transpose"] = inf_norm(np.conj(O) - O.T)
     return {"kind": kind, "residuals": residuals, "max_residual": max(residuals.values())}

@@ -7,8 +7,10 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ._kernels import _cross, _dot, _norm
 from .group import SpinorElement, project_to_group
-from .linalg import _cross, _dot, _norm, np
 
 
 def default_rng(seed: int = 0) -> np.random.Generator:

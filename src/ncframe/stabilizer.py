@@ -19,10 +19,11 @@ Vanishing K.K ("isotropic"): the stabilizer is the additive family O(z*k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ._kernels import (
-    EPS_ISO, NCClass, Subcase, _K_to_theta, _canonical, _invariants, _reduce_to_real,
+    EPS_ISO, NCClass, Subcase, _K_to_theta, _canonical, _dot, _invariants, _ldexp, _reduce_to_real,
     _require_unit_square, _theta_to_K, _view,
 )
 from .errors import IsotropicInput, NotIsotropic, ZeroVector
@@ -35,10 +36,7 @@ from .group import (
     lorentz4_from_spinor,
     so3c_from_spinor,
 )
-from .linalg import _dot, _ldexp, np, rmat4, rvec3, vec3
-
-if TYPE_CHECKING:
-    from .linalg import ComplexVec3, RealMat4
+from .linalg import ComplexVec3, RealMat4, rmat4, rvec3, vec3
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def test_goldens_run_without_numpy(tmp_path):
     assert child["numpy_after_import"] is False
     assert child["dataclasses_after_import"] is False
     # no public layer module: the commands run on ncframe._kernels alone
-    assert child["modules"] == ["ncframe", "ncframe._kernels", "ncframe.cli", "ncframe.errors", "ncframe.linalg"]
+    assert child["modules"] == ["ncframe", "ncframe._kernels", "ncframe.cli", "ncframe.errors"]
     for name, golden in cases.items():
         code, out = child["results"][name]
         assert code == golden["exit_code"], name
@@ -270,6 +270,12 @@ class TestExitCodes:
     def test_dual_scan_too_few_steps(self, tmp_path, capsys):
         doc = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
         code, _ = run_cli(["dual-scan", "--steps", "3"], doc, tmp_path, capsys)
+        assert code == 2
+
+    def test_stabilizer_negative_count(self, tmp_path, capsys):
+        # range(-3) is empty: without the refusal, no element is checked and the report passes
+        doc = {"nm": [0, 0, 1, 0, 0, 0]}
+        code, _ = run_cli(["stabilizer", "--count", "-3"], doc, tmp_path, capsys)
         assert code == 2
 
     @pytest.mark.parametrize("chi", ["nan", "inf"])

@@ -1,10 +1,10 @@
-"""The complex 3-vector kernels of ``ncframe.linalg``.
+"""The complex 3-vector kernels of ``ncframe.linalg`` and ``ncframe._kernels``.
 
-The private scalar kernels (``_dot``, ``_cross``, ``_norm``, ``_apply``,
-``_exponent`` and ``_ldexp``) do every 3-vector dot, cross product and norm
-of the package.  They are checked here on examples, for bilinearity, and
-against the numpy forms they replaced (``@``, ``np.cross`` and
-``np.linalg.norm``) within a few units in the last place.
+The private scalar kernels of ``_kernels`` (``_dot``, ``_cross``, ``_norm``,
+``_apply``, ``_exponent`` and ``_ldexp``) do every 3-vector dot, cross
+product and norm of the package.  They are checked here on examples, for
+bilinearity, and against the numpy forms they replaced (``@``, ``np.cross``
+and ``np.linalg.norm``) within a few units in the last place.
 """
 
 import math
@@ -15,24 +15,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncframe.linalg import (
-    _apply,
-    _cross,
-    _dot,
-    _exponent,
-    _ldexp,
-    _norm,
-    bilinear_dot,
-    det3,
-    hnorm,
-    inf_norm,
-)
+import ncframe
+from ncframe import group, linalg
+from ncframe._kernels import _apply, _cross, _dot, _exponent, _ldexp, _norm
+from ncframe.linalg import bilinear_dot, det3, hnorm, inf_norm
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 cvec = st.tuples(*[st.tuples(finite, finite) for _ in range(3)]).map(
     lambda t: np.array([complex(re, im) for re, im in t])
 )
 cscalar = st.tuples(finite, finite).map(lambda t: complex(*t))
+
+
+def test_array_constants():
+    # the group checks read EYE3 and ETA, so a caller cannot write to them;
+    # and the package has one ETA
+    for constant in (linalg.EYE3, linalg.ETA):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 2.0
+    assert group.ETA is linalg.ETA is ncframe.ETA
 
 
 def test_bilinear_dot_examples():
