@@ -86,11 +86,10 @@ def _ldexp(z, e: int):
 
 # group: the spinor check, composition, projection and the two images.
 
-# The constructor checks compare a residual r with DEFAULT_TOL * scale (or a
-# power of it), where scale >= 1.  So r <= DEFAULT_TOL passes for any scale,
-# and they compute the scale only for a larger r.  Every square in a scale is
-# a product, not a float power: an entry beyond ~1e154 then gives an infinite
-# bound, which _exceeds refuses, where ``x ** 2`` raises OverflowError.
+# The spinor and unit-square checks compare a residual r with DEFAULT_TOL *
+# scale, scale >= 1, so they compute the scale only for r > DEFAULT_TOL.  Every
+# square in a scale is a product, not a float power: an entry beyond ~1e154
+# gives an infinite bound, which _exceeds refuses, where ``x ** 2`` raises.
 
 
 def _exceeds(r: float, bound: float) -> bool:

@@ -28,8 +28,7 @@ ComplexVec3 = ComplexMat3 = RealMat4 = np.ndarray
 
 # EYE3 is the real 3x3 identity: adding it to a complex matrix promotes it
 # to 1 + 0j entrywise, so the sum equals that with a complex identity.  ETA
-# is the Minkowski metric, signature (+, -, -, -).  Both are read-only, since
-# the ComplexRotation and Lorentz4 checks read them.
+# is the Minkowski metric, signature (+, -, -, -).  Both are read-only: they are shared.
 EYE3 = np.eye(3)
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 EYE3.flags.writeable = ETA.flags.writeable = False
@@ -43,37 +42,33 @@ def vec3(v) -> ComplexVec3:
     return a
 
 
-def rvec3(v) -> np.ndarray:
-    """Coerce to a real 3-vector; reject nonzero imaginary parts."""
+def _real(v, shape: tuple, what: str) -> np.ndarray:
+    """Coerce to a real array of the given shape; reject nonzero imaginary parts."""
     a = np.asarray(v)
     if np.iscomplexobj(a):
         # written as "not <=" so that a NaN imaginary part is refused too
         if not np.abs(a.imag).max() <= DEFAULT_TOL * max(1.0, np.abs(a).max()):
-            raise ValueError("expected a real 3-vector")
+            raise ValueError(f"expected a real {what}")
         a = a.real
     a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    if a.shape != shape:
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
     return a
+
+
+def rvec3(v) -> np.ndarray:
+    """Coerce to a real 3-vector; reject nonzero imaginary parts."""
+    return _real(v, (3,), "3-vector")
 
 
 def rmat4(m) -> RealMat4:
-    """Coerce to a real 4x4 matrix."""
-    a = np.asarray(m, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    return a
+    """Coerce to a real 4x4 matrix; reject nonzero imaginary parts."""
+    return _real(m, (4, 4), "4x4 matrix")
 
 
 def bilinear_dot(u, v) -> complex:
     """Unconjugated dot product sum_i u_i v_i."""
     return _dot(vec3(u).tolist(), vec3(v).tolist())
-
-
-def det3(m: np.ndarray) -> complex:
-    """Determinant of a 3x3 array by cofactor expansion along the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def inf_norm(a) -> float:

@@ -44,7 +44,7 @@ from ncframe.group import (
     spinor_from_rotation,
     verify_su2_boost_identities,
 )
-from ncframe.linalg import DEFAULT_TOL, EYE3, bilinear_dot, det3, hnorm, inf_norm
+from ncframe.linalg import DEFAULT_TOL, EYE3, bilinear_dot, hnorm, inf_norm
 from ncframe.sampling import random_spinor
 from ncframe.stabilizer import (
     StabilizerElement,
@@ -75,34 +75,59 @@ def rotation_boost(alpha, beta, angles):
 
 
 angles4 = st.tuples(*[st.floats(0.0, 2 * np.pi)] * 4)
+rapidities = st.floats(-30.0, 30.0)
+PARITY, TIME_REVERSAL = np.diag([1.0, -1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, 1.0, 1.0])
+# the message of the one check of ComplexRotation and Lorentz4
+NOT_AN_IMAGE = "not the image of a unimodular spinor"
 
 
 class TestConstructorRejections:
     def test_complex_rotation_rejects_minus_identity(self):
-        with pytest.raises(ConstraintViolation, match="det O"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             ComplexRotation(-np.eye(3))
 
     def test_complex_rotation_rejects_improper_complex_matrix(self, rng):
         O = so3c_from_spinor(random_spinor(rng)).matrix
-        with pytest.raises(ConstraintViolation, match="det O"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             ComplexRotation(-O)
 
     def test_complex_rotation_rejects_non_orthogonal(self):
         # det = 1, but O^T O != I
-        with pytest.raises(ConstraintViolation, match="O\\^T O"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             ComplexRotation(np.diag([2.0, 0.5, 1.0]))
 
     def test_lorentz4_rejects_parity(self):
-        with pytest.raises(ConstraintViolation, match="improper"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             Lorentz4(np.diag([1.0, -1.0, -1.0, -1.0]))
 
     def test_lorentz4_rejects_time_reversal(self):
-        with pytest.raises(ConstraintViolation, match="orthochronous"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             Lorentz4(np.diag([-1.0, 1.0, 1.0, 1.0]))
 
     def test_lorentz4_rejects_metric_violation(self):
-        with pytest.raises(ConstraintViolation, match="eta"):
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
             Lorentz4(np.diag([1.0, 2.0, 1.0, 1.0]))
+
+    def test_lorentz4_rejects_complex_matrix(self):
+        # a nonzero imaginary part is refused, not dropped by a cast
+        m = np.eye(4) + 0j
+        m[1, 1] += 5j
+        with pytest.raises(ConstraintViolation, match="expected a real 4x4 matrix"):
+            Lorentz4(m)
+
+    @given(alpha=st.floats(0.0, 2 * np.pi), beta=rapidities, angles=angles4)
+    def test_rotation_boost_products(self, alpha, beta, angles):
+        # every image is accepted, and its improper or non-orthochronous
+        # partners are refused, through rapidity 30
+        b = rotation_boost(alpha, beta, angles)
+        O, L = so3c_from_spinor(b).matrix, lorentz4_from_spinor(b).matrix
+        ComplexRotation(O)
+        Lorentz4(L)
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            ComplexRotation(-O)
+        for m in (L @ PARITY, PARITY @ L, -L, TIME_REVERSAL @ L):
+            with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+                Lorentz4(m)
 
 
 def raises_with(error, message, build, *args):
@@ -114,9 +139,11 @@ def raises_with(error, message, build, *args):
 class TestToleranceScales:
     """Residuals between DEFAULT_TOL and DEFAULT_TOL * scale pass; larger ones raise.
 
-    Each check compares its residual with DEFAULT_TOL times a scale >= 1 set
-    by the size of the element, so these cases straddle both thresholds of a
-    large element.
+    The spinor and unit-square checks compare their residual with
+    DEFAULT_TOL times a scale >= 1 set by the size of the element, so these
+    cases straddle both thresholds of a large element.  The matrix checks
+    compare the image residual with DEFAULT_TOL max(1, ||m||_max), and also
+    require the recovered spinor to pass the spinor check.
     """
 
     @staticmethod
@@ -150,62 +177,50 @@ class TestToleranceScales:
         raises_with(NotUnitDelta, message, stabilizer_element, 0.3, d)
 
     def test_complex_rotation(self):
-        # rapidity 12: both the orthogonality and the determinant residual
-        # exceed DEFAULT_TOL, and both are within their scaled tolerance
-        O = so3c_from_spinor(spinor_from_boost(12.0, EZ)).matrix
-        scale = inf_norm(O) ** 2
-        assert DEFAULT_TOL < inf_norm(O.T @ O - np.eye(3)) <= DEFAULT_TOL * scale
-        assert DEFAULT_TOL < abs(det3(O) - 1.0) <= DEFAULT_TOL * scale**1.5
-        ComplexRotation(O)
-        # rapidity 6, one entry moved: the orthogonality residual
-        O = so3c_from_spinor(spinor_from_boost(6.0, EZ)).matrix.copy()
-        scale = inf_norm(O) ** 2
+        # rapidity 6, one entry moved: the image residual is about the shift,
+        # against DEFAULT_TOL ||O||_max ~ 2e-8
+        O = so3c_from_spinor(spinor_from_boost(6.0, EZ)).matrix
         for shift, ok in ((1e-9, True), (1e-6, False)):
             P = O.copy()
             P[0, 0] += shift
-            resid = inf_norm(P.T @ P - np.eye(3))
-            assert resid > DEFAULT_TOL
             if ok:
-                assert resid <= DEFAULT_TOL * scale
                 ComplexRotation(P)
             else:
-                assert resid > DEFAULT_TOL * scale
-                message = f"O^T O - I residual {resid:.3e} exceeds tolerance"
-                raises_with(ConstraintViolation, message, ComplexRotation, P)
+                with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+                    ComplexRotation(P)
         # -O: orthogonal to DEFAULT_TOL, determinant -1
-        assert inf_norm(O.T @ O - np.eye(3)) <= DEFAULT_TOL
-        message = f"det O = {det3(-O):.15g}, expected +1"
-        raises_with(ConstraintViolation, message, ComplexRotation, -O)
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            ComplexRotation(-O)
+        # the exact image of k = (0, 0, i sqrt(1.2)), k0 = 0: k0^2 - k.k = 1.2,
+        # which the spinor check refuses
+        O = np.diag([-1.4, -1.4, 1.0])
+        assert inf_norm(np.array(group._so3c(0j, [0j, 0j, 1j * math.sqrt(1.2)])) - O) <= 1e-15
+        with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k = 1.2"):
+            ComplexRotation(O)
 
     def test_lorentz4_metric(self):
         L = lorentz4_from_spinor(spinor_from_boost(10.0, EZ)).matrix
-        scale = inf_norm(L) ** 2
-        assert DEFAULT_TOL < inf_norm(L.T @ ETA @ L - ETA) <= DEFAULT_TOL * scale
         Lorentz4(L)
         P = L.copy()
         P[1, 2] += 1.0
-        resid = inf_norm(P.T @ ETA @ P - ETA)
-        assert resid > DEFAULT_TOL * scale
-        message = f"L^T eta L - eta residual {resid:.3e} exceeds tolerance"
-        raises_with(ConstraintViolation, message, Lorentz4, P)
+        assert inf_norm(P.T @ ETA @ P - ETA) > DEFAULT_TOL * inf_norm(L)
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            Lorentz4(P)
 
     def test_lorentz4_orthochronous(self):
-        # L00 below 1 - DEFAULT_TOL, but within DEFAULT_TOL * ||L||^2 of 1; the
-        # large second column (X, sqrt(X^2 + 1), 0, 0) keeps L^T eta L - eta
-        # within its scaled tolerance
+        # L00 = 1 - 1e-9 and a large second column (X, sqrt(X^2 + 1), 0, 0):
+        # the cross term of L^T eta L is ~X, so no spinor has this image
         X = 1e11
         L = np.eye(4)
         L[0, 0] = 1.0 - 1e-9
         L[0, 1], L[1, 1] = X, math.sqrt(X * X + 1.0)
-        scale = inf_norm(L) ** 2
-        assert inf_norm(L.T @ ETA @ L - ETA) <= DEFAULT_TOL * scale
-        assert 1.0 - DEFAULT_TOL * scale <= L[0, 0] < 1.0 - DEFAULT_TOL
-        Lorentz4(L)
+        assert inf_norm(L.T @ ETA @ L - ETA) > 1e10
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            Lorentz4(L)
         # time reversal of a rapidity-10 boost: L00 = -cosh(10)
-        L = np.diag([-1.0, 1.0, 1.0, 1.0]) @ lorentz4_from_spinor(spinor_from_boost(10.0, EZ)).matrix
-        assert L[0, 0] < 1.0 - DEFAULT_TOL * inf_norm(L) ** 2
-        message = f"L00 = {L[0, 0]:.15g} < 1 (not orthochronous)"
-        raises_with(ConstraintViolation, message, Lorentz4, L)
+        L = TIME_REVERSAL @ lorentz4_from_spinor(spinor_from_boost(10.0, EZ)).matrix
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            Lorentz4(L)
 
 
 class TestSpinorElement:
@@ -489,7 +504,6 @@ def _k_at(exp, seed, isotropic):
     return 10.0**exp * (u + 1j * p / np.linalg.norm(p))
 
 
-rapidities = st.floats(-30.0, 30.0)
 high_rapidities = st.tuples(st.floats(16.0, 30.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
 edge_fractions = st.tuples(st.floats(0.1, 0.9), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
 
@@ -497,19 +511,13 @@ edge_fractions = st.tuples(st.floats(0.1, 0.9), st.sampled_from([-1.0, 1.0])).ma
 class TestTrustedImages:
     @staticmethod
     def assert_same_as_checked(b):
-        """The trusted images carry the checked constructors' bytes, where those accept."""
+        """The trusted images carry the checked constructors' bytes."""
         images = so3c_from_spinor(b).matrix, lorentz4_from_spinor(b).matrix
         assert images[0].dtype == np.complex128 and images[0].shape == (3, 3)
         assert images[1].dtype == np.float64 and images[1].shape == (4, 4)
         with checked_images():
             for build, got in zip((so3c_from_spinor, lorentz4_from_spinor), images):
-                try:
-                    want = build(b).matrix
-                except ConstraintViolation as exc:
-                    # LAPACK's determinant of an exact image loses its sign to
-                    # cancellation at large rapidity; no other check refuses one
-                    assert build is lorentz4_from_spinor and str(exc) == "det L < 0 (improper)"
-                    continue
+                want = build(b).matrix
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -532,8 +540,7 @@ class TestTrustedImages:
 
     @given(alpha=st.floats(0.0, 2 * np.pi), beta=high_rapidities, angles=angles4)
     def test_high_rapidity_images_match_oracles(self, alpha, beta, angles):
-        # rapidity 16..30, where the Lorentz4 check refused some exact images
-        # as improper; no determinant sign is asserted here, because the
+        # rapidity 16..30: no determinant sign is asserted here, because the
         # rounded L can have a negative exact determinant
         b = rotation_boost(alpha, beta, angles)
         L = lorentz4_from_spinor(b).matrix
@@ -612,8 +619,9 @@ class TestNonFinite:
         lambda: Lorentz4(1e160 * np.eye(4)),
     ], ids=["stabilizer_element", "complex_rotation", "lorentz4"])
     def test_overflowing_scale(self, build):
-        # the square of an entry beyond ~1e154 is an infinite bound, which
-        # the check refuses, not an OverflowError from a float power
+        # refused, not an OverflowError from a float power: the square of an
+        # entry beyond ~1e154 is an infinite spinor bound, and the matrices'
+        # recovered k0^2 - k.k is far from 1
         with pytest.raises(ConstraintViolation):
             build()
 
@@ -840,15 +848,15 @@ class TestTrustedConstruction:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("ch", [1e103, 1e120, 1e150])
     def test_reduce_to_real_at_huge_cosh(self, ch):
-        # beyond ||Re Delta|| ~ 5e102 the det bound DEFAULT_TOL ||S||^3 of the
-        # ComplexRotation check is an infinite float and the residual
-        # |det3(S) - 1| = 1 is finite, so the checked S is the trusted S; it
-        # is orthogonal to rounding, relative to ||S||^2
+        # the trusted S is finite and orthogonal to rounding, relative to
+        # ||S||^2; the ComplexRotation check refuses it, because the rounding
+        # of the recovered k0^2 - k.k, ~eps ||S||, is far above 1/2
         delta = np.array([ch, 1j * math.sqrt(ch * ch - 1.0), 0.0])
         S = reduce_to_real(delta).matrix
-        assert not assert_same_as_checked(reduce_to_real, delta)
         scaled = S / ch
         assert np.isfinite(S).all() and inf_norm(scaled.T @ scaled - EYE3 / ch**2) <= 1e-14
+        with pytest.raises(ConstraintViolation, match=NOT_AN_IMAGE):
+            ComplexRotation(S)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ncframe
 from ncframe import group, linalg
 from ncframe._kernels import _apply, _cross, _dot, _exponent, _ldexp, _norm
-from ncframe.linalg import bilinear_dot, det3, hnorm, inf_norm
+from ncframe.linalg import bilinear_dot, hnorm
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 cvec = st.tuples(*[st.tuples(finite, finite) for _ in range(3)]).map(
@@ -28,7 +28,7 @@ cscalar = st.tuples(finite, finite).map(lambda t: complex(*t))
 
 
 def test_array_constants():
-    # the group checks read EYE3 and ETA, so a caller cannot write to them;
+    # group reads EYE3 and re-exports ETA, so a caller cannot write to them;
     # and the package has one ETA
     for constant in (linalg.EYE3, linalg.ETA):
         with pytest.raises(ValueError, match="read-only"):
@@ -214,16 +214,3 @@ def test_exponent_examples():
     assert _exponent([1j, 0.75e-300, 2.0 + 0.1j]) == 2
     assert _exponent([0j, 0j, -0j]) == 0
     assert _exponent([2.0**-1074, 0.0, 0.0]) == -1073
-
-
-@given(m=scaled_array((3, 3), 97))
-def test_det3_matches_lapack(m):
-    # scales up to 1e100, so that ||m||^3 stays a finite double
-    assert abs(det3(m) - np.linalg.det(m)) <= 1e-12 * inf_norm(m) ** 3
-
-
-def test_det3_examples():
-    assert det3(np.eye(3)) == 1.0
-    assert det3(-np.eye(3)) == -1.0
-    assert det3(np.diag([2.0, 3.0, 0.5j])) == 3j
-    assert det3(np.ones((3, 3))) == 0.0

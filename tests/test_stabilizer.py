@@ -71,6 +71,13 @@ class TestThetaMap:
         with pytest.raises(NotAntisymmetric):
             theta_to_K(np.eye(4))
 
+    def test_complex_theta(self):
+        # a nonzero imaginary part is refused, not dropped by a cast
+        theta = np.zeros((4, 4), dtype=complex)
+        theta[0, 1], theta[1, 0] = 1 + 7j, -1 - 7j
+        with pytest.raises(ValueError, match="expected a real 4x4 matrix"):
+            theta_to_K(theta)
+
     @given(seed=st.integers(0, 2**32 - 1), exp=st.integers(-150, 150))
     def test_asymmetric_entry_at_each_position(self, seed, exp):
         # theta + theta^T against 1e-12 max(1, max |theta|), entry by entry
