@@ -308,8 +308,10 @@ def _view(K: list, eps_iso: float) -> tuple:
     Ks is the 3-list 2**-e K, exact: K itself inside ``_WINDOW``, else K
     with its largest part in [0.5, 1).  split is (Kscalar / 2**e, Delta as a
     3-list) of a non-isotropic K, None for any other.  NaN or inf raise
-    NonFiniteInput.
+    NonFiniteInput; an eps_iso that is not finite and >= 0 raises ValueError.
     """
+    if not 0.0 <= eps_iso < math.inf:
+        raise ValueError(f"eps_iso must be finite and >= 0, got {eps_iso!r}")
     nrm, e = _norm(K), 0
     if not _WINDOW[0] <= nrm <= _WINDOW[1]:
         _require_finite(K, nrm)

@@ -1,10 +1,20 @@
 """`ncframe` command line tool: JSON in, JSON (or text summary) out.
 
-Subcommands: classify, stabilizer, reduce, factor, constitutive, dual-scan.
+Usage: ncframe COMMAND [FLAG VALUE | FLAG=VALUE]... | --version | --help
+
+Commands: classify, stabilizer, reduce, factor, constitutive, dual-scan.
 Input is read from stdin or --in FILE.  The noncommutativity data is either
 {"theta": <16 numbers or 4x4 rows>} or {"nm": [n1, n2, n3, m1, m2, m3]};
 field-state commands add "E" and "B" (3 numbers each), factor takes
 {"spinor": [n0, m0, n1, n2, n3, m1, m2, m3]}.
+
+Flags (exact names; a value may start with "-"):
+  every command  --in FILE, --format json|text, --seed N (default 0),
+                 --tol X, --eps-iso X (default 1e-9; both finite and >= 0),
+                 --c X, --epsilon0 X (units, default 1)
+  stabilizer     --gamma RE[,IM], --z RE[,IM], --count N (N sampled elements)
+  constitutive   --dual-check CHI (repeatable)
+  dual-scan      --steps N (N >= 4, default 32)
 
 Exit codes: 0 all residuals within thresholds; 1 residual failure;
 2 malformed input; 3 theta not antisymmetric; 4 vanishing K (stabilizer);
@@ -23,21 +33,20 @@ overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
 
 Every command runs on the list-level kernels of ``ncframe._kernels``, the
 package's numpy boundary, and this module imports only them and ``errors``:
-no numpy, no dataclasses and none of the public modules.  The one exception is
-stabilizer --count N > 0, which imports ``ncframe.sampling`` (and numpy
-with it) to draw its N random parameters from numpy.random.  The isotropic
-parameter z of stabilizer (given with --z or drawn from uniform(-1.5, 1.5))
-is dimensionless: the element is O(z k) with k = Ks / ||Ks||, the unit
-direction of K, so it is the z of ``isotropic_stabilizer_element(z, K)``
-times ||K||.
+no numpy, no dataclasses, no argparse and none of the public modules.
+stabilizer --count draws from random.Random(seed), seed >= 0: gamma =
+complex(uniform(0, 2 pi), uniform(-2, 2)), z = complex(uniform(-1.5, 1.5),
+uniform(-1.5, 1.5)).  z is dimensionless: the element is O(z k) with
+k = Ks / ||Ks||, the unit direction of K, so it is the z of
+``isotropic_stabilizer_element(z, K)`` times ||K||.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from ._kernels import (
@@ -257,6 +266,8 @@ def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol
 def cmd_stabilizer(args) -> dict:
     if args.count < 0:
         raise CliError("--count must not be negative", EXIT_MALFORMED)
+    if args.count and args.seed < 0:  # random.Random(-7) draws what random.Random(7) draws
+        raise CliError("--seed must not be negative when sampling", EXIT_MALFORMED)
     report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "stabilizer")
     if klass is NCClass.COMMUTATIVE:
         raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
@@ -265,7 +276,8 @@ def cmd_stabilizer(args) -> dict:
             raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
         delta = split[1]
         report["delta"] = delta
-        flag, draw = args.gamma, None  # sampling.random_gamma, imported below
+        flag = args.gamma
+        draw = lambda rng: complex(rng.uniform(0.0, 2 * math.pi), rng.uniform(-2.0, 2.0))  # noqa: E731
         entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, tol)  # noqa: E731
     else:
         if args.gamma is not None:
@@ -276,11 +288,10 @@ def cmd_stabilizer(args) -> dict:
         unit = [x / nrm for x in Ks]  # so z is dimensionless, like the unit delta
         entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, tol)  # noqa: E731
     params = [] if flag is None else [_parse_complex_flag(flag)]
-    if args.count > 0:  # ncframe.sampling, and numpy with it, only when sampling
-        from . import sampling
+    if args.count > 0:
+        import random
 
-        rng = sampling.default_rng(args.seed)
-        draw = draw or sampling.random_gamma
+        rng = random.Random(args.seed)
         params.extend(draw(rng) for _ in range(args.count))
     elements = [entry(p) for p in params]
     report["elements"] = elements
@@ -414,41 +425,55 @@ def cmd_dual_scan(args) -> dict:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncframe",
-        description="Small groups and nonlinear constitutive relations for "
-        "space-time noncommutativity parameters.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--in", dest="infile", metavar="FILE", help="read JSON input from FILE instead of stdin")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="seed for any sampled quantities")
-    common.add_argument("--tol", type=float, default=None, help="override the per-command residual threshold")
-    common.add_argument("--eps-iso", dest="eps_iso", type=float, default=EPS_ISO,
-                        help="relative isotropy threshold on |K.K| vs ||K||^2")
-    common.add_argument("--c", type=float, default=1.0, help="speed of light (default 1)")
-    common.add_argument("--epsilon0", type=float, default=1.0, help="vacuum permittivity (default 1)")
+def _threshold(text: str) -> float:
+    if not 0.0 <= (x := float(text)) < math.inf:
+        raise ValueError(f"must be finite and >= 0, got {text!r}")
+    return x
 
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("classify", parents=[common], help="invariants, class and subcase of theta")
 
-    p = sub.add_parser("stabilizer", parents=[common], help="sample elements of the stabilizer of K")
-    p.add_argument("--gamma", metavar="RE[,IM]", help="explicit parameter for the non-isotropic family")
-    p.add_argument("--z", metavar="RE[,IM]", help="explicit parameter for the isotropic family")
-    p.add_argument("--count", type=int, default=0, help="number of sampled elements to add")
+def _format(text: str) -> str:
+    if text not in ("json", "text"):
+        raise ValueError(f"must be json or text, got {text!r}")
+    return text
 
-    sub.add_parser("reduce", parents=[common], help="reducing rotation S and canonical K")
-    sub.add_parser("factor", parents=[common], help="rotation/boost factorizations of a spinor element")
 
-    p = sub.add_parser("constitutive", parents=[common], help="evaluate the constitutive relations")
-    p.add_argument("--dual-check", action="append", metavar="CHI",
-                   help="also report the dual-rotation residual at angle CHI (repeatable)")
+# flag -> (dest, type) per command; a repeated --dual-check appends
+_COMMON = {"--in": ("infile", str), "--format": ("format", _format), "--seed": ("seed", int),
+           "--tol": ("tol", _threshold), "--eps-iso": ("eps_iso", _threshold),
+           "--c": ("c", float), "--epsilon0": ("epsilon0", float)}
+_FLAGS = {
+    "classify": _COMMON, "reduce": _COMMON, "factor": _COMMON,
+    "stabilizer": {**_COMMON, "--gamma": ("gamma", str), "--z": ("z", str), "--count": ("count", int)},
+    "constitutive": {**_COMMON, "--dual-check": ("dual_check", str)},
+    "dual-scan": {**_COMMON, "--steps": ("steps", int)},
+}
+_DEFAULTS = {"infile": None, "format": "json", "seed": 0, "tol": None, "eps_iso": EPS_ISO, "c": 1.0,
+             "epsilon0": 1.0, "gamma": None, "z": None, "count": 0, "dual_check": None, "steps": 32}
 
-    p = sub.add_parser("dual-scan", parents=[common], help="dual-rotation residual over [0, 2*pi)")
-    p.add_argument("--steps", type=int, default=32)
-    return parser
+
+def _parse_args(argv: list):
+    """The command and flags of argv as a namespace, or None once -h, --help
+    or --version has printed."""
+    args = SimpleNamespace(subcommand=argv[0] if argv else "", **_DEFAULTS)
+    flags = _FLAGS.get(args.subcommand)
+    if flags is None and args.subcommand not in ("-h", "--help", "--version"):
+        raise CliError(f"expected a command ({', '.join(_FLAGS)}), got {args.subcommand!r}", EXIT_MALFORMED)
+    tokens = iter(argv[1:] if flags else argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag in ("-h", "--help", "--version"):
+            usage = __doc__ or "usage: ncframe COMMAND [FLAG VALUE]..."  # python -OO drops __doc__
+            print(f"ncframe {__version__}" if flag == "--version" else usage)
+            return None
+        if flag not in flags:
+            raise CliError(f"{args.subcommand}: unrecognized argument {token!r}", EXIT_MALFORMED)
+        dest, kind = flags[flag]
+        try:
+            value = kind(value if eq else next(tokens))
+        except (StopIteration, ValueError) as exc:
+            raise CliError(f"{flag}: {str(exc) or 'missing value'}", EXIT_MALFORMED) from exc
+        setattr(args, dest, [*(args.dual_check or ()), value] if dest == "dual_check" else value)
+    return args
 
 
 _HANDLERS = {
@@ -462,8 +487,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return EXIT_OK
         report = _HANDLERS[args.subcommand](args)
         emit(report, args.format)
         return EXIT_OK if report["pass"] else EXIT_RESIDUAL

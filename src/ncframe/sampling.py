@@ -1,8 +1,9 @@
 """Seeded random generators for group elements and noncommutativity data.
 
-Used by the property-test suite and by the CLI when sampling stabilizer
-elements; everything is driven by an explicit numpy Generator so runs are
-reproducible from a single seed.
+Used by the property-test suite and the benchmark; everything is driven by
+an explicit numpy Generator so runs are reproducible from a single seed.
+The CLI does not use this module: ``stabilizer --count`` draws from the
+standard library's ``random.Random(seed)``.
 """
 
 from __future__ import annotations

@@ -130,9 +130,6 @@ def test_golden(name, tmp_path, capsys):
     assert out == golden["output"], name
 
 
-# The golden cases that load numpy: stabilizer --count draws from numpy.random.
-NUMPY_CASES = ("stabilizer_sampled",)
-
 _NUMPY_FREE_CHILD = """
 import contextlib, io, json, sys
 import ncframe
@@ -149,15 +146,15 @@ for name, argv in json.loads(sys.argv[1]).items():
     results[name] = [code, out.getvalue()]
 modules = sorted(name for name in sys.modules if name.startswith("ncframe"))
 print(json.dumps({"numpy_after_import": imported, "dataclasses_after_import": dataclasses_imported,
-                  "modules": modules, "results": results}))
+                  "argparse_after_run": "argparse" in sys.modules, "modules": modules,
+                  "results": results}))
 """
 
 
 def test_goldens_run_without_numpy(tmp_path):
     # one child for all cases, to keep the suite's time budget
-    names = sorted(set(golden_cases()) - set(NUMPY_CASES))
-    cases = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text()) for name in names}
-    assert len(cases) == 13
+    cases = {name: json.loads((GOLDEN_DIR / f"{name}.json").read_text()) for name in sorted(golden_cases())}
+    assert len(cases) == 14
     argvs = {}
     for name, golden in cases.items():
         infile = tmp_path / f"{name}.json"
@@ -169,6 +166,7 @@ def test_goldens_run_without_numpy(tmp_path):
     child = json.loads(proc.stdout)
     assert child["numpy_after_import"] is False
     assert child["dataclasses_after_import"] is False
+    assert child["argparse_after_run"] is False
     # no public layer module: the commands run on ncframe._kernels alone
     assert child["modules"] == ["ncframe", "ncframe._kernels", "ncframe.cli", "ncframe.errors"]
     for name, golden in cases.items():
@@ -195,6 +193,88 @@ def test_kernels_import_without_numpy_or_dataclasses():
             "import ncframe._kernels")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestFlags:
+    """The flag loop: exact names, values that may start with "-", and exit 2,
+    never SystemExit, for anything it cannot read."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="no-command"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["classify", "--bogus", "1"], id="unknown-flag"),
+        pytest.param(["classify", "--gamma", "1"], id="flag-of-another-command"),
+        pytest.param(["stabilizer", "--cou", "1"], id="abbreviated-flag"),
+        pytest.param(["classify", "extra"], id="positional"),
+        pytest.param(["stabilizer", "--count"], id="missing-value"),
+        pytest.param(["stabilizer", "--seed", "1.5"], id="float-seed"),
+        pytest.param(["dual-scan", "--steps", "four"], id="word-steps"),
+        pytest.param(["classify", "--c", "one"], id="word-c"),
+        pytest.param(["classify", "--format", "xml"], id="unknown-format"),
+    ])
+    def test_unreadable_argv_returns_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("ncframe: ")
+
+    @pytest.mark.parametrize("flag", ["--tol", "--eps-iso"])
+    @pytest.mark.parametrize("value", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["classify", "stabilizer", "reduce", "factor"])
+    def test_invalid_threshold_is_refused(self, command, flag, value, capsys):
+        # --eps-iso -1 ended in a ZeroDivisionError traceback (exit 1) on an
+        # isotropic K; --tol nan failed as "non-finite value in output"
+        assert main([command, flag, value]) == 2
+        assert capsys.readouterr().err == f"ncframe: {flag}: must be finite and >= 0, got {value!r}\n"
+
+    def test_zero_thresholds_are_accepted(self, tmp_path, capsys):
+        code, out = run_cli(["classify", "--tol", "0", "--eps-iso", "0"], {"nm": [1, 0, 0, 0, 1, 0]}, tmp_path, capsys)
+        assert (code, out["class"], out["tolerances"]) == (0, "Isotropic", {"tol": 0, "eps_iso": 0})
+
+    def test_negative_seed_is_refused_when_sampling(self, tmp_path, capsys):
+        # random.Random ignores the sign of its seed: --seed -7 would draw what --seed 7 draws
+        doc = {"nm": [0, 0, 1, 0, 0, 0]}
+        code, _ = run_cli(["stabilizer", "--count", "2", "--seed", "-7"], doc, tmp_path, capsys)
+        assert code == 2
+        code, out = run_cli(["stabilizer", "--gamma", "1", "--seed", "-7"], doc, tmp_path, capsys)
+        assert (code, out["seed"], len(out["elements"])) == (0, -7, 1)
+
+    def test_values_may_start_with_a_dash(self, tmp_path, capsys):
+        # argparse refused --gamma -1,0.5 with "expected one argument"
+        doc = {"nm": [0, 0, 1, 0, 0, 0]}
+        code, out = run_cli(["stabilizer", "--gamma", "-1,0.5"], doc, tmp_path, capsys)
+        assert code == 0 and out["pass"] and out["elements"][0]["gamma"] == [-1, 0.5]
+
+    def test_flag_equals_value(self, tmp_path, capsys):
+        golden = json.loads((GOLDEN_DIR / "constitutive_basic.json").read_text())
+        argv = [a for a in golden["argv"] if a != "--dual-check"]
+        argv = [argv[0], *(f"--dual-check={chi}" for chi in argv[1:])]
+        code, out = run_cli(argv, golden["input"], tmp_path, capsys)
+        assert (code, out) == (golden["exit_code"], golden["output"])
+
+    def test_sampled_parameters_come_from_random_random(self, tmp_path, capsys):
+        import random
+
+        rng = random.Random(7)
+        gammas = [[rng.uniform(0, 2 * math.pi), rng.uniform(-2, 2)] for _ in range(2)]
+        golden = json.loads((GOLDEN_DIR / "stabilizer_sampled.json").read_text())
+        assert [e["gamma"] for e in golden["output"]["elements"]] == gammas
+        rng = random.Random(3)
+        zs = [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)] for _ in range(2)]
+        code, out = run_cli(["stabilizer", "--count", "2", "--seed", "3"], {"nm": [1, 0, 0, 0, 1, 0]}, tmp_path, capsys)
+        assert code == 0 and [e["z"] for e in out["elements"]] == zs
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "ncframe 0.1.0\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["stabilizer", "--count", "2", "--help"]])
+    def test_help(self, argv, capsys):
+        from ncframe import cli
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == cli.__doc__ + "\n" and out.startswith("`ncframe`") and "Usage: ncframe COMMAND" in out
+        assert all(flag in out for flags in cli._FLAGS.values() for flag in flags)
 
 
 # The commands that report the scaled view of K.

@@ -208,6 +208,15 @@ class TestClassify:
             if abs(p) <= 150:  # I1 and I2 are those of K as given
                 assert complex(i1, i2) == pytest.approx(10.0 ** (2 * p) * ksq, rel=1e-12)
 
+    @pytest.mark.parametrize("eps_iso", [-1.0, -1e-300, math.nan, math.inf])
+    def test_invalid_eps_iso_is_refused(self, eps_iso):
+        # K = (1, i, 0) is isotropic: with eps_iso = -1 it was split by
+        # Kscalar = 0, a ZeroDivisionError
+        for f in (classify, unit_delta, canonical_frame):
+            with pytest.raises(ValueError, match="eps_iso must be finite and >= 0"):
+                f([1, 1j, 0], eps_iso)
+        assert classify([1, 1j, 0], 0.0).klass is NCClass.ISOTROPIC
+
 
 NON_FINITE_K = (
     [np.nan, 0, 0],
