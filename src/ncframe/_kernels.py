@@ -9,6 +9,15 @@ modules, numpy's side, import the names defined here (``stabilizer.NCClass``
 is ``_kernels.NCClass``, ``linalg.DEFAULT_TOL`` is ``_kernels.DEFAULT_TOL``),
 and the CLI imports only this module and ``errors``, so a CLI child loads
 neither numpy nor a public module.
+
+The kernels are straight-line code: a 3-list or a 3x3 nested list is
+tuple-unpacked and each entry written out, never a comprehension, ``zip`` or
+generator over it, with the operations in the order a loop would take, so
+every result keeps its bits.  On CPython 3.11 such a loop costs a nested
+function call and an iterator, more than its three entries' arithmetic
+(3.12 inlines comprehensions: PEP 709).  Loops over 3-lists remain only on
+rare paths: the rescaling of input outside ``_WINDOW``, the target turn of
+``reduce_to_real`` and the CLI's projection.
 """
 
 from __future__ import annotations
@@ -43,7 +52,8 @@ def _cross(u: list, v: list) -> list:
 
 
 def _conj(v: list) -> list:
-    return [z.conjugate() for z in v]
+    a, b, c = v
+    return [a.conjugate(), b.conjugate(), c.conjugate()]
 
 
 def _norm(v: list) -> float:
@@ -54,7 +64,9 @@ def _norm(v: list) -> float:
 
 def _apply(O: list, v: list) -> list:
     """O v for a 3x3 nested list O."""
-    return [_dot(row, v) for row in O]
+    (a, b, c), (d, e, f), (g, h, i) = O
+    x, y, z = v
+    return [a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z]
 
 
 # Exact power-of-two scaling.  Inside _WINDOW a squared norm and a
@@ -102,16 +114,24 @@ def _exceeds(r: float, bound: float) -> bool:
     return not r <= bound or r == math.inf
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where Python's abs raises because the modulus of a finite z overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _spinor_scale(k0: complex, k: list) -> float:
     """max(1, |k0|^2 + ||k||^2), NaN for a NaN part: the scale of the spinor checks."""
-    a, n = abs(k0), _norm(k)
+    a, n = _modulus(k0), _norm(k)
     return max(a * a + n * n, 1.0)
 
 
 def _check_spinor(k0: complex, k: list) -> None:
     """The check of :class:`SpinorElement`, on k0 and the 3-list of k."""
     det = k0 * k0 - _dot(k, k)
-    err = abs(det - 1.0)
+    err = _modulus(det - 1.0)
     if not err <= DEFAULT_TOL and _exceeds(err, DEFAULT_TOL * _spinor_scale(k0, k)):
         raise ConstraintViolation(
             f"k0^2 - k.k = {det:.15g}, expected 1 (within {DEFAULT_TOL:g} relative)"
@@ -120,9 +140,12 @@ def _check_spinor(k0: complex, k: list) -> None:
 
 def _projection_root(k0: complex, k: list) -> complex:
     """sqrt(k0^2 - k.k) on its principal branch (Re >= 0), for the 3-list of
-    k; ConstraintViolation where k0^2 - k.k is numerically zero."""
-    det = k0 * k0 - _dot(k, k)
-    if abs(det) < 1e-12 * _spinor_scale(k0, k):
+    k; ConstraintViolation where k0^2 - k.k is numerically zero or the scale
+    |k0|^2 + ||k||^2 is not finite."""
+    det, scale = k0 * k0 - _dot(k, k), _spinor_scale(k0, k)
+    if not math.isfinite(scale):
+        raise ConstraintViolation(f"cannot project: |k0|^2 + ||k||^2 = {scale:g} is not finite")
+    if abs(det) < 1e-12 * scale:
         raise ConstraintViolation("cannot project: k0^2 - k.k is numerically zero")
     return cmath.sqrt(det)
 
@@ -152,8 +175,10 @@ def _project(k0: complex, k: list) -> tuple[complex, list]:
 
 def _compose(p: complex, u: list, q: complex, v: list) -> tuple[complex, list]:
     """(p, u) * (q, v) of :func:`spinor_compose`, unchecked, on 3-lists."""
-    k = [p * y + q * x + 1j * c for x, y, c in zip(u, v, _cross(u, v))]
-    return p * q + _dot(u, v), k
+    (a, b, c), (x, y, z) = u, v
+    k = [p * x + q * a + 1j * (b * z - c * y), p * y + q * b + 1j * (c * x - a * z),
+         p * z + q * c + 1j * (a * y - b * x)]
+    return p * q + (a * x + b * y + c * z), k
 
 
 def _so3c(k0: complex, k: list) -> list:
@@ -226,7 +251,8 @@ def _small_group(t: complex, K: list) -> tuple[complex, list]:
     except (OverflowError, ValueError):
         raise ConstraintViolation(f"k0^2 - k.k = nan: cos w, sin w not finite at w = {w}") from None
     c = -1j * half * (sin_w / w if w else 1.0)
-    k = [c * x for x in K]
+    x, y, z = K
+    k = [c * x, c * y, c * z]
     if not math.isfinite(_spinor_scale(k0, k)):
         _check_spinor(k0, k)
     return k0, k
@@ -280,7 +306,8 @@ def _require_finite(a: list, nrm: float, name: str = "K") -> None:
 
 def _K_to_theta(K: list) -> list:
     """theta of :func:`K_to_theta` as 4 rows of 4 floats, from the 3-list of K."""
-    (n1, m1), (n2, m2), (n3, m3) = ((z.real, z.imag) for z in K)
+    a, b, c = K
+    n1, n2, n3, m1, m2, m3 = a.real, b.real, c.real, a.imag, b.imag, c.imag
     return [
         [0.0, m1, m2, m3],
         [-m1, 0.0, n3, -n2],
@@ -300,6 +327,11 @@ def _invariants(K: list) -> tuple[float, float, float, float]:
     return i1, i2, abs(ksq), mu
 
 
+def _require_eps_iso(eps_iso: float) -> None:
+    if not 0.0 <= eps_iso < math.inf:
+        raise ValueError(f"eps_iso must be finite and >= 0, got {eps_iso!r}")
+
+
 def _view(K: list, eps_iso: float) -> tuple:
     """The scaled view of K, the one place that scales K for classification
     and splitting: (Ks, e, (I1, I2, I, mu) of Ks, (mu, class, subcase) of
@@ -310,8 +342,7 @@ def _view(K: list, eps_iso: float) -> tuple:
     3-list) of a non-isotropic K, None for any other.  NaN or inf raise
     NonFiniteInput; an eps_iso that is not finite and >= 0 raises ValueError.
     """
-    if not 0.0 <= eps_iso < math.inf:
-        raise ValueError(f"eps_iso must be finite and >= 0, got {eps_iso!r}")
+    _require_eps_iso(eps_iso)
     nrm, e = _norm(K), 0
     if not _WINDOW[0] <= nrm <= _WINDOW[1]:
         _require_finite(K, nrm)
@@ -327,7 +358,8 @@ def _view(K: list, eps_iso: float) -> tuple:
     # and math.sin, bit for bit, the + 0.0 turning the -0.0 of sin(-0.0)
     # into the +0.0 that exp gives.
     kscalar = math.sqrt(mag) * complex(math.cos(mu), math.sin(mu) + 0.0)
-    split = (kscalar, [z / kscalar for z in K])
+    k1, k2, k3 = K
+    split = (kscalar, [k1 / kscalar, k2 / kscalar, k3 / kscalar])
     sub = Subcase.GENERIC
     if abs(i2) <= eps_iso * mag:
         mu, sub = (0.0, Subcase.IA) if i1 > 0 else (math.pi / 2, Subcase.IB)
@@ -358,19 +390,20 @@ def _require_unit_square(d: list) -> None:
 def _reduce_to_real(delta: list, e_target: list | None) -> list:
     """S of :func:`reduce_to_real` as a 3x3 nested list, for a delta with
     delta.delta = 1 already and the real 3-list of e_target (or None)."""
-    N, M = [z.real for z in delta], [z.imag for z in delta]
-    ch = _norm(N)
+    a, b, c = delta
+    n1, n2, n3, m1, m2, m3 = a.real, b.real, c.real, a.imag, b.imag, c.imag
+    ch = _norm([n1, n2, n3])
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
-    N0 = [x / ch for x in N]
-    mnorm = _norm(M)
+    N0 = [n1 / ch, n2 / ch, n3 / ch]
+    mnorm = _norm([m1, m2, m3])
     k0, k = 1 + 0j, [0j, 0j, 0j]  # no boost for a real delta
     if mnorm > 1e-12 * max(1.0, ch):
-        u = _cross([y / mnorm for y in M], N0)
+        u1, u2, u3 = u = _cross([m1 / mnorm, m2 / mnorm, m3 / mnorm], N0)
         unorm = _norm(u)
         if unorm < 1e-8:
             raise DegenerateDelta("Re delta and Im delta are parallel")
-        k0, k = _small_group(1j * math.asinh(mnorm), [x / unorm for x in u])
+        k0, k = _small_group(1j * math.asinh(mnorm), [u1 / unorm, u2 / unorm, u3 / unorm])
     if e_target is not None:
         k0, k = _compose(*_turn_to(N0, _unit_target(e_target)), k0, k)
     return _so3c(k0, k)
@@ -414,9 +447,12 @@ def _canonical(kscalar: complex, delta: list) -> tuple[list, list]:
     """(S as a 3x3 nested list, Kcanon as a 3-list) of :func:`canonical_frame`,
     from a split of :func:`_view`; Kcanon is that of the view's Ks."""
     S = _reduce_to_real(delta, None)
-    u = [z.real for z in _apply(S, delta)]
-    nrm = _norm(u)
-    return S, [kscalar * (x / nrm) for x in u]
+    a, b, c = _apply(S, delta)
+    u1, u2, u3 = a.real, b.real, c.real
+    nrm = _norm([u1, u2, u3])
+    if not 0.0 < nrm < math.inf:  # S or S Delta overflowed: ||Delta||^2 is near the float range
+        raise DegenerateDelta(f"||Re(S Delta)|| = {nrm:.15g}: no finite real direction")
+    return S, [kscalar * (u1 / nrm), kscalar * (u2 / nrm), kscalar * (u3 / nrm)]
 
 
 # factorization: the rotation and boost factors of a spinor.
@@ -439,18 +475,21 @@ def _factors(k0: complex, k: list, order: FactorOrder) -> tuple[tuple, tuple, in
     # are finite while 4 r^2 is.  Beyond that (entries near 1e154) both get
     # the SpinorElement check, as they always have.
     n0, m0 = k0.real, k0.imag
-    n, m = [-z.imag for z in k], [z.real for z in k]
-    r2 = n0 * n0 + _dot(n, n)
+    x, y, z = k
+    n1, n2, n3, m1, m2, m3 = -x.imag, -y.imag, -z.imag, x.real, y.real, z.real
+    r2 = n0 * n0 + (n1 * n1 + n2 * n2 + n3 * n3)
     r = math.sqrt(r2)
-    cross_sign = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0
-    bk = [complex((n0 * x - m0 * y + cross_sign * c) / r) for x, y, c in zip(m, n, _cross(m, n))]
+    s = 1.0 if order is FactorOrder.ROTATION_FIRST else -1.0  # the sign of m x n
+    bk = [complex((n0 * m1 - m0 * n1 + s * (m2 * n3 - m3 * n2)) / r),
+          complex((n0 * m2 - m0 * n2 + s * (m3 * n1 - m1 * n3)) / r),
+          complex((n0 * m3 - m0 * n3 + s * (m1 * n2 - m2 * n1)) / r)]
     # r >= 1 in exact arithmetic; max() keeps b0 >= 1 after rounding
     boost = complex(max(r, 1.0)), bk
-    a0, a = n0 / r, [x / r for x in n]
+    a0, a1, a2, a3 = n0 / r, n1 / r, n2 / r, n3 / r
     sign = 1
     if a0 < 0.0:
-        a0, a, sign = -a0, [-x for x in a], -1
-    rotation = complex(a0), [-1j * x for x in a]
+        a0, a1, a2, a3, sign = -a0, -a1, -a2, -a3, -1
+    rotation = complex(a0), [-1j * a1, -1j * a2, -1j * a3]
     if not math.isfinite(4.0 * r2):
         _check_spinor(*boost)
         _check_spinor(*rotation)
@@ -461,6 +500,7 @@ def _isotropic_sign(k0: complex, k, eps_iso: float, null=_null) -> int:
     """:func:`isotropic_sign` of (k0, k): for the 3-list k of the CLI, or
     for the complex128 array of b with ``null`` the memoized test of
     ``stabilizer``."""
+    _require_eps_iso(eps_iso)
     sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
     if abs(k0 - sgn) > DEFAULT_TOL:
         return 0
@@ -481,7 +521,8 @@ def _check_units(c: float, epsilon0: float) -> None:
 
 def _f_of(E: list, B: list, c: float) -> list:
     """f = E + i c B of :class:`FieldState`, on 3-lists."""
-    return [x + 1j * c * y for x, y in zip(E, B)]
+    (e1, e2, e3), (b1, b2, b3), ic = E, B, 1j * c
+    return [e1 + ic * b1, e2 + ic * b2, e3 + ic * b3]
 
 
 def _h_of(D: list, H: list, c: float, epsilon0: float) -> list:
@@ -491,8 +532,8 @@ def _h_of(D: list, H: list, c: float, epsilon0: float) -> list:
     complex division by a real number does, so every part keeps the value it
     had as that array expression (a zero part can take the other sign).
     """
-    rc, re = 1.0 / c, 1.0 / epsilon0
-    return [complex(x * re, y * rc * re) for x, y in zip(D, H)]
+    (d1, d2, d3), (h1, h2, h3), rc, re = D, H, 1.0 / c, 1.0 / epsilon0
+    return [complex(d1 * re, h1 * rc * re), complex(d2 * re, h2 * rc * re), complex(d3 * re, h3 * rc * re)]
 
 
 #: Distance, in quarter turns, within which a dual angle counts as a quarter
@@ -541,15 +582,19 @@ def _scale(f: list, K: list) -> float:
 
 
 def _forward(f: list, K: list) -> list:
-    fc = _conj(f)
-    p, w = 1.0 + _dot(fc, _conj(K)), 0.5 * _dot(fc, fc)
-    return [p * x + w * k for x, k in zip(f, K)]
+    (a, b, c), (x, y, z) = f, K
+    ac, bc, cc = a.conjugate(), b.conjugate(), c.conjugate()
+    p = 1.0 + (ac * x.conjugate() + bc * y.conjugate() + cc * z.conjugate())
+    w = 0.5 * (ac * ac + bc * bc + cc * cc)
+    return [p * a + w * x, p * b + w * y, p * c + w * z]
 
 
 def _inverse(h: list, K: list) -> list:
-    hc = _conj(h)
-    p, w = 1.0 - _dot(hc, _conj(K)), 0.5 * _dot(hc, hc)
-    return [p * x - w * k for x, k in zip(h, K)]
+    (a, b, c), (x, y, z) = h, K
+    ac, bc, cc = a.conjugate(), b.conjugate(), c.conjugate()
+    p = 1.0 - (ac * x.conjugate() + bc * y.conjugate() + cc * z.conjugate())
+    w = 0.5 * (ac * ac + bc * bc + cc * cc)
+    return [p * a - w * x, p * b - w * y, p * c - w * z]
 
 
 def _inside(f: list, K: list) -> tuple[float, bool]:
@@ -618,7 +663,8 @@ def _real_normalized(x: list, y: list, K: list, form, factors) -> tuple[list, li
     in SI units c B overflows at B = 1e301, where H is finite.
     """
     u, v = form(x, y)
-    scale, inside = _inside([complex(a, b) for a, b in zip(u, v)], K)
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    scale, inside = _inside([complex(u1, v1), complex(u2, v2), complex(u3, v3)], K)
     e = 0
     if not inside and scale != 0.0:
         exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
@@ -626,20 +672,26 @@ def _real_normalized(x: list, y: list, K: list, form, factors) -> tuple[list, li
         if e:
             u, v = form(_ldexp(x, -e), _ldexp(y, -e))
             K = _ldexp(K, e)
-    return u, v, [z.real for z in K], [z.imag for z in K], e
+    k1, k2, k3 = K
+    return u, v, [k1.real, k2.real, k3.real], [k1.imag, k2.imag, k3.imag], e
 
 
 def _real_forward(E: list, B: list, K: list, c: float, eps0: float) -> tuple[list, list]:
     """(D, H) of :func:`constitutive_real_forward` as 3-lists, on 3-lists."""
-    E, cB, n, m, e = _real_normalized(E, B, K, lambda x, y: (x, [c * b for b in y]), (1.0, c))
+    E, cB, n, m, e = _real_normalized(
+        E, B, K, lambda x, y: (x, [c * y[0], c * y[1], c * y[2]]), (1.0, c))
     s1 = _dot(n, E) - _dot(m, cB)
     s2 = _dot(m, E) + _dot(n, cB)
     ecb = _dot(E, cB)
     quad = 0.5 * (_dot(E, E) - _dot(cB, cB))
     ceps0 = c * eps0
-    terms = list(zip(E, cB, n, m))
-    D = [eps0 * (a + s1 * a + s2 * b + ecb * y + quad * x) for a, b, x, y in terms]
-    H = [ceps0 * (b + s1 * b - s2 * a - ecb * x + quad * y) for a, b, x, y in terms]
+    (a1, a2, a3), (b1, b2, b3), (x1, x2, x3), (y1, y2, y3) = E, cB, n, m
+    D = [eps0 * (a1 + s1 * a1 + s2 * b1 + ecb * y1 + quad * x1),
+         eps0 * (a2 + s1 * a2 + s2 * b2 + ecb * y2 + quad * x2),
+         eps0 * (a3 + s1 * a3 + s2 * b3 + ecb * y3 + quad * x3)]
+    H = [ceps0 * (b1 + s1 * b1 - s2 * a1 - ecb * x1 + quad * y1),
+         ceps0 * (b2 + s1 * b2 - s2 * a2 - ecb * x2 + quad * y2),
+         ceps0 * (b3 + s1 * b3 - s2 * a3 - ecb * x3 + quad * y3)]
     return _ldexp(D, e), _ldexp(H, e)
 
 
@@ -658,4 +710,6 @@ def _dual_residual(state: tuple, chi: float, swapped: bool | None = None) -> flo
         u = 1.0 + (e * (c * fK + i_s * hK)).conjugate()
         w = -0.5 * (c * c * ff + 2j * c * s * fh - s * s * hh).conjugate() * e
         alpha, beta, gamma = i_s - u * c, c - u * i_s, w
-    return _norm([alpha * x + beta * y + gamma * z for x, y, z in zip(f, h, K)]) / scale
+    (f1, f2, f3), (h1, h2, h3), (k1, k2, k3) = f, h, K
+    return _norm([alpha * f1 + beta * h1 + gamma * k1, alpha * f2 + beta * h2 + gamma * k2,
+                  alpha * f3 + beta * h3 + gamma * k3]) / scale

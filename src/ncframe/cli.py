@@ -52,8 +52,8 @@ from . import __version__
 from ._kernels import (
     DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _apply, _canonical, _check_spinor, _check_units,
     _compose, _dot, _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta,
-    _lorentz4, _mapped, _norm, _project, _real_forward, _scale, _small_group, _so3c, _spinor_scale,
-    _state, _theta_to_K, _view, quarter_turn,
+    _lorentz4, _mapped, _modulus, _norm, _project, _real_forward, _scale, _small_group, _so3c,
+    _spinor_scale, _state, _theta_to_K, _view, quarter_turn,
 )
 from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
 
@@ -343,7 +343,7 @@ def cmd_factor(args) -> dict:
     k0 = complex(raw[0], raw[1])
     k = [m - 1j * n for n, m in zip(raw[2:5], raw[5:8])]
     det = k0 * k0 - _dot(k, k)
-    if not abs(det - 1.0) <= _SPINOR_DET_TOL * _spinor_scale(k0, k):  # a NaN det fails too
+    if not _modulus(det - 1.0) <= _SPINOR_DET_TOL * _spinor_scale(k0, k):  # a NaN det fails too
         raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
     try:
         k0, k = _project(k0, k)

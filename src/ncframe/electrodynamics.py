@@ -33,7 +33,7 @@ from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public her
     _gram, _h_of, _inverse, _ldexp, _mapped, _norm, _real_forward, _real_normalized, _scale, _so3c,
     _state, _turn, quarter_turn,
 )
-from .group import SpinorElement
+from .group import SpinorElement, _trusted
 from .linalg import ComplexVec3, rvec3, vec3
 
 
@@ -75,11 +75,12 @@ class FieldState:
 
     @property
     def f(self) -> ComplexVec3:
-        return np.array(_f_of(self.E.tolist(), self.B.tolist(), self.units.c))
+        return np.array(_f_of(self.E.tolist(), self.B.tolist(), self.units.c), dtype=complex)
 
     @property
     def h(self) -> ComplexVec3:
-        return np.array(_h_of(self.D.tolist(), self.H.tolist(), self.units.c, self.units.epsilon0))
+        units = self.units
+        return np.array(_h_of(self.D.tolist(), self.H.tolist(), units.c, units.epsilon0), dtype=complex)
 
     @classmethod
     def from_eb(cls, E, B, K, units: UnitSystem = NATURAL) -> "FieldState":
@@ -120,12 +121,12 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    return np.array(_mapped(_forward, vec3(f).tolist(), vec3(K).tolist()))
+    return np.array(_mapped(_forward, vec3(f).tolist(), vec3(K).tolist()), dtype=complex)
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    return np.array(_mapped(_inverse, vec3(h).tolist(), vec3(K).tolist()))
+    return np.array(_mapped(_inverse, vec3(h).tolist(), vec3(K).tolist()), dtype=complex)
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -136,7 +137,7 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
     serve as mutual checks.
     """
     D, H = _real_forward(rvec3(E).tolist(), rvec3(B).tolist(), vec3(K).tolist(), units.c, units.epsilon0)
-    return np.array(D), np.array(H)
+    return np.array(D, dtype=float), np.array(H, dtype=float)
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
@@ -145,16 +146,21 @@ def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
     ceps0 = c * eps0
     d, g, n, m, e = _real_normalized(
         rvec3(D).tolist(), rvec3(H).tolist(), vec3(K).tolist(),
-        lambda x, y: ([a / eps0 for a in x], [b / ceps0 for b in y]), (1.0 / eps0, 1.0 / ceps0),
+        lambda x, y: ([x[0] / eps0, x[1] / eps0, x[2] / eps0], [y[0] / ceps0, y[1] / ceps0, y[2] / ceps0]),
+        (1.0 / eps0, 1.0 / ceps0),
     )
     s1 = _dot(m, g) - _dot(n, d)
     s2 = _dot(m, d) + _dot(n, g)
     dg = _dot(d, g)
     quad = 0.5 * (_dot(g, g) - _dot(d, d))
-    terms = list(zip(d, g, n, m))
-    E = [a + s1 * a - s2 * b - dg * y + quad * x for a, b, x, y in terms]
-    B = [(b + s1 * b + s2 * a + dg * x + quad * y) / c for a, b, x, y in terms]
-    return np.array(_ldexp(E, e)), np.array(_ldexp(B, e))
+    (a1, a2, a3), (b1, b2, b3), (x1, x2, x3), (y1, y2, y3) = d, g, n, m
+    E = [a1 + s1 * a1 - s2 * b1 - dg * y1 + quad * x1,
+         a2 + s1 * a2 - s2 * b2 - dg * y2 + quad * x2,
+         a3 + s1 * a3 - s2 * b3 - dg * y3 + quad * x3]
+    B = [(b1 + s1 * b1 + s2 * a1 + dg * x1 + quad * y1) / c,
+         (b2 + s1 * b2 + s2 * a2 + dg * x2 + quad * y2) / c,
+         (b3 + s1 * b3 + s2 * a3 + dg * x3 + quad * y3) / c]
+    return np.array(_ldexp(E, e), dtype=float), np.array(_ldexp(B, e), dtype=float)
 
 
 def covariance_residual(b: SpinorElement, f, K) -> float:
@@ -166,8 +172,8 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     f, K = vec3(f), vec3(K)
     O = _so3c(b.k0, b.k.tolist())
     _, f, K, h, scale, _ = _base(f, K)
-    moved = _forward(_apply(O, f), _apply(O, K))
-    return _norm([x - y for x, y in zip(moved, _apply(O, h))]) / scale
+    (x1, x2, x3), (y1, y2, y3) = _forward(_apply(O, f), _apply(O, K)), _apply(O, h)
+    return _norm([x1 - y1, x2 - y2, x3 - y3]) / scale
 
 
 def dual_transform(f, h, K, chi: float):
@@ -232,10 +238,10 @@ class DualFrame:
 
 
 def gr_from_fields(f, h) -> DualFrame:
-    f, h = vec3(f).tolist(), vec3(h).tolist()
-    G = [0.5 * (y + x) for x, y in zip(f, h)]
-    R = [0.5 * (y - x).conjugate() for x, y in zip(f, h)]
-    return DualFrame(G=np.array(G), R=np.array(R))
+    (f1, f2, f3), (h1, h2, h3) = vec3(f).tolist(), vec3(h).tolist()
+    G = [0.5 * (h1 + f1), 0.5 * (h2 + f2), 0.5 * (h3 + f3)]
+    R = [0.5 * (h1 - f1).conjugate(), 0.5 * (h2 - f2).conjugate(), 0.5 * (h3 - f3).conjugate()]
+    return _trusted(DualFrame, G=np.array(G, dtype=complex), R=np.array(R, dtype=complex))
 
 
 def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
@@ -253,10 +259,10 @@ def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
     Kc = _conj(K)
     a, b = _dot(Gc, Kc), _dot(R, Kc)
     t, w = 2.0 * _dot(Gc, R), 0.5 * (_dot(Gc, Gc) + _dot(R, R))
-    terms = list(zip(G, Rc, K))
-    r1 = [t * k + a * rc + b * g for g, rc, k in terms]
-    r2 = [a * g + b * rc + w * k - 2.0 * rc for g, rc, k in terms]
-    return _norm(r1), _norm(r2)
+    (g1, g2, g3), (r1, r2, r3), (k1, k2, k3) = G, Rc, K
+    return (_norm([t * k1 + a * r1 + b * g1, t * k2 + a * r2 + b * g2, t * k3 + a * r3 + b * g3]),
+            _norm([a * g1 + b * r1 + w * k1 - 2.0 * r1, a * g2 + b * r2 + w * k2 - 2.0 * r2,
+                   a * g3 + b * r3 + w * k3 - 2.0 * r3]))
 
 
 # ---------------------------------------------------------------------------

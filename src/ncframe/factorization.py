@@ -45,8 +45,8 @@ class RotationBoostPair:
 
 def _factor(b: SpinorElement, order: FactorOrder) -> RotationBoostPair:
     (a0, a), (b0, bk), sign = _factors(b.k0, b.k.tolist(), order)
-    rotation = _trusted(SpinorElement, k0=a0, k=np.array(a))
-    boost = _trusted(SpinorElement, k0=b0, k=np.array(bk))
+    rotation = _trusted(SpinorElement, k0=a0, k=np.array(a, dtype=complex))
+    boost = _trusted(SpinorElement, k0=b0, k=np.array(bk, dtype=complex))
     return _trusted(RotationBoostPair, rotation=rotation, boost=boost, order=order, sign=sign)
 
 
@@ -135,8 +135,8 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
         "b0": abs(pair.boost.k0.real - expected_b0),
     }
     return {
-        "n_prime": np.array(np_),
-        "m_prime": np.array(mp),
+        "n_prime": np.array(np_, dtype=float),
+        "m_prime": np.array(mp, dtype=float),
         "identity_residuals": checks,
         "factor_residuals": factor_checks,
         "max_residual": max(max(checks.values()), max(factor_checks.values())),

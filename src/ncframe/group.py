@@ -118,7 +118,9 @@ def spinor_compose(b1: SpinorElement, b2: SpinorElement) -> SpinorElement:
     """
     # Checked: the product's scale can be far below its factors' (b b^-1 is
     # the identity), so the factors' tolerance does not carry over.
-    return SpinorElement(*_compose(b1.k0, b1.k.tolist(), b2.k0, b2.k.tolist()))
+    k0, k = _compose(b1.k0, b1.k.tolist(), b2.k0, b2.k.tolist())
+    _check_spinor(k0, k)
+    return _trusted(SpinorElement, k0=k0, k=np.array(k, dtype=complex))
 
 
 def _unit_axis(e) -> np.ndarray:
@@ -157,7 +159,7 @@ def _check_image(m: np.ndarray, preimage, image) -> None:
     with suppress(ArithmeticError, ConstraintViolation):  # a zero pivot, an overflow or a refused spinor
         k0, k = preimage(m.tolist())
         det = k0 * k0 - _dot(k, k)
-        resid = inf_norm(np.array(image(k0, k)) - m)
+        resid = inf_norm(np.array(image(k0, k), dtype=m.dtype) - m)
         _check_spinor(k0, k)
         if abs(det - 1.0) <= 0.5 and not _exceeds(resid, DEFAULT_TOL * max(1.0, inf_norm(m))):
             return
@@ -260,7 +262,7 @@ def so3c_from_spinor(b: SpinorElement) -> ComplexRotation:
     pure boosts give complex symmetric ones.  The image is not checked again:
     ``b`` passed the SpinorElement check.
     """
-    return _trusted(ComplexRotation, matrix=np.array(_so3c(b.k0, b.k.tolist())))
+    return _trusted(ComplexRotation, matrix=np.array(_so3c(b.k0, b.k.tolist()), dtype=complex))
 
 
 def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
@@ -270,13 +272,13 @@ def lorentz4_from_spinor(b: SpinorElement) -> Lorentz4:
     closed form with L00 = cosh(beta) and L0i = -sinh(beta) e_i.  Like
     :func:`so3c_from_spinor`, the image is not checked again.
     """
-    return _trusted(Lorentz4, matrix=np.array(_lorentz4(b.k0, b.k.tolist())))
+    return _trusted(Lorentz4, matrix=np.array(_lorentz4(b.k0, b.k.tolist()), dtype=float))
 
 
 def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     """The small-group element b(t; K) of :func:`_small_group` as a SpinorElement."""
     k0, k = _small_group(t, K)
-    return _trusted(SpinorElement, k0=k0, k=np.array(k))
+    return _trusted(SpinorElement, k0=k0, k=np.array(k, dtype=complex))
 
 
 def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> dict:

@@ -45,12 +45,13 @@ def vec3(v) -> ComplexVec3:
 def _real(v, shape: tuple, what: str) -> np.ndarray:
     """Coerce to a real array of the given shape; reject nonzero imaginary parts."""
     a = np.asarray(v)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         # written as "not <=" so that a NaN imaginary part is refused too
         if not np.abs(a.imag).max() <= DEFAULT_TOL * max(1.0, np.abs(a).max()):
             raise ValueError(f"expected a real {what}")
         a = a.real
-    a = np.asarray(a, dtype=float)
+    if a.dtype != np.float64:
+        a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise ValueError(f"expected a {what}, got shape {a.shape}")
     return a

@@ -63,7 +63,7 @@ def random_isotropic_k(rng: np.random.Generator, scale: float = 1.0) -> np.ndarr
     """Random k = m - i*n with m.m = n.n, m.n = 0, so k.k = 0 to rounding."""
     n = random_unit_vector(rng)
     c = _cross(n.tolist(), rng.normal(size=3).tolist())
-    m = np.array(c) / _norm(c)
+    m = np.array(c, dtype=float) / _norm(c)
     r = scale * rng.uniform(0.3, 1.7)
     return r * (m - 1j * n)
 

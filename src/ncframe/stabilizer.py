@@ -67,12 +67,12 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
     uses (length^2 for a noncommutativity matrix) and K carries them.  NaN or
     inf entries raise :class:`NonFiniteInput`.
     """
-    return np.array(_theta_to_K(rmat4(theta).tolist(), tol))
+    return np.array(_theta_to_K(rmat4(theta).tolist(), tol), dtype=complex)
 
 
 def K_to_theta(K) -> RealMat4:
     """Inverse of :func:`theta_to_K`; exact by construction."""
-    return np.array(_K_to_theta(vec3(K).tolist()))
+    return np.array(_K_to_theta(vec3(K).tolist()), dtype=float)
 
 
 def invariants(K) -> tuple[float, float, float, float]:
@@ -99,7 +99,8 @@ def classify(K, eps_iso: float = EPS_ISO) -> NCParameter:
     K = vec3(K)
     _, e, scaled, label, _ = _viewed(K, eps_iso)
     given = _invariants(K.tolist()) if e else scaled
-    return NCParameter(K.copy(), *given[:3], *label)
+    (i1, i2, mag, _), (mu, klass, subcase) = given, label
+    return _trusted(NCParameter, K=K.copy(), I1=i1, I2=i2, I=mag, mu=mu, klass=klass, subcase=subcase)
 
 
 # _last is the scaled view of the last K that a public function viewed, under
@@ -144,7 +145,7 @@ def unit_delta(K, eps_iso: float = EPS_ISO) -> tuple[complex, ComplexVec3]:
     _, e, _, _, split = _viewed(vec3(K), eps_iso)
     if split is None:
         raise IsotropicInput(_NO_SPLIT)
-    return _ldexp(split[0], e), np.array(split[1])
+    return _ldexp(split[0], e), np.array(split[1], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ def reduce_to_real(delta, e_target=None) -> ComplexRotation:
     delta = vec3(delta).tolist()
     _require_unit_square(delta)
     target = None if e_target is None else rvec3(e_target).tolist()
-    return _trusted(ComplexRotation, matrix=np.array(_reduce_to_real(delta, target)))
+    return _trusted(ComplexRotation, matrix=np.array(_reduce_to_real(delta, target), dtype=complex))
 
 
 def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, ComplexVec3]:
@@ -262,4 +263,5 @@ def canonical_frame(K, eps_iso: float = EPS_ISO) -> tuple[ComplexRotation, Compl
     if split is None:
         raise IsotropicInput(_NO_SPLIT)
     S, kcanon = _canonical(*split)
-    return _trusted(ComplexRotation, matrix=np.array(S)), np.array(_ldexp(kcanon, e))
+    S = _trusted(ComplexRotation, matrix=np.array(S, dtype=complex))
+    return S, np.array(_ldexp(kcanon, e), dtype=complex)

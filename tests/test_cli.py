@@ -347,6 +347,19 @@ class TestExitCodes:
             code, _ = run_cli(["factor"], {"spinor": spinor}, tmp_path, capsys)
             assert code == 6, spinor
 
+    @pytest.mark.parametrize("spinor", [[1.7e308, -1e308, 0, 0, 0, 0, 0, 0], [1.3e154, 0.55e154, 0, 0, 0, 0, 0, 0]])
+    def test_factor_overflowing_modulus(self, spinor, tmp_path, capsys):
+        # |k0| or |k0^2 - k.k - 1| overflows: Python's abs raised OverflowError
+        code, _ = run_cli(["factor"], {"spinor": spinor}, tmp_path, capsys)
+        assert code == 6
+
+    def test_reduce_overflowing_frame(self, tmp_path, capsys):
+        # at --eps-iso 0 this K is non-isotropic with ||Delta||^2 near 1e308,
+        # and S Delta overflows: a ZeroDivisionError in _kernels._canonical
+        nm = [-0.0235, -0.774, 1.7078084781192e308, 1.7078084781192e308, 2.36e-51, -0.702]
+        code, _ = run_cli(["reduce", "--eps-iso", "0"], {"nm": nm}, tmp_path, capsys)
+        assert code == 7
+
     def test_dual_scan_too_few_steps(self, tmp_path, capsys):
         doc = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
         code, _ = run_cli(["dual-scan", "--steps", "3"], doc, tmp_path, capsys)

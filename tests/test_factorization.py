@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import compose2
@@ -184,6 +186,13 @@ class TestIsotropicFactorization:
                         factor_isotropic(b)
         assert isotropic_sign(SpinorElement.identity()) == 1
         assert isotropic_sign(spinor_from_boost(1.0, [0, 0, 1.0])) == 0
+
+    @pytest.mark.parametrize("eps_iso", [-1.0, math.nan, math.inf])
+    def test_invalid_eps_iso_is_refused(self, eps_iso):
+        # k0 = cosh(1/2) is not +-1: the early return of 0 came before any
+        # check of eps_iso
+        with pytest.raises(ValueError, match="eps_iso must be finite and >= 0"):
+            isotropic_sign(spinor_from_boost(1.0, [1, 0, 0]), eps_iso)
 
     def test_near_isotropic_element_factors_generically(self):
         # k0 - 1 = 7.5e-10 is outside DEFAULT_TOL although k.k is within

@@ -271,6 +271,12 @@ class TestCompose:
         b = random_spinor(rng)
         assert spinor_close(spinor_compose(b, b.inverse()), SpinorElement.identity(), 1e-12)
 
+    def test_product_beyond_the_float_range_is_refused(self):
+        # k0 of b b is about 1e260: its square overflows and k0^2 - k.k is NaN
+        b = spinor_from_boost(600.0, [1, 0, 0])
+        with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k = nan"):
+            spinor_compose(b, b)
+
 
 class TestRotationBoostConstructors:
     def test_rotation_zero_angle(self):
@@ -624,6 +630,17 @@ class TestNonFinite:
         # recovered k0^2 - k.k is far from 1
         with pytest.raises(ConstraintViolation):
             build()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k0", [complex(1.7e308, -1e308), complex(1.3e154, 0.55e154)])
+    def test_overflowing_modulus(self, k0):
+        # |k0|, or |k0^2 - 1|, of a finite k0 overflows, where Python's abs
+        # raised OverflowError; project_to_group refuses the infinite scale
+        # before numpy divides by its root
+        with pytest.raises(ConstraintViolation, match="k0\\^2 - k.k"):
+            SpinorElement(k0, np.zeros(3))
+        with pytest.raises(ConstraintViolation, match="is not finite"):
+            project_to_group(k0, np.zeros(3))
 
     @pytest.mark.parametrize("build", [spinor_from_rotation, spinor_from_boost])
     def test_unit_axis(self, build):

@@ -19,6 +19,7 @@ from test_frame_bit_identity import KINDS, exponents, gammas, k_of_kind, seeded_
 
 from ncframe import stabilizer
 from ncframe.errors import (
+    DegenerateDelta,
     IsotropicInput,
     NonFiniteInput,
     NotAntisymmetric,
@@ -494,6 +495,15 @@ class TestCanonicalFrame:
     def test_isotropic_rejected(self):
         with pytest.raises(IsotropicInput):
             canonical_frame(np.array([1.0, 1j, 0.0]))
+
+    @pytest.mark.parametrize("divisor", [1.0, 1e300])
+    def test_overflowing_frame_is_refused(self, divisor):
+        # K.K is at the rounding level of ||K||^2, so at eps_iso = 0 K is
+        # non-isotropic with ||Delta||^2 near 1e308, and S Delta overflows:
+        # Re(S Delta) has norm 0, which was a ZeroDivisionError
+        K = np.array([-0.0235 + 1.7078084781192e308j, -0.774 + 2.36e-51j, 1.7078084781192e308 - 0.702j])
+        with pytest.raises(DegenerateDelta, match="no finite real direction"):
+            canonical_frame(K / divisor, eps_iso=0.0)
 
     @given(kind=st.sampled_from(["generic", "Ia", "Ib", "IIa", "IIb"]), seed=seeds, k=st.integers(-1000, 1000))
     def test_exact_under_power_of_two_scaling(self, kind, seed, k):
