@@ -327,6 +327,11 @@ def _invariants(K: list) -> tuple[float, float, float, float]:
     return i1, i2, abs(ksq), mu
 
 
+# An invariant below 2**-969 (2**53 times the smallest normal float) may be
+# a subnormal or a zero left by underflow, short of the bits mu needs.
+_TINY_INVARIANT = 2.0**-969
+
+
 def _require_eps_iso(eps_iso: float) -> None:
     if not 0.0 <= eps_iso < math.inf:
         raise ValueError(f"eps_iso must be finite and >= 0, got {eps_iso!r}")
@@ -339,7 +344,9 @@ def _view(K: list, eps_iso: float) -> tuple:
 
     Ks is the 3-list 2**-e K, exact: K itself inside ``_WINDOW``, else K
     with its largest part in [0.5, 1).  split is (Kscalar / 2**e, Delta as a
-    3-list) of a non-isotropic K, None for any other.  NaN or inf raise
+    3-list) of a non-isotropic K, None for any other.  Where I1 or I2 of Ks
+    is below ``_TINY_INVARIANT``, mu is that of K scaled to a largest part
+    in [0.5, 1), so no power-of-two scale of K moves it.  NaN or inf raise
     NonFiniteInput; an eps_iso that is not finite and >= 0 raises ValueError.
     """
     _require_eps_iso(eps_iso)
@@ -350,6 +357,9 @@ def _view(K: list, eps_iso: float) -> tuple:
         K = _ldexp(K, -e)
         nrm = _norm(K)
     scaled = i1, i2, mag, mu = _invariants(K)
+    if min(abs(i1), abs(i2)) < _TINY_INVARIANT:
+        mu = _invariants(_ldexp(K, -_exponent(K)))[3]
+        scaled = i1, i2, mag, mu
     if nrm == 0.0 or mag <= eps_iso * (nrm * nrm):
         klass = NCClass.ISOTROPIC if nrm else NCClass.COMMUTATIVE
         return K, e, scaled, (None, klass, Subcase.NONE), None

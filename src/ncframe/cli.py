@@ -12,14 +12,24 @@ Flags (exact names; a value may start with "-"):
   every command  --in FILE, --format json|text, --seed N (default 0),
                  --tol X, --eps-iso X (default 1e-9; both finite and >= 0),
                  --c X, --epsilon0 X (units, default 1)
-  stabilizer     --gamma RE[,IM], --z RE[,IM], --count N (N sampled elements)
+  stabilizer     --gamma RE[,IM], --z RE[,IM] (finite parts),
+                 --count N (N >= 0 sampled elements)
   constitutive   --dual-check CHI (repeatable)
   dual-scan      --steps N (N >= 4, default 32)
 
-Exit codes: 0 all residuals within thresholds; 1 residual failure;
-2 malformed input; 3 theta not antisymmetric; 4 vanishing K (stabilizer);
-5 isotropic/commutative input to reduce; 6 spinor constraint violation;
-7 any other library error (an ``NcframeError`` the codes above do not name).
+Exit codes: 0 all residuals within thresholds, 1 residual failure.  A
+refusal exits with the code of its exception type, the first that matches:
+  3  NotAntisymmetric     theta not antisymmetric
+  4  ZeroVector           K = 0 (stabilizer)
+  5  IsotropicInput       isotropic or commutative K (reduce)
+  6  ConstraintViolation  spinor or group element off its unit constraint
+  2  ValueError           malformed input or flag, NaN or inf included
+  7  NcframeError         any other library error
+Flags are read, and refused, before the input.  So, unlike earlier
+versions: a ConstraintViolation exits 6 in every command (stabilizer
+--gamma 0,2000 exited 2); a NaN or inf part of --gamma or --z exits 2 (4
+when K = 0); dual-scan --steps 3 exits 2 on any input (3 on a theta that
+is not antisymmetric).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits, so a float read back as a float is the double written.  A whole
 float prints as an integer (2.0 as 2, -0.0 as -0), so a reader that parses
@@ -55,25 +65,16 @@ from ._kernels import (
     _lorentz4, _mapped, _modulus, _norm, _project, _real_forward, _scale, _small_group, _so3c,
     _spinor_scale, _state, _theta_to_K, _view, quarter_turn,
 )
-from .errors import ConstraintViolation, NcframeError, NotAntisymmetric
+from .errors import ConstraintViolation, IsotropicInput, NcframeError, NotAntisymmetric, ZeroVector
 
-EXIT_OK = 0
-EXIT_RESIDUAL = 1
-EXIT_MALFORMED = 2
-EXIT_NOT_ANTISYMMETRIC = 3
-EXIT_ZERO_K = 4
-EXIT_NOT_REDUCIBLE = 5
-EXIT_BAD_SPINOR = 6
-EXIT_LIBRARY_ERROR = 7
+# The exit code of a refusal: that of the first type here that it is an
+# instance of.  ConstraintViolation and NonFiniteInput are both a ValueError
+# and an NcframeError, so the order matters.
+_EXITS = ((NotAntisymmetric, 3), (ZeroVector, 4), (IsotropicInput, 5), (ConstraintViolation, 6),
+          (ValueError, 2), (NcframeError, 7))
 
 _THETA_ANTISYM_TOL = 1e-9
 _SPINOR_DET_TOL = 1e-8
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ class CliError(Exception):
 
 def _jfloat(x: float) -> str:
     if not math.isfinite(x):
-        raise CliError(f"non-finite value in output: {x}", EXIT_MALFORMED)
+        raise ValueError(f"non-finite value in output: {x}")
     return format(float(x), ".17g")
 
 
@@ -128,17 +129,18 @@ def emit(report: dict, fmt: str) -> None:
 # Input parsing.
 # ---------------------------------------------------------------------------
 
-def _read_doc(args) -> dict:
+def _read_doc(infile) -> dict:
+    """The JSON object in the file infile, or on stdin when infile is None."""
     try:
-        if args.infile:
-            with open(args.infile, "r", encoding="utf-8") as fh:
+        if infile:
+            with open(infile, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read input: {exc}", EXIT_MALFORMED) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read input: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError("input must be a JSON object", EXIT_MALFORMED)
+        raise ValueError("input must be a JSON object")
     return doc
 
 
@@ -156,15 +158,15 @@ def _entries(x) -> list:
 def _real_values(doc, key, size: int) -> list:
     """doc[key] as a list of ``size`` finite floats: a flat list, or rows of equal length."""
     if key not in doc:
-        raise CliError(f"missing field {key!r}", EXIT_MALFORMED)
+        raise ValueError(f"missing field {key!r}")
     try:
         values = [float(x) for x in _entries(doc[key])]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliError(f"field {key!r}: {exc}", EXIT_MALFORMED) from exc
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from exc
     if len(values) != size:
-        raise CliError(f"field {key!r}: expected {size} numbers, got {len(values)}", EXIT_MALFORMED)
+        raise ValueError(f"field {key!r}: expected {size} numbers, got {len(values)}")
     if not all(map(math.isfinite, values)):
-        raise CliError(f"field {key!r} contains non-finite values", EXIT_MALFORMED)
+        raise ValueError(f"field {key!r} contains non-finite values")
     return values
 
 
@@ -173,50 +175,32 @@ def _parse_theta(doc) -> tuple[list, list]:
     if "theta" in doc:
         values = _real_values(doc, "theta", 16)
         theta = [values[i : i + 4] for i in range(0, 16, 4)]
-        try:
-            K = _theta_to_K(theta, _THETA_ANTISYM_TOL)
-        except NotAntisymmetric as exc:
-            raise CliError(str(exc), EXIT_NOT_ANTISYMMETRIC) from exc
-        return theta, K
+        return theta, _theta_to_K(theta, _THETA_ANTISYM_TOL)
     if "nm" in doc:
         nm = _real_values(doc, "nm", 6)
         K = [complex(x, y) for x, y in zip(nm[:3], nm[3:])]
         return _K_to_theta(K), K
-    raise CliError("input needs either 'theta' or 'nm'", EXIT_MALFORMED)
+    raise ValueError("input needs either 'theta' or 'nm'")
 
 
-def _parse_complex_flag(text: str) -> complex:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise CliError(f"cannot parse complex value {text!r} (use RE or RE,IM)", EXIT_MALFORMED) from exc
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) == 2:
-        return complex(parts[0], parts[1])
-    raise CliError(f"cannot parse complex value {text!r} (use RE or RE,IM)", EXIT_MALFORMED)
-
-
-def _base_report(args, command: str, input_echo: dict, tol: float) -> dict:
+def _base_report(args, doc: dict) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "tolerances": {"tol": tol, "eps_iso": args.eps_iso},
-        "input": input_echo,
+        "tolerances": {"tol": args.tol, "eps_iso": args.eps_iso},
+        "input": doc,
     }
 
 
-def _classified(args, command: str) -> tuple[dict, tuple, list, float]:
-    """(report, the scaled view of K, theta, tol) of the input, with the
-    report's base and classification filled in; tol is --tol or 1e-9.  The
-    invariants are those of Ks = 2**-exponent K, so they neither under- nor overflow."""
-    tol = args.tol if args.tol is not None else 1e-9
-    doc = _read_doc(args)
+def _classified(args, doc: dict) -> tuple[dict, tuple, list]:
+    """(report, the scaled view of K, theta) of the input, with the report's
+    base and classification filled in.  The invariants are those of
+    Ks = 2**-exponent K, so they neither under- nor overflow."""
     theta, K = _parse_theta(doc)
     view = _view(K, args.eps_iso)
     _, e, (I1, I2, I, _), (mu, klass, subcase), _ = view
-    report = _base_report(args, command, doc, tol)
+    report = _base_report(args, doc)
     report.update({
         "class": klass.value,
         "subcase": subcase.value,
@@ -224,15 +208,16 @@ def _classified(args, command: str) -> tuple[dict, tuple, list, float]:
         "invariants": {"I1": I1, "I2": I2, "I": I, "mu": mu},
         "K": K,
     })
-    return report, view, theta, tol
+    return report, view, theta
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Commands: run(args, doc) -> report, with no I/O; a refusal raises the type
+# that carries its exit code (see _EXITS).
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> dict:
-    report, (Ks, _, _, _, split), theta, tol = _classified(args, "classify")
+def run_classify(args, doc: dict) -> dict:
+    report, (Ks, _, _, _, split), theta = _classified(args, doc)
     report["theta"] = theta
     if split is not None:
         kscalar, delta = split
@@ -242,7 +227,7 @@ def cmd_classify(args) -> dict:
             "delta_unit": abs(_dot(delta, delta) - 1.0),
             "split": _norm([kscalar * d - k for d, k in zip(delta, Ks)]) / _norm(Ks),
         }
-        report["pass"] = all(r <= tol for r in report["residuals"].values())
+        report["pass"] = all(r <= args.tol for r in report["residuals"].values())
     else:
         report["residuals"] = {}
         report["pass"] = True
@@ -263,31 +248,29 @@ def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol
     }
 
 
-def cmd_stabilizer(args) -> dict:
-    if args.count < 0:
-        raise CliError("--count must not be negative", EXIT_MALFORMED)
+def run_stabilizer(args, doc: dict) -> dict:
     if args.count and args.seed < 0:  # random.Random(-7) draws what random.Random(7) draws
-        raise CliError("--seed must not be negative when sampling", EXIT_MALFORMED)
-    report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "stabilizer")
+        raise ValueError("--seed must not be negative when sampling")
+    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, doc)
     if klass is NCClass.COMMUTATIVE:
-        raise CliError("K = 0: every Lorentz transformation is a stabilizer", EXIT_ZERO_K)
+        raise ZeroVector("K = 0: every Lorentz transformation is a stabilizer")
     if klass is NCClass.NON_ISOTROPIC:
         if args.z is not None:
-            raise CliError("K is non-isotropic: use --gamma, not --z", EXIT_MALFORMED)
+            raise ValueError("K is non-isotropic: use --gamma, not --z")
         delta = split[1]
         report["delta"] = delta
-        flag = args.gamma
+        param = args.gamma
         draw = lambda rng: complex(rng.uniform(0.0, 2 * math.pi), rng.uniform(-2.0, 2.0))  # noqa: E731
-        entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, tol)  # noqa: E731
+        entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, args.tol)  # noqa: E731
     else:
         if args.gamma is not None:
-            raise CliError("K is isotropic: use --z, not --gamma", EXIT_MALFORMED)
-        flag = args.z
+            raise ValueError("K is isotropic: use --z, not --gamma")
+        param = args.z
         draw = lambda rng: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))  # noqa: E731
         nrm = _norm(Ks)
         unit = [x / nrm for x in Ks]  # so z is dimensionless, like the unit delta
-        entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, tol)  # noqa: E731
-    params = [] if flag is None else [_parse_complex_flag(flag)]
+        entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, args.tol)  # noqa: E731
+    params = [] if param is None else [param]
     if args.count > 0:
         import random
 
@@ -299,10 +282,10 @@ def cmd_stabilizer(args) -> dict:
     return report
 
 
-def cmd_reduce(args) -> dict:
-    report, (Ks, _, _, (_, klass, _), split), _, tol = _classified(args, "reduce")
+def run_reduce(args, doc: dict) -> dict:
+    report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, doc)
     if split is None:
-        raise CliError(f"class {klass.value}: no reduction to a real direction exists", EXIT_NOT_REDUCIBLE)
+        raise IsotropicInput(f"class {klass.value}: no reduction to a real direction exists")
     S, kcs = _canonical(*split)
     ksq, csq = _dot(Ks, Ks), _dot(kcs, kcs)
     columns = list(zip(*S))  # S^T S - I, entry by entry
@@ -315,7 +298,7 @@ def cmd_reduce(args) -> dict:
     report["S"] = S
     report["K_canonical"] = kcs
     report["residuals"] = residuals
-    report["pass"] = all(r <= tol for r in residuals.values())
+    report["pass"] = all(r <= args.tol for r in residuals.values())
     return report
 
 
@@ -337,25 +320,20 @@ def _spinor_entry(k0: complex, k: list, order: FactorOrder) -> dict:
     }
 
 
-def cmd_factor(args) -> dict:
-    doc = _read_doc(args)
+def run_factor(args, doc: dict) -> dict:
     raw = _real_values(doc, "spinor", 8)
     k0 = complex(raw[0], raw[1])
     k = [m - 1j * n for n, m in zip(raw[2:5], raw[5:8])]
     det = k0 * k0 - _dot(k, k)
     if not _modulus(det - 1.0) <= _SPINOR_DET_TOL * _spinor_scale(k0, k):  # a NaN det fails too
-        raise CliError(f"k0^2 - k.k = {det:.15g}, violates the unit constraint", EXIT_BAD_SPINOR)
-    try:
-        k0, k = _project(k0, k)
-        _check_spinor(k0, k)
-    except ConstraintViolation as exc:
-        raise CliError(str(exc), EXIT_BAD_SPINOR) from exc
-    tol = args.tol if args.tol is not None else 1e-10
-    report = _base_report(args, "factor", doc, tol)
+        raise ConstraintViolation(f"k0^2 - k.k = {det:.15g}, violates the unit constraint")
+    k0, k = _project(k0, k)
+    _check_spinor(k0, k)
+    report = _base_report(args, doc)
     report["method"] = "isotropic" if _isotropic_sign(k0, k, args.eps_iso) else "generic"
     report["det_residual"] = abs(det - 1.0)
     report["factorizations"] = [_spinor_entry(k0, k, order) for order in FactorOrder]
-    report["pass"] = all(f["roundtrip_residual"] <= tol for f in report["factorizations"])
+    report["pass"] = all(f["roundtrip_residual"] <= args.tol for f in report["factorizations"])
     return report
 
 
@@ -372,26 +350,22 @@ def _dual_pass(rows, tol: float) -> bool:
     return all(r["residual"] <= tol for r in rows if r["expected_invariant"])
 
 
-def _fields(args) -> tuple[dict, list, list, list]:
-    """(input document, K, E, B) of a field-state command, after the
-    ``UnitSystem`` check of --c and --epsilon0."""
-    doc = _read_doc(args)
-    _, K = _parse_theta(doc)
-    E = _real_values(doc, "E", 3)
-    B = _real_values(doc, "B", 3)
+def _fields(args, doc: dict) -> tuple[list, list, list]:
+    """(K, E, B) of a field-state command, after the ``UnitSystem`` check of
+    --c and --epsilon0."""
     _check_units(args.c, args.epsilon0)
-    return doc, K, E, B
+    _, K = _parse_theta(doc)
+    return K, _real_values(doc, "E", 3), _real_values(doc, "B", 3)
 
 
-def cmd_constitutive(args) -> dict:
-    doc, K, E, B = _fields(args)
+def run_constitutive(args, doc: dict) -> dict:
+    K, E, B = _fields(args, doc)
     c, eps0 = args.c, args.epsilon0
     D, H = _real_forward(E, B, K, c, eps0)
     f = _f_of(E, B, c)
     h = _mapped(_forward, f, K)
     cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
-    tol = args.tol if args.tol is not None else 1e-12
-    report = _base_report(args, "constitutive", doc, tol)
+    report = _base_report(args, doc)
     report["units"] = {"c": c, "epsilon0": eps0}
     report["D"] = D
     report["H"] = H
@@ -401,28 +375,25 @@ def cmd_constitutive(args) -> dict:
     dual_rows = []
     if args.dual_check:
         state = _state(None, f, K, gram=True)
-        dual_rows = [_dual_row(state, float(text)) for text in args.dual_check]
+        dual_rows = [_dual_row(state, chi) for chi in args.dual_check]
         report["dual_checks"] = dual_rows
-    report["pass"] = cross <= tol and _dual_pass(dual_rows, DUAL_TOL)
+    report["pass"] = cross <= args.tol and _dual_pass(dual_rows, DUAL_TOL)
     return report
 
 
-def cmd_dual_scan(args) -> dict:
-    doc, K, E, B = _fields(args)
-    if args.steps < 4:
-        raise CliError("--steps must be at least 4", EXIT_MALFORMED)
+def run_dual_scan(args, doc: dict) -> dict:
+    K, E, B = _fields(args, doc)
     state = _state(None, _f_of(E, B, args.c), K, gram=True)
-    tol = args.tol if args.tol is not None else DUAL_TOL
     rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
-    report = _base_report(args, "dual-scan", doc, tol)
+    report = _base_report(args, doc)
     report["units"] = {"c": args.c, "epsilon0": args.epsilon0}
     report["scan"] = rows
-    report["pass"] = _dual_pass(rows, tol)
+    report["pass"] = _dual_pass(rows, args.tol)
     return report
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# Argument parsing: one table of commands, flags and defaults.
 # ---------------------------------------------------------------------------
 
 def _threshold(text: str) -> float:
@@ -437,75 +408,81 @@ def _format(text: str) -> str:
     return text
 
 
-# flag -> (dest, type) per command; a repeated --dual-check appends
-_COMMON = {"--in": ("infile", str), "--format": ("format", _format), "--seed": ("seed", int),
-           "--tol": ("tol", _threshold), "--eps-iso": ("eps_iso", _threshold),
-           "--c": ("c", float), "--epsilon0": ("epsilon0", float)}
-_FLAGS = {
-    "classify": _COMMON, "reduce": _COMMON, "factor": _COMMON,
-    "stabilizer": {**_COMMON, "--gamma": ("gamma", str), "--z": ("z", str), "--count": ("count", int)},
-    "constitutive": {**_COMMON, "--dual-check": ("dual_check", str)},
-    "dual-scan": {**_COMMON, "--steps": ("steps", int)},
+def _at_least(low: int):
+    """The flag type of an integer >= low."""
+    def integer(text: str) -> int:
+        if (n := int(text)) < low:
+            raise ValueError(f"must be at least {low}, got {text!r}")
+        return n
+    return integer
+
+
+def _complex(text: str) -> complex:
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise ValueError(f"must be RE or RE,IM with finite parts, got {text!r}")
+    return complex(*parts)
+
+
+# flag -> (dest, type, default); a repeated --dual-check appends
+_COMMON = {"--in": ("infile", str, None), "--format": ("format", _format, "json"),
+           "--seed": ("seed", int, 0), "--tol": ("tol", _threshold, None),
+           "--eps-iso": ("eps_iso", _threshold, EPS_ISO), "--c": ("c", float, 1.0),
+           "--epsilon0": ("epsilon0", float, 1.0)}
+# command -> (run function, flags, default of --tol)
+_COMMANDS = {
+    "classify": (run_classify, _COMMON, 1e-9),
+    "stabilizer": (run_stabilizer, {**_COMMON, "--gamma": ("gamma", _complex, None),
+                                    "--z": ("z", _complex, None), "--count": ("count", _at_least(0), 0)}, 1e-9),
+    "reduce": (run_reduce, _COMMON, 1e-9),
+    "factor": (run_factor, _COMMON, 1e-10),
+    "constitutive": (run_constitutive, {**_COMMON, "--dual-check": ("dual_check", float, ())}, 1e-12),
+    "dual-scan": (run_dual_scan, {**_COMMON, "--steps": ("steps", _at_least(4), 32)}, DUAL_TOL),
 }
-_DEFAULTS = {"infile": None, "format": "json", "seed": 0, "tol": None, "eps_iso": EPS_ISO, "c": 1.0,
-             "epsilon0": 1.0, "gamma": None, "z": None, "count": 0, "dual_check": None, "steps": 32}
+_INFO = ("-h", "--help", "--version")
 
 
 def _parse_args(argv: list):
-    """The command and flags of argv as a namespace, or None once -h, --help
-    or --version has printed."""
-    args = SimpleNamespace(subcommand=argv[0] if argv else "", **_DEFAULTS)
-    flags = _FLAGS.get(args.subcommand)
-    if flags is None and args.subcommand not in ("-h", "--help", "--version"):
-        raise CliError(f"expected a command ({', '.join(_FLAGS)}), got {args.subcommand!r}", EXIT_MALFORMED)
+    """The command and flags of argv as a namespace, every flag read and
+    --tol resolved, or None once -h, --help or --version has printed."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS and command not in _INFO:
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    _, flags, tol = _COMMANDS.get(command, (None, {}, None))
+    args = SimpleNamespace(command=command, **{dest: default for dest, _, default in flags.values()})
     tokens = iter(argv[1:] if flags else argv)
     for token in tokens:
         flag, eq, value = token.partition("=")
-        if flag in ("-h", "--help", "--version"):
+        if flag in _INFO:
             usage = __doc__ or "usage: ncframe COMMAND [FLAG VALUE]..."  # python -OO drops __doc__
             print(f"ncframe {__version__}" if flag == "--version" else usage)
             return None
         if flag not in flags:
-            raise CliError(f"{args.subcommand}: unrecognized argument {token!r}", EXIT_MALFORMED)
-        dest, kind = flags[flag]
+            raise ValueError(f"{command}: unrecognized argument {token!r}")
+        dest, kind, _ = flags[flag]
         try:
             value = kind(value if eq else next(tokens))
         except (StopIteration, ValueError) as exc:
-            raise CliError(f"{flag}: {str(exc) or 'missing value'}", EXIT_MALFORMED) from exc
-        setattr(args, dest, [*(args.dual_check or ()), value] if dest == "dual_check" else value)
+            raise ValueError(f"{flag}: {str(exc) or 'missing value'}") from exc
+        setattr(args, dest, [*args.dual_check, value] if dest == "dual_check" else value)
+    if args.tol is None:
+        args.tol = tol
     return args
-
-
-_HANDLERS = {
-    "classify": cmd_classify,
-    "stabilizer": cmd_stabilizer,
-    "reduce": cmd_reduce,
-    "factor": cmd_factor,
-    "constitutive": cmd_constitutive,
-    "dual-scan": cmd_dual_scan,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args is None:
-            return EXIT_OK
-        report = _HANDLERS[args.subcommand](args)
+            return 0
+        report = _COMMANDS[args.command][0](args, _read_doc(args.infile))
         emit(report, args.format)
-        return EXIT_OK if report["pass"] else EXIT_RESIDUAL
-    except CliError as exc:
-        print(f"ncframe: {exc}", file=sys.stderr)
-        return exc.code
-    except NotAntisymmetric as exc:
-        print(f"ncframe: {exc}", file=sys.stderr)
-        return EXIT_NOT_ANTISYMMETRIC
-    except ValueError as exc:
-        print(f"ncframe: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except NcframeError as exc:
-        print(f"ncframe: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_LIBRARY_ERROR
+        return 0 if report["pass"] else 1
+    except (ValueError, NcframeError) as exc:
+        code = next(code for kind, code in _EXITS if isinstance(exc, kind))
+        name = f"{type(exc).__name__}: " if code == 7 else ""
+        print(f"ncframe: {name}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

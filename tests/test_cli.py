@@ -7,6 +7,8 @@ output.  Regenerate after an intentional output change with:
     python tests/test_cli.py --regen
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -15,7 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncframe import cli, errors
 from ncframe.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -184,7 +189,8 @@ def test_overflowing_gamma_is_refused_without_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(argvs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"]["overflow"] == [2, ""]
+    # a ConstraintViolation, so exit 6 as in factor (it was 2, through ValueError)
+    assert json.loads(proc.stdout)["results"]["overflow"] == [6, ""]
     assert "k0^2 - k.k = nan" in proc.stderr and "Warning" not in proc.stderr
 
 
@@ -274,11 +280,13 @@ class TestFlags:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out == cli.__doc__ + "\n" and out.startswith("`ncframe`") and "Usage: ncframe COMMAND" in out
-        assert all(flag in out for flags in cli._FLAGS.values() for flag in flags)
+        assert all(flag in out for _, flags, _ in cli._COMMANDS.values() for flag in flags)
 
 
 # The commands that report the scaled view of K.
 VIEW_COMMANDS = (["classify"], ["reduce"], ["stabilizer", "--count", "2"])
+FIELDS = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
+OVERFLOWING_FRAME = [-0.0235, -0.774, 1.7078084781192e308, 1.7078084781192e308, 2.36e-51, -0.702]
 
 
 class TestExitCodes:
@@ -300,6 +308,14 @@ class TestExitCodes:
         # a JSON integer too large for a float escaped as an OverflowError
         infile = tmp_path / "big.json"
         infile.write_text('{"nm": [1' + "0" * 400 + ", 0, 0, 0, 0, 0]}")
+        assert main(["classify", "--in", str(infile)]) == 2
+
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deeply_nested_input(self, depth, tmp_path, capsys):
+        # a RecursionError escaped, from the list walk at 500 levels and from
+        # json.load at 5000
+        infile = tmp_path / "deep.json"
+        infile.write_text('{"nm": ' + "[" * depth + "]" * depth + "}")
         assert main(["classify", "--in", str(infile)]) == 2
 
     def test_not_antisymmetric(self, tmp_path, capsys):
@@ -356,8 +372,7 @@ class TestExitCodes:
     def test_reduce_overflowing_frame(self, tmp_path, capsys):
         # at --eps-iso 0 this K is non-isotropic with ||Delta||^2 near 1e308,
         # and S Delta overflows: a ZeroDivisionError in _kernels._canonical
-        nm = [-0.0235, -0.774, 1.7078084781192e308, 1.7078084781192e308, 2.36e-51, -0.702]
-        code, _ = run_cli(["reduce", "--eps-iso", "0"], {"nm": nm}, tmp_path, capsys)
+        code, _ = run_cli(["reduce", "--eps-iso", "0"], {"nm": OVERFLOWING_FRAME}, tmp_path, capsys)
         assert code == 7
 
     def test_dual_scan_too_few_steps(self, tmp_path, capsys):
@@ -386,14 +401,64 @@ class TestExitCodes:
         assert all(f["roundtrip_residual"] <= out["tolerances"]["tol"] for f in out["factorizations"])
 
     def test_every_library_error_maps_to_exit_7(self, tmp_path, capsys, monkeypatch):
-        from ncframe import cli, errors
+        from ncframe import cli
 
-        def fail(args):
+        def fail(args, doc):
             raise errors.DegenerateDelta("forced")
 
-        monkeypatch.setitem(cli._HANDLERS, "reduce", fail)
+        _, flags, tol = cli._COMMANDS["reduce"]
+        monkeypatch.setitem(cli._COMMANDS, "reduce", (fail, flags, tol))
         code, _ = run_cli(["reduce"], {"nm": [1, 0, 0, 0, 0, 0]}, tmp_path, capsys)
         assert code == 7
+
+    @pytest.mark.parametrize("argv, doc, kind, code", [
+        pytest.param(["classify"], {"theta": np.eye(4).tolist()}, errors.NotAntisymmetric, 3, id="3"),
+        pytest.param(["stabilizer"], {"nm": [0, 0, 0, 0, 0, 0]}, errors.ZeroVector, 4, id="4"),
+        pytest.param(["reduce"], {"nm": [1, 0, 0, 0, 1, 0]}, errors.IsotropicInput, 5, id="5"),
+        pytest.param(["stabilizer", "--gamma", "0,2000"], {"nm": [0, 0, 1, 0, 0, 0]},
+                     errors.ConstraintViolation, 6, id="6-stabilizer"),
+        pytest.param(["factor"], {"spinor": [2, 0, 0, 0, 0, 0, 0, 0]}, errors.ConstraintViolation, 6, id="6-factor"),
+        pytest.param(["classify"], {"wrong": 1}, ValueError, 2, id="2"),
+        pytest.param(["constitutive", "--dual-check", "nan"], FIELDS, errors.NonFiniteInput, 2, id="2-NonFiniteInput"),
+        pytest.param(["reduce", "--eps-iso", "0"], {"nm": OVERFLOWING_FRAME}, errors.DegenerateDelta, 7, id="7"),
+    ])
+    def test_exit_table(self, argv, doc, kind, code, tmp_path, capsys):
+        # one input per row of cli._EXITS: the command raises the type, and
+        # main exits with the code of the first row that the type matches
+        args = cli._parse_args(argv)
+        with pytest.raises(kind) as info:
+            cli._COMMANDS[args.command][0](args, doc)
+        assert type(info.value) is kind
+        assert run_cli(argv, doc, tmp_path, capsys) == (code, None)
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["stabilizer", "--gamma", "0,800"], {"nm": [0, 0, 1, 0, 0, 0]}),
+        (["stabilizer", "--gamma", "1e308,0"], {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}),
+        (["stabilizer", "--z", "1e300"], {"nm": [1, 0, 0, 0, 1, 0]}),
+    ])
+    def test_stabilizer_constraint_violation_exits_6(self, argv, doc, tmp_path, capsys):
+        # the element overflows and its spinor check refuses it: exit 6, as
+        # in factor (it was 2, through the ValueError branch)
+        infile = tmp_path / "input.json"
+        infile.write_text(json.dumps(doc))
+        assert main([*argv, "--in", str(infile)]) == 6
+        assert capsys.readouterr().err.startswith("ncframe: k0^2 - k.k = nan")
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--z"])
+    @pytest.mark.parametrize("value", ["nan", "1,inf", "-inf,0", "1,2,3", "one"])
+    def test_non_finite_parameter_is_a_flag_error(self, flag, value, tmp_path, capsys):
+        # refused while reading the flags, before K = 0 (exit 4) is seen
+        infile = tmp_path / "zero.json"
+        infile.write_text('{"nm": [0, 0, 0, 0, 0, 0]}')
+        assert main(["stabilizer", flag, value, "--in", str(infile)]) == 2
+        assert capsys.readouterr().err.startswith(f"ncframe: {flag}: ")
+
+    @pytest.mark.parametrize("flags", [["--steps", "3"], ["--steps", "x"], ["--c", "0"]])
+    def test_flag_errors_come_before_input_errors(self, flags, tmp_path, capsys):
+        # theta is not antisymmetric (exit 3), but the flags are refused first
+        doc = {"theta": np.eye(4).tolist(), "E": [1, 0, 0], "B": [0, 0, 0]}
+        assert run_cli(["dual-scan", *flags], doc, tmp_path, capsys) == (2, None)
+        assert run_cli(["dual-scan"], doc, tmp_path, capsys) == (3, None)
 
     @pytest.mark.parametrize("argv", [["constitutive", "--dual-check", repr(math.pi / 2)],
                                       ["dual-scan", "--steps", "4"]])
@@ -615,6 +680,133 @@ class TestBehavior:
         _, out = run_cli(["classify"], doc, tmp_path, capsys)
         got = [re for re, im in out["K"]] + [im for re, im in out["K"]]
         assert got == doc["nm"]
+
+
+# The fuzz of main: documents of every input form, with numbers over the
+# whole float range (NaN and inf included), huge integers and wrong types,
+# under every flag of every command.  Most documents and flags are valid, so
+# that most runs reach the kernels and the report.
+def one_of_values(values):
+    """One of values, drawn by index: drawn from sampled_from, the huge
+    integers at the end came too seldom for the fuzz to catch a copy of
+    cli.py that lets their OverflowError escape."""
+    return st.integers(0, len(values) - 1).map(values.__getitem__)
+
+
+finite = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
+                   one_of_values((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e300, 1.7976931348623157e308,
+                                  -1.7976931348623157e308)))
+wrong = st.one_of(st.text(max_size=3), one_of_values((None, True, False, [], {}, [[1, 2], [3]])))
+# NaN, inf and integers beyond the float range
+special = one_of_values((math.nan, math.inf, -math.inf, 2**1024, -(10**400)))
+anything = st.one_of(finite, special, st.integers(), wrong)
+
+
+def exact(size):
+    return st.lists(finite, min_size=size, max_size=size)
+
+
+def vectors(size):
+    """A list of size finite numbers, one with a special entry, one with any
+    entries, one of another length, or not a list."""
+    spoiled = st.tuples(exact(size), st.integers(0, size - 1), special).map(
+        lambda t: [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]])
+    return st.one_of(exact(size), spoiled, st.lists(anything, min_size=size, max_size=size),
+                     st.lists(finite, max_size=size + 2), wrong)
+
+
+def _spinor(alpha, beta, seed):
+    from ncframe.group import spinor_compose, spinor_from_boost, spinor_from_rotation
+
+    axes = np.random.default_rng(seed).normal(size=(2, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    b = spinor_compose(spinor_from_rotation(alpha, axes[0]), spinor_from_boost(beta, axes[1]))
+    return [float(b.n0), float(b.m0), *map(float, b.n), *map(float, b.m)]
+
+
+# theta as 4 rows that are antisymmetric (so that the commands get past it)
+antisymmetric = exact(6).map(
+    lambda v: [[0, v[0], v[1], v[2]], [-v[0], 0, v[3], -v[4]], [-v[1], -v[3], 0, v[5]], [-v[2], v[4], -v[5], 0]])
+thetas = st.one_of(antisymmetric, antisymmetric.map(lambda rows: sum(rows, [])), vectors(16))
+spinors = st.one_of(
+    st.tuples(st.floats(0, 2 * math.pi), st.floats(-30, 30), st.integers(0, 9)).map(lambda t: _spinor(*t)),
+    finite.map(lambda a: [1, 0, 0, a, 0, a, 0, 0]))  # the isotropic family: k = a (1, -i, 0)
+valid = {"E": exact(3), "B": exact(3), "spinor": spinors}
+malformed = {"E": vectors(3), "B": vectors(3), "spinor": st.one_of(spinors, vectors(8))}
+# mostly valid: beside argvs, a plain one_of drew a non-object half the time
+documents = st.sampled_from([
+    st.fixed_dictionaries({"nm": exact(6), **valid}),
+    st.fixed_dictionaries({"theta": antisymmetric, **valid}),
+    st.fixed_dictionaries({"nm": vectors(6), **malformed}),
+    st.fixed_dictionaries({"theta": thetas, **malformed}),
+    st.fixed_dictionaries({}, optional={"nm": vectors(6), **malformed}),
+    wrong,
+]).flatmap(lambda strategy: strategy)
+
+
+def text_of(strategy):
+    return strategy.map(lambda x: repr(float(x)) if isinstance(x, float) else str(x))
+
+
+def flag_values(good, bad):
+    """Mostly a good value."""
+    return st.one_of(*(st.sampled_from(good) for _ in range(4)), st.sampled_from(bad))
+
+
+thresholds = flag_values(["0", "1e-12", "1e-9", "0.5"], ["-1", "nan", "inf", "x", "1e999"])
+units = st.one_of(flag_values(["1", "2.5", "1e-3", "3e8"], ["0", "-1", "nan", "1e-200", "x"]), text_of(finite))
+complexes = st.one_of(st.tuples(text_of(st.floats(-40, 40)), text_of(st.floats(-40, 40))).map(",".join),
+                      st.tuples(text_of(anything), text_of(anything)).map(",".join),
+                      text_of(finite), st.sampled_from(["", "1,2,3", "i", "nan"]))
+FLAG_VALUES = {
+    "--format": flag_values(["json", "text"], ["xml"]),
+    "--seed": flag_values(["0", "7", "123456789012345678901234567890"], ["-7", "2.5"]),
+    "--tol": thresholds,
+    "--eps-iso": thresholds,
+    "--c": units,
+    "--epsilon0": units,
+    "--gamma": complexes,
+    "--z": complexes,
+    "--count": flag_values(["0", "1", "3"], ["-1", "x"]),
+    "--dual-check": st.one_of(text_of(st.floats(-10, 10)), text_of(anything), st.just(repr(math.pi / 2))),
+    "--steps": flag_values(["4", "5", "8", "33"], ["-1", "3", "x"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = sorted(set(cli._COMMANDS[command][1]) - {"--in"})
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)):
+        value = draw(FLAG_VALUES[flag])
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv + draw(st.sampled_from([[]] * 18 + [["--bogus", "1"], ["extra"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+def test_fuzz_flags_cover_every_command():
+    assert {flag for _, flags, _ in cli._COMMANDS.values() for flag in flags} == {"--in", *FLAG_VALUES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs(), doc=documents)
+def test_fuzz_main(fuzz_file, argv, doc):
+    # every input ends in a documented exit code, never in an exception:
+    # a report on stdout for 0 and 1, one "ncframe: " line on stderr for 2..7
+    fuzz_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--in", str(fuzz_file)])
+    assert code in range(8)
+    if code < 2:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert not out.getvalue() and err.getvalue().startswith("ncframe: ")
 
 
 def _regen():

@@ -501,6 +501,8 @@ HYPOT_CASE = parts([-0.31664963176331873, 0.8562268420291475, 0.7794565770190949
                    [-0.038997966707707166, -0.0904803628348374, 0.3339860877077614])
 ATAN2_CASE = parts([0.0027144088342523354, 0.38155154241339884, 0.39462696471760217],
                    [-0.9885746201441636, -0.9218689334883712, -0.701923378368901])
+# I2 = 4.6e-138: at K 2**-284 the I2 of Ks is subnormal, at K 2**-449 it is 0
+TINY_I2 = parts([0.0, 0.0, 1.0], [0.0, 0.0, 2.28504797591572e-138])
 # K.K = -2.7e-326 underflows to zero: the plain mu is 0, the scale-free mu pi/2
 UNDERFLOWING_SQUARE = parts([0.0, 0.0, 0.0], [0.0, 0.0, 1.6472915e-163])
 
@@ -757,6 +759,8 @@ class TestAgreementWithMatmul:
     @given(K=any_K, k=st.integers(-700, 700))
     @example(K=ATAN2_CASE, k=0)
     @example(K=ATAN2_CASE, k=-700)
+    @example(K=TINY_I2, k=-284)
+    @example(K=TINY_I2, k=-449)
     @example(K=IMAGINARY_AXIS, k=700)
     def test_mu_agrees_with_arctan2(self, K, k):
         # mu is math.atan2 of the invariants of K scaled into the window; on
