@@ -561,28 +561,27 @@ def quarter_turn(chi: float) -> tuple[int, bool]:
     chi lies on q when |chi / (pi/2) - q| < QUARTER_TOL and that quotient's
     own rounding, |chi / (pi/2)| 2**-52, is below QUARTER_TOL too, so that no
     angle beyond about 7e6 lies on a quarter turn.  q is not reduced modulo
-    4, so an odd q means the quarter turn exchanges f and h.
+    4, so an odd q means the quarter turn exchanges f and h.  These are the
+    first two values of ``_turn(chi)``, the one quarter-turn test.
     Raises :class:`NonFiniteInput` for a NaN or infinite chi.
     """
-    if not math.isfinite(chi):
-        raise NonFiniteInput(f"dual angle must be finite, got {chi}")
-    quarter = chi / (math.pi / 2)
-    q = round(quarter)
-    # the quotient itself is rounded by up to |quarter| 2**-52 quarter turns:
-    # past QUARTER_TOL of that (|chi| above about 7e6), no chi lies on q
-    return q, abs(quarter - q) < QUARTER_TOL and abs(quarter) * 2.0**-52 < QUARTER_TOL
+    return _turn(chi)[:2]
 
 
 # (cos, sin) of q pi/2 for q = 0..3 modulo 4, exactly: math.cos(pi/2) is 6.1e-17
 _QUARTER_COS_SIN = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
-def _turn(chi: float) -> tuple[int, float, float]:
-    """(q, cos chi, sin chi) with q from :func:`quarter_turn`, exact where chi lies on q."""
-    q, on = quarter_turn(chi)
-    if on:
-        return (q, *_QUARTER_COS_SIN[q % 4])
-    return q, math.cos(chi), math.sin(chi)
+def _turn(chi: float) -> tuple[int, bool, float, float]:
+    """(q, on, cos chi, sin chi): the one quarter-turn test, whose (q, on)
+    :func:`quarter_turn` returns, with cos and sin exact where chi is on q."""
+    if not math.isfinite(chi):
+        raise NonFiniteInput(f"dual angle must be finite, got {chi}")
+    quarter = chi / (math.pi / 2)
+    q = round(quarter)
+    if abs(quarter - q) < QUARTER_TOL and abs(quarter) * 2.0**-52 < QUARTER_TOL:
+        return (q, True, *_QUARTER_COS_SIN[q % 4])
+    return q, False, math.cos(chi), math.sin(chi)
 
 
 def _scale(f: list, K: list) -> float:
@@ -705,10 +704,10 @@ def _real_forward(E: list, B: list, K: list, c: float, eps0: float) -> tuple[lis
     return _ldexp(D, e), _ldexp(H, e)
 
 
-def _dual_residual(state: tuple, chi: float, swapped: bool | None = None) -> float:
-    """:func:`dual_invariance_residual` on a field state with its gram."""
+def _dual_residual(state: tuple, turn: tuple, swapped: bool | None = None) -> float:
+    """:func:`dual_invariance_residual` on a field state with its gram, at the angle of ``turn``, a :func:`_turn`."""
     _, f, K, h, scale, (ff, fh, fK, hh, hK) = state
-    q, c, s = _turn(chi)
+    q, _, c, s = turn
     if swapped is None:
         swapped = q % 2 == 1
     e, i_s = complex(c, s), 1j * s
@@ -721,5 +720,6 @@ def _dual_residual(state: tuple, chi: float, swapped: bool | None = None) -> flo
         w = -0.5 * (c * c * ff + 2j * c * s * fh - s * s * hh).conjugate() * e
         alpha, beta, gamma = i_s - u * c, c - u * i_s, w
     (f1, f2, f3), (h1, h2, h3), (k1, k2, k3) = f, h, K
-    return _norm([alpha * f1 + beta * h1 + gamma * k1, alpha * f2 + beta * h2 + gamma * k2,
-                  alpha * f3 + beta * h3 + gamma * k3]) / scale
+    x, y, z = (alpha * f1 + beta * h1 + gamma * k1, alpha * f2 + beta * h2 + gamma * k2,
+               alpha * f3 + beta * h3 + gamma * k3)
+    return math.hypot(x.real, x.imag, y.real, y.imag, z.real, z.imag) / scale

@@ -6,7 +6,8 @@ Commands: classify, stabilizer, reduce, factor, constitutive, dual-scan.
 Input is read from stdin or --in FILE.  The noncommutativity data is either
 {"theta": <16 numbers or 4x4 rows>} or {"nm": [n1, n2, n3, m1, m2, m3]};
 field-state commands add "E" and "B" (3 numbers each), factor takes
-{"spinor": [n0, m0, n1, n2, n3, m1, m2, m3]}.
+{"spinor": [n0, m0, n1, n2, n3, m1, m2, m3]}.  Each entry is a JSON number:
+a string ("1") or a bool (true) is refused, exit 2.
 
 Flags (exact names; a value may start with "-"):
   every command  --in FILE, --format json|text, --seed N (default 0),
@@ -14,7 +15,7 @@ Flags (exact names; a value may start with "-"):
                  --c X, --epsilon0 X (units, default 1)
   stabilizer     --gamma RE[,IM], --z RE[,IM] (finite parts),
                  --count N (N >= 0 sampled elements)
-  constitutive   --dual-check CHI (repeatable)
+  constitutive   --dual-check CHI (finite; repeatable)
   dual-scan      --steps N (N >= 4, default 32)
 
 Exit codes: 0 all residuals within thresholds, 1 residual failure.  A
@@ -28,8 +29,8 @@ refusal exits with the code of its exception type, the first that matches:
 Flags are read, and refused, before the input.  So, unlike earlier
 versions: a ConstraintViolation exits 6 in every command (stabilizer
 --gamma 0,2000 exited 2); a NaN or inf part of --gamma or --z exits 2 (4
-when K = 0); dual-scan --steps 3 exits 2 on any input (3 on a theta that
-is not antisymmetric).
+when K = 0); dual-scan --steps 3 and constitutive --dual-check nan exit 2
+on any input (3 on a theta that is not antisymmetric).
 Complex numbers are serialized as [re, im]; floats carry 17 significant
 digits, so a float read back as a float is the double written.  A whole
 float prints as an integer (2.0 as 2, -0.0 as -0), so a reader that parses
@@ -63,9 +64,9 @@ from ._kernels import (
     DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _apply, _canonical, _check_spinor, _check_units,
     _compose, _dot, _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta,
     _lorentz4, _mapped, _modulus, _norm, _project, _real_forward, _scale, _small_group, _so3c,
-    _spinor_scale, _state, _theta_to_K, _view, quarter_turn,
+    _spinor_scale, _state, _theta_to_K, _turn, _view,
 )
-from .errors import ConstraintViolation, IsotropicInput, NcframeError, NotAntisymmetric, ZeroVector
+from .errors import ConstraintViolation, IsotropicInput, NcframeError, NonFiniteInput, NotAntisymmetric, ZeroVector
 
 # The exit code of a refusal: that of the first type here that it is an
 # instance of.  ConstraintViolation and NonFiniteInput are both a ValueError
@@ -156,17 +157,21 @@ def _entries(x) -> list:
 
 
 def _real_values(doc, key, size: int) -> list:
-    """doc[key] as a list of ``size`` finite floats: a flat list, or rows of equal length."""
+    """doc[key] as a list of ``size`` finite floats, read from JSON numbers
+    only (float() would take "1" and true): a flat list, or rows of equal length."""
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
     try:
-        values = [float(x) for x in _entries(doc[key])]
+        entries = _entries(doc[key])
+        values = [float(x) for x in entries if type(x) in (int, float)]
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from exc
+    if len(values) != len(entries):
+        raise ValueError(f"field {key!r}: every entry must be a JSON number, not a string or a bool")
     if len(values) != size:
         raise ValueError(f"field {key!r}: expected {size} numbers, got {len(values)}")
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"field {key!r} contains non-finite values")
+        raise NonFiniteInput(f"field {key!r} contains non-finite values")
     return values
 
 
@@ -338,11 +343,8 @@ def run_factor(args, doc: dict) -> dict:
 
 
 def _dual_row(state: tuple, chi: float) -> dict:
-    return {
-        "chi": chi,
-        "residual": _dual_residual(state, chi),
-        "expected_invariant": quarter_turn(chi)[1],
-    }
+    turn = _turn(chi)
+    return {"chi": chi, "residual": _dual_residual(state, turn), "expected_invariant": turn[1]}
 
 
 def _dual_pass(rows, tol: float) -> bool:
@@ -366,18 +368,11 @@ def run_constitutive(args, doc: dict) -> dict:
     h = _mapped(_forward, f, K)
     cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
     report = _base_report(args, doc)
-    report["units"] = {"c": c, "epsilon0": eps0}
-    report["D"] = D
-    report["H"] = H
-    report["f"] = f
-    report["h"] = h
-    report["residuals"] = {"real_vs_complex": cross}
-    dual_rows = []
+    report.update(units={"c": c, "epsilon0": eps0}, D=D, H=H, f=f, h=h, residuals={"real_vs_complex": cross})
     if args.dual_check:
         state = _state(None, f, K, gram=True)
-        dual_rows = [_dual_row(state, chi) for chi in args.dual_check]
-        report["dual_checks"] = dual_rows
-    report["pass"] = cross <= args.tol and _dual_pass(dual_rows, DUAL_TOL)
+        report["dual_checks"] = [_dual_row(state, chi) for chi in args.dual_check]
+    report["pass"] = cross <= args.tol and _dual_pass(report.get("dual_checks", ()), DUAL_TOL)
     return report
 
 
@@ -386,8 +381,7 @@ def run_dual_scan(args, doc: dict) -> dict:
     state = _state(None, _f_of(E, B, args.c), K, gram=True)
     rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, doc)
-    report["units"] = {"c": args.c, "epsilon0": args.epsilon0}
-    report["scan"] = rows
+    report.update(units={"c": args.c, "epsilon0": args.epsilon0}, scan=rows)
     report["pass"] = _dual_pass(rows, args.tol)
     return report
 
@@ -395,6 +389,12 @@ def run_dual_scan(args, doc: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Argument parsing: one table of commands, flags and defaults.
 # ---------------------------------------------------------------------------
+
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"must be finite, got {text!r}")
+    return x
+
 
 def _threshold(text: str) -> float:
     if not 0.0 <= (x := float(text)) < math.inf:
@@ -436,7 +436,7 @@ _COMMANDS = {
                                     "--z": ("z", _complex, None), "--count": ("count", _at_least(0), 0)}, 1e-9),
     "reduce": (run_reduce, _COMMON, 1e-9),
     "factor": (run_factor, _COMMON, 1e-10),
-    "constitutive": (run_constitutive, {**_COMMON, "--dual-check": ("dual_check", float, ())}, 1e-12),
+    "constitutive": (run_constitutive, {**_COMMON, "--dual-check": ("dual_check", _finite, ())}, 1e-12),
     "dual-scan": (run_dual_scan, {**_COMMON, "--steps": ("steps", _at_least(4), 32)}, DUAL_TOL),
 }
 _INFO = ("-h", "--help", "--version")

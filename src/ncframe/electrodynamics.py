@@ -30,8 +30,8 @@ import numpy as np
 
 from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public here too
     DUAL_TOL, QUARTER_TOL, _apply, _check_units, _conj, _dot, _dual_residual, _f_of, _forward,
-    _gram, _h_of, _inverse, _ldexp, _mapped, _norm, _real_forward, _real_normalized, _scale, _so3c,
-    _state, _turn, quarter_turn,
+    _gram, _h_of, _inverse, _ldexp, _mapped, _norm, _normalized, _real_forward, _real_normalized, _scale,
+    _so3c, _state, _turn, quarter_turn,
 )
 from .group import SpinorElement, _trusted
 from .linalg import ComplexVec3, rvec3, vec3
@@ -97,12 +97,18 @@ def residual_scale(f, K) -> float:
     return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
-# _memo is the field state (``_kernels._state``) of the last (f, K) that a
-# public residual read, with key the raw bytes of f and K as given.  The key
-# is the exact bytes, so a mutated input or a zero of the other sign misses
-# and every result keeps its bits.  The tuple is replaced in one assignment
-# and read once per call, so concurrent callers at worst miss; nothing in it
-# leaves the module, so no caller can mutate it.
+# _memo is the field state (``_kernels._state``) of the last (f, K) that
+# constitutive_forward, covariance_residual or dual_invariance_residual was
+# given, with key the raw bytes of f and K as given.  It has two writers:
+# constitutive_forward, which stores the state it computes for its own
+# result, without the gram (or keeps the entry on a hit, gram and all), and
+# _base, through which covariance_residual and dual_invariance_residual
+# read it (dual_invariance_residual reads a hit with its gram inline).  The
+# key is the exact bytes, so a mutated input or a zero of the other sign
+# misses and every result keeps its bits.  The tuple is replaced in one
+# assignment and read once per call, so concurrent callers at worst miss;
+# nothing in it leaves the module (constitutive_forward returns a fresh
+# array), so no caller can mutate it.
 _memo: tuple = (b"", None, None, None, 1.0, None)
 
 
@@ -121,7 +127,14 @@ def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    return np.array(_mapped(_forward, vec3(f).tolist(), vec3(K).tolist()), dtype=complex)
+    global _memo
+    f, K = vec3(f), vec3(K)
+    key = f.tobytes() + K.tobytes()
+    fl, Kl, scale, e = _normalized(f.tolist(), K.tolist())
+    h = _forward(fl, Kl)
+    if _memo[0] != key:
+        _memo = (key, fl, Kl, h, scale, None)
+    return np.array(_ldexp(h, e), dtype=complex)
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
@@ -185,7 +198,7 @@ def dual_transform(f, h, K, chi: float):
     chi) takes its exact cos and sin: pi/2 maps (f, h, K) to i (h, f, K).
     """
     f, h, K = vec3(f), vec3(h), vec3(K)
-    _, c, s = _turn(chi)
+    _, _, c, s = _turn(chi)
     return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s) * K
 
 
@@ -217,7 +230,11 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     The expansion is exact in exact arithmetic; the dots are computed once
     per field state, so each further angle costs a few scalar operations.
     """
-    return _dual_residual(_base(vec3(f), vec3(K), gram=True), chi, swapped)
+    f, K = vec3(f), vec3(K)
+    state = _memo
+    if state[0] != f.tobytes() + K.tobytes() or state[5] is None:
+        state = _base(f, K, gram=True)
+    return _dual_residual(state, _turn(chi), swapped)
 
 
 @dataclass(frozen=True)

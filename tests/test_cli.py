@@ -285,7 +285,6 @@ class TestFlags:
 
 # The commands that report the scaled view of K.
 VIEW_COMMANDS = (["classify"], ["reduce"], ["stabilizer", "--count", "2"])
-FIELDS = {"E": [1, 0, 0], "B": [0, 0, 0], "nm": [0.1, 0, 0, 0, 0, 0]}
 OVERFLOWING_FRAME = [-0.0235, -0.774, 1.7078084781192e308, 1.7078084781192e308, 2.36e-51, -0.702]
 
 
@@ -303,6 +302,35 @@ class TestExitCodes:
         infile = tmp_path / "inf.json"
         infile.write_text('{"nm": [1e999, 0, 0, 0, 0, 0]}')
         assert main(["classify", "--in", str(infile)]) == 2
+
+    @pytest.mark.parametrize("entry", ["1", " 2 ", "1_0", "nan", True, False, None, {}])
+    @pytest.mark.parametrize("argv, key, doc", [
+        (["classify"], "nm", {"nm": [1, 0, 0, 0, 0.5, 0]}),
+        (["classify"], "theta", {"theta": [0, 1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0.5, 0, 0, -0.5, 0]}),
+        (["constitutive"], "E", {"nm": [0.1, 0, 0, 0, 0.05, 0], "E": [1, 0, 0], "B": [0, 0.2, 0.1]}),
+        (["dual-scan"], "B", {"nm": [0.1, 0, 0, 0, 0.05, 0], "E": [1, 0, 0], "B": [0, 0.2, 0.1]}),
+        (["factor"], "spinor", {"spinor": [1, 0, 0, 0, 0, 0, 0, 0]}),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_entries_must_be_json_numbers(self, argv, key, doc, entry, tmp_path, capsys):
+        # float() reads "1", " 2 ", "1_0" and true as numbers, so such
+        # entries once passed as coordinates; now one is refused at either
+        # end of the list, in the right count or with one entry too many
+        assert run_cli(argv, doc, tmp_path, capsys)[0] == 0
+        values = doc[key]
+        for i in (0, len(values) - 1):
+            for extra in ([], [0]):
+                spoiled = [*values[:i], entry, *values[i + 1:], *extra]
+                assert run_cli(argv, {**doc, key: spoiled}, tmp_path, capsys) == (2, None)
+
+    def test_string_and_bool_coordinates(self, tmp_path, capsys):
+        # the document that classified K = (1, 1, 2 + 10i), exit 0
+        infile = tmp_path / "input.json"
+        infile.write_text('{"nm": ["1", true, " 2 ", "1_0", 0, 0]}')
+        assert main(["classify", "--in", str(infile)]) == 2
+        assert "must be a JSON number" in capsys.readouterr().err
+        # rows of a theta are checked entry by entry too
+        rows = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, "0"], [0, 0, 0, 0]]
+        assert run_cli(["classify"], {"theta": rows}, tmp_path, capsys) == (2, None)
 
     def test_integer_beyond_the_float_range(self, tmp_path, capsys):
         # a JSON integer too large for a float escaped as an OverflowError
@@ -419,7 +447,7 @@ class TestExitCodes:
                      errors.ConstraintViolation, 6, id="6-stabilizer"),
         pytest.param(["factor"], {"spinor": [2, 0, 0, 0, 0, 0, 0, 0]}, errors.ConstraintViolation, 6, id="6-factor"),
         pytest.param(["classify"], {"wrong": 1}, ValueError, 2, id="2"),
-        pytest.param(["constitutive", "--dual-check", "nan"], FIELDS, errors.NonFiniteInput, 2, id="2-NonFiniteInput"),
+        pytest.param(["classify"], {"nm": [0, math.nan, 0, 0, 0, 0]}, errors.NonFiniteInput, 2, id="2-NonFiniteInput"),
         pytest.param(["reduce", "--eps-iso", "0"], {"nm": OVERFLOWING_FRAME}, errors.DegenerateDelta, 7, id="7"),
     ])
     def test_exit_table(self, argv, doc, kind, code, tmp_path, capsys):
@@ -460,6 +488,16 @@ class TestExitCodes:
         assert run_cli(["dual-scan", *flags], doc, tmp_path, capsys) == (2, None)
         assert run_cli(["dual-scan"], doc, tmp_path, capsys) == (3, None)
 
+    @pytest.mark.parametrize("chi", ["nan", "inf", "-inf", "-nan", "1e999", "x"])
+    def test_non_finite_dual_check_is_a_flag_error(self, chi, tmp_path, capsys):
+        # refused while reading the flags, before the theta that is not
+        # antisymmetric (exit 3); a NaN was read as a float and exited 3
+        infile = tmp_path / "input.json"
+        infile.write_text(json.dumps({"theta": np.eye(4).tolist(), "E": [1, 0, 0], "B": [0, 0, 0]}))
+        assert main(["constitutive", "--dual-check", chi, "--in", str(infile)]) == 2
+        assert capsys.readouterr().err.startswith("ncframe: --dual-check: ")
+        assert main(["constitutive", "--dual-check", "0.5", "--in", str(infile)]) == 3
+
     @pytest.mark.parametrize("argv", [["constitutive", "--dual-check", repr(math.pi / 2)],
                                       ["dual-scan", "--steps", "4"]])
     def test_dual_residual_above_dual_tol_fails(self, argv, tmp_path, capsys, monkeypatch):
@@ -468,7 +506,7 @@ class TestExitCodes:
 
         doc = {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}
         for residual, code, passed in ((DUAL_TOL, 0, True), (math.nextafter(DUAL_TOL, 1.0), 1, False)):
-            monkeypatch.setattr(cli, "_dual_residual", lambda state, chi: residual)
+            monkeypatch.setattr(cli, "_dual_residual", lambda state, turn: residual)
             got, out = run_cli(argv, doc, tmp_path, capsys)
             assert (got, out["pass"]) == (code, passed)
 
@@ -699,6 +737,8 @@ finite = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infini
 wrong = st.one_of(st.text(max_size=3), one_of_values((None, True, False, [], {}, [[1, 2], [3]])))
 # NaN, inf and integers beyond the float range
 special = one_of_values((math.nan, math.inf, -math.inf, 2**1024, -(10**400)))
+# strings and bools that float() reads as numbers
+numeric_words = one_of_values(("1", " 2 ", "1_0", "-inf", True, False))
 anything = st.one_of(finite, special, st.integers(), wrong)
 
 
@@ -707,9 +747,9 @@ def exact(size):
 
 
 def vectors(size):
-    """A list of size finite numbers, one with a special entry, one with any
-    entries, one of another length, or not a list."""
-    spoiled = st.tuples(exact(size), st.integers(0, size - 1), special).map(
+    """A list of size finite numbers, one with a special entry or a numeric
+    word, one with any entries, one of another length, or not a list."""
+    spoiled = st.tuples(exact(size), st.integers(0, size - 1), st.one_of(special, numeric_words)).map(
         lambda t: [*t[0][:t[1]], t[2], *t[0][t[1] + 1:]])
     return st.one_of(exact(size), spoiled, st.lists(anything, min_size=size, max_size=size),
                      st.lists(finite, max_size=size + 2), wrong)
@@ -793,6 +833,22 @@ def test_fuzz_flags_cover_every_command():
     assert {flag for _, flags, _ in cli._COMMANDS.values() for flag in flags} == {"--in", *FLAG_VALUES}
 
 
+def words(x) -> list:
+    """The strings and bools of x, a value or lists of them at any depth."""
+    if isinstance(x, list):
+        return [w for v in x for w in words(v)]
+    return [x] if isinstance(x, (str, bool)) else []
+
+
+def coordinate_fields(command: str, doc: dict) -> list:
+    """The fields that command reads from doc before any refusal other than
+    exit 2 can come: after a theta, the antisymmetry check (exit 3)."""
+    k = "theta" if "theta" in doc else "nm"
+    if command == "factor":
+        return ["spinor"]
+    return [k, "E", "B"] if command in ("constitutive", "dual-scan") and k == "nm" else [k]
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=argvs(), doc=documents)
 def test_fuzz_main(fuzz_file, argv, doc):
@@ -807,6 +863,9 @@ def test_fuzz_main(fuzz_file, argv, doc):
         assert out.getvalue() and not err.getvalue()
     else:
         assert not out.getvalue() and err.getvalue().startswith("ncframe: ")
+    # a string or a bool is no coordinate, wherever it sits in a field read
+    if isinstance(doc, dict) and any(words(doc.get(key)) for key in coordinate_fields(argv[0], doc)):
+        assert code == 2
 
 
 def _regen():

@@ -27,6 +27,8 @@ from ncframe.electrodynamics import (
     quarter_turn,
     residual_scale,
 )
+from ncframe import electrodynamics
+from ncframe._kernels import _state, _turn
 from ncframe.errors import NonFiniteInput
 from ncframe.group import (
     ComplexRotation,
@@ -321,6 +323,33 @@ class TestQuarterTurn:
         # small multiples still snap
         for q in (-1000, 7, 1000, 10**6):
             assert quarter_turn(q * (np.pi / 2)) == (q, True)
+
+    # the 7e6 boundary is QUARTER_TOL 2**52 quarter turns
+    EDGE_QUARTERS = (0, 1, -1, 3, 5, -7, 4503599, 4503600, 4503601, -4503600, 10**8, 10**17)
+
+    @pytest.mark.parametrize("q", EDGE_QUARTERS)
+    @pytest.mark.parametrize("offset", [0.0, 0.5e-9, 2e-9, 0.25, 0.5])
+    def test_quarter_turn_is_the_turn(self, q, offset):
+        # one quarter-turn test: quarter_turn gives the first two values of
+        # _turn, and _turn's cos and sin are exact on a quarter turn
+        for sign in (1.0, -1.0):
+            chi = sign * (q + offset) * (np.pi / 2)
+            turn = _turn(chi)
+            assert quarter_turn(chi) == turn[:2]
+            assert type(turn[0]) is int and type(turn[1]) is bool
+            if turn[1]:
+                assert turn[2:] == QUARTER_COS_SIN[turn[0] % 4]
+            else:
+                assert turn[2:] == (math.cos(chi), math.sin(chi))
+        assert quarter_turn(1e17) == _turn(1e17)[:2] and quarter_turn(1e17)[1] is False
+
+    @pytest.mark.parametrize("chi", [np.nan, np.inf, -np.inf])
+    def test_every_entry_refuses_a_non_finite_angle(self, rng, chi):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        for call in (lambda: quarter_turn(chi), lambda: _turn(chi), lambda: dual_transform(f, f, K, chi),
+                     lambda: dual_invariance_residual(f, K, chi)):
+            with pytest.raises(NonFiniteInput):
+                call()
 
     def test_selects_the_relation(self, rng):
         # odd quarter turns exchange f and h, even ones keep the forward relation
@@ -816,6 +845,58 @@ class TestMemo:
         h[:] = 0.0
         assert_plain_dual(f, K, np.pi / 4)
 
+    @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
+    def test_forward_seeds_the_memo(self, rng, magnitude):
+        # constitutive_forward leaves the entry that a residual would build
+        # (without the gram), and the residuals read it with the same bits
+        # as from a cold memo.  At 1e200 and 1e-200, ||f|| is outside the
+        # window, and the entry holds the rescaled f, K and h.
+        b = random_spinor(rng)
+        f, K = magnitude * random_field(rng), random_field(rng, 0.3) / magnitude
+        constitutive_forward(random_field(rng), K)  # another state
+        cold = [covariance_residual(b, f, K)] + [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
+        constitutive_forward(f, random_field(rng))  # the same f with another K
+        h = constitutive_forward(f, K)
+        memo = electrodynamics._memo
+        want = _state(f.tobytes() + K.tobytes(), f.tolist(), K.tolist())
+        assert memo[0] == want[0] and memo[5] is None
+        for got, expected in zip(memo[1:5], want[1:5]):
+            assert_same_bits(np.array(got), np.array(expected))
+        largest = np.abs(np.array(memo[1]).view(float)).max()
+        assert (0.5 <= largest < 1.0) if magnitude != 1.0 else memo[1] == f.tolist()
+        assert_same_bits(h, plain_map(plain_forward, f, K))
+        seeded = [covariance_residual(b, f, K)] + [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
+        assert_same_bits(np.array(seeded), np.array(cold))
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
+    def test_mutating_the_forward_result_or_f(self, rng, magnitude):
+        # forward is the first call on the state: a returned h that shared
+        # the memo's storage would carry the caller's writes into it
+        b = random_spinor(rng)
+        f, K = magnitude * random_field(rng), random_field(rng, 0.3) / magnitude
+        g = f.copy()
+        g[0] *= 2.0
+        cold = [covariance_residual(b, f, K), dual_invariance_residual(f, K, np.pi / 4),
+                covariance_residual(b, g, K), dual_invariance_residual(g, K, np.pi / 4)]
+        h = constitutive_forward(f, K)
+        want = h.copy()
+        h *= 3.0
+        h[1] = 0.0
+        assert_same_bits(constitutive_forward(f, K), want)
+        got = [covariance_residual(b, f, K), dual_invariance_residual(f, K, np.pi / 4)]
+        constitutive_forward(f, K)
+        f[0] *= 2.0  # f is now g, in place
+        got += [covariance_residual(b, f, K), dual_invariance_residual(f, K, np.pi / 4)]
+        assert_same_bits(np.array(got), np.array(cold))
+
+    def test_forward_keeps_the_gram_of_its_state(self, rng):
+        f, K = random_field(rng), random_field(rng, 0.3)
+        assert_plain_dual(f, K, np.pi / 4)
+        entry = electrodynamics._memo
+        assert_same_bits(constitutive_forward(f, K), plain_forward(f, K))
+        assert electrodynamics._memo is entry
+        assert_plain_dual(f, K, np.pi / 2)
+
     def test_covariance_and_dual_in_either_order(self, rng):
         b = random_spinor(rng)
         f, K = random_field(rng), random_field(rng, 0.3)
@@ -864,13 +945,19 @@ class TestMemo:
         states = [(random_field(rng), random_field(rng, 0.3), random_spinor(rng)) for _ in range(8)]
 
         def evaluate(f, K, b):
-            dual = [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
-            return np.array(dual + [covariance_residual(b, f, K)])
+            # forward seeds the memo, between and around the residuals
+            h = constitutive_forward(f, K).tolist()
+            dual = [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES[:4]]
+            covariance = covariance_residual(b, f, K)
+            h += constitutive_forward(f, K).tolist()
+            dual += [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES[4:]]
+            return np.array(h + dual + [covariance])
 
         serial = [evaluate(*state) for state in states]
         for (f, K, b), want in zip(states, serial):
+            h = plain_forward(f, K).tolist()
             plain = [plain_dual_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
-            assert_same_bits(want, np.array(plain + [plain_covariance_residual(b, f, K)]))
+            assert_same_bits(want, np.array(h + h + plain + [plain_covariance_residual(b, f, K)]))
         results = [[] for _ in states]
 
         def work(i):
