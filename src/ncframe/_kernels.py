@@ -15,9 +15,10 @@ tuple-unpacked and each entry written out, never a comprehension, ``zip`` or
 generator over it, with the operations in the order a loop would take, so
 every result keeps its bits.  On CPython 3.11 such a loop costs a nested
 function call and an iterator, more than its three entries' arithmetic
-(3.12 inlines comprehensions: PEP 709).  Loops over 3-lists remain only on
-rare paths: the rescaling of input outside ``_WINDOW``, the target turn of
-``reduce_to_real`` and the CLI's projection.
+(3.12 inlines comprehensions: PEP 709).  Loops over 3-lists and the 4x4
+theta remain only on rare paths: the rescaling of input outside ``_WINDOW``,
+the target turn of ``reduce_to_real``, the CLI's projection and the scans of
+a theta whose signed sum is not finite or whose residual exceeds ``tol``.
 """
 
 from __future__ import annotations
@@ -281,25 +282,26 @@ class Subcase(str, enum.Enum):
 
 def _theta_to_K(rows: list, tol: float) -> list:
     """K of :func:`theta_to_K` as a 3-list, from theta as 4 rows of 4 floats."""
+    _require_threshold(tol, "tol")
     (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = rows
-    entries = [abs(x) for row in rows for x in row]
-    # max() passes over a NaN in some positions, so finiteness is settled first
-    _require_finite(entries, sum(entries), "theta")
-    scale = max(entries)
+    # any NaN or inf entry makes the signed sum non-finite (and max() below passes over a NaN)
+    total = t00 + t01 + t02 + t03 + t10 + t11 + t12 + t13 + t20 + t21 + t22 + t23 + t30 + t31 + t32 + t33
+    if not math.isfinite(total):
+        _require_finite([x for row in rows for x in row], total, "theta")
     resid = max(
         2.0 * max(abs(t00), abs(t11), abs(t22), abs(t33)),
         abs(t01 + t10), abs(t02 + t20), abs(t03 + t30),
         abs(t12 + t21), abs(t13 + t31), abs(t23 + t32),
     )
-    if resid > tol * max(1.0, scale):
+    if resid > tol and resid > tol * max(1.0, max(abs(x) for row in rows for x in row)):  # the bound is >= tol
         raise NotAntisymmetric(f"theta + theta^T residual {resid:.3e}")
     return [complex(t23, t01), complex(t31, t02), complex(t12, t03)]
 
 
 def _require_finite(a: list, nrm: float, name: str = "K") -> None:
     """Raise :class:`NonFiniteInput` if an entry of the list a is NaN or
-    infinite; the entries are scanned only when nrm, a norm of a, is not
-    finite."""
+    infinite; the entries are scanned only when nrm, a norm or the signed
+    sum of a, is not finite."""
     if not math.isfinite(nrm) and not all(map(cmath.isfinite, a)):
         raise NonFiniteInput(f"{name} has a NaN or infinite entry")
 
@@ -332,9 +334,9 @@ def _invariants(K: list) -> tuple[float, float, float, float]:
 _TINY_INVARIANT = 2.0**-969
 
 
-def _require_eps_iso(eps_iso: float) -> None:
-    if not 0.0 <= eps_iso < math.inf:
-        raise ValueError(f"eps_iso must be finite and >= 0, got {eps_iso!r}")
+def _require_threshold(x: float, name: str) -> None:
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
 
 
 def _view(K: list, eps_iso: float) -> tuple:
@@ -349,7 +351,7 @@ def _view(K: list, eps_iso: float) -> tuple:
     in [0.5, 1), so no power-of-two scale of K moves it.  NaN or inf raise
     NonFiniteInput; an eps_iso that is not finite and >= 0 raises ValueError.
     """
-    _require_eps_iso(eps_iso)
+    _require_threshold(eps_iso, "eps_iso")
     nrm, e = _norm(K), 0
     if not _WINDOW[0] <= nrm <= _WINDOW[1]:
         _require_finite(K, nrm)
@@ -402,20 +404,21 @@ def _reduce_to_real(delta: list, e_target: list | None) -> list:
     delta.delta = 1 already and the real 3-list of e_target (or None)."""
     a, b, c = delta
     n1, n2, n3, m1, m2, m3 = a.real, b.real, c.real, a.imag, b.imag, c.imag
-    ch = _norm([n1, n2, n3])
+    ch = math.hypot(n1, n2, n3)  # _norm of the real 3-list, bit for bit: its zero parts add nothing
     if ch < 1.0 - DEFAULT_TOL:
         raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
-    N0 = [n1 / ch, n2 / ch, n3 / ch]
-    mnorm = _norm([m1, m2, m3])
+    x1, x2, x3 = n1 / ch, n2 / ch, n3 / ch  # N0
+    mnorm = math.hypot(m1, m2, m3)
     k0, k = 1 + 0j, [0j, 0j, 0j]  # no boost for a real delta
     if mnorm > 1e-12 * max(1.0, ch):
-        u1, u2, u3 = u = _cross([m1 / mnorm, m2 / mnorm, m3 / mnorm], N0)
-        unorm = _norm(u)
+        y1, y2, y3 = m1 / mnorm, m2 / mnorm, m3 / mnorm
+        u1, u2, u3 = y2 * x3 - y3 * x2, y3 * x1 - y1 * x3, y1 * x2 - y2 * x1  # (Im delta / mnorm) x N0
+        unorm = math.hypot(u1, u2, u3)
         if unorm < 1e-8:
             raise DegenerateDelta("Re delta and Im delta are parallel")
         k0, k = _small_group(1j * math.asinh(mnorm), [u1 / unorm, u2 / unorm, u3 / unorm])
     if e_target is not None:
-        k0, k = _compose(*_turn_to(N0, _unit_target(e_target)), k0, k)
+        k0, k = _compose(*_turn_to([x1, x2, x3], _unit_target(e_target)), k0, k)
     return _so3c(k0, k)
 
 
@@ -456,10 +459,12 @@ def _unit_target(e: list) -> list:
 def _canonical(kscalar: complex, delta: list) -> tuple[list, list]:
     """(S as a 3x3 nested list, Kcanon as a 3-list) of :func:`canonical_frame`,
     from a split of :func:`_view`; Kcanon is that of the view's Ks."""
-    S = _reduce_to_real(delta, None)
-    a, b, c = _apply(S, delta)
-    u1, u2, u3 = a.real, b.real, c.real
-    nrm = _norm([u1, u2, u3])
+    (a, b, c), (d, e, f), (g, h, i) = S = _reduce_to_real(delta, None)
+    x, y, z = delta
+    # Re(S Delta) row by row, with no list; a complex product takes fewer
+    # steps on CPython 3.11 than its real part written out in floats
+    u1, u2, u3 = (a * x + b * y + c * z).real, (d * x + e * y + f * z).real, (g * x + h * y + i * z).real
+    nrm = math.hypot(u1, u2, u3)
     if not 0.0 < nrm < math.inf:  # S or S Delta overflowed: ||Delta||^2 is near the float range
         raise DegenerateDelta(f"||Re(S Delta)|| = {nrm:.15g}: no finite real direction")
     return S, [kscalar * (u1 / nrm), kscalar * (u2 / nrm), kscalar * (u3 / nrm)]
@@ -510,7 +515,7 @@ def _isotropic_sign(k0: complex, k, eps_iso: float, null=_null) -> int:
     """:func:`isotropic_sign` of (k0, k): for the 3-list k of the CLI, or
     for the complex128 array of b with ``null`` the memoized test of
     ``stabilizer``."""
-    _require_eps_iso(eps_iso)
+    _require_threshold(eps_iso, "eps_iso")
     sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
     if abs(k0 - sgn) > DEFAULT_TOL:
         return 0

@@ -12,7 +12,7 @@ a string ("1") or a bool (true) is refused, exit 2.
 Flags (exact names; a value may start with "-"):
   every command  --in FILE, --format json|text, --seed N (default 0),
                  --tol X, --eps-iso X (default 1e-9; both finite and >= 0),
-                 --c X, --epsilon0 X (units, default 1)
+                 --c X, --epsilon0 X (units: finite and > 0, default 1)
   stabilizer     --gamma RE[,IM], --z RE[,IM] (finite parts),
                  --count N (N >= 0 sampled elements)
   constitutive   --dual-check CHI (finite; repeatable)
@@ -62,8 +62,8 @@ from types import SimpleNamespace
 from . import __version__
 from ._kernels import (
     DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _apply, _canonical, _check_spinor, _check_units,
-    _compose, _dot, _dual_residual, _f_of, _factors, _forward, _h_of, _isotropic_sign, _K_to_theta,
-    _lorentz4, _mapped, _modulus, _norm, _project, _real_forward, _scale, _small_group, _so3c,
+    _compose, _dot, _dual_residual, _f_of, _factors, _forward, _gram, _h_of, _isotropic_sign, _K_to_theta,
+    _ldexp, _lorentz4, _modulus, _norm, _normalized, _project, _real_forward, _scale, _small_group, _so3c,
     _spinor_scale, _state, _theta_to_K, _turn, _view,
 )
 from .errors import ConstraintViolation, IsotropicInput, NcframeError, NonFiniteInput, NotAntisymmetric, ZeroVector
@@ -365,12 +365,13 @@ def run_constitutive(args, doc: dict) -> dict:
     c, eps0 = args.c, args.epsilon0
     D, H = _real_forward(E, B, K, c, eps0)
     f = _f_of(E, B, c)
-    h = _mapped(_forward, f, K)
+    fs, Ks, scale, e = _normalized(f, K)  # one field state: the report's h is its h, rescaled by e
+    h = _ldexp(hs := _forward(fs, Ks), e)
     cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
     report = _base_report(args, doc)
     report.update(units={"c": c, "epsilon0": eps0}, D=D, H=H, f=f, h=h, residuals={"real_vs_complex": cross})
     if args.dual_check:
-        state = _state(None, f, K, gram=True)
+        state = (None, fs, Ks, hs, scale, _gram(fs, Ks, hs))
         report["dual_checks"] = [_dual_row(state, chi) for chi in args.dual_check]
     report["pass"] = cross <= args.tol and _dual_pass(report.get("dual_checks", ()), DUAL_TOL)
     return report
@@ -402,6 +403,12 @@ def _threshold(text: str) -> float:
     return x
 
 
+def _positive(text: str) -> float:
+    if not 0.0 < (x := float(text)) < math.inf:
+        raise ValueError(f"must be finite and > 0, got {text!r}")
+    return x
+
+
 def _format(text: str) -> str:
     if text not in ("json", "text"):
         raise ValueError(f"must be json or text, got {text!r}")
@@ -427,8 +434,8 @@ def _complex(text: str) -> complex:
 # flag -> (dest, type, default); a repeated --dual-check appends
 _COMMON = {"--in": ("infile", str, None), "--format": ("format", _format, "json"),
            "--seed": ("seed", int, 0), "--tol": ("tol", _threshold, None),
-           "--eps-iso": ("eps_iso", _threshold, EPS_ISO), "--c": ("c", float, 1.0),
-           "--epsilon0": ("epsilon0", float, 1.0)}
+           "--eps-iso": ("eps_iso", _threshold, EPS_ISO), "--c": ("c", _positive, 1.0),
+           "--epsilon0": ("epsilon0", _positive, 1.0)}
 # command -> (run function, flags, default of --tol)
 _COMMANDS = {
     "classify": (run_classify, _COMMON, 1e-9),

@@ -65,7 +65,9 @@ def theta_to_K(theta, tol: float = 1e-12) -> ComplexVec3:
 
     No rescaling is applied: theta is taken in whatever units the caller
     uses (length^2 for a noncommutativity matrix) and K carries them.  NaN or
-    inf entries raise :class:`NonFiniteInput`.
+    inf entries raise :class:`NonFiniteInput`.  theta is antisymmetric when
+    every entry of theta + theta^T is within tol * max(1, max |theta_ij|); a
+    tol that is not finite and >= 0 raises ValueError.
     """
     return np.array(_theta_to_K(rmat4(theta).tolist(), tol), dtype=complex)
 

@@ -521,13 +521,34 @@ class TestExitCodes:
                                        ["--c", "1e200", "--epsilon0", "1e200"]])
     @pytest.mark.parametrize("argv", [["constitutive"], ["dual-scan"]])
     def test_units_are_checked(self, argv, units, tmp_path, capsys):
-        # the UnitSystem check, run on the floats of --c and --epsilon0
+        # a value that is not finite and > 0 is a flag error; the UnitSystem
+        # check refuses a product of valid values outside the normal range
         infile = tmp_path / "input.json"
         infile.write_text('{"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}')
         assert main([*argv, *units, "--in", str(infile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "ncframe: c and epsilon0 must be positive, with a finite normal product\n"
+        if len(units) == 2:
+            flag, value = units
+            assert captured.err == f"ncframe: {flag}: must be finite and > 0, got {value!r}\n"
+        else:
+            assert captured.err == "ncframe: c and epsilon0 must be positive, with a finite normal product\n"
+
+    @pytest.mark.parametrize("units", [["--c", "nan"], ["--epsilon0", "-3"], ["--c", "0"], ["--epsilon0", "inf"],
+                                       ["--c", "-0.0"], ["--epsilon0", "1e999"]])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_units_are_refused_by_every_command(self, command, units, tmp_path, capsys):
+        # classify --c nan, reduce --epsilon0 -3 and factor --c 0 exited 0:
+        # only constitutive and dual-scan checked the units.  Now every
+        # command refuses them with the flags, before the theta that is not
+        # antisymmetric (exit 3) or the valid spinor (exit 0) is read
+        infile = tmp_path / "input.json"
+        infile.write_text(json.dumps({"theta": np.eye(4).tolist(), "E": [1, 0, 0], "B": [0, 0, 0],
+                                      "spinor": [1.1276259652063807, 0, 0, 0, 0, 0, 0, 0.5210953054937474]}))
+        assert main([command, *units, "--in", str(infile)]) == 2
+        flag, value = units
+        assert capsys.readouterr() == ("", f"ncframe: {flag}: must be finite and > 0, got {value!r}\n")
+        assert main([command, "--in", str(infile)]) == (0 if command == "factor" else 3)
 
     def test_fields_near_the_largest_float(self, tmp_path, capsys):
         # the dual residuals and the maps rescale (f, K): D and H of 1.5e308
@@ -588,6 +609,24 @@ class TestBehavior:
         assert code == 0
         assert [e["expected_invariant"] for e in out["dual_checks"]] == [True, True, True, False]
         assert all(e["residual"] < 1e-10 for e in out["dual_checks"][:3])
+
+    @pytest.mark.parametrize("doc", [{"E": [1, 0.2, 0], "B": [0, 0.3, 0.1], "nm": [0.08, 0, 0.02, 0, 0.05, 0.01]},
+                                     {"E": [1e200, 0, 0], "B": [0, 2e199, 0], "nm": [1e-200, 0, 0, 0, 5e-201, 0]}])
+    def test_constitutive_maps_f_forward_once(self, doc, tmp_path, capsys, monkeypatch):
+        # with --dual-check the report's h is that of the dual rows' field
+        # state, rescaled by its exponent: f was mapped forward for h, then
+        # again for the state (the second doc is outside the window)
+        from ncframe import _kernels
+
+        calls, forward = [], _kernels._forward
+        counted = lambda f, K: calls.append(f) or forward(f, K)  # noqa: E731
+        monkeypatch.setattr(cli, "_forward", counted)
+        monkeypatch.setattr(_kernels, "_forward", counted)
+        _, plain = run_cli(["constitutive"], doc, tmp_path, capsys)
+        code, checked = run_cli(["constitutive", "--dual-check", "0.3", "--dual-check", repr(math.pi / 2)],
+                                doc, tmp_path, capsys)
+        assert code == 0 and len(calls) == 2
+        assert checked["h"] == plain["h"]
 
     def test_dual_check_at_a_huge_angle(self, tmp_path, capsys):
         # chi / (pi/2) = 6.4e16 is an integer float; chi = 1e17 is no quarter
@@ -866,6 +905,22 @@ def test_fuzz_main(fuzz_file, argv, doc):
     # a string or a bool is no coordinate, wherever it sits in a field read
     if isinstance(doc, dict) and any(words(doc.get(key)) for key in coordinate_fields(argv[0], doc)):
         assert code == 2
+    # so is a unit that is not a finite float > 0, in every command
+    if any(not 0.0 < float_or_nan(value) < math.inf for value in unit_values(argv)):
+        assert code == 2
+
+
+def unit_values(argv) -> list:
+    """The values of --c and --epsilon0 in argv, in either form."""
+    spaced = [value for flag, value in zip(argv, argv[1:]) if flag in ("--c", "--epsilon0")]
+    return spaced + [a.split("=", 1)[1] for a in argv if a.startswith(("--c=", "--epsilon0="))]
+
+
+def float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def _regen():

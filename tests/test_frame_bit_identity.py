@@ -21,6 +21,10 @@ target, stay pinned bit for bit).
 used before, matmul dots and products, ``np.linalg.norm`` and ``np.cross``,
 within a few eps relative.
 
+``TestFrozenKernels`` compares ``_kernels._theta_to_K``, ``_reduce_to_real``
+and ``_canonical`` with frozen copies of the list-building forms they
+replaced, bit for bit and exception for exception.
+
 K sweeps magnitudes 1e-100..1e100 over the generic class, the boundary
 subcases Ia/Ib/IIa/IIb and the isotropic class; the mantissas are seeded
 uniform draws (full 53-bit mantissas, so every rounding step shows) or
@@ -28,13 +32,16 @@ hypothesis floats (exact values such as 0, -0.0, 0.5 and 1).
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import compose2, so3c_oracle
 
+from ncframe import _kernels
 from ncframe.errors import (
     ConstraintViolation,
     DegenerateDelta,
@@ -42,6 +49,7 @@ from ncframe.errors import (
     NcframeError,
     NotIsotropic,
     NotIsotropicElement,
+    NotAntisymmetric,
     NotPureElement,
     NotUnitDelta,
     ZeroVector,
@@ -505,6 +513,8 @@ ATAN2_CASE = parts([0.0027144088342523354, 0.38155154241339884, 0.39462696471760
 TINY_I2 = parts([0.0, 0.0, 1.0], [0.0, 0.0, 2.28504797591572e-138])
 # K.K = -2.7e-326 underflows to zero: the plain mu is 0, the scale-free mu pi/2
 UNDERFLOWING_SQUARE = parts([0.0, 0.0, 0.0], [0.0, 0.0, 1.6472915e-163])
+# n and m of a K whose S Delta overflows at eps_iso = 0
+OVERFLOWING_FRAME = [-0.0235, -0.774, 1.7078084781192e308, 1.7078084781192e308, 2.36e-51, -0.702]
 
 
 class TestBitIdentity:
@@ -845,3 +855,207 @@ class TestAgreementWithMatmul:
             rotation, boost = pair.rotation, pair.boost
             assert deviation([rotation.k0, *rotation.k], pair.sign * np.array([a0, *(-1j * a)])) <= 4
             assert deviation([boost.k0, *boost.k], [b0, *bk]) <= 4 * b0
+
+
+# ---------------------------------------------------------------------------
+# The straight-line frame kernels against the list-building forms they
+# replaced (as of 0e77fb6), frozen here: the same bits, or the same
+# exception type and message.  _theta_to_K tests finiteness on the signed sum
+# of the 16 entries and takes the scale only above tol; _reduce_to_real
+# takes its norms as math.hypot of the real parts and writes the cross
+# product out; _canonical takes Re(S Delta) row by row.  The helpers they
+# call (_require_finite, _small_group, _so3c, ...) are the library's own.
+# ---------------------------------------------------------------------------
+
+
+def frozen_theta_to_K(rows, tol):
+    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = rows
+    entries = [abs(x) for row in rows for x in row]
+    _kernels._require_finite(entries, sum(entries), "theta")
+    scale = max(entries)
+    resid = max(
+        2.0 * max(abs(t00), abs(t11), abs(t22), abs(t33)),
+        abs(t01 + t10), abs(t02 + t20), abs(t03 + t30),
+        abs(t12 + t21), abs(t13 + t31), abs(t23 + t32),
+    )
+    if resid > tol * max(1.0, scale):
+        raise NotAntisymmetric(f"theta + theta^T residual {resid:.3e}")
+    return [complex(t23, t01), complex(t31, t02), complex(t12, t03)]
+
+
+def frozen_reduce_to_real(delta, e_target):
+    a, b, c = delta
+    n1, n2, n3, m1, m2, m3 = a.real, b.real, c.real, a.imag, b.imag, c.imag
+    ch = _kernels._norm([n1, n2, n3])
+    if ch < 1.0 - DEFAULT_TOL:
+        raise DegenerateDelta(f"||Re delta|| = {ch:.15g} < 1")
+    N0 = [n1 / ch, n2 / ch, n3 / ch]
+    mnorm = _kernels._norm([m1, m2, m3])
+    k0, k = 1 + 0j, [0j, 0j, 0j]
+    if mnorm > 1e-12 * max(1.0, ch):
+        u1, u2, u3 = u = _kernels._cross([m1 / mnorm, m2 / mnorm, m3 / mnorm], N0)
+        unorm = _kernels._norm(u)
+        if unorm < 1e-8:
+            raise DegenerateDelta("Re delta and Im delta are parallel")
+        k0, k = _kernels._small_group(1j * math.asinh(mnorm), [u1 / unorm, u2 / unorm, u3 / unorm])
+    if e_target is not None:
+        k0, k = _kernels._compose(*_kernels._turn_to(N0, _kernels._unit_target(e_target)), k0, k)
+    return _kernels._so3c(k0, k)
+
+
+def frozen_canonical(kscalar, delta):
+    S = frozen_reduce_to_real(delta, None)
+    a, b, c = _kernels._apply(S, delta)
+    u1, u2, u3 = a.real, b.real, c.real
+    nrm = _kernels._norm([u1, u2, u3])
+    if not 0.0 < nrm < math.inf:
+        raise DegenerateDelta(f"||Re(S Delta)|| = {nrm:.15g}: no finite real direction")
+    return S, [kscalar * (u1 / nrm), kscalar * (u2 / nrm), kscalar * (u3 / nrm)]
+
+
+def raised(fn, *args):
+    """fn(*args), or the library error or ValueError it raises as (type name, message)."""
+    try:
+        return fn(*args)
+    except (ValueError, NcframeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_kernel(kernel, frozen, *args):
+    got, want = raised(kernel, *args), raised(frozen, *args)
+    assert_same(got, want)
+    return want
+
+
+def antisymmetric_rows(rng, scale):
+    """theta as 4 rows of Python floats: exactly antisymmetric, entries of about ``scale``."""
+    theta = scale * rng.uniform(0.5, 1.0, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4))
+    theta = np.triu(theta, 1)
+    return (theta - theta.T).tolist()
+
+
+POSITIONS = [(i, j) for i in range(4) for j in range(4)]
+THETA_SCALES = [10.0**p for p in range(-300, 301, 25)]
+THETA_TOLS = (0.0, 1e-300, 1e-12, 1e-9, 0.5)
+
+
+def rapidity_delta(rng, rapidity):
+    """A unit Delta = cosh(r) u + i sinh(r) p (u, p orthonormal), turned by a random phase of u, p."""
+    u = _unit(rng)
+    p = rng.normal(size=3)
+    p -= (p @ u) * u
+    p /= np.sqrt(p @ p)
+    return (math.cosh(rapidity) * u + 1j * math.sinh(rapidity) * p).tolist()
+
+
+class TestFrozenKernels:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_theta_non_finite_at_each_position(self, value):
+        rng = np.random.default_rng(1)
+        for scale in (0.0, 1e-300, 1.0, 1e300):
+            for i, j in POSITIONS:
+                rows = antisymmetric_rows(rng, scale)
+                rows[i][j] = value
+                want = assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, 1e-12)
+                assert want == ("NonFiniteInput", "theta has a NaN or infinite entry")
+
+    def test_theta_infinities_that_cancel(self):
+        # +inf and -inf make the signed sum NaN, wherever they sit; so do a
+        # finite overflow to +inf and a -inf entry after it
+        rng = np.random.default_rng(2)
+        for (i, j), (k, l) in itertools.permutations(POSITIONS, 2):
+            rows = antisymmetric_rows(rng, 1.0)
+            rows[i][j], rows[k][l] = math.inf, -math.inf
+            assert assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, 1e-12)[0] == "NonFiniteInput"
+        for k, l in POSITIONS[2:]:
+            rows = antisymmetric_rows(rng, 1.0)
+            rows[0][0], rows[0][1], rows[k][l] = 1.5e308, 1.5e308, -math.inf
+            assert assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, 1e-12)[0] == "NonFiniteInput"
+
+    def test_theta_finite_sums_that_overflow(self):
+        # the signed sum overflows, the scan finds every entry finite, and
+        # the antisymmetry test decides, as it did on the sum of |entries|
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for seed in range(200):
+            rows = antisymmetric_rows(rng, 1.7e308)
+            if seed % 2:  # same signs everywhere: not antisymmetric, residual inf
+                rows = [[abs(x) for x in row] for row in rows]
+            if seed % 3 == 0:
+                i, j = POSITIONS[seed % 16]
+                rows[i][j] = math.nextafter(rows[i][j], 0.0)
+            total = sum(x for row in rows for x in row)
+            want = assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, 1e-12)
+            outcomes.add((math.isfinite(total), type(want) is list))
+        assert (False, True) in outcomes and (False, False) in outcomes
+
+    @pytest.mark.parametrize("tol", THETA_TOLS)
+    def test_theta_residual_at_the_bound(self, tol):
+        # residuals just below, at and just above tol * max(1, scale), and at
+        # tol itself, on the diagonal and on each off-diagonal pair
+        rng = np.random.default_rng(4)
+        decisions = set()
+        for scale in THETA_SCALES:
+            for i, j in POSITIONS:
+                rows = antisymmetric_rows(rng, scale)
+                rows[i][j] = rows[j][i] = 0.0
+                bound = tol * max(1.0, max(abs(x) for row in rows for x in row))
+                for r in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf),
+                          tol, math.nextafter(tol, math.inf)):
+                    rows[i][j] = 0.5 * r if i == j else r
+                    want = assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, tol)
+                    decisions.add(type(want) is list)
+        assert decisions == {True, False}
+
+    @given(seed=seeds, exp=st.integers(-300, 300), tol=st.sampled_from(THETA_TOLS), skew=st.floats(0.0, 1e-6))
+    def test_theta_scales(self, seed, exp, tol, skew):
+        rng = np.random.default_rng(seed)
+        rows = antisymmetric_rows(rng, 10.0**exp)
+        i, j = POSITIONS[seed % 16]
+        rows[i][j] *= 1.0 + skew
+        assert_kernel(_kernels._theta_to_K, frozen_theta_to_K, rows, tol)
+
+    def test_canonical_and_reduce_across_the_window(self):
+        # the split Delta of every boundary subcase and of generic K, for K
+        # from 1e-300 to 1e300 (the split is that of the scaled view Ks)
+        targets = (None, [0.0, 0.0, 1.0], _unit(np.random.default_rng(5)).tolist())
+        for kind in KINDS[:-1]:
+            for exp in range(-300, 301, 20):
+                for seed in range(3):
+                    split = _kernels._view(k_of_kind(kind, exp, seed).tolist(), EPS_ISO)[4]
+                    assert_kernel(_kernels._canonical, frozen_canonical, *split)
+                    for target in targets:
+                        assert_kernel(_kernels._reduce_to_real, frozen_reduce_to_real, split[1], target)
+
+    @pytest.mark.parametrize("rapidity", range(16, 31))
+    def test_canonical_and_reduce_at_high_rapidity(self, rapidity):
+        rng = np.random.default_rng(rapidity)
+        for exp in range(-135, 136, 15):
+            kscalar = 10.0**exp * complex(*rng.normal(size=2))
+            delta = rapidity_delta(rng, rapidity + rng.uniform(0.0, 1.0))
+            assert_kernel(_kernels._canonical, frozen_canonical, kscalar, delta)
+            assert_kernel(_kernels._reduce_to_real, frozen_reduce_to_real, delta, None)
+            # the same Delta through the scaled view of K = kscalar * Delta:
+            # isotropic within EPS_ISO at these rapidities, and K.K rounds to
+            # 0 in some draws, so at eps_iso = 0 where it splits
+            split = _kernels._view([kscalar * d for d in delta], 0.0)[4]
+            if split is not None:
+                assert_kernel(_kernels._canonical, frozen_canonical, *split)
+
+    def test_canonical_and_reduce_refusals(self):
+        # a real Delta (no boost), Re and Im parallel, ||Re Delta|| < 1, a
+        # target off the unit sphere, and S Delta beyond the float range
+        cases = [
+            ([complex(1.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)], [0.0, 1.0, 0.0]),
+            ([complex(1.5, 1.118033988749895), 0j, 0j], None),
+            ([complex(0.5, 0.0), complex(0.0, 0.0), 0j], None),
+            ([complex(1.25, 0.0), complex(0.0, 0.75), 0j], [0.0, 2.0, 0.0]),
+            ([complex(1.25, 0.0), complex(0.0, 0.75), 0j], [math.nan, 0.0, 1.0]),
+        ]
+        for delta, target in cases:
+            assert_kernel(_kernels._reduce_to_real, frozen_reduce_to_real, delta, target)
+            assert_kernel(_kernels._canonical, frozen_canonical, 1.0 + 0j, delta)
+        for K in (OVERFLOWING_FRAME, [x / 1e300 for x in OVERFLOWING_FRAME]):
+            split = _kernels._view([complex(x, y) for x, y in zip(K[:3], K[3:])], 0.0)[4]
+            want = assert_kernel(_kernels._canonical, frozen_canonical, *split)
+            assert want[0] == "DegenerateDelta"

@@ -72,6 +72,15 @@ class TestThetaMap:
         with pytest.raises(NotAntisymmetric):
             theta_to_K(np.eye(4))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+    def test_invalid_tol_is_refused(self, tol):
+        # tol = nan returned K for a theta that is not antisymmetric, and
+        # tol = -1 refused the zero theta with "residual 0.000e+00"
+        for theta in (np.ones((4, 4)), np.zeros((4, 4)), K_to_theta([1, 0.5j, 0])):
+            with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol!r}"):
+                theta_to_K(theta, tol=tol)
+        np.testing.assert_array_equal(theta_to_K(np.zeros((4, 4)), tol=0.0), np.zeros(3))
+
     def test_complex_theta(self):
         # a nonzero imaginary part is refused, not dropped by a cast
         theta = np.zeros((4, 4), dtype=complex)
