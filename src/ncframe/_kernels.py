@@ -16,9 +16,10 @@ generator over it, with the operations in the order a loop would take, so
 every result keeps its bits.  On CPython 3.11 such a loop costs a nested
 function call and an iterator, more than its three entries' arithmetic
 (3.12 inlines comprehensions: PEP 709).  Loops over 3-lists and the 4x4
-theta remain only on rare paths: the rescaling of input outside ``_WINDOW``,
-the target turn of ``reduce_to_real``, the CLI's projection and the scans of
-a theta whose signed sum is not finite or whose residual exceeds ``tol``.
+theta remain only on rare paths: the rescaling of input outside ``_WINDOW``
+(the second pass of a real constitutive route among them), the target turn
+of ``reduce_to_real``, the CLI's projection and the scans of a theta whose
+signed sum is not finite or whose residual exceeds ``tol``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def _dot(u: list, v: list) -> complex:
 def _cross(u: list, v: list) -> list:
     """Vector product u x v."""
     return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-
-
-def _conj(v: list) -> list:
-    a, b, c = v
-    return [a.conjugate(), b.conjugate(), c.conjugate()]
 
 
 def _norm(v: list) -> float:
@@ -611,10 +607,10 @@ def _inverse(h: list, K: list) -> list:
     return [p * a - w * x, p * b - w * y, p * c - w * z]
 
 
-def _inside(f: list, K: list) -> tuple[float, bool]:
-    """(||f|| (1 + ||K|| ||f||), whether ||f|| and that scale lie inside ``_WINDOW``, so the scale is > 0)."""
-    nf = _norm(f)
-    scale = nf * (1.0 + _norm(K) * nf)
+def _inside(nf: float, nk: float) -> tuple[float, bool]:
+    """(nf (1 + nk nf), whether nf and that scale lie inside ``_WINDOW``, so
+    the scale is > 0): the window test of the norms nf of f (or h) and nk of K."""
+    scale = nf * (1.0 + nk * nf)
     return scale, _WINDOW[0] <= nf and scale <= _WINDOW[1]
 
 
@@ -637,7 +633,7 @@ def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     the unscaled dots are normal floats, the rescaling changes no result.
     K 2**e overflows only if ||K|| ||f|| does.
     """
-    scale, inside = _inside(f, K)
+    scale, inside = _inside(_norm(f), _norm(K))
     if inside:
         return f, K, scale, 0
     e = _exponent(f)
@@ -665,47 +661,43 @@ def _gram(f: list, K: list, h: list) -> tuple:
     return _dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)
 
 
-def _real_normalized(x: list, y: list, K: list, form, factors) -> tuple[list, list, list, list, int]:
-    """(u, v, n, m, e) with (u, v) = form(2**-e x, 2**-e y) and n + i*m = 2**e K.
-
-    ``form`` is a real route's map from its input pair to the parts of f (or
-    of h): it multiplies or divides x and y by unit constants, of the sizes
-    ``factors``.  e is 0 when u + i*v and K pass the window test of
-    :func:`_normalized`, or when u + i*v is zero.  Else e is, up to one or
-    two, the exponent of the largest part of u + i*v, taken from the
-    exponents of x, y and the factors, and form acts on the rescaled pair:
-    in SI units c B overflows at B = 1e301, where H is finite.
-    """
-    u, v = form(x, y)
-    (u1, u2, u3), (v1, v2, v3) = u, v
-    scale, inside = _inside([complex(u1, v1), complex(u2, v2), complex(u3, v3)], K)
-    e = 0
-    if not inside and scale != 0.0:
-        exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
-        e = max(exponents, default=0)
-        if e:
-            u, v = form(_ldexp(x, -e), _ldexp(y, -e))
-            K = _ldexp(K, e)
-    k1, k2, k3 = K
-    return u, v, [k1.real, k2.real, k3.real], [k1.imag, k2.imag, k3.imag], e
+def _real_exponent(x: list, y: list, sx: float, sy: float) -> int:
+    """The exponent e of a real route whose parts u + i v = sx x + i sy y
+    (f, or h) fail the window test of :func:`_normalized`: up to one or two,
+    the exponent of the largest part, taken from the exponents of x, y, sx
+    and sy, so that the route forms its parts from 2**-e x and 2**-e y: in SI
+    units c B overflows at B = 1e301, where H is finite.  0 for x = y = 0."""
+    return max((math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in ((x, sx), (y, sy)) for a in z if a), default=0)
 
 
 def _real_forward(E: list, B: list, K: list, c: float, eps0: float) -> tuple[list, list]:
-    """(D, H) of :func:`constitutive_real_forward` as 3-lists, on 3-lists."""
-    E, cB, n, m, e = _real_normalized(
-        E, B, K, lambda x, y: (x, [c * y[0], c * y[1], c * y[2]]), (1.0, c))
-    s1 = _dot(n, E) - _dot(m, cB)
-    s2 = _dot(m, E) + _dot(n, cB)
-    ecb = _dot(E, cB)
-    quad = 0.5 * (_dot(E, E) - _dot(cB, cB))
+    """(D, H) of :func:`constitutive_real_forward` as 3-lists, on 3-lists.
+
+    The loop forms the six parts of f = E + i c B and runs the window test of
+    :func:`_normalized` on them and K.  Where they fail it and are not zero,
+    a second pass forms them from 2**-e (E, B), with 2**e K, e from
+    :func:`_real_exponent`, and D and H are scaled back by 2**e.
+    """
+    e = 0
+    while True:
+        (a1, a2, a3), (y1, y2, y3), (k1, k2, k3) = E, B, K
+        b1, b2, b3 = c * y1, c * y2, c * y3
+        x1, x2, x3, z1, z2, z3 = k1.real, k2.real, k3.real, k1.imag, k2.imag, k3.imag
+        scale, inside = _inside(math.hypot(a1, b1, a2, b2, a3, b3), math.hypot(x1, z1, x2, z2, x3, z3))
+        if e or inside or scale == 0.0 or not (e := _real_exponent(E, B, 1.0, c)):
+            break
+        E, B, K = _ldexp(E, -e), _ldexp(B, -e), _ldexp(K, e)
+    s1 = (x1 * a1 + x2 * a2 + x3 * a3) - (z1 * b1 + z2 * b2 + z3 * b3)
+    s2 = (z1 * a1 + z2 * a2 + z3 * a3) + (x1 * b1 + x2 * b2 + x3 * b3)
+    ecb = a1 * b1 + a2 * b2 + a3 * b3
+    quad = 0.5 * ((a1 * a1 + a2 * a2 + a3 * a3) - (b1 * b1 + b2 * b2 + b3 * b3))
     ceps0 = c * eps0
-    (a1, a2, a3), (b1, b2, b3), (x1, x2, x3), (y1, y2, y3) = E, cB, n, m
-    D = [eps0 * (a1 + s1 * a1 + s2 * b1 + ecb * y1 + quad * x1),
-         eps0 * (a2 + s1 * a2 + s2 * b2 + ecb * y2 + quad * x2),
-         eps0 * (a3 + s1 * a3 + s2 * b3 + ecb * y3 + quad * x3)]
-    H = [ceps0 * (b1 + s1 * b1 - s2 * a1 - ecb * x1 + quad * y1),
-         ceps0 * (b2 + s1 * b2 - s2 * a2 - ecb * x2 + quad * y2),
-         ceps0 * (b3 + s1 * b3 - s2 * a3 - ecb * x3 + quad * y3)]
+    D = [eps0 * (a1 + s1 * a1 + s2 * b1 + ecb * z1 + quad * x1),
+         eps0 * (a2 + s1 * a2 + s2 * b2 + ecb * z2 + quad * x2),
+         eps0 * (a3 + s1 * a3 + s2 * b3 + ecb * z3 + quad * x3)]
+    H = [ceps0 * (b1 + s1 * b1 - s2 * a1 - ecb * x1 + quad * z1),
+         ceps0 * (b2 + s1 * b2 - s2 * a2 - ecb * x2 + quad * z2),
+         ceps0 * (b3 + s1 * b3 - s2 * a3 - ecb * x3 + quad * z3)]
     return _ldexp(D, e), _ldexp(H, e)
 
 

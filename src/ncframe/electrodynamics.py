@@ -24,13 +24,14 @@ two relations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public here too
-    DUAL_TOL, QUARTER_TOL, _apply, _check_units, _conj, _dot, _dual_residual, _f_of, _forward,
-    _gram, _h_of, _inverse, _ldexp, _mapped, _norm, _normalized, _real_forward, _real_normalized, _scale,
+    DUAL_TOL, QUARTER_TOL, _apply, _check_units, _dual_residual, _exponent, _f_of, _forward, _gram,
+    _h_of, _inside, _inverse, _ldexp, _mapped, _norm, _normalized, _real_exponent, _real_forward, _scale,
     _so3c, _state, _turn, quarter_turn,
 )
 from .group import SpinorElement, _trusted
@@ -154,25 +155,33 @@ def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
 
 
 def constitutive_real_inverse(D, H, K, units: UnitSystem = NATURAL):
-    """(E, B) from (D, H); the real form of :func:`constitutive_inverse`."""
+    """(E, B) from (D, H); the real form of :func:`constitutive_inverse`.
+
+    The loop runs the window test, and where needed the second pass, of
+    ``_kernels._real_forward`` on the parts d + i g = D / eps0 + i H / (c eps0)
+    of h instead of those of f.
+    """
     c, eps0 = units.c, units.epsilon0
     ceps0 = c * eps0
-    d, g, n, m, e = _real_normalized(
-        rvec3(D).tolist(), rvec3(H).tolist(), vec3(K).tolist(),
-        lambda x, y: ([x[0] / eps0, x[1] / eps0, x[2] / eps0], [y[0] / ceps0, y[1] / ceps0, y[2] / ceps0]),
-        (1.0 / eps0, 1.0 / ceps0),
-    )
-    s1 = _dot(m, g) - _dot(n, d)
-    s2 = _dot(m, d) + _dot(n, g)
-    dg = _dot(d, g)
-    quad = 0.5 * (_dot(g, g) - _dot(d, d))
-    (a1, a2, a3), (b1, b2, b3), (x1, x2, x3), (y1, y2, y3) = d, g, n, m
-    E = [a1 + s1 * a1 - s2 * b1 - dg * y1 + quad * x1,
-         a2 + s1 * a2 - s2 * b2 - dg * y2 + quad * x2,
-         a3 + s1 * a3 - s2 * b3 - dg * y3 + quad * x3]
-    B = [(b1 + s1 * b1 + s2 * a1 + dg * x1 + quad * y1) / c,
-         (b2 + s1 * b2 + s2 * a2 + dg * x2 + quad * y2) / c,
-         (b3 + s1 * b3 + s2 * a3 + dg * x3 + quad * y3) / c]
+    D, H, K, e = rvec3(D).tolist(), rvec3(H).tolist(), vec3(K).tolist(), 0
+    while True:
+        (y1, y2, y3), (w1, w2, w3), (k1, k2, k3) = D, H, K
+        a1, a2, a3, b1, b2, b3 = y1 / eps0, y2 / eps0, y3 / eps0, w1 / ceps0, w2 / ceps0, w3 / ceps0
+        x1, x2, x3, z1, z2, z3 = k1.real, k2.real, k3.real, k1.imag, k2.imag, k3.imag
+        scale, inside = _inside(math.hypot(a1, b1, a2, b2, a3, b3), math.hypot(x1, z1, x2, z2, x3, z3))
+        if e or inside or scale == 0.0 or not (e := _real_exponent(D, H, 1.0 / eps0, 1.0 / ceps0)):
+            break
+        D, H, K = _ldexp(D, -e), _ldexp(H, -e), _ldexp(K, e)
+    s1 = (z1 * b1 + z2 * b2 + z3 * b3) - (x1 * a1 + x2 * a2 + x3 * a3)
+    s2 = (z1 * a1 + z2 * a2 + z3 * a3) + (x1 * b1 + x2 * b2 + x3 * b3)
+    dg = a1 * b1 + a2 * b2 + a3 * b3
+    quad = 0.5 * ((b1 * b1 + b2 * b2 + b3 * b3) - (a1 * a1 + a2 * a2 + a3 * a3))
+    E = [a1 + s1 * a1 - s2 * b1 - dg * z1 + quad * x1,
+         a2 + s1 * a2 - s2 * b2 - dg * z2 + quad * x2,
+         a3 + s1 * a3 - s2 * b3 - dg * z3 + quad * x3]
+    B = [(b1 + s1 * b1 + s2 * a1 + dg * x1 + quad * z1) / c,
+         (b2 + s1 * b2 + s2 * a2 + dg * x2 + quad * z2) / c,
+         (b3 + s1 * b3 + s2 * a3 + dg * x3 + quad * z3) / c]
     return np.array(_ldexp(E, e), dtype=float), np.array(_ldexp(B, e), dtype=float)
 
 
@@ -269,17 +278,31 @@ def gr_constraint_residual(frame: DualFrame, K) -> tuple[float, float]:
 
     Both vanish to second order in K for a frame built from a consistent
     (f, h) pair; K = 0 forces R = 0, the vacuum relation h = f.
+
+    Both norms are homogeneous of degree 1 under (G, R, K) -> (lam G, lam R,
+    K / lam).  Where ||(G, R)|| and K fail the window test of the maps, they
+    are evaluated on 2**-e (G, R) and 2**e K, e the exponent of the largest
+    part of G and R, and scaled back, so that no dot overflows or underflows.
     """
-    K = vec3(K).tolist()
-    G, R = frame.G.tolist(), frame.R.tolist()
-    Gc, Rc = _conj(G), _conj(R)
-    Kc = _conj(K)
-    a, b = _dot(Gc, Kc), _dot(R, Kc)
-    t, w = 2.0 * _dot(Gc, R), 0.5 * (_dot(Gc, Gc) + _dot(R, R))
-    (g1, g2, g3), (r1, r2, r3), (k1, k2, k3) = G, Rc, K
-    return (_norm([t * k1 + a * r1 + b * g1, t * k2 + a * r2 + b * g2, t * k3 + a * r3 + b * g3]),
-            _norm([a * g1 + b * r1 + w * k1 - 2.0 * r1, a * g2 + b * r2 + w * k2 - 2.0 * r2,
-                   a * g3 + b * r3 + w * k3 - 2.0 * r3]))
+    G, R, K = frame.G.tolist(), frame.R.tolist(), vec3(K).tolist()
+    (g1, g2, g3), (r1, r2, r3) = G, R
+    nf, e = math.hypot(g1.real, g1.imag, g2.real, g2.imag, g3.real, g3.imag,
+                       r1.real, r1.imag, r2.real, r2.imag, r3.real, r3.imag), 0
+    if not _inside(nf, _norm(K))[1] and (e := _exponent(G + R)):
+        (g1, g2, g3), (r1, r2, r3), K = _ldexp(G, -e), _ldexp(R, -e), _ldexp(K, e)
+    k1, k2, k3 = K
+    c1, c2, c3 = g1.conjugate(), g2.conjugate(), g3.conjugate()  # G*
+    q1, q2, q3 = r1.conjugate(), r2.conjugate(), r3.conjugate()  # R*
+    l1, l2, l3 = k1.conjugate(), k2.conjugate(), k3.conjugate()  # K*
+    a, b = c1 * l1 + c2 * l2 + c3 * l3, r1 * l1 + r2 * l2 + r3 * l3
+    t = 2.0 * (c1 * r1 + c2 * r2 + c3 * r3)
+    w = 0.5 * ((c1 * c1 + c2 * c2 + c3 * c3) + (r1 * r1 + r2 * r2 + r3 * r3))
+    x1, x2, x3 = t * k1 + a * q1 + b * g1, t * k2 + a * q2 + b * g2, t * k3 + a * q3 + b * g3
+    y1 = a * g1 + b * q1 + w * k1 - 2.0 * q1
+    y2 = a * g2 + b * q2 + w * k2 - 2.0 * q2
+    y3 = a * g3 + b * q3 + w * k3 - 2.0 * q3
+    return (_ldexp(math.hypot(x1.real, x1.imag, x2.real, x2.imag, x3.real, x3.imag), e),
+            _ldexp(math.hypot(y1.real, y1.imag, y2.real, y2.imag, y3.real, y3.imag), e))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +318,9 @@ def _spacing3(spacing):
     s = np.atleast_1d(np.asarray(spacing, dtype=float))
     if s.size == 1:
         s = np.repeat(s, 3)
-    if s.size != 3 or np.any(s <= 0):
-        raise ValueError("spacing must be a positive scalar or 3-vector")
+    # a NaN spacing fails too; an infinite one would read every divergence as a vacuous 0
+    if s.size != 3 or not np.all((s > 0.0) & (s < np.inf)):
+        raise ValueError(f"spacing must be a finite positive scalar or 3-vector, got {spacing!r}")
     return s
 
 
@@ -321,7 +345,8 @@ def maxwell_variable_check(
 ) -> dict:
     """Check that the real source-free Maxwell system and its rewrites agree.
 
-    All inputs are (3, nx, ny, nz) samples on a uniform periodic grid, with
+    All inputs are (3, nx, ny, nz) samples of one shape (else ValueError)
+    on a uniform periodic grid, whose spacing is finite and > 0, with
     analytic time derivatives supplied by the caller; div and curl are formal
     central-difference operators.  Three forms of the same system are
     evaluated: the real one (four residual fields), the complex combination
@@ -335,8 +360,12 @@ def maxwell_variable_check(
     discrepancies "real_vs_complex" and "complex_vs_gr".
     """
     c, eps0 = units.c, units.epsilon0
-    E, B, D, H = (np.asarray(x, dtype=float) for x in (E, B, D, H))
-    dE, dB, dD, dH = (np.asarray(x, dtype=float) for x in (dE_dt, dB_dt, dD_dt, dH_dt))
+    grids = [np.asarray(x, dtype=float) for x in (E, B, D, H, dE_dt, dB_dt, dD_dt, dH_dt)]
+    E, B, D, H, dE, dB, dD, dH = grids
+    # numpy would broadcast a mismatched grid into finite, meaningless residuals
+    if E.ndim != 4 or len(E) != 3 or any(x.shape != E.shape for x in grids):
+        raise ValueError(f"E, B, D, H and their time derivatives must share one (3, nx, ny, nz) shape, "
+                         f"got {[x.shape for x in grids]}")
 
     r_div_b = _grid_divergence(B, spacing)
     r_faraday = _grid_curl(E, spacing) + dB

@@ -28,7 +28,7 @@ from ncframe.electrodynamics import (
     residual_scale,
 )
 from ncframe import electrodynamics
-from ncframe._kernels import _state, _turn
+from ncframe._kernels import _ldexp, _state, _turn
 from ncframe.errors import NonFiniteInput
 from ncframe.group import (
     ComplexRotation,
@@ -399,6 +399,23 @@ class TestMaxwellVariableCheck:
         for group in ("real", "complex", "gr", "real_vs_complex", "complex_vs_gr"):
             assert all(v == 0.0 for v in report[group].values())
 
+    @pytest.mark.parametrize("spacing", [math.inf, math.nan, -1.0, [0.5, math.inf, 0.5]])
+    def test_refuses_a_spacing_not_finite_and_positive(self, rng, spacing):
+        # an infinite spacing read both divergences as 0.0, a vacuous pass; NaN read NaN
+        grids = rng.normal(size=(8, 3, 4, 4, 4))
+        with pytest.raises(ValueError, match="spacing"):
+            maxwell_variable_check(*grids, spacing)
+
+    @pytest.mark.parametrize("bad", [(3, 4, 4, 1), (2, 4, 4, 4), (3, 4, 4), (3, 4, 4, 4, 1)])
+    def test_refuses_grids_of_different_shapes(self, rng, bad):
+        # numpy broadcast an E of shape (3, 4, 4, 1) against the other seven,
+        # and the residuals came out finite (div_b 2.91) without an error
+        for j in range(8):
+            grids = list(rng.normal(size=(8, 3, 4, 4, 4)))
+            grids[j] = rng.normal(size=bad)
+            with pytest.raises(ValueError, match="shape"):
+                maxwell_variable_check(*grids, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # Bit identity with the plain formulas: np.conj of every starred vector, dots
@@ -704,6 +721,124 @@ class TestBitIdentity:
         assert_same_bits(frame.R, np.array([0.5 * (y - x).conjugate() for x, y in zip(f.tolist(), h.tolist())]))
         assert isinstance(frame, DualFrame)
         for got, want in zip(gr_constraint_residual(frame, K), plain_gr_constraints(frame.G, frame.R, K)):
+            assert_same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the real routes as they were before their straight-line
+# rewrite: a helper forms the parts of f (or h) through a lambda, the window
+# test builds three complex numbers, and each dot is a call on lists.  The
+# (G, R) residual was plain_gr_constraints, operation for operation.  The
+# rewrite keeps every bit of them at any scale, in any units, signed zeros
+# included; only the (G, R) residual changed on purpose, outside the window.
+# ---------------------------------------------------------------------------
+
+def _list_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def frozen_real_normalized(x, y, K, form, factors):
+    u, v = form(x, y)
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    nf = plain_norm([complex(u1, v1), complex(u2, v2), complex(u3, v3)])
+    scale = nf * (1.0 + plain_norm(K) * nf)
+    e = 0
+    if not (2.0**-450 <= nf and scale <= 2.0**450) and scale != 0.0:
+        exponents = (math.frexp(abs(a))[1] + math.frexp(s)[1] for z, s in zip((x, y), factors) for a in z if a)
+        e = max(exponents, default=0)
+        if e:
+            u, v = form(_ldexp(x, -e), _ldexp(y, -e))
+            K = _ldexp(K, e)
+    return u, v, [k.real for k in K], [k.imag for k in K], e
+
+
+def frozen_real_forward(E, B, K, c, eps0):
+    E, cB, n, m, e = frozen_real_normalized(E, B, K, lambda x, y: (x, [c * y[0], c * y[1], c * y[2]]), (1.0, c))
+    s1 = _list_dot(n, E) - _list_dot(m, cB)
+    s2 = _list_dot(m, E) + _list_dot(n, cB)
+    ecb = _list_dot(E, cB)
+    quad = 0.5 * (_list_dot(E, E) - _list_dot(cB, cB))
+    D = [eps0 * (a + s1 * a + s2 * b + ecb * y + quad * x) for a, b, x, y in zip(E, cB, n, m)]
+    H = [c * eps0 * (b + s1 * b - s2 * a - ecb * x + quad * y) for a, b, x, y in zip(E, cB, n, m)]
+    return _ldexp(D, e), _ldexp(H, e)
+
+
+def frozen_real_inverse(D, H, K, c, eps0):
+    ceps0 = c * eps0
+    d, g, n, m, e = frozen_real_normalized(
+        D, H, K, lambda x, y: ([a / eps0 for a in x], [a / ceps0 for a in y]), (1.0 / eps0, 1.0 / ceps0))
+    s1 = _list_dot(m, g) - _list_dot(n, d)
+    s2 = _list_dot(m, d) + _list_dot(n, g)
+    dg = _list_dot(d, g)
+    quad = 0.5 * (_list_dot(g, g) - _list_dot(d, d))
+    E = [a + s1 * a - s2 * b - dg * y + quad * x for a, b, x, y in zip(d, g, n, m)]
+    B = [(b + s1 * b + s2 * a + dg * x + quad * y) / c for a, b, x, y in zip(d, g, n, m)]
+    return _ldexp(E, e), _ldexp(B, e)
+
+
+def frozen_gr_constraints(G, R, K):
+    """plain_gr_constraints where (G, R) and K pass the window test; else
+    2**e times its value at (2**-e G, 2**-e R, 2**e K), e the frexp exponent
+    of the largest part of G and R, as the library defines it there."""
+    GR = np.concatenate([G, R])
+    if unscaled(GR, K):
+        return plain_gr_constraints(G, R, K)
+    e = math.frexp(np.abs(GR.view(float)).max())[1]
+    with np.errstate(over="ignore"):
+        return tuple(np.ldexp(r, e) for r in plain_gr_constraints(ldexp(G, -e), ldexp(R, -e), ldexp(K, e)))
+
+
+# mantissas in [-1, 1]: seeded uniform draws with every bit set, hypothesis
+# floats, or zeros of either sign (a zero E or B among them)
+real_mantissas = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).uniform(-1.0, 1.0, 3)),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=3, max_size=3).map(np.array),
+)
+
+
+def real3(exponents):
+    return st.tuples(real_mantissas, exponents).map(lambda t: np.ldexp(t[0], t[1]))
+
+
+def complex3(exponents):
+    return st.tuples(real_mantissas, real_mantissas, exponents).map(
+        lambda t: parts(np.ldexp(t[0], t[2]), np.ldexp(t[1], t[2])))
+
+
+def near(k):
+    """Exponents within 60 of k, in -1000..1000."""
+    return st.integers(max(k - 60, -1000), min(k + 60, 1000))
+
+
+# fields at 2**k, k in -1000..1000, and K at 2**-k, each shifted by up to
+# 2**+-60 on its own, so that the window test passes and fails on both sides
+two_fields_and_K = st.integers(-1000, 1000).flatmap(
+    lambda k: st.tuples(real3(near(k)), real3(near(k)), complex3(near(-k))))
+# c = 1e200 puts c B and D / eps0 some 2**664 above E and H / (c eps0)
+extreme_units = st.sampled_from([UnitSystem.natural(), UnitSystem.si(), UnitSystem(c=1e200, epsilon0=1e-200)])
+three_fields = st.integers(-1000, 1000).flatmap(
+    lambda k: st.tuples(complex3(near(k)), complex3(near(k)), complex3(near(-k))))
+
+
+class TestStraightLineRewrite:
+    @given(xyK=two_fields_and_K, units=extreme_units)
+    @example(xyK=(np.zeros(3), np.zeros(3), np.zeros(3, dtype=complex)), units=UnitSystem.natural())
+    @example(xyK=(np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 1.0]), SIGNED_ZERO_K), units=UnitSystem.si())
+    def test_real_routes(self, xyK, units):
+        # (x, y) is (E, B) for the forward route and (D, H) for the inverse
+        x, y, K = xyK
+        args = x.tolist(), y.tolist(), K.tolist(), units.c, units.epsilon0
+        for route, frozen in ((constitutive_real_forward, frozen_real_forward),
+                              (constitutive_real_inverse, frozen_real_inverse)):
+            for got, want in zip(route(x, y, K, units), frozen(*args)):
+                assert_same_bits(got, np.array(want, dtype=float))
+
+    @given(GRK=three_fields)
+    @example(GRK=NEGATIVE_ZERO_SUM)
+    def test_gr_constraint_residual(self, GRK):
+        G, R, K = GRK
+        for got, want in zip(gr_constraint_residual(DualFrame(G, R), K), frozen_gr_constraints(G, R, K)):
             assert_same_bits(got, want)
 
 
@@ -1060,11 +1195,26 @@ class TestPowerOfTwoScaling:
         assert all(np.isfinite(x).all() for x in constitutive_real_inverse(D, H, K))
         assert_same_bits(h, ldexp(constitutive_forward(ldexp(f, -600), ldexp(K, 600)), 600))
 
-    @given(f=moderate_cvec, K=moderate_cvec, k=st.integers(-1000, 1000), chi=angles, b=spinors)
-    def test_residuals_keep_their_bits(self, f, K, k, chi, b):
+    @given(f=moderate_cvec, K=moderate_cvec, k=st.integers(-1000, 1000), chi=angles, b=spinors, R=moderate_cvec)
+    def test_residuals_keep_their_bits(self, f, K, k, chi, b, R):
         fs, Ks = ldexp(f, k), ldexp(K, -k)
         assert_same_bits(dual_invariance_residual(fs, Ks, chi), dual_invariance_residual(f, K, chi))
         assert_same_bits(covariance_residual(b, fs, Ks), covariance_residual(b, f, K))
+        # the (G, R) residuals are not relative but homogeneous of degree 1:
+        # they scale by 2**k, and can overflow, on both sides alike
+        got = gr_constraint_residual(DualFrame(fs, ldexp(R, k)), Ks)
+        with np.errstate(over="ignore"):
+            for g, w in zip(got, gr_constraint_residual(DualFrame(f, R), K)):
+                assert_same_bits(g, np.ldexp(w, k))
+
+    def test_gr_residual_finite_where_the_dots_overflowed(self):
+        # at the scale of a dual-scan case, G*.R ~ 1e320 overflowed and both norms read NaN
+        f, K = parts([1e160, 0.0, 0.0], [0.0, 2e159, 0.0]), parts([1e-160, 0.0, 0.0], [0.0, 0.0, 5e-161])
+        frame = gr_from_fields(f, constitutive_forward(f, K))
+        scaled = gr_constraint_residual(DualFrame(ldexp(frame.G, -530), ldexp(frame.R, -530)), ldexp(K, 530))
+        for got, want in zip(gr_constraint_residual(frame, K), scaled):
+            assert math.isfinite(got) and got > 1e160
+            assert_same_bits(got, math.ldexp(want, 530))
 
     def test_residuals_finite_where_the_dots_overflowed(self, rng):
         # h.h overflowed at 1e100 f, and f.f at 2**600 f; 2**-600 f underflowed
