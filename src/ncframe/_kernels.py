@@ -586,9 +586,8 @@ def _turn(chi: float) -> tuple[int, bool, float, float]:
 
 
 def _scale(f: list, K: list) -> float:
-    nf = _norm(f)
-    s = nf * (1.0 + _norm(K) * nf)
-    return 1.0 if s == 0.0 else s
+    """The scale of :func:`_inside` for f and K, or 1 where it is 0 (NaN stays NaN)."""
+    return _inside(_norm(f), _norm(K))[0] or 1.0
 
 
 def _forward(f: list, K: list) -> list:
@@ -614,13 +613,6 @@ def _inside(nf: float, nk: float) -> tuple[float, bool]:
     return scale, _WINDOW[0] <= nf and scale <= _WINDOW[1]
 
 
-def _mapped(form, f: list, K: list) -> list:
-    """2**e form(2**-e f, 2**e K) with e from :func:`_normalized`: the forward
-    (``form`` = ``_forward``) or inverse (``_inverse``) map on 3-lists."""
-    f, K, _, e = _normalized(f, K)
-    return _ldexp(form(f, K), e)
-
-
 def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     """(2**-e f, 2**e K, residual_scale of those, e), rescaled exactly when
     ||f|| or the scale is outside ``_WINDOW``, with e the exponent of the
@@ -642,23 +634,18 @@ def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     return f, K, _scale(f, K), e
 
 
-# A field state is (key, f, K, h, scale, gram): f, K and scale from
-# _normalized, h = forward(f, K), and gram the bilinear dots (f.f, f.h, f.K,
-# h.h, h.K), or None where no dual residual has asked for them
-# (covariance_residual never does).  A dual scan evaluates many angles on one
-# field state, so they are computed once per state.
+# A field state is (key, f, K, h, scale, e, gram): f, K, scale and e from
+# _normalized, h = forward(f, K) (so 2**e h is the forward image of the
+# caller's f), and gram the bilinear dots (f.f, f.h, f.K, h.h, h.K) that
+# turn every dual angle into a closed form.  A dual scan evaluates many
+# angles on one field state, so the dots are computed once per state.
 
 
-def _state(key, f: list, K: list, gram: bool = False) -> tuple:
-    """The field state of the 3-lists f and K under ``key``, with its gram
-    when ``gram`` is set."""
-    f, K, scale, _ = _normalized(f, K)
+def _state(key, f: list, K: list) -> tuple:
+    """The field state of the 3-lists f and K under ``key``."""
+    f, K, scale, e = _normalized(f, K)
     h = _forward(f, K)
-    return key, f, K, h, scale, (_gram(f, K, h) if gram else None)
-
-
-def _gram(f: list, K: list, h: list) -> tuple:
-    return _dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K)
+    return key, f, K, h, scale, e, (_dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K))
 
 
 def _real_exponent(x: list, y: list, sx: float, sy: float) -> int:
@@ -702,8 +689,8 @@ def _real_forward(E: list, B: list, K: list, c: float, eps0: float) -> tuple[lis
 
 
 def _dual_residual(state: tuple, turn: tuple, swapped: bool | None = None) -> float:
-    """:func:`dual_invariance_residual` on a field state with its gram, at the angle of ``turn``, a :func:`_turn`."""
-    _, f, K, h, scale, (ff, fh, fK, hh, hK) = state
+    """:func:`dual_invariance_residual` on a field state at the angle of ``turn``, a :func:`_turn`."""
+    _, f, K, h, scale, _, (ff, fh, fK, hh, hK) = state
     q, _, c, s = turn
     if swapped is None:
         swapped = q % 2 == 1

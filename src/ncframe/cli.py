@@ -62,9 +62,9 @@ from types import SimpleNamespace
 from . import __version__
 from ._kernels import (
     DUAL_TOL, EPS_ISO, FactorOrder, NCClass, _apply, _canonical, _check_spinor, _check_units,
-    _compose, _dot, _dual_residual, _f_of, _factors, _forward, _gram, _h_of, _isotropic_sign, _K_to_theta,
-    _ldexp, _lorentz4, _modulus, _norm, _normalized, _project, _real_forward, _scale, _small_group, _so3c,
-    _spinor_scale, _state, _theta_to_K, _turn, _view,
+    _compose, _dot, _dual_residual, _f_of, _factors, _h_of, _isotropic_sign, _K_to_theta, _ldexp, _lorentz4,
+    _modulus, _norm, _project, _real_forward, _scale, _small_group, _so3c, _spinor_scale, _state,
+    _theta_to_K, _turn, _view,
 )
 from .errors import ConstraintViolation, IsotropicInput, NcframeError, NonFiniteInput, NotAntisymmetric, ZeroVector
 
@@ -364,14 +364,12 @@ def run_constitutive(args, doc: dict) -> dict:
     K, E, B = _fields(args, doc)
     c, eps0 = args.c, args.epsilon0
     D, H = _real_forward(E, B, K, c, eps0)
-    f = _f_of(E, B, c)
-    fs, Ks, scale, e = _normalized(f, K)  # one field state: the report's h is its h, rescaled by e
-    h = _ldexp(hs := _forward(fs, Ks), e)
+    state = _state(None, f := _f_of(E, B, c), K)  # one field state: the report's h is its h, rescaled by e
+    h = _ldexp(state[3], state[5])
     cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
     report = _base_report(args, doc)
     report.update(units={"c": c, "epsilon0": eps0}, D=D, H=H, f=f, h=h, residuals={"real_vs_complex": cross})
     if args.dual_check:
-        state = (None, fs, Ks, hs, scale, _gram(fs, Ks, hs))
         report["dual_checks"] = [_dual_row(state, chi) for chi in args.dual_check]
     report["pass"] = cross <= args.tol and _dual_pass(report.get("dual_checks", ()), DUAL_TOL)
     return report
@@ -379,7 +377,7 @@ def run_constitutive(args, doc: dict) -> dict:
 
 def run_dual_scan(args, doc: dict) -> dict:
     K, E, B = _fields(args, doc)
-    state = _state(None, _f_of(E, B, args.c), K, gram=True)
+    state = _state(None, _f_of(E, B, args.c), K)
     rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, doc)
     report.update(units={"c": args.c, "epsilon0": args.epsilon0}, scan=rows)

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (  # DUAL_TOL, QUARTER_TOL and quarter_turn are public here too
-    DUAL_TOL, QUARTER_TOL, _apply, _check_units, _dual_residual, _exponent, _f_of, _forward, _gram,
-    _h_of, _inside, _inverse, _ldexp, _mapped, _norm, _normalized, _real_exponent, _real_forward, _scale,
-    _so3c, _state, _turn, quarter_turn,
+    DUAL_TOL, QUARTER_TOL, _apply, _check_units, _dual_residual, _exponent, _f_of, _forward, _h_of,
+    _inside, _inverse, _ldexp, _norm, _normalized, _real_exponent, _real_forward, _scale, _so3c, _state,
+    _turn, quarter_turn,
 )
 from .group import SpinorElement, _trusted
-from .linalg import ComplexVec3, rvec3, vec3
+from .linalg import ComplexVec3, _real, rvec3, vec3
 
 
 @dataclass(frozen=True)
@@ -100,47 +100,36 @@ def residual_scale(f, K) -> float:
 
 # _memo is the field state (``_kernels._state``) of the last (f, K) that
 # constitutive_forward, covariance_residual or dual_invariance_residual was
-# given, with key the raw bytes of f and K as given.  It has two writers:
-# constitutive_forward, which stores the state it computes for its own
-# result, without the gram (or keeps the entry on a hit, gram and all), and
-# _base, through which covariance_residual and dual_invariance_residual
-# read it (dual_invariance_residual reads a hit with its gram inline).  The
-# key is the exact bytes, so a mutated input or a zero of the other sign
-# misses and every result keeps its bits.  The tuple is replaced in one
-# assignment and read once per call, so concurrent callers at worst miss;
-# nothing in it leaves the module (constitutive_forward returns a fresh
-# array), so no caller can mutate it.
-_memo: tuple = (b"", None, None, None, 1.0, None)
+# given, with key the raw bytes of f and K as given.  _base is its one
+# reader and writer, and every entry is whole: the state is built once, Gram
+# dots included, and a hit maps nothing.  The key is the exact bytes, so a
+# mutated input or a zero of the other sign misses and every result keeps
+# its bits.  The tuple is replaced in one assignment and read once per call,
+# so concurrent callers at worst miss; nothing in it leaves the module
+# (constitutive_forward returns a fresh array), so no caller can mutate it.
+_memo: tuple = (b"",)
 
 
-def _base(f: ComplexVec3, K: ComplexVec3, gram: bool = False) -> tuple:
-    """The memo entry of (f, K), with its gram filled in when ``gram`` is set."""
+def _base(f: ComplexVec3, K: ComplexVec3) -> tuple:
+    """The field state of (f, K), from the memo or built and stored there."""
     global _memo
     key = f.tobytes() + K.tobytes()
     memo = _memo
     if memo[0] != key:
-        memo = _state(key, f.tolist(), K.tolist(), gram)
-    elif gram and memo[5] is None:
-        memo = memo[:5] + (_gram(*memo[1:4]),)
-    _memo = memo
+        _memo = memo = _state(key, f.tolist(), K.tolist())
     return memo
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    global _memo
-    f, K = vec3(f), vec3(K)
-    key = f.tobytes() + K.tobytes()
-    fl, Kl, scale, e = _normalized(f.tolist(), K.tolist())
-    h = _forward(fl, Kl)
-    if _memo[0] != key:
-        _memo = (key, fl, Kl, h, scale, None)
+    _, _, _, h, _, e, _ = _base(vec3(f), vec3(K))
     return np.array(_ldexp(h, e), dtype=complex)
 
 
 def constitutive_inverse(h, K) -> ComplexVec3:
     """f = [1 - (h*.K*)] h - (h*.h*)/2 K; inverse of the forward map to first order in K."""
-    return np.array(_mapped(_inverse, vec3(h).tolist(), vec3(K).tolist()), dtype=complex)
+    h, K, _, e = _normalized(vec3(h).tolist(), vec3(K).tolist())
+    return np.array(_ldexp(_inverse(h, K), e), dtype=complex)
 
 
 def constitutive_real_forward(E, B, K, units: UnitSystem = NATURAL):
@@ -193,7 +182,7 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     """
     f, K = vec3(f), vec3(K)
     O = _so3c(b.k0, b.k.tolist())
-    _, f, K, h, scale, _ = _base(f, K)
+    _, f, K, h, scale, _, _ = _base(f, K)
     (x1, x2, x3), (y1, y2, y3) = _forward(_apply(O, f), _apply(O, K)), _apply(O, h)
     return _norm([x1 - y1, x2 - y2, x3 - y3]) / scale
 
@@ -239,11 +228,7 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     The expansion is exact in exact arithmetic; the dots are computed once
     per field state, so each further angle costs a few scalar operations.
     """
-    f, K = vec3(f), vec3(K)
-    state = _memo
-    if state[0] != f.tobytes() + K.tobytes() or state[5] is None:
-        state = _base(f, K, gram=True)
-    return _dual_residual(state, _turn(chi), swapped)
+    return _dual_residual(_base(vec3(f), vec3(K)), _turn(chi), swapped)
 
 
 @dataclass(frozen=True)
@@ -345,7 +330,7 @@ def maxwell_variable_check(
 ) -> dict:
     """Check that the real source-free Maxwell system and its rewrites agree.
 
-    All inputs are (3, nx, ny, nz) samples of one shape (else ValueError)
+    All inputs are real (3, nx, ny, nz) samples of one shape (else ValueError)
     on a uniform periodic grid, whose spacing is finite and > 0, with
     analytic time derivatives supplied by the caller; div and curl are formal
     central-difference operators.  Three forms of the same system are
@@ -360,7 +345,9 @@ def maxwell_variable_check(
     discrepancies "real_vs_complex" and "complex_vs_gr".
     """
     c, eps0 = units.c, units.epsilon0
-    grids = [np.asarray(x, dtype=float) for x in (E, B, D, H, dE_dt, dB_dt, dD_dt, dH_dt)]
+    # each grid keeps its own shape here, so the check below decides mismatched ones
+    grids = [_real(x, np.shape(x), f"{name} grid") for name, x in
+             zip(("E", "B", "D", "H", "dE_dt", "dB_dt", "dD_dt", "dH_dt"), (E, B, D, H, dE_dt, dB_dt, dD_dt, dH_dt))]
     E, B, D, H, dE, dB, dD, dH = grids
     # numpy would broadcast a mismatched grid into finite, meaningless residuals
     if E.ndim != 4 or len(E) != 3 or any(x.shape != E.shape for x in grids):

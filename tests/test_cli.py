@@ -613,14 +613,13 @@ class TestBehavior:
     @pytest.mark.parametrize("doc", [{"E": [1, 0.2, 0], "B": [0, 0.3, 0.1], "nm": [0.08, 0, 0.02, 0, 0.05, 0.01]},
                                      {"E": [1e200, 0, 0], "B": [0, 2e199, 0], "nm": [1e-200, 0, 0, 0, 5e-201, 0]}])
     def test_constitutive_maps_f_forward_once(self, doc, tmp_path, capsys, monkeypatch):
-        # with --dual-check the report's h is that of the dual rows' field
-        # state, rescaled by its exponent: f was mapped forward for h, then
-        # again for the state (the second doc is outside the window)
+        # the report's h is that of the run's one field state, rescaled by
+        # its exponent, so f is mapped forward once per run, dual rows or
+        # not (the second doc is outside the window)
         from ncframe import _kernels
 
         calls, forward = [], _kernels._forward
         counted = lambda f, K: calls.append(f) or forward(f, K)  # noqa: E731
-        monkeypatch.setattr(cli, "_forward", counted)
         monkeypatch.setattr(_kernels, "_forward", counted)
         _, plain = run_cli(["constitutive"], doc, tmp_path, capsys)
         code, checked = run_cli(["constitutive", "--dual-check", "0.3", "--dual-check", repr(math.pi / 2)],

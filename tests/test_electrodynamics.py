@@ -416,6 +416,24 @@ class TestMaxwellVariableCheck:
             with pytest.raises(ValueError, match="shape"):
                 maxwell_variable_check(*grids, 0.5)
 
+    def test_refuses_a_complex_grid(self, rng):
+        # the grids were cast with dtype=float, so an imaginary part was
+        # dropped with only a ComplexWarning (faraday 29.46 on this sample)
+        for j in range(8):
+            grids = list(rng.normal(size=(8, 3, 4, 4, 4)))
+            grids[j] = grids[j] + 1j * rng.normal(size=(3, 4, 4, 4))
+            with pytest.raises(ValueError, match="real"):
+                maxwell_variable_check(*grids, 0.5)
+
+    def test_a_zero_imaginary_part_keeps_the_bits(self, rng):
+        grids = list(rng.normal(size=(8, 3, 4, 4, 4)))
+        want = maxwell_variable_check(*grids, 0.5, units=UnitSystem(2.0, 3.0))
+        for j in range(8):
+            got = maxwell_variable_check(*grids[:j], grids[j] + 0j, *grids[j + 1:], 0.5, units=UnitSystem(2.0, 3.0))
+            for group, values in want.items():
+                for name, value in values.items():
+                    assert_same_bits(got[group][name], value)
+
 
 # ---------------------------------------------------------------------------
 # Bit identity with the plain formulas: np.conj of every starred vector, dots
@@ -960,7 +978,7 @@ class TestMemo:
         # the two forward images differ in the sign of a zero
         assert plain_forward(f1, K).tobytes() != plain_forward(f2, K).tobytes()
         for f in (f1, f2, f1):
-            _, _, _, h, scale, _ = _base(f, K)
+            _, _, _, h, scale, _, _ = _base(f, K)
             assert_same_bits(np.array(h), plain_forward(f, K))
             assert_same_bits(scale, plain_scale(f, K))
             assert_plain_dual(f, K, np.pi / 4)
@@ -982,8 +1000,8 @@ class TestMemo:
 
     @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
     def test_forward_seeds_the_memo(self, rng, magnitude):
-        # constitutive_forward leaves the entry that a residual would build
-        # (without the gram), and the residuals read it with the same bits
+        # constitutive_forward leaves the whole entry that a residual would
+        # build (exponent and gram too), and the residuals read it with the same bits
         # as from a cold memo.  At 1e200 and 1e-200, ||f|| is outside the
         # window, and the entry holds the rescaled f, K and h.
         b = random_spinor(rng)
@@ -994,8 +1012,8 @@ class TestMemo:
         h = constitutive_forward(f, K)
         memo = electrodynamics._memo
         want = _state(f.tobytes() + K.tobytes(), f.tolist(), K.tolist())
-        assert memo[0] == want[0] and memo[5] is None
-        for got, expected in zip(memo[1:5], want[1:5]):
+        assert memo[0] == want[0] and memo[5] == want[5]
+        for got, expected in zip(memo[1:5] + memo[6:], want[1:5] + want[6:]):
             assert_same_bits(np.array(got), np.array(expected))
         largest = np.abs(np.array(memo[1]).view(float)).max()
         assert (0.5 <= largest < 1.0) if magnitude != 1.0 else memo[1] == f.tolist()
@@ -1032,6 +1050,22 @@ class TestMemo:
         assert electrodynamics._memo is entry
         assert_plain_dual(f, K, np.pi / 2)
 
+    @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
+    def test_forward_on_a_hit_maps_nothing(self, rng, magnitude, monkeypatch):
+        # a dual residual leaves the whole state, so a later forward on the
+        # same (f, K) reads its h and exponent instead of mapping f again
+        from ncframe import _kernels
+
+        f, K = magnitude * random_field(rng), random_field(rng, 0.3) / magnitude
+        dual_invariance_residual(f, K, np.pi / 4)
+
+        def refused(f, K):
+            raise AssertionError("forward called on a memo hit")
+
+        monkeypatch.setattr(_kernels, "_forward", refused)
+        monkeypatch.setattr(electrodynamics, "_forward", refused)
+        assert_same_bits(constitutive_forward(f, K), plain_map(plain_forward, f, K))
+
     def test_covariance_and_dual_in_either_order(self, rng):
         b = random_spinor(rng)
         f, K = random_field(rng), random_field(rng, 0.3)
@@ -1042,33 +1076,29 @@ class TestMemo:
         assert_plain_dual(g, L, np.pi / 4)
 
     def test_covariance_then_dual_on_one_state(self, rng):
-        # covariance leaves the gram unbuilt; the first dual call builds it
         b = random_spinor(rng)
         f, K = random_field(rng), random_field(rng, 0.3)
         assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
-        assert _base(f, K)[5] is None
         for chi in QUARTER_MULTIPLES:
             assert_plain_dual(f, K, chi)
-        assert _base(f, K)[5] is not None
         assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
 
     def test_dual_then_covariance_on_one_state(self, rng):
-        # covariance reads the entry the dual scan filled and keeps its gram
+        # covariance reads the entry the dual scan built and keeps its gram
         b = random_spinor(rng)
         f, K = random_field(rng), random_field(rng, 0.3)
         assert_plain_dual(f, K, np.pi / 4)
-        gram = _base(f, K)[5]
+        gram = _base(f, K)[6]
         assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
-        assert _base(f, K)[5] is gram
+        assert _base(f, K)[6] is gram
         assert_plain_dual(f, K, np.pi / 2)
 
     def test_dual_fills_the_gram_and_keeps_the_base(self, rng):
         f, K = random_field(rng), random_field(rng, 0.3)
-        key, fl, Kl, h, scale, gram = _base(f, K)
-        assert gram is None
+        key, fl, Kl, h, scale, e, gram = _base(f, K)
         assert_plain_dual(f, K, np.pi / 4)
-        key2, fl2, Kl2, h2, scale2, dots = _base(f, K)
-        assert key2 == key and (fl2, Kl2, h2) == (fl, Kl, h) and h2 is h
+        key2, fl2, Kl2, h2, scale2, e2, dots = _base(f, K)
+        assert key2 == key and (fl2, Kl2, h2) == (fl, Kl, h) and h2 is h and dots is gram and e2 == e == 0
         assert_same_bits(np.array(fl2), f) and assert_same_bits(np.array(Kl2), K)
         assert_same_bits(np.array(h2), plain_forward(f, K))
         assert_same_bits(scale2, plain_scale(f, K))
