@@ -26,16 +26,10 @@ refusal exits with the code of its exception type, the first that matches:
   6  ConstraintViolation  spinor or group element off its unit constraint
   2  ValueError           malformed input or flag, NaN or inf included
   7  NcframeError         any other library error
-Flags are read, and refused, before the input.  So, unlike earlier
-versions: a ConstraintViolation exits 6 in every command (stabilizer
---gamma 0,2000 exited 2); a NaN or inf part of --gamma or --z exits 2 (4
-when K = 0); dual-scan --steps 3 and constitutive --dual-check nan exit 2
-on any input (3 on a theta that is not antisymmetric).
-Complex numbers are serialized as [re, im]; floats carry 17 significant
-digits, so a float read back as a float is the double written.  A whole
-float prints as an integer (2.0 as 2, -0.0 as -0), so a reader that parses
-integers as integers loses the sign of -0 (``json.loads`` does, unless
-given ``parse_int=float``).
+Flags are read, and refused, before the input.
+Complex numbers are serialized as [re, im].  Floats are written as Python's
+repr, the shortest text that reads back as the same double, and -0.0 keeps
+its sign.
 
 classify, stabilizer and reduce read one scaled view of K, the exact
 Ks = 2^-exponent K of ``_kernels._view``, and report its exponent: their
@@ -79,34 +73,18 @@ _SPINOR_DET_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# JSON emission: floats with 17 significant digits, complex as [re, im].
+# JSON emission: one json.dumps, complex as [re, im], NaN and inf refused.
 # ---------------------------------------------------------------------------
 
-def _jfloat(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in output: {x}")
-    return format(float(x), ".17g")
-
-
-def _encode(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _jfloat(obj)
+def _complex_pair(obj) -> list:
     if isinstance(obj, complex):
-        return f"[{_jfloat(obj.real)}, {_jfloat(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
+        return [obj.real, obj.imag]
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _dumps(obj) -> str:
+    """obj as JSON; a non-finite float raises ValueError."""
+    return json.dumps(obj, default=_complex_pair, allow_nan=False)
 
 
 def _flatten_text(obj, prefix="", lines=None):
@@ -115,7 +93,7 @@ def _flatten_text(obj, prefix="", lines=None):
         for k, v in obj.items():
             _flatten_text(v, f"{prefix}{k}.", lines)
         return lines
-    lines.append(f"{prefix[:-1]} = {_encode(obj)}")
+    lines.append(f"{prefix[:-1]} = {_dumps(obj)}")
     return lines
 
 
@@ -123,7 +101,7 @@ def emit(report: dict, fmt: str) -> None:
     if fmt == "text":
         print("\n".join(_flatten_text(report)))
     else:
-        print(_encode(report))
+        print(_dumps(report))
 
 
 # ---------------------------------------------------------------------------

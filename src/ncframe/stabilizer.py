@@ -171,6 +171,15 @@ class StabilizerElement:
         return lorentz4_from_spinor(self.spinor)
 
 
+def _element(family: str, t: complex, direction: list,
+             gamma=None, delta=None, z=None, k=None) -> StabilizerElement:
+    """The element of ``family`` whose spinor is b(t; direction), holding that
+    family's two parameters (the other family's stay None)."""
+    spinor = _stabilizer_spinor(t, direction)
+    return _trusted(StabilizerElement, family=family, spinor=spinor, rotation=so3c_from_spinor(spinor),
+                    gamma=gamma, delta=delta, z=z, k=k)
+
+
 def stabilizer_element(gamma, delta) -> StabilizerElement:
     """Element O(gamma, Delta) of the Abelian family fixing every multiple of Delta.
 
@@ -187,17 +196,7 @@ def stabilizer_element(gamma, delta) -> StabilizerElement:
     dl = delta.tolist()
     _require_unit_square(dl)
     gamma = complex(gamma)
-    spinor = _stabilizer_spinor(gamma, dl)
-    return _trusted(
-        StabilizerElement,
-        family="non-isotropic",
-        spinor=spinor,
-        rotation=so3c_from_spinor(spinor),
-        gamma=gamma,
-        delta=delta.copy(),
-        z=None,
-        k=None,
-    )
+    return _element("non-isotropic", gamma, dl, gamma=gamma, delta=delta.copy())
 
 
 def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerElement:
@@ -215,17 +214,7 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     if not _null_viewed(k, eps_iso):
         raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
     z = complex(z)
-    spinor = _stabilizer_spinor(2j * z, kl)
-    return _trusted(
-        StabilizerElement,
-        family="isotropic",
-        spinor=spinor,
-        rotation=so3c_from_spinor(spinor),
-        gamma=None,
-        delta=None,
-        z=z,
-        k=k.copy(),
-    )
+    return _element("isotropic", 2j * z, kl, z=z, k=k.copy())
 
 
 def reduce_to_real(delta, e_target=None) -> ComplexRotation:

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,34 @@ def run_cli(argv, doc, tmp_path, capsys):
     code = main([*argv, "--in", str(infile)])
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def as_json(obj):
+    """obj as json.loads reads it back: complex as [re, im], tuples as lists."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (list, tuple)):
+        return [as_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: as_json(v) for k, v in obj.items()}
+    return obj
+
+
+def assert_same_json(got, want, path=""):
+    """got equals want in every type and key order, and every float bit for bit."""
+    assert type(got) is type(want), f"{path}: {got!r} != {want!r}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{path}: keys differ"
+        for k in want:
+            assert_same_json(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length differs"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
 
 
 def assert_json_close(got, want, path=""):
@@ -302,6 +331,27 @@ class TestExitCodes:
         infile = tmp_path / "inf.json"
         infile.write_text('{"nm": [1e999, 0, 0, 0, 0, 0]}')
         assert main(["classify", "--in", str(infile)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, complex(math.inf, 0.5), complex(0.5, -math.inf)])
+    def test_non_finite_output(self, value, fmt, tmp_path, capsys, monkeypatch):
+        # a report is strict JSON: a NaN or inf anywhere in it, a part of a
+        # complex included, is a ValueError, so exit 2 with nothing on stdout
+        run, flags, tol = cli._COMMANDS["classify"]
+        patched = lambda args, doc: {**run(args, doc), "K": [value]}  # noqa: E731
+        monkeypatch.setitem(cli._COMMANDS, "classify", (patched, flags, tol))
+        (tmp_path / "input.json").write_text('{"nm": [1, 0, 0, 0, 0.5, 0]}')
+        assert main(["classify", "--format", fmt, "--in", str(tmp_path / "input.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("ncframe: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_non_finite_input_echo(self, fmt, tmp_path, capsys):
+        # the report echoes the input, so an inf outside the fields read refuses it too
+        (tmp_path / "input.json").write_text('{"nm": [1, 0, 0, 0, 0.5, 0], "note": [Infinity]}')
+        assert main(["classify", "--format", fmt, "--in", str(tmp_path / "input.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("ncframe: ")
 
     @pytest.mark.parametrize("entry", ["1", " 2 ", "1_0", "nan", True, False, None, {}])
     @pytest.mark.parametrize("argv, key, doc", [
@@ -744,8 +794,7 @@ class TestBehavior:
         for doc in docs:
             (tmp_path / "input.json").write_text(json.dumps(doc))
             assert main(["classify", "--in", str(tmp_path / "input.json")]) == 0
-            # parse_int=float keeps the sign of "-0"
-            reports.append(json.loads(capsys.readouterr().out, parse_int=float)["K"])
+            reports.append(json.loads(capsys.readouterr().out)["K"])
         signs = [[[math.copysign(1.0, x) for x in z] for z in K] for K in reports]
         assert signs[0] == signs[1] == [[-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
         assert reports[0] == reports[1]
@@ -756,6 +805,18 @@ class TestBehavior:
         _, out = run_cli(["classify"], doc, tmp_path, capsys)
         got = [re for re, im in out["K"]] + [im for re, im in out["K"]]
         assert got == doc["nm"]
+        # every report reads back with plain json.loads as the object its run
+        # built: the same types, and every float (-0.0 and whole floats
+        # included) the same double
+        for name in sorted(golden_cases()):
+            golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+            infile = tmp_path / "input.json"
+            infile.write_text(json.dumps(golden["input"]))
+            argv = [*golden["argv"], "--in", str(infile)]
+            args = cli._parse_args(argv)
+            report = cli._COMMANDS[args.command][0](args, cli._read_doc(args.infile))
+            assert main(argv) == golden["exit_code"], name
+            assert_same_json(json.loads(capsys.readouterr().out), as_json(report), name)
 
 
 # The fuzz of main: documents of every input form, with numbers over the
