@@ -376,13 +376,6 @@ def _view(K: list, eps_iso: float) -> tuple:
     return K, e, scaled, (mu, NCClass.NON_ISOTROPIC, sub), split
 
 
-def _null(k: list, eps_iso: float) -> bool:
-    """Whether k.k = 0 within eps_iso relative to ||k||^2 (k = 0 included),
-    tested on the scaled view of the 3-list k.  NaN or inf raise
-    NonFiniteInput."""
-    return _view(k, eps_iso)[4] is None
-
-
 def _require_unit_square(d: list) -> None:
     """Raise :class:`NotUnitDelta` unless d.d = 1 within DEFAULT_TOL relative
     to max(1, ||d||^2): the one test of a unit direction Delta, for the
@@ -507,15 +500,11 @@ def _factors(k0: complex, k: list, order: FactorOrder) -> tuple[tuple, tuple, in
     return rotation, boost, sign
 
 
-def _isotropic_sign(k0: complex, k, eps_iso: float, null=_null) -> int:
-    """:func:`isotropic_sign` of (k0, k): for the 3-list k of the CLI, or
-    for the complex128 array of b with ``null`` the memoized test of
-    ``stabilizer``."""
-    _require_threshold(eps_iso, "eps_iso")
+def _isotropic_sign(k0: complex, view: tuple) -> int:
+    """:func:`isotropic_sign` of k0 and the :func:`_view` of k, whose split
+    is None exactly when k.k = 0 within its eps_iso (k = 0 included)."""
     sgn = 1 if abs(k0 - 1.0) <= abs(k0 + 1.0) else -1
-    if abs(k0 - sgn) > DEFAULT_TOL:
-        return 0
-    return sgn if null(k, eps_iso) else 0
+    return 0 if abs(k0 - sgn) > DEFAULT_TOL or view[4] is not None else sgn
 
 
 # electrodynamics: units, the constitutive maps, field states and the dual
@@ -634,18 +623,18 @@ def _normalized(f: list, K: list) -> tuple[list, list, float, int]:
     return f, K, _scale(f, K), e
 
 
-# A field state is (key, f, K, h, scale, e, gram): f, K, scale and e from
+# A field state is (f, K, h, scale, e, gram): f, K, scale and e from
 # _normalized, h = forward(f, K) (so 2**e h is the forward image of the
 # caller's f), and gram the bilinear dots (f.f, f.h, f.K, h.h, h.K) that
 # turn every dual angle into a closed form.  A dual scan evaluates many
 # angles on one field state, so the dots are computed once per state.
 
 
-def _state(key, f: list, K: list) -> tuple:
-    """The field state of the 3-lists f and K under ``key``."""
+def _state(f: list, K: list) -> tuple:
+    """The field state of the 3-lists f and K."""
     f, K, scale, e = _normalized(f, K)
     h = _forward(f, K)
-    return key, f, K, h, scale, e, (_dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K))
+    return f, K, h, scale, e, (_dot(f, f), _dot(f, h), _dot(f, K), _dot(h, h), _dot(h, K))
 
 
 def _real_exponent(x: list, y: list, sx: float, sy: float) -> int:
@@ -688,14 +677,12 @@ def _real_forward(E: list, B: list, K: list, c: float, eps0: float) -> tuple[lis
     return _ldexp(D, e), _ldexp(H, e)
 
 
-def _dual_residual(state: tuple, turn: tuple, swapped: bool | None = None) -> float:
+def _dual_residual(state: tuple, turn: tuple) -> float:
     """:func:`dual_invariance_residual` on a field state at the angle of ``turn``, a :func:`_turn`."""
-    _, f, K, h, scale, _, (ff, fh, fK, hh, hK) = state
+    f, K, h, scale, _, (ff, fh, fK, hh, hK) = state
     q, _, c, s = turn
-    if swapped is None:
-        swapped = q % 2 == 1
     e, i_s = complex(c, s), 1j * s
-    if swapped:
+    if q % 2:
         u = 1.0 - (e * (c * hK + i_s * fK)).conjugate()
         w = 0.5 * (c * c * hh + 2j * c * s * fh - s * s * ff).conjugate() * e
         alpha, beta, gamma = c - u * i_s, i_s - u * c, w

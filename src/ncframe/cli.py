@@ -7,7 +7,8 @@ Input is read from stdin or --in FILE.  The noncommutativity data is either
 {"theta": <16 numbers or 4x4 rows>} or {"nm": [n1, n2, n3, m1, m2, m3]};
 field-state commands add "E" and "B" (3 numbers each), factor takes
 {"spinor": [n0, m0, n1, n2, n3, m1, m2, m3]}.  Each entry is a JSON number:
-a string ("1") or a bool (true) is refused, exit 2.
+a string ("1") or a bool (true) is refused, exit 2, and so is a NaN or inf
+in any field, read or not.
 
 Flags (exact names; a value may start with "-"):
   every command  --in FILE, --format json|text, --seed N (default 0),
@@ -120,6 +121,11 @@ def _read_doc(infile) -> dict:
         raise ValueError(f"cannot read input: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object")
+    for key, value in doc.items():  # the writer's rule, so an echoed field cannot fail the report
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise NonFiniteInput(f"field {key!r} contains non-finite values") from None
     return doc
 
 
@@ -313,7 +319,7 @@ def run_factor(args, doc: dict) -> dict:
     k0, k = _project(k0, k)
     _check_spinor(k0, k)
     report = _base_report(args, doc)
-    report["method"] = "isotropic" if _isotropic_sign(k0, k, args.eps_iso) else "generic"
+    report["method"] = "isotropic" if _isotropic_sign(k0, _view(k, args.eps_iso)) else "generic"
     report["det_residual"] = abs(det - 1.0)
     report["factorizations"] = [_spinor_entry(k0, k, order) for order in FactorOrder]
     report["pass"] = all(f["roundtrip_residual"] <= args.tol for f in report["factorizations"])
@@ -342,8 +348,8 @@ def run_constitutive(args, doc: dict) -> dict:
     K, E, B = _fields(args, doc)
     c, eps0 = args.c, args.epsilon0
     D, H = _real_forward(E, B, K, c, eps0)
-    state = _state(None, f := _f_of(E, B, c), K)  # one field state: the report's h is its h, rescaled by e
-    h = _ldexp(state[3], state[5])
+    state = _state(f := _f_of(E, B, c), K)  # one field state: the report's h is its h, rescaled by e
+    h = _ldexp(state[2], state[4])
     cross = _norm([x - y for x, y in zip(_h_of(D, H, c, eps0), h)]) / _scale(f, K)
     report = _base_report(args, doc)
     report.update(units={"c": c, "epsilon0": eps0}, D=D, H=H, f=f, h=h, residuals={"real_vs_complex": cross})
@@ -355,7 +361,7 @@ def run_constitutive(args, doc: dict) -> dict:
 
 def run_dual_scan(args, doc: dict) -> dict:
     K, E, B = _fields(args, doc)
-    state = _state(None, _f_of(E, B, args.c), K)
+    state = _state(_f_of(E, B, args.c), K)
     rows = [_dual_row(state, 2.0 * math.pi * j / args.steps) for j in range(args.steps)]
     report = _base_report(args, doc)
     report.update(units={"c": args.c, "epsilon0": args.epsilon0}, scan=rows)

@@ -98,16 +98,17 @@ def residual_scale(f, K) -> float:
     return _scale(vec3(f).tolist(), vec3(K).tolist())
 
 
-# _memo is the field state (``_kernels._state``) of the last (f, K) that
-# constitutive_forward, covariance_residual or dual_invariance_residual was
-# given, with key the raw bytes of f and K as given.  _base is its one
-# reader and writer, and every entry is whole: the state is built once, Gram
-# dots included, and a hit maps nothing.  The key is the exact bytes, so a
-# mutated input or a zero of the other sign misses and every result keeps
-# its bits.  The tuple is replaced in one assignment and read once per call,
-# so concurrent callers at worst miss; nothing in it leaves the module
-# (constitutive_forward returns a fresh array), so no caller can mutate it.
-_memo: tuple = (b"",)
+# _memo is (key, field state): the state (``_kernels._state``) of the last
+# (f, K) that constitutive_forward, covariance_residual or
+# dual_invariance_residual was given, under the raw bytes of f and K as
+# given.  _base is its one reader and writer, and every entry is whole: the
+# state is built once, Gram dots included, and a hit maps nothing.  The key
+# is the exact bytes, so a mutated input or a zero of the other sign misses
+# and every result keeps its bits.  The tuple is replaced in one assignment
+# and read once per call, so concurrent callers at worst miss; nothing in it
+# leaves the module (constitutive_forward returns a fresh array), so no
+# caller can mutate it.
+_memo: tuple = (b"", None)
 
 
 def _base(f: ComplexVec3, K: ComplexVec3) -> tuple:
@@ -116,13 +117,13 @@ def _base(f: ComplexVec3, K: ComplexVec3) -> tuple:
     key = f.tobytes() + K.tobytes()
     memo = _memo
     if memo[0] != key:
-        _memo = memo = _state(key, f.tolist(), K.tolist())
-    return memo
+        _memo = memo = key, _state(f.tolist(), K.tolist())
+    return memo[1]
 
 
 def constitutive_forward(f, K) -> ComplexVec3:
     """h = [1 + (f*.K*)] f + (f*.f*)/2 K (dots bilinear, stars conjugate)."""
-    _, _, _, h, _, e, _ = _base(vec3(f), vec3(K))
+    _, _, h, _, e, _ = _base(vec3(f), vec3(K))
     return np.array(_ldexp(h, e), dtype=complex)
 
 
@@ -182,7 +183,7 @@ def covariance_residual(b: SpinorElement, f, K) -> float:
     """
     f, K = vec3(f), vec3(K)
     O = _so3c(b.k0, b.k.tolist())
-    _, f, K, h, scale, _, _ = _base(f, K)
+    f, K, h, scale, _, _ = _base(f, K)
     (x1, x2, x3), (y1, y2, y3) = _forward(_apply(O, f), _apply(O, K)), _apply(O, h)
     return _norm([x1 - y1, x2 - y2, x3 - y3]) / scale
 
@@ -200,16 +201,16 @@ def dual_transform(f, h, K, chi: float):
     return 1j * s * h + c * f, c * h + 1j * s * f, complex(c, s) * K
 
 
-def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> float:
+def dual_invariance_residual(f, K, chi: float) -> float:
     """Residual of the constitutive relations after a dual rotation by chi.
 
     Builds h from f, rotates (f, h, K) by chi, and tests the primed pair
     against the relation asserted at the nearest quarter-turn.  At chi = 0 or
     pi that is the forward relation on (f', h'); at chi = pi/2 or 3*pi/2 the
     rotation exchanges the roles of f and h, so the inverse relation is the
-    one that holds (``swapped=True``).  Pass ``swapped`` to force a role;
-    ``None`` selects it from chi (:func:`quarter_turn`, which also refuses a
-    NaN or infinite chi).  The residual is relative to ||f|| (1 + ||K|| ||f||)
+    one that holds.  chi alone selects the relation, through the parity of
+    its quarter-turn index q (:func:`quarter_turn`, which also refuses a NaN
+    or infinite chi).  The residual is relative to ||f|| (1 + ||K|| ||f||)
     and vanishes (to rounding) at the four quarter turns, with the exact cos
     and sin of :func:`dual_transform`; generic angles fail at second order.
 
@@ -218,17 +219,17 @@ def dual_invariance_residual(f, K, chi: float, swapped: bool | None = None) -> f
     an exact combination alpha f + beta h + gamma K of the unprimed ones, whose
     coefficients need only the bilinear dots of f, h and K:
 
-    * forward relation, r = h' - forward(f', K'): with
+    * forward relation (even q), r = h' - forward(f', K'): with
       A = (e (c f.K + i s h.K))* and Q = c^2 f.f + 2ics f.h - s^2 h.h,
       alpha = is - (1 + A) c, beta = c - (1 + A) is, gamma = -Q* e / 2;
-    * inverse relation (swapped), r = f' - inverse(h', K'): with
+    * inverse relation (odd q), r = f' - inverse(h', K'): with
       B = (e (c h.K + i s f.K))* and P = c^2 h.h + 2ics f.h - s^2 f.f,
       alpha = c - (1 - B) is, beta = is - (1 - B) c, gamma = P* e / 2.
 
     The expansion is exact in exact arithmetic; the dots are computed once
     per field state, so each further angle costs a few scalar operations.
     """
-    return _dual_residual(_base(vec3(f), vec3(K)), _turn(chi), swapped)
+    return _dual_residual(_base(vec3(f), vec3(K)), _turn(chi))
 
 
 @dataclass(frozen=True)

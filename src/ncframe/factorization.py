@@ -18,7 +18,7 @@ from ._kernels import EPS_ISO, FactorOrder, _cross, _dot, _factors, _isotropic_s
 from .errors import NotIsotropic, NotIsotropicElement
 from .group import SpinorElement, _trusted, spinor_compose
 from .linalg import vec3
-from .stabilizer import _null_viewed
+from .stabilizer import _viewed
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def isotropic_sign(b: SpinorElement, eps_iso: float = EPS_ISO) -> int:
     The family is k0 = +-1 within DEFAULT_TOL and k.k = 0 within eps_iso
     relative to ||k||^2: the elements :func:`factor_isotropic` accepts.
     """
-    return _isotropic_sign(b.k0, b.k, eps_iso, _null_viewed)
+    return _isotropic_sign(b.k0, _viewed(b.k, eps_iso))
 
 
 def factor_isotropic(
@@ -113,7 +113,7 @@ def scale_freedom_report(k, lam: float, sigma: float, eps_iso: float = EPS_ISO) 
     a0' = 1/sqrt(1 + lam^2 n.n), b0' = sqrt(1 + lam^2 n.n).
     """
     k = vec3(k)
-    if not k.any() or not _null_viewed(k, eps_iso):
+    if not k.any() or _viewed(k, eps_iso)[4] is not None:
         raise NotIsotropic("k.k must vanish within tolerance")
     z = lam * np.exp(1j * sigma)
     kp = z * k

@@ -218,10 +218,6 @@ class ComplexRotation:
         object.__setattr__(self, "matrix", m)
         _check_image(m, _so3c_preimage, _so3c)
 
-    @classmethod
-    def identity(cls) -> "ComplexRotation":
-        return cls(EYE3)
-
     def apply(self, v) -> ComplexVec3:
         return self.matrix @ vec3(v)
 
@@ -242,10 +238,6 @@ class Lorentz4:
             raise ConstraintViolation(str(exc)) from None
         object.__setattr__(self, "matrix", m)
         _check_image(m, _lorentz4_preimage, _lorentz4)
-
-    @classmethod
-    def identity(cls) -> "Lorentz4":
-        return cls(np.eye(4))
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -281,7 +273,7 @@ def _stabilizer_spinor(t: complex, K: list) -> SpinorElement:
     return _trusted(SpinorElement, k0=k0, k=np.array(k, dtype=complex))
 
 
-def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> dict:
+def verify_su2_boost_identities(b: SpinorElement) -> dict:
     """Check the conjugation identities of pure rotations / pure boosts.
 
     Rotations: O is real and O^-1 = O^T.  Boosts: O^* = O^-1 = O^T.
@@ -289,10 +281,10 @@ def verify_su2_boost_identities(b: SpinorElement, tol: float = DEFAULT_TOL) -> d
     maximum.  Raises :class:`NotPureElement` for mixed elements.
     """
     kl = b.k.tolist()
-    scale = max(1.0, abs(b.k0), _norm(kl))
-    pure = abs(b.m0) <= tol * scale
-    is_rotation = pure and _norm([z.real for z in kl]) <= tol * scale
-    is_boost = pure and _norm([z.imag for z in kl]) <= tol * scale
+    bound = DEFAULT_TOL * max(1.0, abs(b.k0), _norm(kl))
+    pure = abs(b.m0) <= bound
+    is_rotation = pure and _norm([z.real for z in kl]) <= bound
+    is_boost = pure and _norm([z.imag for z in kl]) <= bound
     if not (is_rotation or is_boost):
         raise NotPureElement("element is neither a pure rotation nor a pure boost")
     O = so3c_from_spinor(b).matrix

@@ -127,12 +127,6 @@ def _viewed(K: ComplexVec3, eps_iso: float) -> tuple:
     return memo[1]
 
 
-def _null_viewed(k: ComplexVec3, eps_iso: float) -> bool:
-    """``_kernels._null`` of the coerced complex128 k of a public caller, on
-    the memo's view of k.  NaN or inf raise NonFiniteInput."""
-    return _viewed(k, eps_iso)[4] is None
-
-
 _NO_SPLIT = "K.K = 0 within tolerance: no unit-square direction exists"
 
 
@@ -209,9 +203,9 @@ def isotropic_stabilizer_element(z, k, eps_iso: float = EPS_ISO) -> StabilizerEl
     """
     k = vec3(k)
     kl = k.tolist()
-    if not any(kl):  # NaN is nonzero: _null_viewed refuses it
+    if not any(kl):  # NaN is nonzero: _viewed refuses it
         raise ZeroVector("isotropic stabilizer needs a nonzero k")
-    if not _null_viewed(k, eps_iso):
+    if _viewed(k, eps_iso)[4] is not None:
         raise NotIsotropic(f"k.k = {_dot(kl, kl):.3e} is not zero within tolerance")
     z = complex(z)
     return _element("isotropic", 2j * z, kl, z=z, k=k.copy())

@@ -353,6 +353,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("ncframe: ")
 
+    @pytest.mark.parametrize("field, text", [("spinor", "[NaN]"), ("note", "1e999"), ("note", "[-Infinity]"),
+                                             ("note", '{"a": [1, Infinity]}')],
+                             ids=["spinor-nan", "note-overflow", "note-minus-inf", "note-nested-inf"])
+    def test_non_finite_unread_field(self, field, text, tmp_path, capsys, monkeypatch):
+        # a field classify never reads is refused at read time, before the
+        # command runs, under its own name; it used to reach the writer
+        def refused(args, doc):
+            raise AssertionError("the command ran")
+
+        _, flags, tol = cli._COMMANDS["classify"]
+        monkeypatch.setitem(cli._COMMANDS, "classify", (refused, flags, tol))
+        (tmp_path / "input.json").write_text(f'{{"nm": [1, 0, 0, 0, 0.5, 0], "{field}": {text}}}')
+        assert main(["classify", "--in", str(tmp_path / "input.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"ncframe: field {field!r} contains non-finite values\n"
+
     @pytest.mark.parametrize("entry", ["1", " 2 ", "1_0", "nan", True, False, None, {}])
     @pytest.mark.parametrize("argv, key, doc", [
         (["classify"], "nm", {"nm": [1, 0, 0, 0, 0.5, 0]}),
@@ -774,6 +790,30 @@ class TestBehavior:
         code, out = run_cli(["factor"], {"spinor": spinor}, tmp_path, capsys)
         assert code == 0
         assert out["method"] == "isotropic" and out["pass"]
+
+    def test_one_isotropy_predicate(self, tmp_path, capsys):
+        # the CLI's method is isotropic exactly where the library's
+        # isotropic_sign of the element it factors is nonzero
+        from ncframe._kernels import _project
+        from ncframe.factorization import isotropic_sign
+        from ncframe.group import SpinorElement
+
+        spinors = [golden_cases()[name][1]["spinor"] for name in ("factor_generic", "factor_isotropic",
+                                                                   "factor_pure_boost")]
+        spinors += [[1.00000000009, 0.0, -0.07671679390447186, 0.2311291964837923, -0.41509257492700563,
+                     -0.46066878344211815, -0.13904207120102702, 0.007719603088493279],
+                    [1.0000000007499998, 0, 0, -1, 0, 1.0000000007499998, 0, 0]]
+        methods = set()
+        for eps_iso in (0.0, 1e-12, 1e-9, 1e-6):
+            for raw in spinors:
+                code, out = run_cli(["factor", "--eps-iso", repr(eps_iso)], {"spinor": raw}, tmp_path, capsys)
+                assert code == 0
+                k0, k = _project(complex(raw[0], raw[1]), [m - 1j * n for n, m in zip(raw[2:5], raw[5:8])])
+                sign = isotropic_sign(SpinorElement(k0, k), eps_iso)
+                assert (sign != 0) == (out["method"] == "isotropic"), (eps_iso, raw)
+                methods.add((raw[0], out["method"]))
+        # the edge element changes method with eps_iso, so the threshold is read
+        assert {(1.00000000009, "isotropic"), (1.00000000009, "generic")} <= methods
 
     def test_factor_near_isotropic_element(self, tmp_path, capsys):
         # |k0 - 1| = 7.5e-10 and k.k within eps_iso: the CLI and

@@ -352,11 +352,14 @@ class TestQuarterTurn:
                 call()
 
     def test_selects_the_relation(self, rng):
-        # odd quarter turns exchange f and h, even ones keep the forward relation
+        # odd quarter turns exchange f and h, even ones keep the forward
+        # relation; the other relation, from its definition, fails there
         f, K = random_field(rng), random_field(rng, 0.3)
         for chi, swapped in ((-np.pi / 2, True), (5 * np.pi / 2, True), (-np.pi, False)):
             assert dual_invariance_residual(f, K, chi) < 1e-10
-            assert dual_invariance_residual(f, K, chi, swapped=not swapped) > 1e-3
+            fp, hp, Kp = dual_transform(f, constitutive_forward(f, K), K, chi)
+            other = hp - constitutive_forward(fp, Kp) if swapped else fp - constitutive_inverse(hp, Kp)
+            assert hnorm(other) / residual_scale(f, K) > 1e-3
 
 
 def plane_wave_sample(n=16, t=0.3, c=1.0, eps0=1.0):
@@ -978,7 +981,7 @@ class TestMemo:
         # the two forward images differ in the sign of a zero
         assert plain_forward(f1, K).tobytes() != plain_forward(f2, K).tobytes()
         for f in (f1, f2, f1):
-            _, _, _, h, scale, _, _ = _base(f, K)
+            _, _, h, scale, _, _ = _base(f, K)
             assert_same_bits(np.array(h), plain_forward(f, K))
             assert_same_bits(scale, plain_scale(f, K))
             assert_plain_dual(f, K, np.pi / 4)
@@ -1010,13 +1013,13 @@ class TestMemo:
         cold = [covariance_residual(b, f, K)] + [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
         constitutive_forward(f, random_field(rng))  # the same f with another K
         h = constitutive_forward(f, K)
-        memo = electrodynamics._memo
-        want = _state(f.tobytes() + K.tobytes(), f.tolist(), K.tolist())
-        assert memo[0] == want[0] and memo[5] == want[5]
-        for got, expected in zip(memo[1:5] + memo[6:], want[1:5] + want[6:]):
+        key, state = electrodynamics._memo
+        want = _state(f.tolist(), K.tolist())
+        assert key == f.tobytes() + K.tobytes() and state[4] == want[4]
+        for got, expected in zip(state[:4] + state[5:], want[:4] + want[5:]):
             assert_same_bits(np.array(got), np.array(expected))
-        largest = np.abs(np.array(memo[1]).view(float)).max()
-        assert (0.5 <= largest < 1.0) if magnitude != 1.0 else memo[1] == f.tolist()
+        largest = np.abs(np.array(state[0]).view(float)).max()
+        assert (0.5 <= largest < 1.0) if magnitude != 1.0 else state[0] == f.tolist()
         assert_same_bits(h, plain_map(plain_forward, f, K))
         seeded = [covariance_residual(b, f, K)] + [dual_invariance_residual(f, K, chi) for chi in QUARTER_MULTIPLES]
         assert_same_bits(np.array(seeded), np.array(cold))
@@ -1088,17 +1091,18 @@ class TestMemo:
         b = random_spinor(rng)
         f, K = random_field(rng), random_field(rng, 0.3)
         assert_plain_dual(f, K, np.pi / 4)
-        gram = _base(f, K)[6]
+        gram = _base(f, K)[5]
         assert_same_bits(covariance_residual(b, f, K), plain_covariance_residual(b, f, K))
-        assert _base(f, K)[6] is gram
+        assert _base(f, K)[5] is gram
         assert_plain_dual(f, K, np.pi / 2)
 
     def test_dual_fills_the_gram_and_keeps_the_base(self, rng):
         f, K = random_field(rng), random_field(rng, 0.3)
-        key, fl, Kl, h, scale, e, gram = _base(f, K)
+        fl, Kl, h, scale, e, gram = _base(f, K)
+        key = electrodynamics._memo[0]
         assert_plain_dual(f, K, np.pi / 4)
-        key2, fl2, Kl2, h2, scale2, e2, dots = _base(f, K)
-        assert key2 == key and (fl2, Kl2, h2) == (fl, Kl, h) and h2 is h and dots is gram and e2 == e == 0
+        fl2, Kl2, h2, scale2, e2, dots = _base(f, K)
+        assert electrodynamics._memo[0] == key and (fl2, Kl2, h2) == (fl, Kl, h) and h2 is h and dots is gram and e2 == e == 0
         assert_same_bits(np.array(fl2), f) and assert_same_bits(np.array(Kl2), K)
         assert_same_bits(np.array(h2), plain_forward(f, K))
         assert_same_bits(scale2, plain_scale(f, K))
@@ -1307,14 +1311,6 @@ class TestNoArithmeticException:
         assert covariance_residual(b, f, K) < 1e-9
         # ||K|| ||f|| of order 1e308: no result is meaningful, but none raises
         every_output(f, random_field(rng), b)
-
-    @pytest.mark.parametrize("chi", [math.nan, math.inf])
-    def test_forced_role_refuses_a_non_finite_angle(self, rng, chi):
-        # math.cos(inf) raised a bare "math domain error"
-        f, K = random_field(rng), random_field(rng)
-        for swapped in (False, True):
-            with pytest.raises(NonFiniteInput):
-                dual_invariance_residual(f, K, chi, swapped=swapped)
 
     def test_nan_entries(self, rng):
         b = random_spinor(rng)
