@@ -27,7 +27,9 @@ refusal exits with the code of its exception type, the first that matches:
   6  ConstraintViolation  spinor or group element off its unit constraint
   2  ValueError           malformed input or flag, NaN or inf included
   7  NcframeError         any other library error
-Flags are read, and refused, before the input.
+  8  BrokenPipeError      output closed (e.g. by head), no traceback
+Flags are read, and refused, before the input.  An input nested too deep
+for the report's JSON writer to echo it under "input" exits 2 when read.
 Complex numbers are serialized as [re, im].  Floats are written as Python's
 repr, the shortest text that reads back as the same double, and -0.0 keeps
 its sign.
@@ -49,8 +51,10 @@ k = Ks / ||Ks||, the unit direction of K, so it is the z of
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 
@@ -63,11 +67,11 @@ from ._kernels import (
 )
 from .errors import ConstraintViolation, IsotropicInput, NcframeError, NonFiniteInput, NotAntisymmetric, ZeroVector
 
-# The exit code of a refusal: that of the first type here that it is an
-# instance of.  ConstraintViolation and NonFiniteInput are both a ValueError
+# The exit code of a refusal, or of a closed stdout: that of the first type
+# here that it is an instance of.  ConstraintViolation and NonFiniteInput are both a ValueError
 # and an NcframeError, so the order matters.
 _EXITS = ((NotAntisymmetric, 3), (ZeroVector, 4), (IsotropicInput, 5), (ConstraintViolation, 6),
-          (ValueError, 2), (NcframeError, 7))
+          (ValueError, 2), (NcframeError, 7), (BrokenPipeError, 8))
 
 _THETA_ANTISYM_TOL = 1e-9
 _SPINOR_DET_TOL = 1e-8
@@ -88,13 +92,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj, default=_complex_pair, allow_nan=False)
 
 
-def _flatten_text(obj, prefix="", lines=None):
+def _flatten_text(obj: dict, prefix="", lines=None):
+    """The lines "a.b = <json>" of a report; a value reaches _dumps at the
+    call depth of its level in the JSON report, so both formats nest alike."""
     lines = [] if lines is None else lines
-    if isinstance(obj, dict):
-        for k, v in obj.items():
+    for k, v in obj.items():
+        if isinstance(v, dict):
             _flatten_text(v, f"{prefix}{k}.", lines)
-        return lines
-    lines.append(f"{prefix[:-1]} = {_dumps(obj)}")
+        else:
+            lines.append(f"{prefix}{k} = {_dumps(v)}")
     return lines
 
 
@@ -121,11 +127,16 @@ def _read_doc(infile) -> dict:
         raise ValueError(f"cannot read input: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("input must be a JSON object")
-    for key, value in doc.items():  # the writer's rule, so an echoed field cannot fail the report
+    # The writer's rule, at the depth and call depth where the report echoes
+    # each field (report["input"][key], written by emit from main), so an
+    # echoed field can fail neither on a NaN nor on its nesting.
+    for key, value in doc.items():
         try:
-            json.dumps(value, allow_nan=False)
+            _dumps({"input": {key: value}})
         except ValueError:
             raise NonFiniteInput(f"field {key!r} contains non-finite values") from None
+        except RecursionError as exc:
+            raise ValueError(f"cannot read input: field {key!r}: {exc}") from None
     return doc
 
 
@@ -460,18 +471,31 @@ def _parse_args(argv: list):
 
 
 def main(argv=None) -> int:
+    """Run the command of argv and return its exit code.  ``main()``, with
+    no argv, is the process entry: it reads sys.argv and freezes the garbage
+    collector before it returns."""
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-        if args is None:
-            return 0
-        report = _COMMANDS[args.command][0](args, _read_doc(args.infile))
-        emit(report, args.format)
-        return 0 if report["pass"] else 1
-    except (ValueError, NcframeError) as exc:
+        code = 0
+        if args is not None:
+            report = _COMMANDS[args.command][0](args, _read_doc(args.infile))
+            emit(report, args.format)
+            code = 0 if report["pass"] else 1
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except (ValueError, NcframeError, BrokenPipeError) as exc:
         code = next(code for kind, code in _EXITS if isinstance(exc, kind))
+        if isinstance(exc, BrokenPipeError):  # the Python docs' note on SIGPIPE: the flush at exit writes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         name = f"{type(exc).__name__}: " if code == 7 else ""
         print(f"ncframe: {name}{exc}", file=sys.stderr)
-        return code
+    if argv is None:
+        # The process ends next.  With every object in the permanent
+        # generation, the collections of interpreter finalization have
+        # nothing to traverse (about 6 of a child's 60 ms); module teardown,
+        # atexit and the flush of stdio still run.  An in-process caller
+        # passes argv and keeps a working collector.
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

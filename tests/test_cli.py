@@ -8,9 +8,12 @@ output.  Regenerate after an intentional output change with:
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
+import os
+import re
 import struct
 import subprocess
 import sys
@@ -641,6 +644,88 @@ class TestExitCodes:
         assert code == 2
         code, _ = run_cli(["stabilizer", "--gamma", "1,0"], {"nm": [1, 0, 0, 0, 1, 0]}, tmp_path, capsys)
         assert code == 2
+
+
+# A child that reports, from an atexit hook, the collector's freeze count
+# after the CLI ran through one of its two process entries: "-m" (as
+# ``python -m ncframe.cli``) or "main" (as the ``ncframe`` console script).
+_ENTRY_CHILD = """
+import atexit, gc, os, runpy, sys
+atexit.register(lambda: os.write(2, b"freeze count %d\\n" % gc.get_freeze_count()))
+entry, sys.argv = sys.argv[1], ["ncframe", *sys.argv[2:]]
+if entry == "-m":
+    runpy.run_module("ncframe.cli", run_name="__main__", alter_sys=True)
+else:
+    from ncframe.cli import main
+    sys.exit(main())
+"""
+
+
+def nested_doc(depth: int) -> str:
+    """A classify input with an unread field nested ``depth`` lists deep."""
+    return '{"x": ' + "[" * depth + "]" * depth + ', "nm": [1, 0, 0, 0, 0.5, 0]}'
+
+
+class TestProcessExit:
+    def test_in_process_runs_never_freeze(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        for name in sorted(golden_cases()):
+            golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+            infile = tmp_path / f"{name}.json"
+            infile.write_text(json.dumps(golden["input"]))
+            for fmt in ("json", "text"):
+                assert main([*golden["argv"], "--format", fmt, "--in", str(infile)]) == golden["exit_code"]
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", ["-m", "main"])
+    @pytest.mark.parametrize("name", sorted(golden_cases()))
+    def test_process_entries_freeze(self, entry, name):
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_CHILD, entry, *golden["argv"]],
+                              input=json.dumps(golden["input"]), capture_output=True, text=True)
+        assert proc.returncode == golden["exit_code"], proc.stderr
+        assert json.loads(proc.stdout) == golden["output"], name
+        # the hook ran, after main had frozen the collector
+        assert int(re.fullmatch(r"freeze count (\d+)\n", proc.stderr)[1]) > 0
+
+    @pytest.mark.parametrize("argv, doc", [
+        # a report that waits in stdout's buffer fails in the flush, a longer one in the print
+        (["classify"], {"nm": [1, 0, 0, 0, 0, 0]}),
+        (["dual-scan", "--steps", "2000"], {"E": [1, 0, 0], "B": [0, 0.2, 0.1], "nm": [0.1, 0, 0, 0, 0.05, 0]}),
+    ], ids=["flush", "print"])
+    def test_closed_stdout(self, argv, doc):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ncframe.cli", *argv], input=json.dumps(doc).encode(),
+                                  stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 8, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+    def test_nesting_at_the_writers_limit(self, tmp_path, capsys):
+        # the report echoes the input one level deeper than it was read: a
+        # field the reader takes but the writer could not echo is refused
+        # when read, in both formats, and never raises RecursionError
+        infile = tmp_path / "deep.json"
+        codes = set()
+        for depth in range(900, 1001):
+            infile.write_text(nested_doc(depth))
+            for fmt in ("json", "text"):
+                codes.add(main(["classify", "--format", fmt, "--in", str(infile)]))
+        capsys.readouterr()
+        assert codes == {0, 2}  # the sweep crosses the edge
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_nesting_at_the_writers_limit_in_a_child(self, fmt):
+        for depth in range(985, 993):
+            proc = subprocess.run([sys.executable, "-m", "ncframe.cli", "classify", "--format", fmt],
+                                  input=nested_doc(depth), capture_output=True, text=True)
+            assert proc.returncode in (0, 2), (depth, proc.stderr)
+            assert "Traceback" not in proc.stderr, depth
 
 
 class TestBehavior:
