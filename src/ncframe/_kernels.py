@@ -230,7 +230,9 @@ def _small_group(t: complex, K: list) -> tuple[complex, list]:
     sin w / w are even and entire in w^2, so the branch of the root does not
     matter and the family is continuous through K.K = 0, where it is
     (1, -i (t/2) K).  t = gamma with K = Delta gives O(gamma, Delta), and
-    t = 2i z with an isotropic k gives O(z k).
+    t = 2i z with an isotropic k gives O(z k).  One unit direction k serves
+    every class: with s a root of k.k, b(gamma / s; k) = b(gamma; k / s), so
+    the CLI's stabilizer builds every element as b(t; K / ||K||).
 
     The element is not checked again: k0^2 - k.k = cos^2 w + sin^2 w = 1 for
     every K, up to rounding relative to the element's own scale.  Where that

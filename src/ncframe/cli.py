@@ -14,8 +14,8 @@ Flags (exact names; a value may start with "-"):
   every command  --in FILE, --format json|text, --seed N (default 0),
                  --tol X, --eps-iso X (default 1e-9; both finite and >= 0),
                  --c X, --epsilon0 X (units: finite and > 0, default 1)
-  stabilizer     --gamma RE[,IM], --z RE[,IM] (finite parts),
-                 --count N (N >= 0 sampled elements)
+  stabilizer     --gamma RE[,IM] (non-isotropic K only), --z RE[,IM]
+                 (both: finite parts), --count N (N >= 0 sampled elements)
   constitutive   --dual-check CHI (finite; repeatable)
   dual-scan      --steps N (N >= 4, default 32)
 
@@ -42,11 +42,14 @@ overflows.  exponent is 0 whenever ||K|| lies in [2^-450, 2^450].
 Every command runs on the list-level kernels of ``ncframe._kernels``, the
 package's numpy boundary, and this module imports only them and ``errors``:
 no numpy, no dataclasses, no argparse and none of the public modules.
-stabilizer --count draws from random.Random(seed), seed >= 0: gamma =
-complex(uniform(0, 2 pi), uniform(-2, 2)), z = complex(uniform(-1.5, 1.5),
-uniform(-1.5, 1.5)).  z is dimensionless: the element is O(z k) with
-k = Ks / ||Ks||, the unit direction of K, so it is the z of
-``isotropic_stabilizer_element(z, K)`` times ||K||.
+stabilizer builds every element as b(t; k), the small-group spinor on the
+unit direction k = Ks / ||Ks||, whatever the class of K.  --z Z sets
+t = 2i Z, for any nonzero K.  --gamma G sets t = G / s, s = Kscalar / ||Ks||,
+so the element is O(G, Delta); it needs a split, and exits 2 on an isotropic
+K.  --count N adds N elements, each from z = complex(uniform(-1.5, 1.5),
+uniform(-1.5, 1.5)) drawn from random.Random(seed), seed >= 0.  Every
+element reports z = t / 2i and, where K has a split, gamma = s t; the value
+that defined it keeps its bits.
 """
 
 from __future__ import annotations
@@ -234,18 +237,21 @@ def run_classify(args, doc: dict) -> dict:
     return report
 
 
-def _element_entry(name: str, param: complex, t: complex, k: list, Ks: list, tol: float) -> dict:
-    """The small-group element b(t; k) that fixes Ks, reported under its parameter ``name``."""
-    k0, kk = _small_group(t, k)
+def _element_entry(name: str, value: complex, unit: list, s, Ks: list, tol: float) -> dict:
+    """The small-group element b(t; unit) that fixes Ks, for the value of
+    --gamma (t = gamma / s) or of z (t = 2i z).  It reports z = t / 2i and,
+    where K has a split (s is not None), gamma = s t; the defining value
+    keeps its bits."""
+    t = value / s if name == "gamma" else 2j * value
+    k0, kk = _small_group(t, unit)
     O = _so3c(k0, kk)
     resid = _norm([x - y for x, y in zip(_apply(O, Ks), Ks)]) / _norm(Ks)
-    return {
-        "matrix": O,
-        "lorentz": _lorentz4(k0, kk),
-        "invariance_residual": resid,
-        "pass": resid <= tol,
-        name: param,
-    }
+    entry = {"matrix": O, "lorentz": _lorentz4(k0, kk), "invariance_residual": resid, "pass": resid <= tol,
+             "z": t / 2j}
+    if s is not None:
+        entry["gamma"] = s * t
+    entry[name] = value
+    return entry
 
 
 def run_stabilizer(args, doc: dict) -> dict:
@@ -254,29 +260,21 @@ def run_stabilizer(args, doc: dict) -> dict:
     report, (Ks, _, _, (_, klass, _), split), _ = _classified(args, doc)
     if klass is NCClass.COMMUTATIVE:
         raise ZeroVector("K = 0: every Lorentz transformation is a stabilizer")
-    if klass is NCClass.NON_ISOTROPIC:
-        if args.z is not None:
-            raise ValueError("K is non-isotropic: use --gamma, not --z")
-        delta = split[1]
-        report["delta"] = delta
-        param = args.gamma
-        draw = lambda rng: complex(rng.uniform(0.0, 2 * math.pi), rng.uniform(-2.0, 2.0))  # noqa: E731
-        entry = lambda gamma: _element_entry("gamma", gamma, gamma, delta, Ks, args.tol)  # noqa: E731
-    else:
-        if args.gamma is not None:
-            raise ValueError("K is isotropic: use --z, not --gamma")
-        param = args.z
-        draw = lambda rng: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))  # noqa: E731
-        nrm = _norm(Ks)
-        unit = [x / nrm for x in Ks]  # so z is dimensionless, like the unit delta
-        entry = lambda z: _element_entry("z", z, 2j * z, unit, Ks, args.tol)  # noqa: E731
-    params = [] if param is None else [param]
+    nrm = _norm(Ks)
+    unit = [x / nrm for x in Ks]  # one direction for every class, so t is dimensionless
+    s = None  # Kscalar / ||Ks||, the root of unit.unit on the branch of delta = unit / s
+    if split is not None:
+        s = split[0] / nrm
+        report["delta"] = split[1]
+    elif args.gamma is not None:
+        raise ValueError("K is isotropic: it has no split, so use --z, not --gamma")
+    params = [(name, v) for name, v in (("gamma", args.gamma), ("z", args.z)) if v is not None]
     if args.count > 0:
         import random
 
         rng = random.Random(args.seed)
-        params.extend(draw(rng) for _ in range(args.count))
-    elements = [entry(p) for p in params]
+        params.extend(("z", complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(args.count))
+    elements = [_element_entry(name, v, unit, s, Ks, args.tol) for name, v in params]
     report["elements"] = elements
     report["pass"] = all(e["pass"] for e in elements)
     return report

@@ -292,10 +292,12 @@ class TestFlags:
     def test_sampled_parameters_come_from_random_random(self, tmp_path, capsys):
         import random
 
+        # one draw of z for every class: the golden's K is non-isotropic
         rng = random.Random(7)
-        gammas = [[rng.uniform(0, 2 * math.pi), rng.uniform(-2, 2)] for _ in range(2)]
+        zs = [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)] for _ in range(2)]
         golden = json.loads((GOLDEN_DIR / "stabilizer_sampled.json").read_text())
-        assert [e["gamma"] for e in golden["output"]["elements"]] == gammas
+        assert golden["output"]["class"] == "NonIsotropic"
+        assert [e["z"] for e in golden["output"]["elements"]] == zs
         rng = random.Random(3)
         zs = [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)] for _ in range(2)]
         code, out = run_cli(["stabilizer", "--count", "2", "--seed", "3"], {"nm": [1, 0, 0, 0, 1, 0]}, tmp_path, capsys)
@@ -530,7 +532,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, doc", [
         (["stabilizer", "--gamma", "0,800"], {"nm": [0, 0, 1, 0, 0, 0]}),
-        (["stabilizer", "--gamma", "1e308,0"], {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}),
+        # a real gamma is a rotation, valid at any size; an imaginary one overflows
+        (["stabilizer", "--gamma", "0,1e308"], {"nm": [0.3, -0.2, 1.1, 0.1, 0.4, -0.5]}),
         (["stabilizer", "--z", "1e300"], {"nm": [1, 0, 0, 0, 1, 0]}),
     ])
     def test_stabilizer_constraint_violation_exits_6(self, argv, doc, tmp_path, capsys):
@@ -640,10 +643,94 @@ class TestExitCodes:
         assert code == 2
 
     def test_stabilizer_parameter_family_mismatch(self, tmp_path, capsys):
-        code, _ = run_cli(["stabilizer", "--z", "1,0"], {"nm": [0, 0, 1, 0, 0, 0]}, tmp_path, capsys)
-        assert code == 2
+        # gamma needs a split, which an isotropic K has not; --z is accepted
+        # for every K (TestOneSmallGroupParameter)
         code, _ = run_cli(["stabilizer", "--gamma", "1,0"], {"nm": [1, 0, 0, 0, 1, 0]}, tmp_path, capsys)
         assert code == 2
+
+
+def boosted_nm(rapidity: float) -> list:
+    """The generic K (0.3+0.1i, -0.2+0.4i, 1.1-0.5i) seen through a rotation
+    by 0.7 about (2, 3, 6)/7 times a boost of the given rapidity along x, as
+    nm.  |K.K| / ||K||^2 falls like e^(-2 rapidity), so the default eps_iso
+    labels it Isotropic from rapidity 11 on; K.K itself does not change."""
+    from ncframe.group import so3c_from_spinor, spinor_compose, spinor_from_boost, spinor_from_rotation
+
+    spinor = spinor_compose(spinor_from_rotation(0.7, np.array([2.0, 3.0, 6.0]) / 7.0),
+                            spinor_from_boost(float(rapidity), [1.0, 0.0, 0.0]))
+    K = so3c_from_spinor(spinor).matrix @ np.array([0.3 + 0.1j, -0.2 + 0.4j, 1.1 - 0.5j])
+    return [float(x) for x in (*K.real, *K.imag)]
+
+
+class TestOneSmallGroupParameter:
+    """stabilizer builds every element as b(t; Ks / ||Ks||), whatever the
+    class of K: --z is t / 2i, --gamma is s t where K has a split, and
+    --count draws z."""
+
+    def test_rapidity_sweep(self, tmp_path, capsys):
+        # ||Delta||^2 = ||K||^2 / |K.K| grows like e^(2 rapidity), so a draw of
+        # gamma on Delta is ill-conditioned here; a draw of z on Ks / ||Ks|| is not
+        failed = {}
+        for rapidity in range(31):
+            code, out = run_cli(["stabilizer", "--count", "20", "--seed", "7"], {"nm": boosted_nm(rapidity)},
+                                tmp_path, capsys)
+            bad = [e["invariance_residual"] for e in out["elements"] if not e["pass"]]
+            if code or bad or len(out["elements"]) != 20:
+                failed[rapidity] = (code, bad)
+        assert not failed
+
+    def test_elements_do_not_read_eps_iso(self, tmp_path, capsys):
+        # at rapidity 9, eps_iso 0 and 1e-9 label K NonIsotropic, 1e-3 and 0.5 Isotropic
+        doc, argv = {"nm": boosted_nm(9)}, ["stabilizer", "--count", "20", "--seed", "7"]
+        runs = [run_cli([*argv, *flags], doc, tmp_path, capsys)
+                for flags in ([], ["--eps-iso", "0"], ["--eps-iso", "1e-3"], ["--eps-iso", "0.5"])]
+        assert [out["class"] for _, out in runs] == ["NonIsotropic", "NonIsotropic", "Isotropic", "Isotropic"]
+        assert all(code == 0 for code, _ in runs)
+        (_, first), *rest = runs
+        for _, out in rest:
+            for got, want in zip(out["elements"], first["elements"], strict=True):
+                assert_same_json([got["matrix"], got["lorentz"], got["z"]],
+                                 [want["matrix"], want["lorentz"], want["z"]])
+
+    @pytest.mark.parametrize("rapidity", range(6))
+    def test_gamma_reading_is_the_library_element(self, rapidity, tmp_path, capsys):
+        # each sampled element reports the z it was drawn with and, K having
+        # a split, the gamma of the library's O(gamma, Delta) on the report's delta
+        import random
+
+        from ncframe.stabilizer import stabilizer_element
+
+        code, out = run_cli(["stabilizer", "--count", "20", "--seed", "7"], {"nm": boosted_nm(rapidity)},
+                            tmp_path, capsys)
+        assert code == 0 and out["class"] == "NonIsotropic"
+        rng = random.Random(7)
+        assert [e["z"] for e in out["elements"]] == [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+                                                    for _ in range(20)]
+        delta = [complex(*d) for d in out["delta"]]
+        for e in out["elements"]:
+            O = np.array([[complex(*x) for x in row] for row in e["matrix"]])
+            want = stabilizer_element(complex(*e["gamma"]), delta).rotation.matrix
+            assert np.max(np.abs(want - O)) <= 1e-12 * max(1.0, np.max(np.abs(O)))
+
+    @pytest.mark.parametrize("argv, nm", [
+        pytest.param(["--z", "1,0"], [0, 0, 1, 0, 0, 0], id="z-real-axis"),
+        pytest.param(["--z", "0.1,-0.7"], [0.3, -0.2, 1.1, 0.1, 0.4, -0.5], id="z-generic"),
+        pytest.param(["--z", "-0.0,1e-300"], [0.3, -0.2, 1.1, 0.1, 0.4, -0.5], id="z-signed-zero"),
+        pytest.param(["--gamma", "0.1,-0.7"], [0.3, -0.2, 1.1, 0.1, 0.4, -0.5], id="gamma-generic"),
+        pytest.param(["--gamma", "0.3,0.1", "--z", "0.3,0.1"], boosted_nm(9), id="both-at-rapidity-9"),
+    ])
+    def test_flags_on_a_non_isotropic_K(self, argv, nm, tmp_path, capsys):
+        # --z is accepted for every nonzero K; each flag is a view of t, its
+        # own value echoed bit for bit and the other reading derived from t
+        code, out = run_cli(["stabilizer", *argv], {"nm": nm}, tmp_path, capsys)
+        assert (code, out["class"]) == (0, "NonIsotropic")
+        given = [(flag[2:], as_json(cli._complex(value))) for flag, value in zip(argv[::2], argv[1::2])]
+        assert len(out["elements"]) == len(given)
+        for (name, value), e in zip(given, out["elements"]):
+            assert_same_json(e[name], value)
+            assert list(e)[-2:] == ["z", "gamma"] and e["pass"]
+        if nm == [0, 0, 1, 0, 0, 0]:  # s = 1: gamma = t = 2i z
+            assert out["elements"][0]["gamma"] == [0.0, 2.0]
 
 
 # A child that reports, from an atexit hook, the collector's freeze count

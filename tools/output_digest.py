@@ -11,8 +11,10 @@ then writes one line per record:
   every output, taken over the dtype, shape and raw bytes of each array or
   scalar (signed zeros and NaN payloads included); a record whose runner
   raises is digested by the exception's type and message;
-* each golden CLI case under DIR/tests/golden: the exit code of one
-  ``python -m ncframe.cli`` process and a SHA-256 of its stdout.
+* each golden CLI case under DIR/tests/golden, then ``stabilizer --count 20
+  --seed 7`` on one generic K seen from rapidity 0 to 30 (``RAPIDITY_SWEEP``):
+  the exit code of one ``python -m ncframe.cli`` process and a SHA-256 of
+  its stdout.
 
 Two trees give the same outputs, bit for bit, when their digests are
 identical under ``cmp``:
@@ -27,12 +29,35 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+# nm of K = (0.3+0.1i, -0.2+0.4i, 1.1-0.5i) seen through a rotation by 0.7
+# about (2, 3, 6)/7 times a boost along x, by rapidity; from rapidity 11 on,
+# the default eps_iso labels it Isotropic, though K.K does not change.
+RAPIDITY_SWEEP = {
+    0: [0.7069412332431428, -0.09475792383441617, 0.9117318841694938,
+        -0.2977943090731553, 0.4301507646286461, -0.3824772792899379],
+    5: [44.75677714827914, -46.872242087834714, 34.59505697704947,
+        9.929770074604019, -36.83692077460094, -62.773522128345455],
+    8: [894.4515731724395, -944.787124671743, 696.0109624340289,
+        198.00813384931973, -741.0819579442004, -1260.431266695489],
+    9: [2430.9671625107367, -2568.497197508746, 1892.0660003895753,
+        538.1075411519589, -2014.5699380477158, -3426.1699122366667],
+    10: [6607.649653756619, -6982.198759290293, 5143.2810466057235,
+         1462.5933592982478, -5476.2688637725805, -9313.257886604999],
+    11: [17961.04980444515, -18979.883502131106, 13980.99996352236,
+         3975.6062782813424, -14886.142035362614, -25316.022138466782],
+    20: [145537988.26522565, -153797001.10793614, 113289747.09560621,
+         32214036.161038086, -120624129.07037579, -205137675.07529795],
+    30: [3205687515188.3286, -3387604388086.7236, 2495372740747.468,
+         709561363886.8896, -2656923254276.623, -4518457982790.962],
+}
 
 
 def load_workloads(root: str):
@@ -102,6 +127,10 @@ def main(argv=None) -> int:
     for rec in sorted(wl.build_cli(0, root).records, key=lambda r: r.kind):
         code, stdout, _, _ = wl.spawn([sys.executable, "-m", "ncframe.cli", *rec.argv], rec.stdin, env)
         print(f"cli {rec.kind} exit={code} {hashlib.sha256(stdout).hexdigest()}")
+    argv = ["stabilizer", "--count", "20", "--seed", "7"]
+    for rapidity, nm in RAPIDITY_SWEEP.items():
+        code, stdout, _, _ = wl.spawn([sys.executable, "-m", "ncframe.cli", *argv], json.dumps({"nm": nm}).encode(), env)
+        print(f"cli stabilizer_rapidity_{rapidity} exit={code} {hashlib.sha256(stdout).hexdigest()}")
     return 0
 
 
