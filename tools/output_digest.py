@@ -127,9 +127,9 @@ def main(argv=None) -> int:
     for rec in sorted(wl.build_cli(0, root).records, key=lambda r: r.kind):
         code, stdout, _, _ = wl.spawn([sys.executable, "-m", "ncframe.cli", *rec.argv], rec.stdin, env)
         print(f"cli {rec.kind} exit={code} {hashlib.sha256(stdout).hexdigest()}")
-    argv = ["stabilizer", "--count", "20", "--seed", "7"]
+    sample = [sys.executable, "-m", "ncframe.cli", "stabilizer", "--count", "20", "--seed", "7"]
     for rapidity, nm in RAPIDITY_SWEEP.items():
-        code, stdout, _, _ = wl.spawn([sys.executable, "-m", "ncframe.cli", *argv], json.dumps({"nm": nm}).encode(), env)
+        code, stdout, _, _ = wl.spawn(sample, json.dumps({"nm": nm}).encode(), env)
         print(f"cli stabilizer_rapidity_{rapidity} exit={code} {hashlib.sha256(stdout).hexdigest()}")
     return 0
 
