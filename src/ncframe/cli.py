@@ -10,14 +10,17 @@ field-state commands add "E" and "B" (3 numbers each), factor takes
 a string ("1") or a bool (true) is refused, exit 2, and so is a NaN or inf
 in any field, read or not.
 
-Flags (exact names; a value may start with "-"):
-  every command  --in FILE, --format json|text, --seed N (default 0),
-                 --tol X, --eps-iso X (default 1e-9; both finite and >= 0),
-                 --c X, --epsilon0 X (units: finite and > 0, default 1)
-  stabilizer     --gamma RE[,IM] (non-isotropic K only), --z RE[,IM]
-                 (both: finite parts), --count N (N >= 0 sampled elements)
-  constitutive   --dual-check CHI (finite; repeatable)
-  dual-scan      --steps N (N >= 4, default 32)
+Flags (exact names; a value may start with "-"), read and refused before
+the input; a flag that the command does not read is unrecognized, exit 2:
+  classify, reduce, factor  --in --format --tol --eps-iso
+  stabilizer    --in --format --tol --eps-iso --seed --gamma --z --count
+  constitutive  --in --format --tol --c --epsilon0 --dual-check
+  dual-scan     --in --format --tol --c --epsilon0 --steps
+Values: --in FILE, --format json|text; --tol X, --eps-iso X (default 1e-9):
+finite and >= 0; --seed N (default 0); --gamma RE[,IM] (non-isotropic K
+only), --z RE[,IM]: finite parts; --count N (N >= 0 sampled elements);
+--c X, --epsilon0 X (units): finite and > 0, default 1; --dual-check CHI
+(finite; repeatable); --steps N (N >= 4, default 32).
 
 Exit codes: 0 all residuals within thresholds, 1 residual failure.  A
 refusal exits with the code of its exception type, the first that matches:
@@ -28,11 +31,10 @@ refusal exits with the code of its exception type, the first that matches:
   2  ValueError           malformed input or flag, NaN or inf included
   7  NcframeError         any other library error
   8  BrokenPipeError      output closed (e.g. by head), no traceback
-Flags are read, and refused, before the input.  An input nested too deep
-for the report's JSON writer to echo it under "input" exits 2 when read.
-Complex numbers are serialized as [re, im].  Floats are written as Python's
-repr, the shortest text that reads back as the same double, and -0.0 keeps
-its sign.
+An input nested too deep for the report's JSON writer to echo it under
+"input" exits 2 when read.  Complex numbers are serialized as [re, im].
+Floats are written as Python's repr, the shortest text that reads back as
+the same double, and -0.0 keeps its sign.
 
 classify, stabilizer and reduce read one scaled view of K, the exact
 Ks = 2^-exponent K of ``_kernels._view``, and report its exponent: their
@@ -187,13 +189,11 @@ def _parse_theta(doc) -> tuple[list, list]:
 
 
 def _base_report(args, doc: dict) -> dict:
-    return {
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "tolerances": {"tol": args.tol, "eps_iso": args.eps_iso},
-        "input": doc,
-    }
+    """The head of a report: the seed and tolerances echoed are those among the command's flags."""
+    given = vars(args)
+    seed = {"seed": args.seed} if "seed" in given else {}
+    return {"command": args.command, "version": __version__, **seed,
+            "tolerances": {k: given[k] for k in ("tol", "eps_iso") if k in given}, "input": doc}
 
 
 def _classified(args, doc: dict) -> tuple[dict, tuple, list]:
@@ -422,20 +422,20 @@ def _complex(text: str) -> complex:
     return complex(*parts)
 
 
-# flag -> (dest, type, default); a repeated --dual-check appends
-_COMMON = {"--in": ("infile", str, None), "--format": ("format", _format, "json"),
-           "--seed": ("seed", int, 0), "--tol": ("tol", _threshold, None),
-           "--eps-iso": ("eps_iso", _threshold, EPS_ISO), "--c": ("c", _positive, 1.0),
-           "--epsilon0": ("epsilon0", _positive, 1.0)}
+# flag -> (dest, type, default); a repeated --dual-check appends.  The frame
+# commands read the isotropy threshold, the field commands the units.
+_IO = {"--in": ("infile", str, None), "--format": ("format", _format, "json"), "--tol": ("tol", _threshold, None)}
+_FRAME = {**_IO, "--eps-iso": ("eps_iso", _threshold, EPS_ISO)}
+_FIELDS = {**_IO, "--c": ("c", _positive, 1.0), "--epsilon0": ("epsilon0", _positive, 1.0)}
 # command -> (run function, flags, default of --tol)
 _COMMANDS = {
-    "classify": (run_classify, _COMMON, 1e-9),
-    "stabilizer": (run_stabilizer, {**_COMMON, "--gamma": ("gamma", _complex, None),
+    "classify": (run_classify, _FRAME, 1e-9),
+    "stabilizer": (run_stabilizer, {**_FRAME, "--seed": ("seed", int, 0), "--gamma": ("gamma", _complex, None),
                                     "--z": ("z", _complex, None), "--count": ("count", _at_least(0), 0)}, 1e-9),
-    "reduce": (run_reduce, _COMMON, 1e-9),
-    "factor": (run_factor, _COMMON, 1e-10),
-    "constitutive": (run_constitutive, {**_COMMON, "--dual-check": ("dual_check", _finite, ())}, 1e-12),
-    "dual-scan": (run_dual_scan, {**_COMMON, "--steps": ("steps", _at_least(4), 32)}, DUAL_TOL),
+    "reduce": (run_reduce, _FRAME, 1e-9),
+    "factor": (run_factor, _FRAME, 1e-10),
+    "constitutive": (run_constitutive, {**_FIELDS, "--dual-check": ("dual_check", _finite, ())}, 1e-12),
+    "dual-scan": (run_dual_scan, {**_FIELDS, "--steps": ("steps", _at_least(4), 32)}, DUAL_TOL),
 }
 _INFO = ("-h", "--help", "--version")
 

@@ -167,6 +167,19 @@ def test_golden(name, tmp_path, capsys):
     assert out == golden["output"], name
 
 
+def golden_text(argv, doc, code: int, output) -> str:
+    """The text of a golden file: its case, and the exit code and report that the case gives."""
+    return json.dumps({"argv": argv, "input": doc, "exit_code": code, "output": output}, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_golden_file_is_what_regen_writes(name, tmp_path, capsys):
+    # byte for byte, so that a regeneration rewrites only the files whose values changed
+    argv, doc = golden_cases()[name]
+    code, out = run_cli(argv, doc, tmp_path, capsys)
+    assert (GOLDEN_DIR / f"{name}.json").read_text() == golden_text(argv, doc, code, out)
+
+
 _NUMPY_FREE_CHILD = """
 import contextlib, io, json, sys
 import ncframe
@@ -233,9 +246,39 @@ def test_kernels_import_without_numpy_or_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+# a value that each flag reads, so that only the flag's name can be refused
+READABLE = {"--in": "input.json", "--format": "text", "--tol": "0", "--eps-iso": "0", "--seed": "1",
+            "--gamma": "1", "--z": "1", "--count": "1", "--c": "2", "--epsilon0": "2", "--dual-check": "0.5",
+            "--steps": "8"}
+UNREAD = [(command, flag) for command, (_, flags, _) in sorted(cli._COMMANDS.items())
+          for flag in READABLE if flag not in flags]
+
+
 class TestFlags:
     """The flag loop: exact names, values that may start with "-", and exit 2,
     never SystemExit, for anything it cannot read."""
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        frame, fields = {"--in", "--format", "--tol", "--eps-iso"}, {"--in", "--format", "--tol", "--c", "--epsilon0"}
+        assert {command: set(flags) for command, (_, flags, _) in cli._COMMANDS.items()} == {
+            "classify": frame, "reduce": frame, "factor": frame,
+            "stabilizer": frame | {"--seed", "--gamma", "--z", "--count"},
+            "constitutive": fields | {"--dual-check"}, "dual-scan": fields | {"--steps"}}
+        assert set(READABLE) == {flag for _, flags, _ in cli._COMMANDS.values() for flag in flags}
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_a_flag_the_command_does_not_read_is_refused(self, command, flag, tmp_path, capsys):
+        # classify --seed 5, factor --c 3e8 and dual-scan --eps-iso 0.5 once
+        # exited 0 and changed nothing; now each such flag is refused before
+        # the theta that is not antisymmetric (exit 3), or factor's spinor
+        # off its unit constraint (exit 6), is read
+        infile = tmp_path / "input.json"
+        infile.write_text(json.dumps({"theta": np.eye(4).tolist(), "E": [1, 0, 0], "B": [0, 0, 0],
+                                      "spinor": [2, 0, 0, 0, 0, 0, 0, 0]}))
+        assert main([command, "--in", str(infile)]) == (6 if command == "factor" else 3)
+        capsys.readouterr()
+        assert main([command, flag, READABLE[flag], "--in", str(infile)]) == 2
+        assert capsys.readouterr() == ("", f"ncframe: {command}: unrecognized argument {flag!r}\n")
 
     @pytest.mark.parametrize("argv", [
         pytest.param([], id="no-command"),
@@ -247,7 +290,7 @@ class TestFlags:
         pytest.param(["stabilizer", "--count"], id="missing-value"),
         pytest.param(["stabilizer", "--seed", "1.5"], id="float-seed"),
         pytest.param(["dual-scan", "--steps", "four"], id="word-steps"),
-        pytest.param(["classify", "--c", "one"], id="word-c"),
+        pytest.param(["constitutive", "--c", "one"], id="word-c"),
         pytest.param(["classify", "--format", "xml"], id="unknown-format"),
     ])
     def test_unreadable_argv_returns_2(self, argv, capsys):
@@ -610,16 +653,19 @@ class TestExitCodes:
                                        ["--c", "-0.0"], ["--epsilon0", "1e999"]])
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_units_are_refused_by_every_command(self, command, units, tmp_path, capsys):
-        # classify --c nan, reduce --epsilon0 -3 and factor --c 0 exited 0:
-        # only constitutive and dual-scan checked the units.  Now every
-        # command refuses them with the flags, before the theta that is not
+        # classify --c nan, reduce --epsilon0 -3 and factor --c 0 once exited
+        # 0.  The field commands refuse the value, and the frame commands,
+        # which read no units, the flag, both before the theta that is not
         # antisymmetric (exit 3) or the valid spinor (exit 0) is read
         infile = tmp_path / "input.json"
         infile.write_text(json.dumps({"theta": np.eye(4).tolist(), "E": [1, 0, 0], "B": [0, 0, 0],
                                       "spinor": [1.1276259652063807, 0, 0, 0, 0, 0, 0, 0.5210953054937474]}))
         assert main([command, *units, "--in", str(infile)]) == 2
         flag, value = units
-        assert capsys.readouterr() == ("", f"ncframe: {flag}: must be finite and > 0, got {value!r}\n")
+        if "--c" in cli._COMMANDS[command][1]:
+            assert capsys.readouterr() == ("", f"ncframe: {flag}: must be finite and > 0, got {value!r}\n")
+        else:
+            assert capsys.readouterr() == ("", f"ncframe: {command}: unrecognized argument {flag!r}\n")
         assert main([command, "--in", str(infile)]) == (0 if command == "factor" else 3)
 
     def test_fields_near_the_largest_float(self, tmp_path, capsys):
@@ -1177,7 +1223,7 @@ def test_fuzz_main(fuzz_file, argv, doc):
     # a string or a bool is no coordinate, wherever it sits in a field read
     if isinstance(doc, dict) and any(words(doc.get(key)) for key in coordinate_fields(argv[0], doc)):
         assert code == 2
-    # so is a unit that is not a finite float > 0, in every command
+    # so is a unit that is not a finite float > 0, in the field commands that take units
     if any(not 0.0 < float_or_nan(value) < math.inf for value in unit_values(argv)):
         assert code == 2
 
@@ -1206,13 +1252,7 @@ def _regen():
         )
         if proc.returncode != 0:
             raise SystemExit(f"{name}: exit {proc.returncode}\n{proc.stderr}")
-        golden = {
-            "argv": argv,
-            "input": doc,
-            "exit_code": proc.returncode,
-            "output": json.loads(proc.stdout),
-        }
-        (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(golden, indent=1) + "\n")
+        (GOLDEN_DIR / f"{name}.json").write_text(golden_text(argv, doc, proc.returncode, json.loads(proc.stdout)))
         print(f"wrote golden/{name}.json")
 
 

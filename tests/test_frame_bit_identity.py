@@ -182,12 +182,13 @@ def plain_invariants(K):
 
 def pinned(K):
     """Where plain_classify and plain_unit_delta are right, and so pinned bit
-    for bit: ||K|| > EPS_ISO and K.K a normal float (or zero).  Below that,
-    their absolute commutative cut and the digits a subnormal K.K loses are
-    what the exact power-of-two scaling of K removed; test_stabilizer checks
-    the labels and the frame there by scale covariance."""
-    mag = abs(_dot(K, K))
-    return _norm(K) > EPS_ISO and (mag == 0.0 or mag >= np.finfo(float).tiny)
+    for bit: ||K|| > EPS_ISO and I1 and I2 each a normal float (or zero).
+    Below that, their absolute commutative cut and the digits that a
+    subnormal I1 or I2 loses in mu = atan2(I2, I1) / 2 are what the exact
+    power-of-two scaling of K removed; test_stabilizer checks the labels and
+    the frame there by scale covariance."""
+    ksq = _dot(K, K)
+    return _norm(K) > EPS_ISO and all(x == 0.0 or abs(x) >= np.finfo(float).tiny for x in (ksq.real, ksq.imag))
 
 
 def plain_classify(K, eps_iso=EPS_ISO):
@@ -511,6 +512,9 @@ ATAN2_CASE = parts([0.0027144088342523354, 0.38155154241339884, 0.39462696471760
                    [-0.9885746201441636, -0.9218689334883712, -0.701923378368901])
 # I2 = 4.6e-138: at K 2**-284 the I2 of Ks is subnormal, at K 2**-449 it is 0
 TINY_I2 = parts([0.0, 0.0, 1.0], [0.0, 0.0, 2.28504797591572e-138])
+# I1 = 1 but I2 = 4.5e-309 is subnormal: the plain Kscalar is 1+2.22507386e-309j,
+# unit_delta's 1+2.225073860000003e-309j
+SUBNORMAL_I2 = parts([0.0, 0.0, 1.0], [0.0, 0.0, 2.22507386e-309])
 # K.K = -2.7e-326 underflows to zero: the plain mu is 0, the scale-free mu pi/2
 UNDERFLOWING_SQUARE = parts([0.0, 0.0, 0.0], [0.0, 0.0, 1.6472915e-163])
 # n and m of a K whose S Delta overflows at eps_iso = 0
@@ -549,6 +553,7 @@ class TestBitIdentity:
     @example(K=ZERO)
     @example(K=HYPOT_CASE)
     @example(K=ATAN2_CASE)
+    @example(K=SUBNORMAL_I2)
     def test_unit_delta_and_canonical_frame(self, K):
         if not pinned(K):
             return

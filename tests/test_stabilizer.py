@@ -15,7 +15,7 @@ from oracles import (
     random_unit_delta,
     to_matrix2,
 )
-from test_frame_bit_identity import KINDS, exponents, gammas, k_of_kind, seeded_K, seeds, units
+from test_frame_bit_identity import KINDS, SUBNORMAL_I2, exponents, gammas, k_of_kind, seeded_K, seeds, units
 
 from ncframe import stabilizer
 from ncframe.errors import (
@@ -529,6 +529,25 @@ class TestCanonicalFrame:
         assert Sk.matrix.tobytes() == S.matrix.tobytes() and delta_k.tobytes() == delta.tobytes()
         assert kscalar_k == complex(*np.ldexp((kscalar.real, kscalar.imag), k))
         assert kcanon_k.tobytes() == np.ldexp(kcanon.view(float), k).view(complex).tobytes()
+
+    def test_subnormal_I2_under_power_of_two_scaling(self):
+        # K = (0, 0, 1 + 2.2e-309i), outside pinned (I2 is subnormal), at every
+        # exact 2^k K: the same labels and S bytes, and Kscalar, Delta and
+        # Kcanon 2^k times, to within the last subnormal bit.  From k = 28 on
+        # they differ in that bit: K's own mu, and past the window its Delta,
+        # come from 2^-1 K, which rounds the subnormal part of K
+        K = SUBNORMAL_I2
+        p, (S, kcanon), (kscalar, delta) = classify(K), canonical_frame(K), unit_delta(K)
+        for k in range(1024):
+            Kk = np.ldexp(K.view(float), k).view(complex)
+            assert np.ldexp(Kk.view(float), -k).tobytes() == K.tobytes()  # 2^k K is exact
+            with np.errstate(over="ignore"):  # ||Kk||^2 overflows from k = 511 on
+                q, (Sk, kcanon_k), (kscalar_k, delta_k) = classify(Kk), canonical_frame(Kk), unit_delta(Kk)
+            assert (q.klass, q.subcase, q.mu) == (p.klass, p.subcase, p.mu), k
+            assert Sk.matrix.tobytes() == S.matrix.tobytes(), k
+            unscaled = [complex(*np.ldexp((kscalar_k.real, kscalar_k.imag), -k)), *delta_k,
+                        *np.ldexp(kcanon_k.view(float), -k).view(complex)]
+            assert np.abs(np.array(unscaled) - [kscalar, *delta, *kcanon]).max() <= math.ulp(0.0), k
 
 
 def _bits(x):
